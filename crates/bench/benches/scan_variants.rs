@@ -1,6 +1,6 @@
 //! Side-by-side race of the dynamic tree's split-scan kernels (PR 6).
 //!
-//! The three kernels in `alic_model::dynatree::scan` are bit-identical by
+//! The two kernels in `alic_model::dynatree::scan` are bit-identical by
 //! construction (see `tests/scan_identity.rs`), so the production default
 //! (`DEFAULT_SCAN_KIND`) is purely a speed choice — this bench is the
 //! committed evidence behind it, and CI runs it once in smoke mode (the
@@ -48,11 +48,7 @@ fn bench_scan_kinds(c: &mut Criterion) {
         *t = 0.15 + 0.1 * k as f64;
     }
     let live = 4;
-    for (kind, label) in [
-        (ScanKind::Scalar, "scalar"),
-        (ScanKind::Bitset, "bitset"),
-        (ScanKind::Simd, "simd"),
-    ] {
+    for (kind, label) in [(ScanKind::Scalar, "scalar"), (ScanKind::Simd, "simd")] {
         let mut group = c.benchmark_group(format!("scan_left_{label}"));
         for &len in &[32usize, 128, 512, 2048] {
             let columns = leaf(len);

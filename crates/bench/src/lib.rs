@@ -1,71 +1,16 @@
-//! Shared fixtures for the Criterion benchmark suite and the `perf_report`
-//! binary.
+//! Shared fixtures for the Criterion benchmark suite.
 //!
 //! The benches in `benches/` measure the computational cost of the library
 //! itself (model updates, acquisition scoring, simulator throughput) and of
 //! regenerating each of the paper's tables and figures at a reduced scale.
-//!
-//! # The `perf_report` binary and its schema
-//!
-//! `cargo run --release --bin perf_report` times the canonical hot-path
-//! workloads (ALC batch scoring at the paper's 500-candidate × 50-reference
-//! iteration shape, dynamic-tree fit and incremental update plus the same
-//! fit pinned to one worker thread and to the machine's full thread count —
-//! the `_t1`/`_tmax` thread-scaling pair for the parallel particle
-//! updates — a full small learner run, the Gaussian-process fit /
-//! incremental-update / acquisition workloads and the campaign-runner
-//! orchestration path) and writes a JSON report — `BENCH_PR<n>.json` at
-//! the repo root records the trajectory across PRs. `--scale smoke` runs
-//! tiny variants so CI can assert the harness works; `--out PATH` redirects
-//! the report. Workloads faster than the minimum measurement window
-//! (10 ms) are repeated in an inner loop and reported as the per-iteration
-//! mean of the best window, so short timings are stable.
-//!
-//! Regression gating and report composition:
-//!
-//! * `--baseline PATH` loads a prior report and prints the per-workload
-//!   ratio `seconds / baseline_seconds` for every workload name present in
-//!   both reports; with `--max-regression X` the binary exits non-zero when
-//!   any ratio exceeds `X` (the CI perf-smoke job gates smoke runs against
-//!   the committed `BENCH_PR4.json` this way). Since PR 5 every matched
-//!   workload is enforced: the minimum-measurement-window repetition makes
-//!   even sub-millisecond timings stable enough to gate.
-//! * `--merge PATH` folds the workloads of an existing report into the one
-//!   being written (fresh measurements win on name collisions and the
-//!   top-level `scale` becomes `"mixed"`) — this is how a committed report
-//!   carries both its canonical full-scale entries and the smoke-scale
-//!   entries CI compares against.
-//!
-//! Report schema (`alic-perf-report/v1`):
-//!
-//! ```json
-//! {
-//!   "schema": "alic-perf-report/v1",
-//!   "pr": 3,                     // PR the report belongs to
-//!   "scale": "full",             // "full", "smoke" or "mixed" (merged)
-//!   "threads": 1,                // worker threads during the run
-//!   "workloads": [
-//!     {
-//!       "name": "gp_update_200x300",
-//!       "description": "...",
-//!       "seconds": 0.032990,          // best-of-N wall-clock seconds
-//!       "baseline_seconds": 2.013142, // prior-PR measurement, null if none
-//!       "speedup": 61.02              // baseline / seconds, null if none
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! Timings are best-of-N to suppress scheduler noise; `baseline_seconds` is
-//! measured on the same machine from a checkout of the previous PR and is
-//! only meaningful at `full` scale.
+//! The end-to-end benchmark of record is `perfbench/` (declared in
+//! `BENCHMARK.json`); these benches are the per-kernel microscope beside it.
 
 use alic_core::experiment::ComparisonConfig;
 use alic_core::learner::LearnerConfig;
 use alic_core::plan::SamplingPlan;
 use alic_core::runner::CampaignSpec;
-use alic_data::dataset::{Dataset, DatasetConfig};
-use alic_data::split::TrainTestSplit;
+use alic_data::dataset::DatasetConfig;
 use alic_model::dynatree::{DynaTree, DynaTreeConfig};
 use alic_model::{row_views, SurrogateModel, SurrogateSpec};
 use alic_sim::noise::NoiseProfile;
@@ -100,8 +45,7 @@ pub fn bench_kernel_named(name: &str, surface_seed: u64) -> KernelSpec {
 
 /// A fully structured campaign over two [`bench_kernel_named`] kernels, one
 /// dynamic-tree model and the paper's three sampling plans — the fixture the
-/// campaign-runner benchmarks and the `perf_report` `campaign_run_*`
-/// workload execute through
+/// campaign-runner benchmarks execute through
 /// [`run_campaign`](alic_core::runner::run_campaign).
 pub fn bench_campaign(
     iterations: usize,
@@ -149,22 +93,6 @@ pub fn bench_profiler(seed: u64) -> SimulatedProfiler {
     SimulatedProfiler::new(bench_kernel(), seed)
 }
 
-/// A small profiled dataset plus train/test split over [`bench_kernel`].
-pub fn bench_dataset(configurations: usize) -> (Dataset, TrainTestSplit) {
-    let mut profiler = bench_profiler(1);
-    let dataset = Dataset::generate(
-        &mut profiler,
-        &DatasetConfig {
-            configurations,
-            observations: 5,
-            seed: 2,
-        },
-    );
-    let train = (configurations * 3) / 4;
-    let split = dataset.split(train, 3);
-    (dataset, split)
-}
-
 /// Synthetic regression data `y = sin(4x0) + 0.5 x1` on the unit square.
 pub fn synthetic_training_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut xs = Vec::with_capacity(n);
@@ -198,9 +126,6 @@ mod tests {
 
     #[test]
     fn fixtures_are_well_formed() {
-        let (dataset, split) = bench_dataset(80);
-        assert_eq!(dataset.len(), 80);
-        assert_eq!(split.population(), 80);
         let model = fitted_dynatree(50, 20);
         assert_eq!(model.observation_count(), 50);
     }

@@ -279,8 +279,9 @@ impl WarmStore {
         })
     }
 
-    /// Persists the store through the verified atomic writer (write, fsync,
-    /// rename, read back; up to five attempts).
+    /// Persists the store through the verified atomic writer: write a `*.tmp`
+    /// file, rename it into place, read it back; up to five attempts. No
+    /// fsync is issued, so a power loss can still lose the latest save.
     ///
     /// # Errors
     ///

@@ -24,9 +24,9 @@
 //!
 //! All learner-driven binaries run on the zero-copy batched scoring pipeline
 //! (flat [`FeatureMatrix`](alic_stats::FeatureMatrix) pools, batch
-//! `alc_scores`/`predict_batch`), so their wall-clock cost tracks the
-//! `perf_report` numbers in `BENCH_PR2.json`; results stay bit-identical for
-//! a fixed seed regardless of the worker-thread count.
+//! `alc_scores`/`predict_batch`), the same path the `learner_paper` workload
+//! of the `perfbench/` benchmark times; results stay bit-identical for a
+//! fixed seed regardless of the worker-thread count.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

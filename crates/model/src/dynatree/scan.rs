@@ -1,21 +1,20 @@
-//! Split-proposal scan kernels: scalar, bitset+popcount and SIMD.
+//! Split-proposal scan kernels: scalar and bitset+popcount (SIMD masks).
 //!
 //! A grow move evaluates a batch of candidate splits of one leaf. For each
 //! candidate `(dimension, threshold)` the scorer needs the left child's
 //! `(n, Σy, Σy²)`; the right child is `totals − left`. This module holds the
-//! three interchangeable kernels that produce those triples from a
+//! two interchangeable kernels that produce those triples from a
 //! column-major copy of the leaf ([`LeafColumns`]):
 //!
 //! * [`ScanKind::Scalar`] — the reference: one branch-free pass per attempt
 //!   accumulating `acc += mask * value` with a 0/1 comparison mask,
-//! * [`ScanKind::Bitset`] — packs the comparison mask into u64 words
-//!   ([`alic_stats::bitset`]), takes the count with `popcnt` and accumulates
-//!   the sums over the set bits in ascending order,
-//! * [`ScanKind::Simd`] — the bitset kernel with the mask words built by
-//!   SSE2 packed compares (`cfg`-gated to x86-64; elsewhere it falls back to
-//!   the scalar mask builder and is otherwise identical to `Bitset`).
+//! * [`ScanKind::Simd`] — packs the comparison mask into u64 words
+//!   ([`alic_stats::bitset`]) built by SSE2 packed compares (`cfg`-gated to
+//!   x86-64; elsewhere the scalar mask builder fills the same words), takes
+//!   the count with `popcnt` and accumulates the sums over the set bits in
+//!   ascending order.
 //!
-//! All three are **bit-identical** by construction — same comparisons, and
+//! Both are **bit-identical** by construction — same comparisons, and
 //! sums whose skipped terms are exact `±0.0` no-ops (see
 //! [`alic_stats::bitset`] for the argument) — which
 //! `tests/scan_identity.rs` pins with property tests and the committed
@@ -37,13 +36,12 @@ pub enum ScanKind {
     /// attempt's three accumulators carried simultaneously, so the
     /// independent add chains hide FP latency even at small leaf sizes.
     Scalar,
-    /// u64 mask words, `popcnt` counts, set-bit-ordered sums.
-    Bitset,
-    /// [`ScanKind::Bitset`] with SSE2-packed mask construction on x86-64.
+    /// u64 mask words (SSE2-packed construction on x86-64), `popcnt`
+    /// counts, set-bit-ordered sums.
     Simd,
     /// Length dispatch: [`ScanKind::Scalar`] below
     /// [`BITSET_MIN_LEN`] points, [`ScanKind::Simd`] at or above it. The
-    /// bitset kernels amortize their mask-building pass only once a leaf
+    /// bitset kernel amortizes its mask-building pass only once a leaf
     /// spans several words; short leaves (the common case deep in a grown
     /// tree) stay on the fused scalar pass.
     Auto,
@@ -146,7 +144,7 @@ impl LeafColumns {
 }
 
 thread_local! {
-    /// Per-thread mask-word scratch for the bitset kernels; proposal scans
+    /// Per-thread mask-word scratch for the bitset kernel; proposal scans
     /// run inside the parallel move-decision pass, so the scratch cannot
     /// live in the (shared) gathered columns.
     static MASK_WORDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
@@ -192,7 +190,7 @@ pub fn scan_left(
                 _ => scan_scalar_fused::<8>(columns, dims, thresholds, &mut n, &mut s, &mut q),
             }
         }
-        ScanKind::Bitset | ScanKind::Simd => {
+        ScanKind::Simd => {
             let ys = columns.targets();
             let ys_sq = columns.targets_sq();
             let word_count = columns.len().div_ceil(bitset::WORD_BITS);
@@ -205,7 +203,7 @@ pub fn scan_left(
                 for k in 0..live {
                     let strip = &mut words[k * word_count..(k + 1) * word_count];
                     let col = columns.feature_column(dims[k]);
-                    fill_mask(kind, col, thresholds[k], strip);
+                    fill_mask(col, thresholds[k], strip);
                     n[k] = bitset::count_ones(strip) as f64;
                 }
                 // Stage 2: fused masked sums. Attempts are interleaved at
@@ -339,15 +337,13 @@ fn scan_scalar_fused<const K: usize>(
     q[..K].copy_from_slice(&qk);
 }
 
-/// Builds the `<= threshold` mask words with the kind's mask builder.
+/// Builds the `<= threshold` mask words: SSE2 packed compares on x86-64,
+/// the scalar mask builder elsewhere.
 #[inline]
-fn fill_mask(kind: ScanKind, column: &[f64], threshold: f64, words: &mut [u64]) {
+fn fill_mask(column: &[f64], threshold: f64, words: &mut [u64]) {
     #[cfg(target_arch = "x86_64")]
-    if kind == ScanKind::Simd {
-        bitset::fill_mask_le_simd_into(column, threshold, words);
-        return;
-    }
-    let _ = kind;
+    bitset::fill_mask_le_simd_into(column, threshold, words);
+    #[cfg(not(target_arch = "x86_64"))]
     bitset::fill_mask_le_into(column, threshold, words);
 }
 
@@ -406,7 +402,7 @@ mod tests {
             let thresholds = [-2.5, -1.0, 0.0, 0.5, 1.5, 2.5, 3.5, -4.0];
             let live = 8;
             let (n0, s0, q0) = scan_left(ScanKind::Scalar, &columns, &dims, &thresholds, live);
-            for kind in [ScanKind::Bitset, ScanKind::Simd, ScanKind::Auto] {
+            for kind in [ScanKind::Simd, ScanKind::Auto] {
                 let (n1, s1, q1) = scan_left(kind, &columns, &dims, &thresholds, live);
                 for k in 0..live {
                     assert_eq!(

@@ -3,7 +3,7 @@
 //! The dynamic tree's grow move ranks candidate splits by leaf marginal
 //! likelihoods computed from `(count, Σy, Σy²)` triples, and the committed
 //! goldens pin its output byte-for-byte — so every scan kernel
-//! (`Scalar`, `Bitset`, `Simd`, the length-dispatching `Auto`, and the
+//! (`Scalar`, `Simd`, the length-dispatching `Auto`, and the
 //! no-copy direct stream) must produce **bit-identical** triples, not merely
 //! close ones. These properties drive randomized leaf shapes through every
 //! kernel and assert:
@@ -107,7 +107,7 @@ proptest! {
             &thresholds,
             live,
         );
-        let kinds = [ScanKind::Bitset, ScanKind::Simd, ScanKind::Auto];
+        let kinds = [ScanKind::Simd, ScanKind::Auto];
         let mut scanned: Vec<_> = kinds
             .iter()
             .map(|&kind| scan_left(kind, &columns, &dims, &thresholds, live))

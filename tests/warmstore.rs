@@ -9,7 +9,10 @@
 //!   punctuation;
 //! * a torn warm-store write is quarantined and the daemon falls back to a
 //!   cold start whose replies are **byte-identical** to running with no
-//!   store at all.
+//!   store at all;
+//! * a warm start pays off: a GP restored from a stored donor snapshot
+//!   reaches a cold run's final held-out RMSE in fewer than half the cold
+//!   run's observations.
 //!
 //! These tests never install the fault plane and are safe to run
 //! concurrently with each other.
@@ -20,7 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use alic::core::warmstore::{space_signature, WarmKey, WarmStore};
-use alic::model::SurrogateSpec;
+use alic::model::snapshot::restore_snapshot;
+use alic::model::{ActiveSurrogate, SurrogateSpec};
 use alic::serve::{ConnState, Engine, ServeConfig};
 use alic::sim::space::{ParamKind, ParamSpec, ParameterSpace};
 
@@ -231,4 +235,95 @@ fn torn_warm_store_quarantines_and_cold_start_is_byte_identical() {
     for dir in [cold_dir, donor_dir, subject_dir] {
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The smooth 2-D response surface the warm-start payoff is measured on.
+fn surface(a: f64, b: f64) -> f64 {
+    (4.0 * a).sin() + 0.5 * b + 0.3 * (3.0 * b).cos()
+}
+
+/// Deterministic low-discrepancy observation streams over [`surface`]: the
+/// donor tuned the kernel earlier (phase 0); the new session sees phase 1.
+fn stream(phase: usize, i: usize) -> (Vec<f64>, f64) {
+    let a = (((i + 1) * (13 + 7 * phase)) % 97) as f64 / 96.0;
+    let b = (((i + 1) * (29 + 11 * phase)) % 89) as f64 / 88.0;
+    (vec![a, b], surface(a, b))
+}
+
+/// Fits a fresh GP (seed 17) on the first `n` points of a stream.
+fn fitted_gp(phase: usize, n: usize) -> Box<dyn ActiveSurrogate + Send> {
+    let mut model = SurrogateSpec::Gp(Default::default()).build(17);
+    let points: Vec<(Vec<f64>, f64)> = (0..n).map(|i| stream(phase, i)).collect();
+    let views: Vec<&[f64]> = points.iter().map(|(x, _)| x.as_slice()).collect();
+    let ys: Vec<f64> = points.iter().map(|(_, y)| *y).collect();
+    model.fit(&views, &ys).unwrap();
+    model
+}
+
+/// Sample efficiency of the probe → restore → update path `alic-serve`
+/// takes on a fingerprint hit. The cold reference mirrors the daemon's
+/// warmup (fit on 4 points, then one update per observation) up to a
+/// 40-observation budget; its final RMSE on a held-out grid is the target.
+/// A donor GP trained on 32 earlier observations of the same kernel goes
+/// through a real store file, and the restored model must hit the target in
+/// fewer than half the cold budget.
+#[test]
+fn warm_start_reaches_cold_rmse_in_under_half_the_observations() {
+    const FIT_MIN: usize = 4;
+    const COLD_BUDGET: usize = 40;
+    const DONOR: usize = 32;
+
+    // Held-out grid with coprime strides, overlapping neither stream.
+    let eval: Vec<(Vec<f64>, f64)> = (0..64)
+        .map(|i| {
+            let a = ((i * 41) % 64) as f64 / 63.0;
+            let b = ((i * 23) % 64) as f64 / 63.0;
+            (vec![a, b], surface(a, b))
+        })
+        .collect();
+    let rmse = |model: &dyn ActiveSurrogate| {
+        let sq: f64 = eval
+            .iter()
+            .map(|(x, y)| {
+                let p = model.predict(x).unwrap();
+                (p.mean - y) * (p.mean - y)
+            })
+            .sum();
+        (sq / eval.len() as f64).sqrt()
+    };
+
+    let mut cold = fitted_gp(1, FIT_MIN);
+    for i in FIT_MIN..COLD_BUDGET {
+        let (x, y) = stream(1, i);
+        cold.update(&x, y).unwrap();
+    }
+    let target = rmse(cold.as_ref());
+
+    let dir = temp_dir("payoff");
+    let store_path = dir.join("warm.json");
+    let space = ParameterSpace::new(vec![
+        ParamSpec::new("a", ParamKind::Unroll, 0, 96),
+        ParamSpec::new("b", ParamKind::CacheTile, 0, 88),
+    ])
+    .unwrap();
+    let key = WarmKey::new("payoff-surface", &space, "gp", "default");
+    let mut store = WarmStore::open(&store_path);
+    assert!(store.insert(&key, DONOR, fitted_gp(0, DONOR).snapshot().unwrap()));
+    store.save().unwrap();
+
+    let mut store = WarmStore::open(&store_path);
+    let entry = store.probe(&key).expect("donor entry persisted");
+    let mut warm = restore_snapshot(&entry.model).unwrap();
+    let mut used = 0;
+    while rmse(warm.as_ref()) > target && used < COLD_BUDGET {
+        let (x, y) = stream(1, used);
+        warm.update(&x, y).unwrap();
+        used += 1;
+    }
+    assert!(
+        used < COLD_BUDGET / 2,
+        "warm GP needed {used} observations to reach the cold RMSE {target:.4} \
+         ({COLD_BUDGET} cold)"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
