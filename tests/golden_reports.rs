@@ -19,8 +19,11 @@
 //! every committed file must parse back into an outcome that re-serializes
 //! to identical bytes.
 
+mod common;
+
 use std::fs;
-use std::path::PathBuf;
+
+use common::{compare_or_update, golden_dir, update_requested};
 
 use alic::core::experiment::{compare_plans, ComparisonConfig};
 use alic::core::learner::LearnerConfig;
@@ -71,46 +74,9 @@ fn golden_config(model: SurrogateSpec) -> ComparisonConfig {
     }
 }
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-}
-
-fn update_requested() -> bool {
-    std::env::var_os("ALIC_UPDATE_GOLDEN").is_some_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Byte position and context of the first difference, for readable failures.
-fn first_diff(expected: &str, actual: &str) -> String {
-    let position = expected
-        .bytes()
-        .zip(actual.bytes())
-        .position(|(e, a)| e != a)
-        .unwrap_or_else(|| expected.len().min(actual.len()));
-    let window = |s: &str| {
-        let start = position.saturating_sub(60);
-        let end = (position + 60).min(s.len());
-        s.get(start..end)
-            .unwrap_or("<non-utf8 boundary>")
-            .to_string()
-    };
-    format!(
-        "first difference at byte {position} (expected {} bytes, got {}):\n  expected ...{}...\n  actual   ...{}...",
-        expected.len(),
-        actual.len(),
-        window(expected),
-        window(actual)
-    )
-}
-
 #[test]
 fn golden_reports_match_for_every_model_family() {
     let dir = golden_dir();
-    let update = update_requested();
-    if update {
-        fs::create_dir_all(&dir).unwrap();
-    }
     let mut failures = Vec::new();
 
     for kernel in GOLDEN_KERNELS {
@@ -129,20 +95,8 @@ fn golden_reports_match_for_every_model_family() {
             assert_eq!(reparsed, outcome, "{label}: codec round-trip drifted");
 
             let path = dir.join(format!("compare_plans_{label}.json"));
-            if update {
-                fs::write(&path, &actual).unwrap();
-                eprintln!("updated {}", path.display());
-                continue;
-            }
-            match fs::read_to_string(&path) {
-                Ok(expected) if expected == actual => {}
-                Ok(expected) => {
-                    failures.push(format!("{label}: {}", first_diff(&expected, &actual)));
-                }
-                Err(e) => failures.push(format!(
-                    "{label}: cannot read snapshot {}: {e}",
-                    path.display()
-                )),
+            if let Some(diff) = compare_or_update(&path, &actual) {
+                failures.push(format!("{label}: {diff}"));
             }
         }
     }
