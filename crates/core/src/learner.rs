@@ -130,7 +130,7 @@ impl LearnerRun {
 /// Bounded re-measure attempts after a non-finite measurement. A flaky
 /// evaluator that recovers within this budget leaves no trace beyond the
 /// ledger's quarantine counter; one that doesn't costs the learner the
-/// observation (see [`measure_finite`]).
+/// observation.
 pub const OBSERVATION_RETRIES: usize = 2;
 
 /// Takes one *finite* measurement, retrying up to [`OBSERVATION_RETRIES`]

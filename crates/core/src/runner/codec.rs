@@ -1,9 +1,9 @@
-//! Hand-rolled JSON codecs for campaign records and reports.
+//! JSON codecs for campaign records and reports.
 //!
 //! The vendored `serde` is a no-op marker, so every type that crosses the
-//! campaign ledger's process boundary is encoded explicitly through
-//! [`JsonValue`] (the canonical writer/parser of `alic-data::io`). Two
-//! properties matter here:
+//! campaign ledger's process boundary is encoded explicitly with the
+//! workspace's one JSON codec, [`alic_data::io`]. Two properties matter
+//! here:
 //!
 //! * **exactness** — floats are written in Rust's shortest round-trip
 //!   representation, so decode(encode(x)) is bit-identical to `x`; a report
@@ -13,14 +13,16 @@
 //!   emitted, so equal values serialize to identical bytes (the
 //!   shard/resume/merge equality checks compare raw strings).
 //!
-//! Integer counters are stored as JSON numbers and are exact up to 2^53 —
-//! far beyond any realistic campaign (2^53 profiler runs at a millisecond
-//! each is ~285,000 machine-years). Both directions enforce the bound:
-//! encoding a larger value (a saturated cost-ledger counter, a seed above
-//! 2^53) is an error rather than a silent rounding that decoding would then
-//! reject.
+//! Integer counters are JSON numbers written by [`io::int`], exact up to
+//! 2^53 — far beyond any realistic campaign (2^53 profiler runs at a
+//! millisecond each is ~285,000 machine-years). Both directions enforce the
+//! bound: encoding a larger value (a saturated cost-ledger counter, a seed
+//! above 2^53) is an error rather than a silent rounding that decoding
+//! would then reject. Fields added after the format shipped (`quarantined`,
+//! `failures`) are omitted when empty and read with [`io::optional_field`],
+//! so fault-free records keep their original bytes.
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, int, JsonValue};
 use alic_stats::summary::OnlineStats;
 
 use crate::curve::{AveragedCurve, CurvePoint, LearningCurve};
@@ -36,29 +38,8 @@ pub const UNIT_SCHEMA: &str = "alic-campaign-unit/v1";
 /// Schema tag of a merged campaign report.
 pub const REPORT_SCHEMA: &str = "alic-campaign-report/v1";
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn num(n: f64) -> JsonValue {
     JsonValue::Number(n)
-}
-
-/// Encodes an integer counter, rejecting values that `f64` cannot hold
-/// exactly (encoded output must always decode back to the same value; the
-/// bound is the decoder's own [`JsonValue::MAX_EXACT_INTEGER`]).
-pub(crate) fn int(n: u64) -> Result<JsonValue> {
-    if n > JsonValue::MAX_EXACT_INTEGER {
-        return Err(bad(format!(
-            "integer {n} exceeds 2^53 and cannot be stored exactly as a JSON number"
-        )));
-    }
-    Ok(JsonValue::Number(n as f64))
 }
 
 fn string(s: &str) -> JsonValue {
@@ -81,17 +62,6 @@ fn bad(message: impl Into<String>) -> CoreError {
     CoreError::Campaign(message.into())
 }
 
-/// Looks up an *optional* object field ([`JsonValue::field`] errors on
-/// missing keys). Used for fields that are omitted from canonical output
-/// when empty, so that fault-free reports stay byte-identical to the ones
-/// written before the field existed.
-fn optional_field<'a>(value: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
-    match value {
-        JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
 // --- Sampling plans. --------------------------------------------------------
 
 /// Encodes a sampling plan.
@@ -101,11 +71,11 @@ fn optional_field<'a>(value: &'a JsonValue, name: &str) -> Option<&'a JsonValue>
 /// Returns an error for observation counts above 2^53.
 pub fn plan_to_json(plan: &SamplingPlan) -> Result<JsonValue> {
     Ok(match plan {
-        SamplingPlan::Fixed { observations } => obj(vec![
+        SamplingPlan::Fixed { observations } => io::object([
             ("kind", string("fixed")),
             ("observations", int(*observations as u64)?),
         ]),
-        SamplingPlan::Sequential { max_observations } => obj(vec![
+        SamplingPlan::Sequential { max_observations } => io::object([
             ("kind", string("sequential")),
             ("max_observations", int(*max_observations as u64)?),
         ]),
@@ -118,16 +88,16 @@ pub fn plan_to_json(plan: &SamplingPlan) -> Result<JsonValue> {
 ///
 /// Returns an error for unknown kinds or zero observation counts.
 pub fn plan_from_json(value: &JsonValue) -> Result<SamplingPlan> {
-    match value.field("kind")?.as_str()? {
+    match io::field_str(value, "kind")? {
         "fixed" => {
-            let observations = value.field("observations")?.as_usize()?;
+            let observations = io::field_usize(value, "observations")?;
             if observations == 0 {
                 return Err(bad("fixed plan with zero observations"));
             }
             Ok(SamplingPlan::Fixed { observations })
         }
         "sequential" => {
-            let max_observations = value.field("max_observations")?.as_usize()?;
+            let max_observations = io::field_usize(value, "max_observations")?;
             if max_observations == 0 {
                 return Err(bad("sequential plan with a zero observation cap"));
             }
@@ -143,9 +113,9 @@ fn stats_to_json(stats: &OnlineStats) -> Result<JsonValue> {
     if stats.count() == 0 {
         // min/max are ±infinity on an empty accumulator; JSON cannot hold
         // them, and count alone reconstructs the state.
-        return Ok(obj(vec![("count", int(0)?)]));
+        return Ok(io::object([("count", int(0)?)]));
     }
-    Ok(obj(vec![
+    Ok(io::object([
         ("count", int(stats.count() as u64)?),
         ("mean", num(stats.mean())),
         ("m2", num(stats.m2())),
@@ -155,16 +125,16 @@ fn stats_to_json(stats: &OnlineStats) -> Result<JsonValue> {
 }
 
 fn stats_from_json(value: &JsonValue) -> Result<OnlineStats> {
-    let count = value.field("count")?.as_usize()?;
+    let count = io::field_usize(value, "count")?;
     if count == 0 {
         return Ok(OnlineStats::new());
     }
     Ok(OnlineStats::from_parts(
         count,
-        value.field("mean")?.as_f64()?,
-        value.field("m2")?.as_f64()?,
-        value.field("min")?.as_f64()?,
-        value.field("max")?.as_f64()?,
+        io::field_f64(value, "mean")?,
+        io::field_f64(value, "m2")?,
+        io::field_f64(value, "min")?,
+        io::field_f64(value, "max")?,
     ))
 }
 
@@ -186,7 +156,7 @@ pub fn cost_ledger_to_json(ledger: &CostLedger) -> Result<JsonValue> {
     if ledger.quarantined() > 0 {
         fields.push(("quarantined", int(ledger.quarantined())?));
     }
-    Ok(obj(fields))
+    Ok(io::object(fields))
 }
 
 /// Decodes a cost ledger.
@@ -195,15 +165,15 @@ pub fn cost_ledger_to_json(ledger: &CostLedger) -> Result<JsonValue> {
 ///
 /// Returns an error on malformed input.
 pub fn cost_ledger_from_json(value: &JsonValue) -> Result<CostLedger> {
-    let quarantined = match optional_field(value, "quarantined") {
+    let quarantined = match io::optional_field(value, "quarantined") {
         Some(v) => v.as_u64()?,
         None => 0,
     };
     Ok(CostLedger::from_parts(
-        value.field("run_seconds")?.as_f64()?,
-        value.field("compile_seconds")?.as_f64()?,
-        value.field("runs")?.as_u64()?,
-        value.field("compilations")?.as_u64()?,
+        io::field_f64(value, "run_seconds")?,
+        io::field_f64(value, "compile_seconds")?,
+        io::field_u64(value, "runs")?,
+        io::field_u64(value, "compilations")?,
     )
     .with_quarantined(quarantined))
 }
@@ -211,7 +181,7 @@ pub fn cost_ledger_from_json(value: &JsonValue) -> Result<CostLedger> {
 // --- Learning curves and runs. ----------------------------------------------
 
 fn curve_point_to_json(point: &CurvePoint) -> Result<JsonValue> {
-    Ok(obj(vec![
+    Ok(io::object([
         ("iterations", int(point.iterations as u64)?),
         ("training_examples", int(point.training_examples as u64)?),
         ("observations", int(point.observations)?),
@@ -222,11 +192,11 @@ fn curve_point_to_json(point: &CurvePoint) -> Result<JsonValue> {
 
 fn curve_point_from_json(value: &JsonValue) -> Result<CurvePoint> {
     Ok(CurvePoint {
-        iterations: value.field("iterations")?.as_usize()?,
-        training_examples: value.field("training_examples")?.as_usize()?,
-        observations: value.field("observations")?.as_u64()?,
-        cost_seconds: value.field("cost_seconds")?.as_f64()?,
-        rmse: value.field("rmse")?.as_f64()?,
+        iterations: io::field_usize(value, "iterations")?,
+        training_examples: io::field_usize(value, "training_examples")?,
+        observations: io::field_u64(value, "observations")?,
+        cost_seconds: io::field_f64(value, "cost_seconds")?,
+        rmse: io::field_f64(value, "rmse")?,
     })
 }
 
@@ -265,7 +235,7 @@ fn curve_from_json(value: &JsonValue) -> Result<LearningCurve> {
 ///
 /// Returns an error when a counter exceeds 2^53.
 pub fn run_to_json(run: &LearnerRun) -> Result<JsonValue> {
-    Ok(obj(vec![
+    Ok(io::object([
         ("plan", plan_to_json(&run.plan)?),
         ("iterations", int(run.iterations as u64)?),
         ("curve", curve_to_json(&run.curve)?),
@@ -276,7 +246,7 @@ pub fn run_to_json(run: &LearnerRun) -> Result<JsonValue> {
                 run.visited
                     .iter()
                     .map(|record| {
-                        Ok(obj(vec![
+                        Ok(io::object([
                             ("dataset_index", int(record.dataset_index as u64)?),
                             ("runtimes", stats_to_json(&record.runtimes)?),
                         ]))
@@ -293,13 +263,11 @@ pub fn run_to_json(run: &LearnerRun) -> Result<JsonValue> {
 ///
 /// Returns an error on malformed input.
 pub fn run_from_json(value: &JsonValue) -> Result<LearnerRun> {
-    let visited: Vec<ExampleRecord> = value
-        .field("visited")?
-        .as_array()?
+    let visited: Vec<ExampleRecord> = io::field_array(value, "visited")?
         .iter()
         .map(|record| {
             Ok(ExampleRecord {
-                dataset_index: record.field("dataset_index")?.as_usize()?,
+                dataset_index: io::field_usize(record, "dataset_index")?,
                 runtimes: stats_from_json(record.field("runtimes")?)?,
             })
         })
@@ -309,7 +277,7 @@ pub fn run_from_json(value: &JsonValue) -> Result<LearnerRun> {
         curve: curve_from_json(value.field("curve")?)?,
         ledger: cost_ledger_from_json(value.field("ledger")?)?,
         visited,
-        iterations: value.field("iterations")?.as_usize()?,
+        iterations: io::field_usize(value, "iterations")?,
     })
 }
 
@@ -321,7 +289,7 @@ pub fn run_from_json(value: &JsonValue) -> Result<LearnerRun> {
 ///
 /// Returns an error when a counter exceeds 2^53.
 pub fn unit_record_to_json(record: &UnitRecord) -> Result<JsonValue> {
-    Ok(obj(vec![
+    Ok(io::object([
         ("schema", string(UNIT_SCHEMA)),
         ("index", int(record.index as u64)?),
         ("kernel", string(&record.kernel)),
@@ -349,18 +317,18 @@ pub fn unit_record_to_json_string(record: &UnitRecord) -> Result<String> {
 ///
 /// Returns an error on malformed input or a wrong schema tag.
 pub fn unit_record_from_json(value: &JsonValue) -> Result<UnitRecord> {
-    let schema = value.field("schema")?.as_str()?;
+    let schema = io::field_str(value, "schema")?;
     if schema != UNIT_SCHEMA {
         return Err(bad(format!(
             "unexpected unit-record schema '{schema}' (expected '{UNIT_SCHEMA}')"
         )));
     }
     Ok(UnitRecord {
-        index: value.field("index")?.as_usize()?,
-        kernel: value.field("kernel")?.as_str()?.to_string(),
-        model: value.field("model")?.as_str()?.to_string(),
+        index: io::field_usize(value, "index")?,
+        kernel: io::field_str(value, "kernel")?.to_string(),
+        model: io::field_str(value, "model")?.to_string(),
         plan: plan_from_json(value.field("plan")?)?,
-        repetition: value.field("repetition")?.as_u64()?,
+        repetition: io::field_u64(value, "repetition")?,
         run: run_from_json(value.field("run")?)?,
     })
 }
@@ -377,7 +345,7 @@ pub fn unit_record_from_json_str(text: &str) -> Result<UnitRecord> {
 // --- Comparison outcomes and campaign reports. ------------------------------
 
 fn averaged_to_json(averaged: &AveragedCurve) -> JsonValue {
-    obj(vec![
+    io::object([
         ("costs", f64_array(&averaged.costs)),
         ("mean_rmse", f64_array(&averaged.mean_rmse)),
     ])
@@ -397,7 +365,7 @@ fn averaged_from_json(value: &JsonValue) -> Result<AveragedCurve> {
 }
 
 fn plan_result_to_json(result: &PlanResult) -> Result<JsonValue> {
-    Ok(obj(vec![
+    Ok(io::object([
         ("plan", plan_to_json(&result.plan)?),
         ("runs", json_array(&result.runs, run_to_json)?),
         ("averaged", averaged_to_json(&result.averaged)),
@@ -407,9 +375,7 @@ fn plan_result_to_json(result: &PlanResult) -> Result<JsonValue> {
 fn plan_result_from_json(value: &JsonValue) -> Result<PlanResult> {
     Ok(PlanResult {
         plan: plan_from_json(value.field("plan")?)?,
-        runs: value
-            .field("runs")?
-            .as_array()?
+        runs: io::field_array(value, "runs")?
             .iter()
             .map(run_from_json)
             .collect::<Result<_>>()?,
@@ -423,7 +389,7 @@ fn plan_result_from_json(value: &JsonValue) -> Result<PlanResult> {
 ///
 /// Returns an error when a counter exceeds 2^53.
 pub fn outcome_to_json(outcome: &ComparisonOutcome) -> Result<JsonValue> {
-    Ok(obj(vec![
+    Ok(io::object([
         ("kernel", string(&outcome.kernel)),
         ("plans", json_array(&outcome.plans, plan_result_to_json)?),
         ("lowest_common_rmse", num(outcome.lowest_common_rmse)),
@@ -459,17 +425,13 @@ pub fn outcome_to_json_string(outcome: &ComparisonOutcome) -> Result<String> {
 /// Returns an error on malformed input.
 pub fn outcome_from_json(value: &JsonValue) -> Result<ComparisonOutcome> {
     Ok(ComparisonOutcome {
-        kernel: value.field("kernel")?.as_str()?.to_string(),
-        plans: value
-            .field("plans")?
-            .as_array()?
+        kernel: io::field_str(value, "kernel")?.to_string(),
+        plans: io::field_array(value, "plans")?
             .iter()
             .map(plan_result_from_json)
             .collect::<Result<_>>()?,
-        lowest_common_rmse: value.field("lowest_common_rmse")?.as_f64()?,
-        cost_to_common_rmse: value
-            .field("cost_to_common_rmse")?
-            .as_array()?
+        lowest_common_rmse: io::field_f64(value, "lowest_common_rmse")?,
+        cost_to_common_rmse: io::field_array(value, "cost_to_common_rmse")?
             .iter()
             .map(|c| {
                 if c.is_null() {
@@ -492,7 +454,7 @@ pub fn outcome_from_json_str(text: &str) -> Result<ComparisonOutcome> {
 }
 
 fn unit_failure_to_json(failure: &UnitFailure) -> Result<JsonValue> {
-    Ok(obj(vec![
+    Ok(io::object([
         ("index", int(failure.index as u64)?),
         ("kernel", string(&failure.kernel)),
         ("model", string(&failure.model)),
@@ -503,11 +465,11 @@ fn unit_failure_to_json(failure: &UnitFailure) -> Result<JsonValue> {
 
 fn unit_failure_from_json(value: &JsonValue) -> Result<UnitFailure> {
     Ok(UnitFailure {
-        index: value.field("index")?.as_usize()?,
-        kernel: value.field("kernel")?.as_str()?.to_string(),
-        model: value.field("model")?.as_str()?.to_string(),
-        error: value.field("error")?.as_str()?.to_string(),
-        attempts: value.field("attempts")?.as_usize()?,
+        index: io::field_usize(value, "index")?,
+        kernel: io::field_str(value, "kernel")?.to_string(),
+        model: io::field_str(value, "model")?.to_string(),
+        error: io::field_str(value, "error")?.to_string(),
+        attempts: io::field_usize(value, "attempts")?,
     })
 }
 
@@ -539,7 +501,7 @@ pub fn report_to_json(report: &CampaignReport) -> Result<JsonValue> {
                     .entries
                     .iter()
                     .map(|entry| {
-                        Ok(obj(vec![
+                        Ok(io::object([
                             ("model", string(&entry.model)),
                             ("kernel", string(&entry.kernel)),
                             ("outcome", outcome_to_json(&entry.outcome)?),
@@ -555,7 +517,7 @@ pub fn report_to_json(report: &CampaignReport) -> Result<JsonValue> {
             json_array(&report.failures, unit_failure_to_json)?,
         ));
     }
-    Ok(obj(fields))
+    Ok(io::object(fields))
 }
 
 /// Decodes a merged campaign report.
@@ -564,16 +526,14 @@ pub fn report_to_json(report: &CampaignReport) -> Result<JsonValue> {
 ///
 /// Returns an error on malformed input or a wrong schema tag.
 pub fn report_from_json(value: &JsonValue) -> Result<CampaignReport> {
-    let schema = value.field("schema")?.as_str()?;
+    let schema = io::field_str(value, "schema")?;
     if schema != REPORT_SCHEMA {
         return Err(bad(format!(
             "unexpected report schema '{schema}' (expected '{REPORT_SCHEMA}')"
         )));
     }
     let names = |field: &str| -> Result<Vec<String>> {
-        value
-            .field(field)?
-            .as_array()?
+        io::field_array(value, field)?
             .iter()
             .map(|v| v.as_str().map(str::to_string).map_err(CoreError::from))
             .collect()
@@ -581,27 +541,23 @@ pub fn report_from_json(value: &JsonValue) -> Result<CampaignReport> {
     Ok(CampaignReport {
         kernels: names("kernels")?,
         models: names("models")?,
-        plans: value
-            .field("plans")?
-            .as_array()?
+        plans: io::field_array(value, "plans")?
             .iter()
             .map(plan_from_json)
             .collect::<Result<_>>()?,
-        repetitions: value.field("repetitions")?.as_usize()?,
-        seed: value.field("seed")?.as_u64()?,
-        entries: value
-            .field("entries")?
-            .as_array()?
+        repetitions: io::field_usize(value, "repetitions")?,
+        seed: io::field_u64(value, "seed")?,
+        entries: io::field_array(value, "entries")?
             .iter()
             .map(|entry| {
                 Ok(CampaignEntry {
-                    model: entry.field("model")?.as_str()?.to_string(),
-                    kernel: entry.field("kernel")?.as_str()?.to_string(),
+                    model: io::field_str(entry, "model")?.to_string(),
+                    kernel: io::field_str(entry, "kernel")?.to_string(),
                     outcome: outcome_from_json(entry.field("outcome")?)?,
                 })
             })
             .collect::<Result<_>>()?,
-        failures: match optional_field(value, "failures") {
+        failures: match io::optional_field(value, "failures") {
             Some(failures) => failures
                 .as_array()?
                 .iter()

@@ -45,7 +45,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 use alic_stats::policy::{PolicySite, RetryPolicy};
 
 use crate::fault::{inject, FaultSite};
@@ -417,46 +417,37 @@ pub fn write_verified(path: &Path, contents: &str) -> Result<()> {
 fn manifest_json(spec: &CampaignSpec) -> Result<JsonValue> {
     let names =
         |items: Vec<String>| JsonValue::Array(items.into_iter().map(JsonValue::String).collect());
-    Ok(JsonValue::Object(vec![
+    Ok(io::object([
+        ("schema", JsonValue::String(MANIFEST_SCHEMA.to_string())),
+        ("fingerprint", io::hex_u64(spec.fingerprint())),
+        ("units", io::int(spec.unit_count() as u64)?),
         (
-            "schema".to_string(),
-            JsonValue::String(MANIFEST_SCHEMA.to_string()),
-        ),
-        (
-            "fingerprint".to_string(),
-            JsonValue::String(format!("{:016x}", spec.fingerprint())),
-        ),
-        ("units".to_string(), codec::int(spec.unit_count() as u64)?),
-        (
-            "kernels".to_string(),
+            "kernels",
             names(spec.kernels.iter().map(|k| k.name().to_string()).collect()),
         ),
         (
-            "models".to_string(),
+            "models",
             names(spec.models.iter().map(|m| m.name().to_string()).collect()),
         ),
         (
-            "plans".to_string(),
+            "plans",
             names(spec.base.plans.iter().map(|p| p.label()).collect()),
         ),
-        (
-            "repetitions".to_string(),
-            codec::int(spec.base.repetitions as u64)?,
-        ),
-        ("seed".to_string(), codec::int(spec.base.seed)?),
+        ("repetitions", io::int(spec.base.repetitions as u64)?),
+        ("seed", io::int(spec.base.seed)?),
     ]))
 }
 
 fn validate_manifest(existing: &JsonValue, wanted: &JsonValue, path: &Path) -> Result<()> {
-    let schema = existing.field("schema")?.as_str()?;
+    let schema = io::field_str(existing, "schema")?;
     if schema != MANIFEST_SCHEMA {
         return Err(CoreError::Campaign(format!(
             "{} has schema '{schema}' (expected '{MANIFEST_SCHEMA}')",
             path.display()
         )));
     }
-    let existing_print = existing.field("fingerprint")?.as_str()?;
-    let wanted_print = wanted.field("fingerprint")?.as_str()?;
+    let existing_print = io::field_str(existing, "fingerprint")?;
+    let wanted_print = io::field_str(wanted, "fingerprint")?;
     if existing_print != wanted_print {
         return Err(CoreError::Campaign(format!(
             "campaign ledger {} was written by a differently configured campaign \

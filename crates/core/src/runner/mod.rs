@@ -741,7 +741,7 @@ pub fn assemble_report(spec: &CampaignSpec, records: Vec<UnitRecord>) -> Result<
 /// curve and the cell's Table 1 statistics would silently degenerate.
 ///
 /// Surviving cells are assembled from their remaining repetitions via
-/// [`assemble_outcome_grouped`](crate::experiment::assemble_outcome_grouped);
+/// [`crate::experiment::assemble_outcome_grouped`];
 /// with an empty failure list this is exactly [`assemble_report`].
 ///
 /// # Errors

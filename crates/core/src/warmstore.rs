@@ -44,7 +44,7 @@
 
 use std::path::{Path, PathBuf};
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 use alic_sim::space::ParameterSpace;
 use alic_stats::rng::derive_seed;
 
@@ -213,19 +213,19 @@ impl WarmStore {
 
     fn decode(path: &Path, text: &str) -> Result<WarmStore> {
         let doc = JsonValue::parse(text)?;
-        let schema = doc.field("schema")?.as_str()?;
+        let schema = io::field_str(&doc, "schema")?;
         if schema != WARMSTORE_SCHEMA {
             return Err(CoreError::Campaign(format!(
                 "warm store schema {schema:?} (expected {WARMSTORE_SCHEMA:?})"
             )));
         }
-        let buckets = doc.field("buckets")?.as_usize()?;
+        let buckets = io::field_usize(&doc, "buckets")?;
         if buckets == 0 || !buckets.is_power_of_two() {
             return Err(CoreError::Campaign(format!(
                 "warm store bucket count {buckets} is not a power of two"
             )));
         }
-        let entries = doc.field("entries")?.as_array()?;
+        let entries = io::field_array(&doc, "entries")?;
         if entries.len() != buckets * 2 {
             return Err(CoreError::Campaign(format!(
                 "warm store has {} entries for {buckets} buckets",
@@ -233,9 +233,9 @@ impl WarmStore {
             )));
         }
         let mut store = WarmStore::blank(path.to_path_buf(), DEFAULT_WARM_BUCKETS);
-        store.hits = doc.field("hits")?.as_u64()?;
-        store.misses = doc.field("misses")?.as_u64()?;
-        store.stores = doc.field("stores")?.as_u64()?;
+        store.hits = io::field_u64(&doc, "hits")?;
+        store.misses = io::field_u64(&doc, "misses")?;
+        store.stores = io::field_u64(&doc, "stores")?;
         let same_layout = buckets == DEFAULT_WARM_BUCKETS;
         for (index, slot_doc) in entries.iter().enumerate() {
             if slot_doc.is_null() {
@@ -263,18 +263,10 @@ impl WarmStore {
     }
 
     fn decode_entry(doc: &JsonValue) -> Result<WarmEntry> {
-        let fp_text = doc.field("fingerprint")?.as_str()?;
-        if fp_text.len() != 16 {
-            return Err(CoreError::Campaign(
-                "warm store fingerprint is not 16 hex digits".to_string(),
-            ));
-        }
-        let fingerprint = u64::from_str_radix(fp_text, 16)
-            .map_err(|_| CoreError::Campaign("warm store fingerprint is not hex".to_string()))?;
         Ok(WarmEntry {
-            fingerprint,
-            discriminant: doc.field("discriminant")?.as_str()?.to_string(),
-            observations: doc.field("observations")?.as_usize()?,
+            fingerprint: io::field_hex_u64(doc, "fingerprint")?,
+            discriminant: io::field_str(doc, "discriminant")?.to_string(),
+            observations: io::field_usize(doc, "observations")?,
             model: doc.field("model")?.clone(),
         })
     }
@@ -292,37 +284,22 @@ impl WarmStore {
             for slot in bucket {
                 entries.push(match slot {
                     None => JsonValue::Null,
-                    Some(e) => JsonValue::Object(vec![
-                        (
-                            "fingerprint".to_string(),
-                            JsonValue::String(format!("{:016x}", e.fingerprint)),
-                        ),
-                        (
-                            "discriminant".to_string(),
-                            JsonValue::String(e.discriminant.clone()),
-                        ),
-                        (
-                            "observations".to_string(),
-                            JsonValue::Number(e.observations as f64),
-                        ),
-                        ("model".to_string(), e.model.clone()),
+                    Some(e) => io::object([
+                        ("fingerprint", io::hex_u64(e.fingerprint)),
+                        ("discriminant", JsonValue::String(e.discriminant.clone())),
+                        ("observations", io::int(e.observations as u64)?),
+                        ("model", e.model.clone()),
                     ]),
                 });
             }
         }
-        let doc = JsonValue::Object(vec![
-            (
-                "schema".to_string(),
-                JsonValue::String(WARMSTORE_SCHEMA.to_string()),
-            ),
-            (
-                "buckets".to_string(),
-                JsonValue::Number(self.buckets.len() as f64),
-            ),
-            ("hits".to_string(), JsonValue::Number(self.hits as f64)),
-            ("misses".to_string(), JsonValue::Number(self.misses as f64)),
-            ("stores".to_string(), JsonValue::Number(self.stores as f64)),
-            ("entries".to_string(), JsonValue::Array(entries)),
+        let doc = io::object([
+            ("schema", JsonValue::String(WARMSTORE_SCHEMA.to_string())),
+            ("buckets", io::int(self.buckets.len() as u64)?),
+            ("hits", io::int(self.hits)?),
+            ("misses", io::int(self.misses)?),
+            ("stores", io::int(self.stores)?),
+            ("entries", JsonValue::Array(entries)),
         ]);
         write_verified(&self.path, &doc.to_json_string()?)
     }
@@ -626,5 +603,28 @@ mod tests {
         let store = WarmStore::open(&path);
         assert!(store.is_empty());
         assert!(dir.join("store.json.corrupt").exists());
+    }
+
+    #[test]
+    fn signed_or_short_fingerprints_are_rejected_as_corrupt() {
+        for (label, bad) in [("signed", "+"), ("short", ""), ("upper", "upper")] {
+            let dir = std::env::temp_dir().join(format!("alic-warmstore-fp-{label}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("store.json");
+            let mut store = WarmStore::open(&path);
+            store.insert(&key("gemm"), 8, model_doc(1));
+            store.save().unwrap();
+            let written = format!("{:016x}", key("gemm").fingerprint());
+            let damaged = match bad {
+                "upper" => written.to_uppercase(),
+                sign => format!("{sign}{}", &written[1..]),
+            };
+            assert_ne!(damaged, written, "the damage must change the bytes");
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, text.replace(&written, &damaged)).unwrap();
+            assert!(WarmStore::open(&path).is_empty(), "{label}");
+            assert!(dir.join("store.json.corrupt").exists(), "{label}");
+        }
     }
 }

@@ -1,148 +1,46 @@
-//! Dataset serialization and the workspace's generic JSON substrate.
+//! The workspace's one JSON codec.
 //!
-//! Datasets are expensive to profile (the paper's took days of machine time),
-//! so being able to save and reload them is essential. JSON is used for
-//! portability and easy inspection. Because the build environment has no
-//! registry access, the JSON codec is hand-written instead of going through
-//! `serde_json`; the format is plain JSON and stays loadable by any external
-//! tool.
+//! Every durable record the workspace writes — campaign unit records,
+//! reports and manifests, model snapshots, serve session checkpoints and
+//! the warm store — is JSON built and read through this module. The build
+//! environment has no registry access, so the codec is hand-written
+//! instead of going through `serde_json`; the output is plain JSON that any
+//! external tool can load.
 //!
-//! Besides the [`Dataset`] codec, the module exposes the underlying parser
-//! and a canonical writer as [`JsonValue`], which downstream crates use to
-//! hand-roll their own codecs (most importantly the campaign ledger in
-//! `alic-core::runner`, whose byte-identical shard/resume/merge guarantee
-//! depends on the writer's deterministic, shortest-round-trip output).
+//! The module has two layers:
+//!
+//! * [`JsonValue`]: a strict parser and a canonical writer (no whitespace,
+//!   insertion-ordered fields, shortest round-trip floats). Equal values
+//!   always serialize to identical bytes, which is what the campaign
+//!   ledger's byte-identical shard/resume/merge guarantee rests on.
+//! * Free functions holding every exact-number and field rule of the
+//!   durable formats, so no format re-derives them:
+//!   - [`object`] builds an object from `(name, value)` pairs;
+//!   - [`int`] writes an integer as a JSON number and refuses anything
+//!     above [`JsonValue::MAX_EXACT_INTEGER`] (2^53), which an `f64`
+//!     number could not hold exactly;
+//!   - [`hex_u64`], [`hex_f64`], [`hex_f64s`] and [`hex_u32s`] write
+//!     full-range `u64` values and `f64` bit patterns as fixed-width
+//!     lowercase hex strings (16 digits per `u64`/`f64`, 8 per `u32`;
+//!     columns concatenate one chunk per value). Hex keeps seeds above
+//!     2^53 exact and carries NaN and infinities, which JSON numbers
+//!     cannot;
+//!   - [`decode_hex_u64`], [`decode_hex_f64s`] and [`decode_hex_u32s`]
+//!     accept exactly that form: the fixed number of lowercase hex digits
+//!     and nothing else (no sign, no other width), so every value they
+//!     accept re-encodes to the same bytes;
+//!   - the `field_*` getters read one typed field and name it in their
+//!     errors; [`optional_field`] reads a field that may be absent and
+//!     [`nullable`] one that may be `null`.
 
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
-use crate::dataset::{DataPoint, Dataset};
 use crate::{DataError, Result};
-use alic_sim::space::Configuration;
 
-/// Serializes a dataset as JSON to any writer.
-///
-/// # Errors
-///
-/// Returns an error when the underlying write fails or when a point holds a
-/// non-finite number (JSON cannot represent NaN or infinities; erroring at
-/// write time beats producing a file that cannot be loaded back).
-pub fn write_dataset<W: Write>(dataset: &Dataset, mut writer: W) -> Result<()> {
-    let mut out = String::new();
-    out.push_str("{\"kernel\":");
-    write_json_string(&mut out, dataset.kernel());
-    out.push_str(",\"points\":[");
-    for (i, point) in dataset.points().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_point(&mut out, point)?;
-    }
-    out.push_str("]}");
-    writer.write_all(out.as_bytes())?;
-    Ok(())
-}
-
-fn finite(value: f64, field: &'static str) -> Result<f64> {
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(DataError::NonFinite { field })
-    }
-}
-
-fn write_point(out: &mut String, point: &DataPoint) -> Result<()> {
-    out.push_str("{\"configuration\":[");
-    for (i, v) in point.configuration.values().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    let _ = write!(
-        out,
-        "],\"mean_runtime\":{:?},\"runtime_variance\":{:?},\"observations\":{},\
-         \"compile_time\":{:?},\"true_mean\":{:?}}}",
-        finite(point.mean_runtime, "mean_runtime")?,
-        finite(point.runtime_variance, "runtime_variance")?,
-        point.observations,
-        finite(point.compile_time, "compile_time")?,
-        finite(point.true_mean, "true_mean")?
-    );
-    Ok(())
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Deserializes a dataset from JSON read from any reader.
-///
-/// # Errors
-///
-/// Returns an error when the stream cannot be read or parsed.
-pub fn read_dataset<R: Read>(mut reader: R) -> Result<Dataset> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    parse_dataset(&text)
-}
-
-/// Saves a dataset to a JSON file at `path`.
-///
-/// The document is fully serialized (and validated) in memory before the
-/// destination is touched, so a validation failure never truncates an
-/// existing file.
-///
-/// # Errors
-///
-/// Returns an error when serialization fails or the file cannot be created
-/// or written.
-pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> Result<()> {
-    let mut buffer = Vec::new();
-    write_dataset(dataset, &mut buffer)?;
-    let file = File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    writer.write_all(&buffer)?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Loads a dataset from a JSON file at `path`.
-///
-/// # Errors
-///
-/// Returns an error when the file cannot be opened or parsed.
-pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset> {
-    let file = File::open(path)?;
-    read_dataset(BufReader::new(file))
-}
-
-// --- Minimal recursive-descent JSON parser and canonical writer. ------------
-
-/// Maximum container nesting the parser accepts. The dataset schema needs a
-/// depth of three; the bound turns adversarially nested input into a parse
-/// error instead of a stack overflow.
+/// Maximum container nesting the parser accepts. The durable formats need
+/// at most five levels; the bound turns adversarially nested input into a
+/// parse error instead of a stack overflow.
 const MAX_DEPTH: usize = 128;
-
-fn parse_dataset(text: &str) -> Result<Dataset> {
-    dataset_from_value(&JsonValue::parse(text)?)
-}
 
 fn parse_error(message: impl Into<String>) -> DataError {
     DataError::Parse(message.into())
@@ -239,9 +137,9 @@ impl JsonValue {
     }
 
     /// Largest integer representable exactly in the `f64` numbers of a
-    /// [`JsonValue`] (2^53). [`JsonValue::as_u64`] rejects anything larger;
-    /// codecs built on this type must enforce the same bound when encoding
-    /// so that every value they write can be read back.
+    /// [`JsonValue`] (2^53). [`JsonValue::as_u64`] rejects anything larger
+    /// and [`int`] refuses to write it, so every integer written can be
+    /// read back.
     pub const MAX_EXACT_INTEGER: u64 = 1 << 53;
 
     /// The value as a non-negative 64-bit integer.
@@ -552,16 +450,15 @@ impl Parser<'_> {
     }
 
     /// Reads the four hex digits of a `\u` escape (cursor on the `u`),
-    /// leaving the cursor on the last digit.
+    /// leaving the cursor on the last digit. JSON allows either case.
     fn parse_hex4(&mut self) -> Result<u32> {
-        let hex = self
+        let digits = self
             .bytes
             .get(self.pos + 1..self.pos + 5)
             .ok_or_else(|| parse_error("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| parse_error("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| parse_error("invalid \\u escape"))?;
+        let code = hex_digits(digits, true).ok_or_else(|| parse_error("invalid \\u escape"))?;
         self.pos += 4;
-        Ok(code)
+        Ok(code as u32)
     }
 
     fn parse_number(&mut self) -> Result<JsonValue> {
@@ -591,193 +488,305 @@ impl Parser<'_> {
     }
 }
 
-fn dataset_from_value(value: &JsonValue) -> Result<Dataset> {
-    let kernel = value.field("kernel")?.as_str()?.to_string();
-    let points: Vec<DataPoint> = value
-        .field("points")?
-        .as_array()?
-        .iter()
-        .map(point_from_value)
-        .collect::<Result<_>>()?;
-    if points.is_empty() {
-        return Err(parse_error("dataset has no points"));
+fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
-    // Dataset::from_points panics on ragged or empty configurations (its
-    // callers construct them from one parameter space); turn hostile files
-    // into errors instead.
-    let dimension = points[0].configuration.values().len();
-    if dimension == 0 {
-        return Err(parse_error("configuration arrays must not be empty"));
-    }
-    if points
-        .iter()
-        .any(|p| p.configuration.values().len() != dimension)
-    {
-        return Err(parse_error(
-            "configuration arrays must all have the same length",
-        ));
-    }
-    Ok(Dataset::from_points(kernel, points))
+    out.push('"');
 }
 
-fn point_from_value(value: &JsonValue) -> Result<DataPoint> {
-    let configuration: Vec<u32> = value
-        .field("configuration")?
-        .as_array()?
-        .iter()
-        .map(|v| {
-            let n = v.as_usize()?;
-            u32::try_from(n).map_err(|_| parse_error("configuration value out of range"))
-        })
-        .collect::<Result<_>>()?;
-    Ok(DataPoint {
-        configuration: Configuration::new(configuration),
-        mean_runtime: value.field("mean_runtime")?.as_f64()?,
-        runtime_variance: value.field("runtime_variance")?.as_f64()?,
-        observations: value.field("observations")?.as_usize()?,
-        compile_time: value.field("compile_time")?.as_f64()?,
-        true_mean: value.field("true_mean")?.as_f64()?,
+/// Decodes `digits` as exactly `digits.len()` hex digits: no sign, no
+/// prefix, uppercase only when `upper` allows it. The caller fixes the
+/// width; at most 16 digits fit the result.
+fn hex_digits(digits: &[u8], upper: bool) -> Option<u64> {
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            b'A'..=b'F' if upper => b - b'A' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
     })
+}
+
+// --- Encoders of the durable formats. ----------------------------------------
+
+/// Builds a JSON object from `(name, value)` pairs, keeping their order.
+pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect(),
+    )
+}
+
+/// Encodes an integer as a JSON number.
+///
+/// # Errors
+///
+/// Returns [`DataError::InexactInteger`] above
+/// [`JsonValue::MAX_EXACT_INTEGER`]: the `f64` number could not hold the
+/// value exactly, and [`JsonValue::as_u64`] would reject it on the way
+/// back.
+pub fn int(n: u64) -> Result<JsonValue> {
+    if n > JsonValue::MAX_EXACT_INTEGER {
+        return Err(DataError::InexactInteger(n));
+    }
+    Ok(JsonValue::Number(n as f64))
+}
+
+/// A full-range `u64` (a seed or fingerprint) as 16 lowercase hex digits.
+pub fn hex_u64(x: u64) -> JsonValue {
+    JsonValue::String(format!("{x:016x}"))
+}
+
+/// The bit pattern of an `f64` as 16 lowercase hex digits: exact for every
+/// value, NaN and infinities included.
+pub fn hex_f64(x: f64) -> JsonValue {
+    hex_u64(x.to_bits())
+}
+
+/// A packed `f64` column: one [`hex_f64`] chunk per value in one string.
+pub fn hex_f64s(values: impl IntoIterator<Item = f64>) -> JsonValue {
+    let mut out = String::new();
+    for v in values {
+        let _ = write!(out, "{:016x}", v.to_bits());
+    }
+    JsonValue::String(out)
+}
+
+/// A packed `u32` column: 8 lowercase hex digits per value in one string.
+pub fn hex_u32s(values: impl IntoIterator<Item = u32>) -> JsonValue {
+    let mut out = String::new();
+    for v in values {
+        let _ = write!(out, "{v:08x}");
+    }
+    JsonValue::String(out)
+}
+
+// --- Decoders of the durable formats. ----------------------------------------
+
+/// Decodes a [`hex_u64`] string.
+///
+/// # Errors
+///
+/// Returns a parse error unless `text` is exactly 16 lowercase hex digits.
+pub fn decode_hex_u64(text: &str) -> Result<u64> {
+    let value = if text.len() == 16 {
+        hex_digits(text.as_bytes(), false)
+    } else {
+        None
+    };
+    value.ok_or_else(|| parse_error(format!("{text:?} is not 16 lowercase hex digits")))
+}
+
+/// Splits a packed column into `width`-digit chunks and decodes each.
+fn decode_column<T>(text: &str, width: usize, decode: impl Fn(u64) -> T) -> Result<Vec<T>> {
+    if !text.len().is_multiple_of(width) {
+        return Err(parse_error(format!(
+            "hex column length {} is not a multiple of {width}",
+            text.len()
+        )));
+    }
+    text.as_bytes()
+        .chunks_exact(width)
+        .map(|chunk| {
+            hex_digits(chunk, false).map(&decode).ok_or_else(|| {
+                parse_error(format!(
+                    "hex column chunk {:?} is not {width} lowercase hex digits",
+                    String::from_utf8_lossy(chunk)
+                ))
+            })
+        })
+        .collect()
+}
+
+/// Decodes a [`hex_f64s`] column.
+///
+/// # Errors
+///
+/// Returns a parse error unless `text` is a whole number of 16-digit
+/// lowercase hex chunks.
+pub fn decode_hex_f64s(text: &str) -> Result<Vec<f64>> {
+    decode_column(text, 16, f64::from_bits)
+}
+
+/// Decodes a [`hex_u32s`] column.
+///
+/// # Errors
+///
+/// Returns a parse error unless `text` is a whole number of 8-digit
+/// lowercase hex chunks.
+pub fn decode_hex_u32s(text: &str) -> Result<Vec<u32>> {
+    decode_column(text, 8, |v| v as u32)
+}
+
+/// Looks up a field that canonical output omits when empty, so records
+/// written before the field existed keep their bytes. `None` when `doc`
+/// has no such field (or is not an object).
+pub fn optional_field<'a>(doc: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
+    match doc {
+        JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Reads field `name` of `doc` through `read`, naming the field in a type
+/// error (a missing field already names itself).
+fn read_field<'a, T>(
+    doc: &'a JsonValue,
+    name: &str,
+    read: impl FnOnce(&'a JsonValue) -> Result<T>,
+) -> Result<T> {
+    read(doc.field(name)?).map_err(|e| match e {
+        DataError::Parse(message) => parse_error(format!("field {name}: {message}")),
+        other => other,
+    })
+}
+
+/// `Ok(None)` when field `name` is `null`, otherwise `read(doc, name)`.
+///
+/// # Errors
+///
+/// Returns a parse error when the field is missing or `read` fails.
+pub fn nullable<'a, T>(
+    doc: &'a JsonValue,
+    name: &str,
+    read: fn(&'a JsonValue, &str) -> Result<T>,
+) -> Result<Option<T>> {
+    if doc.field(name)?.is_null() {
+        Ok(None)
+    } else {
+        read(doc, name).map(Some)
+    }
+}
+
+/// Field `name` as a string.
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not a
+/// string.
+pub fn field_str<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a str> {
+    read_field(doc, name, JsonValue::as_str)
+}
+
+/// Field `name` as a number.
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not a
+/// number.
+pub fn field_f64(doc: &JsonValue, name: &str) -> Result<f64> {
+    read_field(doc, name, JsonValue::as_f64)
+}
+
+/// Field `name` as an integer written by [`int`].
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not a
+/// non-negative integer of at most 2^53.
+pub fn field_u64(doc: &JsonValue, name: &str) -> Result<u64> {
+    read_field(doc, name, JsonValue::as_u64)
+}
+
+/// Field `name` as a `usize` written by [`int`].
+///
+/// # Errors
+///
+/// As [`field_u64`], plus values that do not fit a `usize`.
+pub fn field_usize(doc: &JsonValue, name: &str) -> Result<usize> {
+    read_field(doc, name, JsonValue::as_usize)
+}
+
+/// Field `name` as an array.
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not an
+/// array.
+pub fn field_array<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a [JsonValue]> {
+    read_field(doc, name, JsonValue::as_array)
+}
+
+/// Field `name` as a [`hex_u64`] string.
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not 16
+/// lowercase hex digits.
+pub fn field_hex_u64(doc: &JsonValue, name: &str) -> Result<u64> {
+    read_field(doc, name, |v| decode_hex_u64(v.as_str()?))
+}
+
+/// Field `name` as a [`hex_f64`] string.
+///
+/// # Errors
+///
+/// As [`field_hex_u64`].
+pub fn field_hex_f64(doc: &JsonValue, name: &str) -> Result<f64> {
+    field_hex_u64(doc, name).map(f64::from_bits)
+}
+
+/// Field `name` as a [`hex_f64s`] column.
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not a
+/// whole number of 16-digit lowercase hex chunks.
+pub fn field_hex_f64s(doc: &JsonValue, name: &str) -> Result<Vec<f64>> {
+    read_field(doc, name, |v| decode_hex_f64s(v.as_str()?))
+}
+
+/// Field `name` as a [`hex_u32s`] column.
+///
+/// # Errors
+///
+/// Returns a parse error naming the field when it is missing or not a
+/// whole number of 8-digit lowercase hex chunks.
+pub fn field_hex_u32s(doc: &JsonValue, name: &str) -> Result<Vec<u32>> {
+    read_field(doc, name, |v| decode_hex_u32s(v.as_str()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{DataPoint, Dataset};
-    use alic_sim::space::Configuration;
 
-    fn tiny_dataset() -> Dataset {
-        let points = vec![
-            DataPoint {
-                configuration: Configuration::new(vec![1, 2]),
-                mean_runtime: 1.5,
-                runtime_variance: 0.01,
-                observations: 5,
-                compile_time: 0.4,
-                true_mean: 1.49,
-            },
-            DataPoint {
-                configuration: Configuration::new(vec![3, 4]),
-                mean_runtime: 2.5,
-                runtime_variance: 0.02,
-                observations: 5,
-                compile_time: 0.5,
-                true_mean: 2.52,
-            },
-        ];
-        Dataset::from_points("toy", points)
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_the_dataset() {
-        let dataset = tiny_dataset();
-        let mut buffer = Vec::new();
-        write_dataset(&dataset, &mut buffer).unwrap();
-        let loaded = read_dataset(buffer.as_slice()).unwrap();
-        assert_eq!(dataset, loaded);
-    }
-
-    #[test]
-    fn roundtrip_is_exact_for_awkward_floats() {
-        let points = vec![DataPoint {
-            configuration: Configuration::new(vec![7]),
-            mean_runtime: 0.1 + 0.2, // famously not 0.3
-            runtime_variance: 1.0 / 3.0,
-            observations: 3,
-            compile_time: f64::MIN_POSITIVE,
-            true_mean: 1e-300,
-        }];
-        let dataset = Dataset::from_points("kernel \"x\"\n", points);
-        let mut buffer = Vec::new();
-        write_dataset(&dataset, &mut buffer).unwrap();
-        let loaded = read_dataset(buffer.as_slice()).unwrap();
-        assert_eq!(dataset, loaded);
-    }
-
-    #[test]
-    fn file_roundtrip_preserves_the_dataset() {
-        let dataset = tiny_dataset();
-        let dir = std::env::temp_dir().join("alic-data-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dataset.json");
-        save_dataset(&dataset, &path).unwrap();
-        let loaded = load_dataset(&path).unwrap();
-        assert_eq!(dataset, loaded);
-        std::fs::remove_file(&path).ok();
+    fn parse_err(text: &str) -> String {
+        JsonValue::parse(text).unwrap_err().to_string()
     }
 
     #[test]
     fn malformed_json_is_a_parse_error() {
-        let err = read_dataset("not json".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("parse"));
-    }
-
-    #[test]
-    fn missing_fields_are_parse_errors() {
-        let err = read_dataset("{\"kernel\":\"toy\"}".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("points"));
-        let err = read_dataset("{\"kernel\":\"toy\",\"points\":[]}".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("no points"));
-    }
-
-    #[test]
-    fn missing_file_is_an_io_error() {
-        let err = load_dataset("/nonexistent/path/dataset.json").unwrap_err();
-        assert!(err.to_string().contains("I/O"));
-    }
-
-    fn point_json(configuration: &str, mean_runtime: &str) -> String {
-        format!(
-            "{{\"configuration\":{configuration},\"mean_runtime\":{mean_runtime},\
-             \"runtime_variance\":0.1,\"observations\":2,\"compile_time\":0.3,\"true_mean\":1.0}}"
-        )
-    }
-
-    #[test]
-    fn ragged_or_empty_configurations_are_parse_errors_not_panics() {
-        let ragged = format!(
-            "{{\"kernel\":\"k\",\"points\":[{},{}]}}",
-            point_json("[1]", "1.0"),
-            point_json("[1,2]", "1.0")
-        );
-        let err = read_dataset(ragged.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("same length"), "{err}");
-
-        let empty = format!(
-            "{{\"kernel\":\"k\",\"points\":[{}]}}",
-            point_json("[]", "1.0")
-        );
-        let err = read_dataset(empty.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("must not be empty"), "{err}");
+        assert!(parse_err("not json").contains("parse"));
+        assert!(parse_err("{\"a\":1").contains("parse"));
+        assert!(parse_err("[1,]").contains("parse"));
+        assert!(parse_err("[1] x").contains("trailing"));
     }
 
     #[test]
     fn out_of_range_numbers_are_rejected_on_read() {
-        let json = format!(
-            "{{\"kernel\":\"k\",\"points\":[{}]}}",
-            point_json("[1]", "1e999")
-        );
-        let err = read_dataset(json.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
+        let err = parse_err("{\"mean_runtime\":1e999}");
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
     fn deeply_nested_input_is_a_parse_error_not_a_stack_overflow() {
-        let bomb = "[".repeat(100_000);
-        let err = read_dataset(bomb.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("depth"));
-    }
-
-    #[test]
-    fn non_finite_values_are_rejected_at_write_time() {
-        let mut bad = tiny_dataset().points().to_vec();
-        bad[0].runtime_variance = f64::NAN;
-        let dataset = Dataset::from_points("toy", bad);
-        let err = write_dataset(&dataset, Vec::new()).unwrap_err();
-        assert!(
-            err.to_string().contains("runtime_variance"),
-            "error should name the field: {err}"
-        );
+        assert!(parse_err(&"[".repeat(100_000)).contains("depth"));
     }
 
     #[test]
@@ -828,13 +837,118 @@ mod tests {
     fn utf16_surrogate_pairs_in_strings_are_decoded() {
         // External tools (e.g. Python's json with ensure_ascii) escape
         // astral-plane characters as surrogate pairs.
-        let json = "{\"kernel\":\"k\\ud83d\\ude00\",\"points\":[{\"configuration\":[1],\
-                    \"mean_runtime\":1.0,\"runtime_variance\":0.1,\"observations\":2,\
-                    \"compile_time\":0.3,\"true_mean\":1.0}]}";
-        let dataset = read_dataset(json.as_bytes()).unwrap();
-        assert_eq!(dataset.kernel(), "k\u{1F600}");
-        let err =
-            read_dataset("{\"kernel\":\"\\ud83d oops\",\"points\":[]}".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("surrogate"));
+        let value = JsonValue::parse("{\"kernel\":\"k\\ud83d\\ude00\"}").unwrap();
+        assert_eq!(field_str(&value, "kernel").unwrap(), "k\u{1F600}");
+        assert!(parse_err("{\"kernel\":\"\\ud83d oops\"}").contains("surrogate"));
+        assert!(parse_err("\"\\ud83d\\u0041\"").contains("surrogate"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits_of_either_case() {
+        assert_eq!(
+            JsonValue::parse("\"\\u00e9\\u00E9\"").unwrap(),
+            JsonValue::String("\u{e9}\u{e9}".to_string())
+        );
+        // A sign is not a hex digit: `\u+041` is not `A`.
+        assert!(parse_err("\"\\u+041\"").contains("escape"));
+        assert!(parse_err("\"\\u-041\"").contains("escape"));
+        assert!(parse_err("\"\\u04\"").contains("escape"));
+    }
+
+    #[test]
+    fn integers_above_two_to_the_53_are_refused_at_encode_time() {
+        let max = JsonValue::MAX_EXACT_INTEGER;
+        assert_eq!(int(max).unwrap().as_u64().unwrap(), max);
+        let err = int(max + 1).unwrap_err();
+        assert!(err.to_string().contains("2^53"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_at_write_time() {
+        // A JSON number cannot carry NaN; its bit pattern in hex can.
+        let doc = object([("variance", JsonValue::Number(f64::NAN))]);
+        assert!(doc.to_json_string().is_err());
+        let doc = object([("variance", hex_f64(f64::NAN))]);
+        let text = doc.to_json_string().unwrap();
+        let back = field_hex_f64(&JsonValue::parse(&text).unwrap(), "variance").unwrap();
+        assert_eq!(back.to_bits(), f64::NAN.to_bits());
+    }
+
+    #[test]
+    fn roundtrip_is_exact_for_awkward_floats() {
+        let value = JsonValue::Array(
+            [0.1 + 0.2, 1.0 / 3.0, f64::MIN_POSITIVE, 1e-300, -0.0]
+                .map(JsonValue::Number)
+                .into_iter()
+                .chain([JsonValue::String("kernel \"x\"\n\u{1}".to_string())])
+                .collect(),
+        );
+        let text = value.to_json_string().unwrap();
+        let back = JsonValue::parse(&text).unwrap();
+        assert_eq!(back, value);
+        if let (JsonValue::Array(a), JsonValue::Array(b)) = (&value, &back) {
+            for (x, y) in a.iter().zip(b).take(5) {
+                assert_eq!(x.as_f64().unwrap().to_bits(), y.as_f64().unwrap().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_hex_rejects_signs_other_widths_and_uppercase() {
+        // Every accepted value must re-encode to the bytes it came from.
+        for bad in [
+            "2a",
+            "+00000000000002a",
+            "-00000000000002a",
+            "000000000000002A",
+            "0x0000000000002a",
+            "00000000000000002a",
+            " 00000000000002a",
+        ] {
+            assert!(decode_hex_u64(bad).is_err(), "{bad:?} accepted");
+        }
+        for x in [0, 7, u64::MAX, 0xdead_beef_0123_4567] {
+            assert_eq!(decode_hex_u64(hex_u64(x).as_str().unwrap()).unwrap(), x);
+        }
+        assert!(decode_hex_f64s("+000000000000001").is_err());
+        assert!(decode_hex_f64s("3FF0000000000000").is_err());
+        assert!(decode_hex_f64s("0123").is_err());
+        assert!(decode_hex_f64s("zzzzzzzzzzzzzzzz").is_err());
+        assert!(decode_hex_u32s("+0000001").is_err());
+        assert!(decode_hex_u32s("123").is_err());
+        assert!(decode_hex_u32s("000000\u{e9}").is_err());
+    }
+
+    #[test]
+    fn missing_fields_are_parse_errors() {
+        let doc = JsonValue::parse("{\"kernel\":\"toy\"}").unwrap();
+        let err = field_array(&doc, "points").unwrap_err();
+        assert!(matches!(err, DataError::Parse(_)));
+        assert!(err.to_string().contains("points"), "{err}");
+        assert!(nullable(&doc, "points", field_usize).is_err());
+        assert!(field_str(&JsonValue::Null, "kernel").is_err());
+    }
+
+    #[test]
+    fn field_getters_name_the_field_in_their_errors() {
+        let doc = object([
+            ("seed", hex_u64(42)),
+            ("count", JsonValue::Number(3.0)),
+            ("gone", JsonValue::Null),
+        ]);
+        assert_eq!(field_hex_u64(&doc, "seed").unwrap(), 42);
+        assert_eq!(field_usize(&doc, "count").unwrap(), 3);
+        assert_eq!(nullable(&doc, "gone", field_usize).unwrap(), None);
+        assert_eq!(nullable(&doc, "count", field_usize).unwrap(), Some(3));
+        assert!(optional_field(&doc, "absent").is_none());
+        assert!(optional_field(&doc, "count").is_some());
+        for (err, name) in [
+            (field_str(&doc, "count").unwrap_err(), "count"),
+            (field_hex_u64(&doc, "count").unwrap_err(), "count"),
+            (field_array(&doc, "seed").unwrap_err(), "seed"),
+            (field_f64(&doc, "missing").unwrap_err(), "missing"),
+        ] {
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Dataset generation, train/test splitting and serialization.
+//! Dataset generation, train/test splitting and the workspace's one JSON
+//! codec ([`io`]).
 //!
 //! The paper's experimental protocol (§4.5) profiles each benchmark with
 //! 10,000 distinct, randomly selected configurations, records each one's
@@ -40,16 +41,18 @@ pub use split::TrainTestSplit;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum DataError {
-    /// An I/O operation failed while reading or writing a dataset.
-    Io(std::io::Error),
-    /// A dataset file could not be parsed.
+    /// A JSON document could not be parsed, or a field of it did not hold
+    /// what its format requires.
     Parse(String),
-    /// A dataset cannot be serialized because a field holds a non-finite
-    /// number (JSON has no representation for NaN or infinities).
+    /// A JSON number to be written is NaN or infinite (JSON has no
+    /// representation for them).
     NonFinite {
-        /// Name of the offending [`DataPoint`] field.
+        /// What held the number.
         field: &'static str,
     },
+    /// An integer to be written exceeds 2^53, so a JSON number (an `f64`)
+    /// could not hold it exactly.
+    InexactInteger(u64),
     /// A split request was inconsistent with the dataset size.
     InvalidSplit {
         /// Requested training-set size.
@@ -62,14 +65,17 @@ pub enum DataError {
 impl std::fmt::Display for DataError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DataError::Io(e) => write!(f, "dataset I/O failed: {e}"),
-            DataError::Parse(e) => write!(f, "dataset parse failed: {e}"),
+            DataError::Parse(e) => write!(f, "JSON parse failed: {e}"),
             DataError::NonFinite { field } => {
                 write!(
                     f,
-                    "dataset serialization failed: non-finite value in '{field}'"
+                    "JSON serialization failed: non-finite value in '{field}'"
                 )
             }
+            DataError::InexactInteger(n) => write!(
+                f,
+                "integer {n} exceeds 2^53 and cannot be stored exactly as a JSON number"
+            ),
             DataError::InvalidSplit {
                 requested,
                 available,
@@ -81,20 +87,7 @@ impl std::fmt::Display for DataError {
     }
 }
 
-impl std::error::Error for DataError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DataError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for DataError {
-    fn from(e: std::io::Error) -> Self {
-        DataError::Io(e)
-    }
-}
+impl std::error::Error for DataError {}
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, DataError>;

@@ -2,7 +2,7 @@
 //!
 //! While the classic binaries (`table1`, `fig5`, `fig6`, `ablation`) run
 //! their whole matrix in one process, the `campaign` binary exposes the
-//! [`runner`](alic_core::runner) layer directly:
+//! [`alic_core::runner`] layer directly:
 //!
 //! ```text
 //! campaign [quick|laptop|full] [--model m1,m2,...] [--kernels k1,k2,...]

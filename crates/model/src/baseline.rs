@@ -4,7 +4,7 @@
 //! everywhere, with the global variance as its uncertainty. Any useful model
 //! must beat it; the test suites and benchmarks use it as a floor.
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 use alic_stats::summary::OnlineStats;
 
 use crate::snapshot::{self, Snapshot};
@@ -26,17 +26,14 @@ impl ConstantMean {
 
     /// Rebuilds a model from a [`SurrogateModel::snapshot`] document.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
-        let dimension = match snapshot::get(doc, "dimension")? {
-            JsonValue::Null => None,
-            _ => Some(snapshot::get_usize(doc, "dimension")?),
-        };
+        let dimension = io::nullable(doc, "dimension", io::field_usize)?;
         Ok(ConstantMean {
             stats: OnlineStats::from_parts(
-                snapshot::get_usize(doc, "count")?,
-                snapshot::get_hex_f64(doc, "mean")?,
-                snapshot::get_hex_f64(doc, "m2")?,
-                snapshot::get_hex_f64(doc, "min")?,
-                snapshot::get_hex_f64(doc, "max")?,
+                io::field_usize(doc, "count")?,
+                io::field_hex_f64(doc, "mean")?,
+                io::field_hex_f64(doc, "m2")?,
+                io::field_hex_f64(doc, "min")?,
+                io::field_hex_f64(doc, "max")?,
             ),
             dimension,
         })
@@ -87,20 +84,20 @@ impl SurrogateModel for ConstantMean {
     fn snapshot(&self) -> Result<Snapshot> {
         let mut fields = snapshot::header("mean");
         fields.extend([
-            ("count".to_string(), snapshot::num(self.stats.count())),
-            ("mean".to_string(), snapshot::hex_f64(self.stats.mean())),
-            ("m2".to_string(), snapshot::hex_f64(self.stats.m2())),
-            ("min".to_string(), snapshot::hex_f64(self.stats.min())),
-            ("max".to_string(), snapshot::hex_f64(self.stats.max())),
+            ("count", io::int(self.stats.count() as u64)?),
+            ("mean", io::hex_f64(self.stats.mean())),
+            ("m2", io::hex_f64(self.stats.m2())),
+            ("min", io::hex_f64(self.stats.min())),
+            ("max", io::hex_f64(self.stats.max())),
             (
-                "dimension".to_string(),
+                "dimension",
                 match self.dimension {
                     None => JsonValue::Null,
-                    Some(d) => snapshot::num(d),
+                    Some(d) => io::int(d as u64)?,
                 },
             ),
         ]);
-        Ok(JsonValue::Object(fields))
+        Ok(io::object(fields))
     }
 }
 

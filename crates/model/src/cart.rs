@@ -10,7 +10,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 
 use crate::leaf::{LeafPrior, LeafStats};
 use crate::snapshot::{self, Snapshot};
@@ -173,16 +173,16 @@ impl RegressionTree {
     /// are stored as parallel columns with a kind discriminator (0 = leaf,
     /// 1 = split); non-applicable columns hold zeros.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
-        let kinds = snapshot::get_hex_u32s(doc, "node_kind")?;
-        let dims = snapshot::get_hex_u32s(doc, "node_dimension")?;
-        let thresholds = snapshot::get_hex_f64s(doc, "node_threshold")?;
-        let lefts = snapshot::get_hex_u32s(doc, "node_left")?;
-        let rights = snapshot::get_hex_u32s(doc, "node_right")?;
-        let counts = snapshot::get_hex_u32s(doc, "leaf_count")?;
-        let means = snapshot::get_hex_f64s(doc, "leaf_mean")?;
-        let m2s = snapshot::get_hex_f64s(doc, "leaf_m2")?;
-        let mins = snapshot::get_hex_f64s(doc, "leaf_min")?;
-        let maxs = snapshot::get_hex_f64s(doc, "leaf_max")?;
+        let kinds = io::field_hex_u32s(doc, "node_kind")?;
+        let dims = io::field_hex_u32s(doc, "node_dimension")?;
+        let thresholds = io::field_hex_f64s(doc, "node_threshold")?;
+        let lefts = io::field_hex_u32s(doc, "node_left")?;
+        let rights = io::field_hex_u32s(doc, "node_right")?;
+        let counts = io::field_hex_u32s(doc, "leaf_count")?;
+        let means = io::field_hex_f64s(doc, "leaf_mean")?;
+        let m2s = io::field_hex_f64s(doc, "leaf_m2")?;
+        let mins = io::field_hex_f64s(doc, "leaf_min")?;
+        let maxs = io::field_hex_f64s(doc, "leaf_max")?;
         let n = kinds.len();
         for (name, len) in [
             ("node_dimension", dims.len()),
@@ -228,25 +228,22 @@ impl RegressionTree {
                 other => return Err(snapshot::err(format!("node {i}: unknown kind {other}"))),
             });
         }
-        let dimension = match snapshot::get(doc, "dimension")? {
-            JsonValue::Null => None,
-            _ => Some(snapshot::get_usize(doc, "dimension")?),
-        };
+        let dimension = io::nullable(doc, "dimension", io::field_usize)?;
         Ok(RegressionTree {
             config: CartConfig {
-                max_depth: snapshot::get_usize(doc, "max_depth")?,
-                min_leaf: snapshot::get_usize(doc, "min_leaf")?,
-                min_gain: snapshot::get_hex_f64(doc, "min_gain")?,
+                max_depth: io::field_usize(doc, "max_depth")?,
+                min_leaf: io::field_usize(doc, "min_leaf")?,
+                min_gain: io::field_hex_f64(doc, "min_gain")?,
             },
             nodes,
             prior: LeafPrior {
-                mean: snapshot::get_hex_f64(doc, "prior_mean")?,
-                kappa: snapshot::get_hex_f64(doc, "prior_kappa")?,
-                shape: snapshot::get_hex_f64(doc, "prior_shape")?,
-                scale: snapshot::get_hex_f64(doc, "prior_scale")?,
+                mean: io::field_hex_f64(doc, "prior_mean")?,
+                kappa: io::field_hex_f64(doc, "prior_kappa")?,
+                shape: io::field_hex_f64(doc, "prior_shape")?,
+                scale: io::field_hex_f64(doc, "prior_scale")?,
             },
             dimension,
-            observations: snapshot::get_usize(doc, "observations")?,
+            observations: io::field_usize(doc, "observations")?,
         })
     }
 
@@ -413,48 +410,33 @@ impl SurrogateModel for RegressionTree {
         }
         let mut fields = snapshot::header("cart");
         fields.extend([
+            ("max_depth", io::int(self.config.max_depth as u64)?),
+            ("min_leaf", io::int(self.config.min_leaf as u64)?),
+            ("min_gain", io::hex_f64(self.config.min_gain)),
+            ("node_kind", io::hex_u32s(kinds)),
+            ("node_dimension", io::hex_u32s(dims)),
+            ("node_threshold", io::hex_f64s(thresholds)),
+            ("node_left", io::hex_u32s(lefts)),
+            ("node_right", io::hex_u32s(rights)),
+            ("leaf_count", io::hex_u32s(counts)),
+            ("leaf_mean", io::hex_f64s(means)),
+            ("leaf_m2", io::hex_f64s(m2s)),
+            ("leaf_min", io::hex_f64s(mins)),
+            ("leaf_max", io::hex_f64s(maxs)),
+            ("prior_mean", io::hex_f64(self.prior.mean)),
+            ("prior_kappa", io::hex_f64(self.prior.kappa)),
+            ("prior_shape", io::hex_f64(self.prior.shape)),
+            ("prior_scale", io::hex_f64(self.prior.scale)),
             (
-                "max_depth".to_string(),
-                snapshot::num(self.config.max_depth),
-            ),
-            ("min_leaf".to_string(), snapshot::num(self.config.min_leaf)),
-            (
-                "min_gain".to_string(),
-                snapshot::hex_f64(self.config.min_gain),
-            ),
-            ("node_kind".to_string(), snapshot::hex_u32s(kinds)),
-            ("node_dimension".to_string(), snapshot::hex_u32s(dims)),
-            ("node_threshold".to_string(), snapshot::hex_f64s(thresholds)),
-            ("node_left".to_string(), snapshot::hex_u32s(lefts)),
-            ("node_right".to_string(), snapshot::hex_u32s(rights)),
-            ("leaf_count".to_string(), snapshot::hex_u32s(counts)),
-            ("leaf_mean".to_string(), snapshot::hex_f64s(means)),
-            ("leaf_m2".to_string(), snapshot::hex_f64s(m2s)),
-            ("leaf_min".to_string(), snapshot::hex_f64s(mins)),
-            ("leaf_max".to_string(), snapshot::hex_f64s(maxs)),
-            ("prior_mean".to_string(), snapshot::hex_f64(self.prior.mean)),
-            (
-                "prior_kappa".to_string(),
-                snapshot::hex_f64(self.prior.kappa),
-            ),
-            (
-                "prior_shape".to_string(),
-                snapshot::hex_f64(self.prior.shape),
-            ),
-            (
-                "prior_scale".to_string(),
-                snapshot::hex_f64(self.prior.scale),
-            ),
-            (
-                "dimension".to_string(),
+                "dimension",
                 match self.dimension {
                     None => JsonValue::Null,
-                    Some(d) => snapshot::num(d),
+                    Some(d) => io::int(d as u64)?,
                 },
             ),
-            ("observations".to_string(), snapshot::num(self.observations)),
+            ("observations", io::int(self.observations as u64)?),
         ]);
-        Ok(JsonValue::Object(fields))
+        Ok(io::object(fields))
     }
 }
 

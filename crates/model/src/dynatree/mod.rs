@@ -30,7 +30,7 @@
 //! * **Deterministic parallel updates.** Each particle's stochastic move is
 //!   decided with an RNG stream derived from
 //!   `(model seed, observation index, particle index)`
-//!   ([`seeded_substream`]), so the weight pass, the per-arena insert pass
+//!   ([`SmallRng::substream`]), so the weight pass, the per-arena insert pass
 //!   and the per-particle move decisions all run on the rayon pool with
 //!   by-index write-back — `fit` and `update` are bit-identical across
 //!   thread counts. Only systematic resampling (one draw from the master
@@ -65,7 +65,7 @@ pub mod tree;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 use alic_stats::rng::{seeded_stream, Rng as StatsRng, SmallRng};
 use alic_stats::FeatureMatrix;
 use rayon::prelude::*;
@@ -284,44 +284,33 @@ impl DynaTree {
     /// only ever overwritten, never read.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
         let config = DynaTreeConfig {
-            particles: snapshot::get_usize(doc, "config_particles")?,
-            alpha: snapshot::get_hex_f64(doc, "config_alpha")?,
-            beta: snapshot::get_hex_f64(doc, "config_beta")?,
-            min_leaf: snapshot::get_usize(doc, "config_min_leaf")?,
-            grow_attempts: snapshot::get_usize(doc, "config_grow_attempts")?,
-            seed: snapshot::get_hex_u64(doc, "config_seed")?,
+            particles: io::field_usize(doc, "config_particles")?,
+            alpha: io::field_hex_f64(doc, "config_alpha")?,
+            beta: io::field_hex_f64(doc, "config_beta")?,
+            min_leaf: io::field_usize(doc, "config_min_leaf")?,
+            grow_attempts: io::field_usize(doc, "config_grow_attempts")?,
+            seed: io::field_hex_u64(doc, "config_seed")?,
         };
         let prior = LeafPrior {
-            mean: snapshot::get_hex_f64(doc, "prior_mean")?,
-            kappa: snapshot::get_hex_f64(doc, "prior_kappa")?,
-            shape: snapshot::get_hex_f64(doc, "prior_shape")?,
-            scale: snapshot::get_hex_f64(doc, "prior_scale")?,
+            mean: io::field_hex_f64(doc, "prior_mean")?,
+            kappa: io::field_hex_f64(doc, "prior_kappa")?,
+            shape: io::field_hex_f64(doc, "prior_shape")?,
+            scale: io::field_hex_f64(doc, "prior_scale")?,
         };
-        let dim = snapshot::get_usize(doc, "xs_dim")?.max(1);
-        let flat = snapshot::get_hex_f64s(doc, "xs")?;
-        if flat.len() % dim != 0 {
-            return Err(snapshot::err("field xs: length is not a multiple of dim"));
-        }
-        let ys = snapshot::get_hex_f64s(doc, "ys")?;
-        if flat.len() / dim != ys.len() {
+        let xs = snapshot::get_rows(doc, "xs")?;
+        let ys = io::field_hex_f64s(doc, "ys")?;
+        if xs.len() != ys.len() {
             return Err(snapshot::err("fields xs/ys: row counts disagree"));
         }
-        let mut xs = FeatureMatrix::with_capacity(dim, ys.len());
-        for row in flat.chunks_exact(dim) {
-            xs.push_row(row);
-        }
-        let particles = snapshot::get_hex_u32s(doc, "particles")?;
-        let rng_words = snapshot::get_hex_u32s(doc, "rng")?;
+        let particles = io::field_hex_u32s(doc, "particles")?;
+        let rng_words = io::field_hex_u32s(doc, "rng")?;
         let rng = StatsRng::from_state_words(&rng_words)
             .ok_or_else(|| snapshot::err("field rng: malformed generator state"))?;
-        let dimension = match snapshot::get(doc, "dimension")? {
-            JsonValue::Null => None,
-            _ => Some(snapshot::get_usize(doc, "dimension")?),
-        };
-        let depth_bound = snapshot::get_usize(doc, "depth_bound")?;
+        let dimension = io::nullable(doc, "dimension", io::field_usize)?;
+        let depth_bound = io::field_usize(doc, "depth_bound")?;
         let mut table = LnGammaTable::new(&prior);
         table.ensure(ys.len().max(1));
-        let arena_docs = snapshot::get_array(doc, "arenas")?;
+        let arena_docs = io::field_array(doc, "arenas")?;
         let mut arena_refs = vec![0u32; arena_docs.len()];
         for &slot in &particles {
             let Some(refs) = arena_refs.get_mut(slot as usize) else {
@@ -1031,71 +1020,35 @@ impl SurrogateModel for DynaTree {
         }
         let mut fields = snapshot::header("dynatree");
         fields.extend([
+            ("config_particles", io::int(self.config.particles as u64)?),
+            ("config_alpha", io::hex_f64(self.config.alpha)),
+            ("config_beta", io::hex_f64(self.config.beta)),
+            ("config_min_leaf", io::int(self.config.min_leaf as u64)?),
             (
-                "config_particles".to_string(),
-                snapshot::num(self.config.particles),
+                "config_grow_attempts",
+                io::int(self.config.grow_attempts as u64)?,
             ),
+            ("config_seed", io::hex_u64(self.config.seed)),
+            ("prior_mean", io::hex_f64(self.prior.mean)),
+            ("prior_kappa", io::hex_f64(self.prior.kappa)),
+            ("prior_shape", io::hex_f64(self.prior.shape)),
+            ("prior_scale", io::hex_f64(self.prior.scale)),
+            ("xs_dim", io::int(self.xs.dim() as u64)?),
+            ("xs", io::hex_f64s(self.xs.rows().flatten().copied())),
+            ("ys", io::hex_f64s(self.ys.iter().copied())),
+            ("particles", io::hex_u32s(self.particles.iter().copied())),
+            ("rng", io::hex_u32s(self.rng.state_words())),
             (
-                "config_alpha".to_string(),
-                snapshot::hex_f64(self.config.alpha),
-            ),
-            (
-                "config_beta".to_string(),
-                snapshot::hex_f64(self.config.beta),
-            ),
-            (
-                "config_min_leaf".to_string(),
-                snapshot::num(self.config.min_leaf),
-            ),
-            (
-                "config_grow_attempts".to_string(),
-                snapshot::num(self.config.grow_attempts),
-            ),
-            (
-                "config_seed".to_string(),
-                snapshot::hex_u64(self.config.seed),
-            ),
-            ("prior_mean".to_string(), snapshot::hex_f64(self.prior.mean)),
-            (
-                "prior_kappa".to_string(),
-                snapshot::hex_f64(self.prior.kappa),
-            ),
-            (
-                "prior_shape".to_string(),
-                snapshot::hex_f64(self.prior.shape),
-            ),
-            (
-                "prior_scale".to_string(),
-                snapshot::hex_f64(self.prior.scale),
-            ),
-            ("xs_dim".to_string(), snapshot::num(self.xs.dim())),
-            (
-                "xs".to_string(),
-                snapshot::hex_f64s(self.xs.rows().flatten().copied()),
-            ),
-            (
-                "ys".to_string(),
-                snapshot::hex_f64s(self.ys.iter().copied()),
-            ),
-            (
-                "particles".to_string(),
-                snapshot::hex_u32s(self.particles.iter().copied()),
-            ),
-            (
-                "rng".to_string(),
-                snapshot::hex_u32s(self.rng.state_words()),
-            ),
-            (
-                "dimension".to_string(),
+                "dimension",
                 match self.dimension {
                     None => JsonValue::Null,
-                    Some(d) => snapshot::num(d),
+                    Some(d) => io::int(d as u64)?,
                 },
             ),
-            ("depth_bound".to_string(), snapshot::num(self.depth_bound)),
-            ("arenas".to_string(), JsonValue::Array(arenas)),
+            ("depth_bound", io::int(self.depth_bound as u64)?),
+            ("arenas", JsonValue::Array(arenas)),
         ]);
-        Ok(JsonValue::Object(fields))
+        Ok(io::object(fields))
     }
 }
 

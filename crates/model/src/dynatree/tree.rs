@@ -47,7 +47,7 @@
 //! both views from scratch and compares bitwise, which the root-level
 //! property tests exercise after arbitrary fit/update sequences.
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 use alic_stats::FeatureMatrix;
 
 use crate::leaf::{LeafMoments, LeafPrior, LeafStats, LnGammaTable};
@@ -980,61 +980,25 @@ impl ParticleTree {
             stat_min.push(min);
             stat_max.push(max);
         }
-        Ok(JsonValue::Object(vec![
-            (
-                "dim".to_string(),
-                snapshot::hex_u32s(self.dim.iter().copied()),
-            ),
-            (
-                "threshold".to_string(),
-                snapshot::hex_f64s(self.threshold.iter().copied()),
-            ),
-            (
-                "left".to_string(),
-                snapshot::hex_u32s(self.left.iter().copied()),
-            ),
-            (
-                "right".to_string(),
-                snapshot::hex_u32s(self.right.iter().copied()),
-            ),
-            (
-                "parent".to_string(),
-                snapshot::hex_u32s(self.parent.iter().copied()),
-            ),
-            (
-                "depth".to_string(),
-                snapshot::hex_u32s(self.depth.iter().copied()),
-            ),
-            ("stat_count".to_string(), snapshot::hex_u32s(stat_count)),
-            ("stat_mean".to_string(), snapshot::hex_f64s(stat_mean)),
-            ("stat_m2".to_string(), snapshot::hex_f64s(stat_m2)),
-            ("stat_min".to_string(), snapshot::hex_f64s(stat_min)),
-            ("stat_max".to_string(), snapshot::hex_f64s(stat_max)),
-            (
-                "head".to_string(),
-                snapshot::hex_u32s(self.head.iter().copied()),
-            ),
-            (
-                "tail".to_string(),
-                snapshot::hex_u32s(self.tail.iter().copied()),
-            ),
-            (
-                "next".to_string(),
-                snapshot::hex_u32s(self.next.iter().copied()),
-            ),
-            (
-                "free".to_string(),
-                snapshot::hex_u32s(self.free.iter().copied()),
-            ),
-            (
-                "depth_bound".to_string(),
-                snapshot::num(self.depth_bound as usize),
-            ),
-            ("n_dims".to_string(), snapshot::num(self.n_dims)),
-            (
-                "bounds".to_string(),
-                snapshot::hex_f64s(self.bounds.iter().copied()),
-            ),
+        Ok(io::object([
+            ("dim", io::hex_u32s(self.dim.iter().copied())),
+            ("threshold", io::hex_f64s(self.threshold.iter().copied())),
+            ("left", io::hex_u32s(self.left.iter().copied())),
+            ("right", io::hex_u32s(self.right.iter().copied())),
+            ("parent", io::hex_u32s(self.parent.iter().copied())),
+            ("depth", io::hex_u32s(self.depth.iter().copied())),
+            ("stat_count", io::hex_u32s(stat_count)),
+            ("stat_mean", io::hex_f64s(stat_mean)),
+            ("stat_m2", io::hex_f64s(stat_m2)),
+            ("stat_min", io::hex_f64s(stat_min)),
+            ("stat_max", io::hex_f64s(stat_max)),
+            ("head", io::hex_u32s(self.head.iter().copied())),
+            ("tail", io::hex_u32s(self.tail.iter().copied())),
+            ("next", io::hex_u32s(self.next.iter().copied())),
+            ("free", io::hex_u32s(self.free.iter().copied())),
+            ("depth_bound", io::int(u64::from(self.depth_bound))?),
+            ("n_dims", io::int(self.n_dims as u64)?),
+            ("bounds", io::hex_f64s(self.bounds.iter().copied())),
         ]))
     }
 
@@ -1047,28 +1011,28 @@ impl ParticleTree {
         ctx: &MomentCtx<'_>,
         max_count: usize,
     ) -> crate::Result<Self> {
-        let dim = snapshot::get_hex_u32s(doc, "dim")?;
+        let dim = io::field_hex_u32s(doc, "dim")?;
         let n = dim.len();
         if n == 0 {
             return Err(snapshot::err("tree snapshot has no nodes"));
         }
-        let threshold = snapshot::get_hex_f64s(doc, "threshold")?;
-        let left = snapshot::get_hex_u32s(doc, "left")?;
-        let right = snapshot::get_hex_u32s(doc, "right")?;
-        let parent = snapshot::get_hex_u32s(doc, "parent")?;
-        let depth = snapshot::get_hex_u32s(doc, "depth")?;
-        let stat_count = snapshot::get_hex_u32s(doc, "stat_count")?;
-        let stat_mean = snapshot::get_hex_f64s(doc, "stat_mean")?;
-        let stat_m2 = snapshot::get_hex_f64s(doc, "stat_m2")?;
-        let stat_min = snapshot::get_hex_f64s(doc, "stat_min")?;
-        let stat_max = snapshot::get_hex_f64s(doc, "stat_max")?;
-        let head = snapshot::get_hex_u32s(doc, "head")?;
-        let tail = snapshot::get_hex_u32s(doc, "tail")?;
-        let next = snapshot::get_hex_u32s(doc, "next")?;
-        let free = snapshot::get_hex_u32s(doc, "free")?;
-        let depth_bound = snapshot::get_usize(doc, "depth_bound")?;
-        let n_dims = snapshot::get_usize(doc, "n_dims")?;
-        let bounds = snapshot::get_hex_f64s(doc, "bounds")?;
+        let threshold = io::field_hex_f64s(doc, "threshold")?;
+        let left = io::field_hex_u32s(doc, "left")?;
+        let right = io::field_hex_u32s(doc, "right")?;
+        let parent = io::field_hex_u32s(doc, "parent")?;
+        let depth = io::field_hex_u32s(doc, "depth")?;
+        let stat_count = io::field_hex_u32s(doc, "stat_count")?;
+        let stat_mean = io::field_hex_f64s(doc, "stat_mean")?;
+        let stat_m2 = io::field_hex_f64s(doc, "stat_m2")?;
+        let stat_min = io::field_hex_f64s(doc, "stat_min")?;
+        let stat_max = io::field_hex_f64s(doc, "stat_max")?;
+        let head = io::field_hex_u32s(doc, "head")?;
+        let tail = io::field_hex_u32s(doc, "tail")?;
+        let next = io::field_hex_u32s(doc, "next")?;
+        let free = io::field_hex_u32s(doc, "free")?;
+        let depth_bound = io::field_usize(doc, "depth_bound")?;
+        let n_dims = io::field_usize(doc, "n_dims")?;
+        let bounds = io::field_hex_f64s(doc, "bounds")?;
         for (name, len) in [
             ("threshold", threshold.len()),
             ("left", left.len()),

@@ -53,7 +53,7 @@ use alic_stats::cholesky::Cholesky;
 use alic_stats::matrix::squared_distance;
 use alic_stats::FeatureMatrix;
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 
 use crate::snapshot::{self, Snapshot};
 use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
@@ -173,52 +173,30 @@ impl GaussianProcess {
     /// the restored model predicts bit-identically.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
         let config = GpConfig {
-            lengthscale: snapshot::get_opt_hex_f64(doc, "config_lengthscale")?,
-            signal_variance: snapshot::get_opt_hex_f64(doc, "config_signal_variance")?,
-            noise_variance: snapshot::get_hex_f64(doc, "config_noise_variance")?,
+            lengthscale: io::nullable(doc, "config_lengthscale", io::field_hex_f64)?,
+            signal_variance: io::nullable(doc, "config_signal_variance", io::field_hex_f64)?,
+            noise_variance: io::field_hex_f64(doc, "config_noise_variance")?,
         };
-        let dim = snapshot::get_usize(doc, "xs_dim")?.max(1);
-        let flat = snapshot::get_hex_f64s(doc, "xs")?;
-        if flat.len() % dim != 0 {
-            return Err(snapshot::err("field xs: length is not a multiple of dim"));
-        }
-        let mut xs = FeatureMatrix::with_capacity(dim, flat.len() / dim);
-        for row in flat.chunks_exact(dim) {
-            xs.push_row(row);
-        }
-        let ys = snapshot::get_hex_f64s(doc, "ys")?;
-        let chol = match snapshot::get(doc, "chol")? {
-            JsonValue::Null => None,
-            packed => {
-                let data = snapshot::decode_hex_f64s(
-                    "chol",
-                    packed
-                        .as_str()
-                        .map_err(|e| snapshot::err(format!("field chol: {e}")))?,
-                )?;
-                Some(
-                    Cholesky::from_packed_factor(ys.len(), data)
-                        .map_err(|e| snapshot::err(format!("field chol: {e}")))?,
-                )
-            }
-        };
-        let dimension = match snapshot::get(doc, "dimension")? {
-            JsonValue::Null => None,
-            _ => Some(snapshot::get_usize(doc, "dimension")?),
-        };
+        let xs = snapshot::get_rows(doc, "xs")?;
+        let ys = io::field_hex_f64s(doc, "ys")?;
+        let chol = io::nullable(doc, "chol", io::field_hex_f64s)?
+            .map(|data| Cholesky::from_packed_factor(ys.len(), data))
+            .transpose()
+            .map_err(|e| snapshot::err(format!("field chol: {e}")))?;
+        let dimension = io::nullable(doc, "dimension", io::field_usize)?;
         Ok(GaussianProcess {
             config,
             xs,
             ys,
-            mean: snapshot::get_hex_f64(doc, "mean")?,
-            lengthscale: snapshot::get_hex_f64(doc, "lengthscale")?,
-            signal_variance: snapshot::get_hex_f64(doc, "signal_variance")?,
-            jitter: snapshot::get_hex_f64(doc, "jitter")?,
-            kernel_rows: snapshot::get_hex_f64s(doc, "kernel_rows")?,
+            mean: io::field_hex_f64(doc, "mean")?,
+            lengthscale: io::field_hex_f64(doc, "lengthscale")?,
+            signal_variance: io::field_hex_f64(doc, "signal_variance")?,
+            jitter: io::field_hex_f64(doc, "jitter")?,
+            kernel_rows: io::field_hex_f64s(doc, "kernel_rows")?,
             chol,
-            alpha: snapshot::get_hex_f64s(doc, "alpha")?,
+            alpha: io::field_hex_f64s(doc, "alpha")?,
             dimension,
-            refactorizations: snapshot::get_usize(doc, "refactorizations")?,
+            refactorizations: io::field_usize(doc, "refactorizations")?,
         })
     }
 
@@ -468,64 +446,48 @@ impl SurrogateModel for GaussianProcess {
         let mut fields = snapshot::header("gp");
         fields.extend([
             (
-                "config_lengthscale".to_string(),
-                snapshot::opt_hex_f64(self.config.lengthscale),
+                "config_lengthscale",
+                self.config.lengthscale.map_or(JsonValue::Null, io::hex_f64),
             ),
             (
-                "config_signal_variance".to_string(),
-                snapshot::opt_hex_f64(self.config.signal_variance),
+                "config_signal_variance",
+                self.config
+                    .signal_variance
+                    .map_or(JsonValue::Null, io::hex_f64),
             ),
             (
-                "config_noise_variance".to_string(),
-                snapshot::hex_f64(self.config.noise_variance),
+                "config_noise_variance",
+                io::hex_f64(self.config.noise_variance),
             ),
-            ("xs_dim".to_string(), snapshot::num(self.xs.dim())),
+            ("xs_dim", io::int(self.xs.dim() as u64)?),
+            ("xs", io::hex_f64s(self.xs.rows().flatten().copied())),
+            ("ys", io::hex_f64s(self.ys.iter().copied())),
+            ("mean", io::hex_f64(self.mean)),
+            ("lengthscale", io::hex_f64(self.lengthscale)),
+            ("signal_variance", io::hex_f64(self.signal_variance)),
+            ("jitter", io::hex_f64(self.jitter)),
             (
-                "xs".to_string(),
-                snapshot::hex_f64s(self.xs.rows().flatten().copied()),
-            ),
-            (
-                "ys".to_string(),
-                snapshot::hex_f64s(self.ys.iter().copied()),
-            ),
-            ("mean".to_string(), snapshot::hex_f64(self.mean)),
-            (
-                "lengthscale".to_string(),
-                snapshot::hex_f64(self.lengthscale),
+                "kernel_rows",
+                io::hex_f64s(self.kernel_rows.iter().copied()),
             ),
             (
-                "signal_variance".to_string(),
-                snapshot::hex_f64(self.signal_variance),
-            ),
-            ("jitter".to_string(), snapshot::hex_f64(self.jitter)),
-            (
-                "kernel_rows".to_string(),
-                snapshot::hex_f64s(self.kernel_rows.iter().copied()),
-            ),
-            (
-                "chol".to_string(),
+                "chol",
                 match &self.chol {
                     None => JsonValue::Null,
-                    Some(chol) => snapshot::hex_f64s(chol.packed().iter().copied()),
+                    Some(chol) => io::hex_f64s(chol.packed().iter().copied()),
                 },
             ),
+            ("alpha", io::hex_f64s(self.alpha.iter().copied())),
             (
-                "alpha".to_string(),
-                snapshot::hex_f64s(self.alpha.iter().copied()),
-            ),
-            (
-                "dimension".to_string(),
+                "dimension",
                 match self.dimension {
                     None => JsonValue::Null,
-                    Some(d) => snapshot::num(d),
+                    Some(d) => io::int(d as u64)?,
                 },
             ),
-            (
-                "refactorizations".to_string(),
-                snapshot::num(self.refactorizations),
-            ),
+            ("refactorizations", io::int(self.refactorizations as u64)?),
         ]);
-        Ok(JsonValue::Object(fields))
+        Ok(io::object(fields))
     }
 }
 

@@ -18,7 +18,7 @@ use alic_stats::matrix::squared_distance;
 use alic_stats::summary::Summary;
 use alic_stats::FeatureMatrix;
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 
 use crate::snapshot::{self, Snapshot};
 use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
@@ -72,25 +72,14 @@ impl KnnRegressor {
 
     /// Rebuilds a regressor from a [`SurrogateModel::snapshot`] document.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
-        let dim = snapshot::get_usize(doc, "xs_dim")?.max(1);
-        let flat = snapshot::get_hex_f64s(doc, "xs")?;
-        if flat.len() % dim != 0 {
-            return Err(snapshot::err("field xs: length is not a multiple of dim"));
-        }
-        let mut xs = FeatureMatrix::with_capacity(dim, flat.len() / dim);
-        for row in flat.chunks_exact(dim) {
-            xs.push_row(row);
-        }
-        let dimension = match snapshot::get(doc, "dimension")? {
-            JsonValue::Null => None,
-            _ => Some(snapshot::get_usize(doc, "dimension")?),
-        };
+        let xs = snapshot::get_rows(doc, "xs")?;
+        let dimension = io::nullable(doc, "dimension", io::field_usize)?;
         Ok(KnnRegressor {
             config: KnnConfig {
-                k: snapshot::get_usize(doc, "k")?,
+                k: io::field_usize(doc, "k")?,
             },
             xs,
-            ys: snapshot::get_hex_f64s(doc, "ys")?,
+            ys: io::field_hex_f64s(doc, "ys")?,
             dimension,
         })
     }
@@ -181,25 +170,19 @@ impl SurrogateModel for KnnRegressor {
     fn snapshot(&self) -> Result<Snapshot> {
         let mut fields = snapshot::header("knn");
         fields.extend([
-            ("k".to_string(), snapshot::num(self.config.k)),
-            ("xs_dim".to_string(), snapshot::num(self.xs.dim())),
+            ("k", io::int(self.config.k as u64)?),
+            ("xs_dim", io::int(self.xs.dim() as u64)?),
+            ("xs", io::hex_f64s(self.xs.rows().flatten().copied())),
+            ("ys", io::hex_f64s(self.ys.iter().copied())),
             (
-                "xs".to_string(),
-                snapshot::hex_f64s(self.xs.rows().flatten().copied()),
-            ),
-            (
-                "ys".to_string(),
-                snapshot::hex_f64s(self.ys.iter().copied()),
-            ),
-            (
-                "dimension".to_string(),
+                "dimension",
                 match self.dimension {
                     None => JsonValue::Null,
-                    Some(d) => snapshot::num(d),
+                    Some(d) => io::int(d as u64)?,
                 },
             ),
         ]);
-        Ok(JsonValue::Object(fields))
+        Ok(io::object(fields))
     }
 }
 

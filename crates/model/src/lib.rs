@@ -114,6 +114,17 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+/// The model crate reads JSON only to restore snapshots, so every codec
+/// error is snapshot damage.
+impl From<alic_data::DataError> for ModelError {
+    fn from(e: alic_data::DataError) -> Self {
+        ModelError::Snapshot(match e {
+            alic_data::DataError::Parse(message) => message,
+            other => other.to_string(),
+        })
+    }
+}
+
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, ModelError>;
 

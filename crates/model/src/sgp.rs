@@ -54,7 +54,7 @@ use alic_stats::cholesky::Cholesky;
 use alic_stats::matrix::squared_distance;
 use alic_stats::FeatureMatrix;
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
 
 use crate::gp::median_pairwise_distance;
 use crate::snapshot::{self, Snapshot};
@@ -168,57 +168,34 @@ impl SparseGaussianProcess {
     /// re-factorized), so the restored model predicts bit-identically.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
         let config = SparseGpConfig {
-            inducing: snapshot::get_usize(doc, "config_inducing")?,
-            lengthscale: snapshot::get_opt_hex_f64(doc, "config_lengthscale")?,
-            signal_variance: snapshot::get_opt_hex_f64(doc, "config_signal_variance")?,
-            noise_variance: snapshot::get_hex_f64(doc, "config_noise_variance")?,
+            inducing: io::field_usize(doc, "config_inducing")?,
+            lengthscale: io::nullable(doc, "config_lengthscale", io::field_hex_f64)?,
+            signal_variance: io::nullable(doc, "config_signal_variance", io::field_hex_f64)?,
+            noise_variance: io::field_hex_f64(doc, "config_noise_variance")?,
         };
-        let dim = snapshot::get_usize(doc, "inducing_dim")?.max(1);
-        let flat = snapshot::get_hex_f64s(doc, "inducing")?;
-        if flat.len() % dim != 0 {
-            return Err(snapshot::err(
-                "field inducing: length is not a multiple of dim",
-            ));
-        }
-        let mut inducing = FeatureMatrix::with_capacity(dim, flat.len() / dim);
-        for row in flat.chunks_exact(dim) {
-            inducing.push_row(row);
-        }
+        let inducing = snapshot::get_rows(doc, "inducing")?;
         let m = inducing.len();
         let factor = |name: &str| -> Result<Option<Cholesky>> {
-            match snapshot::get(doc, name)? {
-                JsonValue::Null => Ok(None),
-                packed => {
-                    let data = snapshot::decode_hex_f64s(
-                        name,
-                        packed
-                            .as_str()
-                            .map_err(|e| snapshot::err(format!("field {name}: {e}")))?,
-                    )?;
-                    Cholesky::from_packed_factor(m, data)
-                        .map(Some)
-                        .map_err(|e| snapshot::err(format!("field {name}: {e}")))
-                }
-            }
+            io::nullable(doc, name, io::field_hex_f64s)?
+                .map(|data| Cholesky::from_packed_factor(m, data))
+                .transpose()
+                .map_err(|e| snapshot::err(format!("field {name}: {e}")))
         };
-        let dimension = match snapshot::get(doc, "dimension")? {
-            JsonValue::Null => None,
-            _ => Some(snapshot::get_usize(doc, "dimension")?),
-        };
+        let dimension = io::nullable(doc, "dimension", io::field_usize)?;
         Ok(SparseGaussianProcess {
             config,
             lm: factor("lm")?,
             lp: factor("lp")?,
             inducing,
-            u: snapshot::get_hex_f64s(doc, "u")?,
-            s: snapshot::get_hex_f64s(doc, "s")?,
-            weights: snapshot::get_hex_f64s(doc, "weights")?,
-            mean: snapshot::get_hex_f64(doc, "mean")?,
-            y_sum: snapshot::get_hex_f64(doc, "y_sum")?,
-            count: snapshot::get_usize(doc, "count")?,
-            lengthscale: snapshot::get_hex_f64(doc, "lengthscale")?,
-            signal_variance: snapshot::get_hex_f64(doc, "signal_variance")?,
-            kmm_jitter: snapshot::get_hex_f64(doc, "kmm_jitter")?,
+            u: io::field_hex_f64s(doc, "u")?,
+            s: io::field_hex_f64s(doc, "s")?,
+            weights: io::field_hex_f64s(doc, "weights")?,
+            mean: io::field_hex_f64(doc, "mean")?,
+            y_sum: io::field_hex_f64(doc, "y_sum")?,
+            count: io::field_usize(doc, "count")?,
+            lengthscale: io::field_hex_f64(doc, "lengthscale")?,
+            signal_variance: io::field_hex_f64(doc, "signal_variance")?,
+            kmm_jitter: io::field_hex_f64(doc, "kmm_jitter")?,
             dimension,
         })
     }
@@ -534,63 +511,50 @@ impl SurrogateModel for SparseGaussianProcess {
     fn snapshot(&self) -> Result<Snapshot> {
         let factor = |chol: &Option<Cholesky>| match chol {
             None => JsonValue::Null,
-            Some(c) => snapshot::hex_f64s(c.packed().iter().copied()),
+            Some(c) => io::hex_f64s(c.packed().iter().copied()),
         };
         let mut fields = snapshot::header("sgp");
         fields.extend([
+            ("config_inducing", io::int(self.config.inducing as u64)?),
             (
-                "config_inducing".to_string(),
-                snapshot::num(self.config.inducing),
+                "config_lengthscale",
+                self.config.lengthscale.map_or(JsonValue::Null, io::hex_f64),
             ),
             (
-                "config_lengthscale".to_string(),
-                snapshot::opt_hex_f64(self.config.lengthscale),
+                "config_signal_variance",
+                self.config
+                    .signal_variance
+                    .map_or(JsonValue::Null, io::hex_f64),
             ),
             (
-                "config_signal_variance".to_string(),
-                snapshot::opt_hex_f64(self.config.signal_variance),
+                "config_noise_variance",
+                io::hex_f64(self.config.noise_variance),
             ),
+            ("inducing_dim", io::int(self.inducing.dim() as u64)?),
             (
-                "config_noise_variance".to_string(),
-                snapshot::hex_f64(self.config.noise_variance),
+                "inducing",
+                io::hex_f64s(self.inducing.rows().flatten().copied()),
             ),
+            ("lm", factor(&self.lm)),
+            ("lp", factor(&self.lp)),
+            ("u", io::hex_f64s(self.u.iter().copied())),
+            ("s", io::hex_f64s(self.s.iter().copied())),
+            ("weights", io::hex_f64s(self.weights.iter().copied())),
+            ("mean", io::hex_f64(self.mean)),
+            ("y_sum", io::hex_f64(self.y_sum)),
+            ("count", io::int(self.count as u64)?),
+            ("lengthscale", io::hex_f64(self.lengthscale)),
+            ("signal_variance", io::hex_f64(self.signal_variance)),
+            ("kmm_jitter", io::hex_f64(self.kmm_jitter)),
             (
-                "inducing_dim".to_string(),
-                snapshot::num(self.inducing.dim()),
-            ),
-            (
-                "inducing".to_string(),
-                snapshot::hex_f64s(self.inducing.rows().flatten().copied()),
-            ),
-            ("lm".to_string(), factor(&self.lm)),
-            ("lp".to_string(), factor(&self.lp)),
-            ("u".to_string(), snapshot::hex_f64s(self.u.iter().copied())),
-            ("s".to_string(), snapshot::hex_f64s(self.s.iter().copied())),
-            (
-                "weights".to_string(),
-                snapshot::hex_f64s(self.weights.iter().copied()),
-            ),
-            ("mean".to_string(), snapshot::hex_f64(self.mean)),
-            ("y_sum".to_string(), snapshot::hex_f64(self.y_sum)),
-            ("count".to_string(), snapshot::num(self.count)),
-            (
-                "lengthscale".to_string(),
-                snapshot::hex_f64(self.lengthscale),
-            ),
-            (
-                "signal_variance".to_string(),
-                snapshot::hex_f64(self.signal_variance),
-            ),
-            ("kmm_jitter".to_string(), snapshot::hex_f64(self.kmm_jitter)),
-            (
-                "dimension".to_string(),
+                "dimension",
                 match self.dimension {
                     None => JsonValue::Null,
-                    Some(d) => snapshot::num(d),
+                    Some(d) => io::int(d as u64)?,
                 },
             ),
         ]);
-        Ok(JsonValue::Object(fields))
+        Ok(io::object(fields))
     }
 }
 

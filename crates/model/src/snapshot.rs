@@ -17,18 +17,18 @@
 //! decimals but rejects non-finite values, and a decimal round-trip through
 //! a hand-rolled parser is the classic source of last-ULP drift. Snapshot
 //! codecs therefore never store an `f64` as a JSON number: every float is
-//! `f64::to_bits` rendered as 16 lowercase hex digits, and bulk arrays pack
-//! one value per 16-character chunk of a single string. `u32` columns pack
-//! as 8-digit chunks, and `u64` scalars (seeds) as 16-digit strings — the
-//! same convention session checkpoints already use for seeds.
-//!
-//! Counts and small integers (observation counts, dimensions, array
-//! lengths) stay plain JSON numbers; they are exact below 2⁵³ by
-//! construction.
+//! its bit pattern in fixed-width hex ([`io::hex_f64`]), bulk arrays are
+//! packed columns ([`io::hex_f64s`], [`io::hex_u32s`]) and seeds are
+//! [`io::hex_u64`] strings. Counts and small integers (observation counts,
+//! dimensions, array lengths) stay plain JSON numbers written by
+//! [`io::int`]. All of these rules live in [`alic_data::io`], the
+//! workspace's one JSON codec; each family's `snapshot`/`from_snapshot`
+//! pair calls it directly. Any decode failure — a missing field, a hex
+//! chunk that is not exactly the fixed number of lowercase digits, an
+//! inconsistent column — surfaces as [`ModelError::Snapshot`].
 
-use std::fmt::Write as _;
-
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
+use alic_stats::FeatureMatrix;
 
 use crate::baseline::ConstantMean;
 use crate::cart::RegressionTree;
@@ -53,7 +53,7 @@ pub const SNAPSHOT_SCHEMA: &str = "alic-model-snapshot/v1";
 /// Returns [`ModelError::Snapshot`] when the field is absent or not a
 /// string.
 pub fn snapshot_family(doc: &JsonValue) -> Result<&str> {
-    get_str(doc, "family")
+    Ok(io::field_str(doc, "family")?)
 }
 
 /// Rebuilds a boxed model from a snapshot produced by
@@ -66,13 +66,13 @@ pub fn snapshot_family(doc: &JsonValue) -> Result<&str> {
 /// Returns [`ModelError::Snapshot`] for an unknown schema or family, or for
 /// structurally damaged state.
 pub fn restore_snapshot(doc: &JsonValue) -> Result<Box<dyn ActiveSurrogate + Send>> {
-    let schema = get_str(doc, "schema")?;
+    let schema = io::field_str(doc, "schema")?;
     if schema != SNAPSHOT_SCHEMA {
         return Err(err(format!(
             "schema {schema:?} (expected {SNAPSHOT_SCHEMA:?})"
         )));
     }
-    match get_str(doc, "family")? {
+    match io::field_str(doc, "family")? {
         "dynatree" => Ok(Box::new(DynaTree::from_snapshot(doc)?)),
         "cart" => Ok(Box::new(RegressionTree::from_snapshot(doc)?)),
         "gp" => Ok(Box::new(GaussianProcess::from_snapshot(doc)?)),
@@ -87,142 +87,57 @@ pub(crate) fn err(msg: impl Into<String>) -> ModelError {
     ModelError::Snapshot(msg.into())
 }
 
+/// A row matrix stored as a `<name>_dim` count plus a packed `<name>`
+/// column of row-major values.
+pub(crate) fn get_rows(doc: &JsonValue, name: &str) -> Result<FeatureMatrix> {
+    let dim = io::field_usize(doc, &format!("{name}_dim"))?.max(1);
+    let flat = io::field_hex_f64s(doc, name)?;
+    if flat.len() % dim != 0 {
+        return Err(err(format!(
+            "field {name}: length is not a multiple of dim"
+        )));
+    }
+    let mut rows = FeatureMatrix::with_capacity(dim, flat.len() / dim);
+    for row in flat.chunks_exact(dim) {
+        rows.push_row(row);
+    }
+    Ok(rows)
+}
+
 /// The common leading fields of every family's snapshot object.
-pub(crate) fn header(family: &str) -> Vec<(String, JsonValue)> {
+pub(crate) fn header(family: &str) -> Vec<(&'static str, JsonValue)> {
     vec![
-        (
-            "schema".to_string(),
-            JsonValue::String(SNAPSHOT_SCHEMA.to_string()),
-        ),
-        ("family".to_string(), JsonValue::String(family.to_string())),
+        ("schema", JsonValue::String(SNAPSHOT_SCHEMA.to_string())),
+        ("family", JsonValue::String(family.to_string())),
     ]
-}
-
-pub(crate) fn num(n: usize) -> JsonValue {
-    JsonValue::Number(n as f64)
-}
-
-pub(crate) fn hex_u64(x: u64) -> JsonValue {
-    JsonValue::String(format!("{x:016x}"))
-}
-
-pub(crate) fn hex_f64(x: f64) -> JsonValue {
-    hex_u64(x.to_bits())
-}
-
-pub(crate) fn hex_f64s<I: IntoIterator<Item = f64>>(values: I) -> JsonValue {
-    let mut out = String::new();
-    for v in values {
-        write!(out, "{:016x}", v.to_bits()).expect("writing to a String cannot fail");
-    }
-    JsonValue::String(out)
-}
-
-pub(crate) fn hex_u32s<I: IntoIterator<Item = u32>>(values: I) -> JsonValue {
-    let mut out = String::new();
-    for v in values {
-        write!(out, "{v:08x}").expect("writing to a String cannot fail");
-    }
-    JsonValue::String(out)
-}
-
-/// `None` → JSON null, `Some(x)` → hex-bit string.
-pub(crate) fn opt_hex_f64(x: Option<f64>) -> JsonValue {
-    match x {
-        None => JsonValue::Null,
-        Some(v) => hex_f64(v),
-    }
-}
-
-pub(crate) fn get<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a JsonValue> {
-    doc.field(name)
-        .map_err(|e| err(format!("field {name}: {e}")))
-}
-
-pub(crate) fn get_str<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a str> {
-    get(doc, name)?
-        .as_str()
-        .map_err(|e| err(format!("field {name}: {e}")))
-}
-
-pub(crate) fn get_usize(doc: &JsonValue, name: &str) -> Result<usize> {
-    get(doc, name)?
-        .as_usize()
-        .map_err(|e| err(format!("field {name}: {e}")))
-}
-
-pub(crate) fn get_array<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a [JsonValue]> {
-    get(doc, name)?
-        .as_array()
-        .map_err(|e| err(format!("field {name}: {e}")))
-}
-
-fn parse_hex_u64(name: &str, chunk: &str) -> Result<u64> {
-    u64::from_str_radix(chunk, 16)
-        .map_err(|_| err(format!("field {name}: bad hex chunk {chunk:?}")))
-}
-
-pub(crate) fn get_hex_u64(doc: &JsonValue, name: &str) -> Result<u64> {
-    let text = get_str(doc, name)?;
-    if text.len() != 16 {
-        return Err(err(format!("field {name}: expected 16 hex digits")));
-    }
-    parse_hex_u64(name, text)
-}
-
-pub(crate) fn get_hex_f64(doc: &JsonValue, name: &str) -> Result<f64> {
-    Ok(f64::from_bits(get_hex_u64(doc, name)?))
-}
-
-pub(crate) fn get_opt_hex_f64(doc: &JsonValue, name: &str) -> Result<Option<f64>> {
-    let value = get(doc, name)?;
-    if value.is_null() {
-        return Ok(None);
-    }
-    Ok(Some(f64::from_bits(get_hex_u64(doc, name)?)))
-}
-
-pub(crate) fn decode_hex_f64s(name: &str, text: &str) -> Result<Vec<f64>> {
-    if !text.len().is_multiple_of(16) || !text.is_ascii() {
-        return Err(err(format!("field {name}: malformed f64 hex column")));
-    }
-    let mut out = Vec::with_capacity(text.len() / 16);
-    for chunk in text.as_bytes().chunks_exact(16) {
-        let chunk = std::str::from_utf8(chunk).expect("ascii checked above");
-        out.push(f64::from_bits(parse_hex_u64(name, chunk)?));
-    }
-    Ok(out)
-}
-
-pub(crate) fn get_hex_f64s(doc: &JsonValue, name: &str) -> Result<Vec<f64>> {
-    decode_hex_f64s(name, get_str(doc, name)?)
-}
-
-pub(crate) fn decode_hex_u32s(name: &str, text: &str) -> Result<Vec<u32>> {
-    if !text.len().is_multiple_of(8) || !text.is_ascii() {
-        return Err(err(format!("field {name}: malformed u32 hex column")));
-    }
-    let mut out = Vec::with_capacity(text.len() / 8);
-    for chunk in text.as_bytes().chunks_exact(8) {
-        let chunk = std::str::from_utf8(chunk).expect("ascii checked above");
-        out.push(
-            u32::from_str_radix(chunk, 16)
-                .map_err(|_| err(format!("field {name}: bad hex chunk {chunk:?}")))?,
-        );
-    }
-    Ok(out)
-}
-
-pub(crate) fn get_hex_u32s(doc: &JsonValue, name: &str) -> Result<Vec<u32>> {
-    decode_hex_u32s(name, get_str(doc, name)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn trained(name: &str) -> Box<dyn ActiveSurrogate + Send> {
+        let xs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0, 0.5]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
+        let mut model = crate::SurrogateSpec::from_name(name).unwrap().build(3);
+        model.fit(&crate::row_views(&xs), &ys).unwrap();
+        model
+    }
+
+    /// Replaces field `name` of a snapshot object.
+    fn with_field(doc: &JsonValue, name: &str, value: JsonValue) -> JsonValue {
+        let JsonValue::Object(fields) = doc else {
+            panic!("snapshots are objects")
+        };
+        let mut fields = fields.clone();
+        fields.iter_mut().find(|(k, _)| k == name).unwrap().1 = value;
+        JsonValue::Object(fields)
+    }
+
     #[test]
     fn hex_f64_columns_round_trip_every_bit_pattern() {
+        // The knn snapshot stores its targets as a packed f64 column; any
+        // bit pattern written there restores verbatim.
         let values = [
             0.0,
             -0.0,
@@ -235,32 +150,87 @@ mod tests {
             f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
+            0.25,
         ];
-        let encoded = hex_f64s(values.iter().copied());
-        let text = encoded.as_str().unwrap();
-        let decoded = decode_hex_f64s("t", text).unwrap();
-        assert_eq!(decoded.len(), values.len());
-        for (a, b) in values.iter().zip(&decoded) {
+        let model = trained("knn");
+        let doc = with_field(&model.snapshot().unwrap(), "ys", io::hex_f64s(values));
+        let text = doc.to_json_string().unwrap();
+        let restored = restore_snapshot(&JsonValue::parse(&text).unwrap()).unwrap();
+        let back = restored.snapshot().unwrap();
+        let ys = io::field_hex_f64s(&back, "ys").unwrap();
+        assert_eq!(ys.len(), values.len());
+        for (a, b) in values.iter().zip(&ys) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
     fn hex_u32_columns_round_trip() {
+        // Every u32 column of a regression-tree snapshot re-encodes to its
+        // own bytes after a restore.
+        let text = trained("cart")
+            .snapshot()
+            .unwrap()
+            .to_json_string()
+            .unwrap();
+        let restored = restore_snapshot(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(restored.snapshot().unwrap().to_json_string().unwrap(), text);
         let values = [0u32, 1, u32::MAX, u32::MAX - 1, 0xDEAD_BEEF];
-        let encoded = hex_u32s(values.iter().copied());
-        let decoded = decode_hex_u32s("t", encoded.as_str().unwrap()).unwrap();
-        assert_eq!(decoded, values);
+        let column = io::hex_u32s(values);
+        assert_eq!(
+            io::decode_hex_u32s(column.as_str().unwrap()).unwrap(),
+            values
+        );
     }
 
     #[test]
     fn malformed_columns_are_structured_errors() {
-        assert!(decode_hex_f64s("t", "0123").is_err());
-        assert!(decode_hex_f64s("t", "zzzzzzzzzzzzzzzz").is_err());
-        assert!(decode_hex_u32s("t", "123").is_err());
-        let doc = JsonValue::Object(vec![("seed".to_string(), hex_u64(7))]);
-        assert_eq!(get_hex_u64(&doc, "seed").unwrap(), 7);
-        assert!(get_hex_u64(&doc, "missing").is_err());
+        let cart = trained("cart").snapshot().unwrap();
+        let kinds = io::field_str(&cart, "node_kind").unwrap().to_string();
+        let thresholds = io::field_str(&cart, "node_threshold").unwrap().to_string();
+        let mut damaged = vec![
+            // A sign is not a hex digit, even where the chunk width fits.
+            with_field(
+                &cart,
+                "node_kind",
+                JsonValue::String(format!("+{}", &kinds[1..])),
+            ),
+            with_field(
+                &cart,
+                "node_threshold",
+                JsonValue::String(format!("+{}", &thresholds[1..])),
+            ),
+            // Uppercase digits would not re-encode to the same bytes.
+            with_field(
+                &cart,
+                "node_threshold",
+                JsonValue::String(thresholds.to_uppercase()),
+            ),
+            with_field(
+                &cart,
+                "node_kind",
+                JsonValue::String(kinds[1..].to_string()),
+            ),
+            with_field(&cart, "node_kind", JsonValue::Number(1.0)),
+        ];
+        let dynatree = trained("dynatree").snapshot().unwrap();
+        damaged.push(with_field(
+            &dynatree,
+            "config_seed",
+            JsonValue::String("+000000000000003".into()),
+        ));
+        damaged.push(with_field(
+            &dynatree,
+            "config_seed",
+            JsonValue::String("3".into()),
+        ));
+        for doc in damaged {
+            match restore_snapshot(&doc) {
+                Err(ModelError::Snapshot(_)) => {}
+                Err(other) => panic!("expected a snapshot error, got {other}"),
+                Ok(_) => panic!("damaged snapshot restored"),
+            }
+        }
     }
 
     #[test]
@@ -299,7 +269,7 @@ mod tests {
         ]);
         assert!(restore_snapshot(&bad_schema).is_err());
         let mut fields = header("martian");
-        fields.push(("count".to_string(), num(0)));
-        assert!(restore_snapshot(&JsonValue::Object(fields)).is_err());
+        fields.push(("count", io::int(0).unwrap()));
+        assert!(restore_snapshot(&io::object(fields)).is_err());
     }
 }

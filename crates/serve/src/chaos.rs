@@ -91,7 +91,7 @@ pub fn write_reply<W: Write>(out: &mut W, reply: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alic_stats::fault::{exclusive, injections, FaultPlan};
+    use alic_stats::fault::{exclusive, exclusive_clean, injections, FaultPlan};
 
     #[test]
     fn chaos_sites_tear_reads_and_replies_deterministically() {
@@ -126,6 +126,10 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_replaced_not_fatal() {
+        // Reads consult the process-global plane; hold it clean so a
+        // concurrently running chaos test cannot tear this read (or lose
+        // its own budget to it).
+        let _guard = exclusive_clean();
         let mut reader = ChaosLines::new(&[0x66u8, 0xff, 0x6f, b'\n'][..]);
         let line = reader.next_line().unwrap().unwrap();
         assert!(line.starts_with('f'));

@@ -334,15 +334,6 @@ pub fn format_cost(cost: f64) -> String {
     format!("{cost:?}")
 }
 
-fn parse_kind(token: &str) -> Option<ParamKind> {
-    match token {
-        "unroll" => Some(ParamKind::Unroll),
-        "cache-tile" => Some(ParamKind::CacheTile),
-        "register-tile" => Some(ParamKind::RegisterTile),
-        _ => None,
-    }
-}
-
 /// Parses a `<space>` token: `spapt` (the named kernel's own SPAPT space)
 /// or comma-joined `<name>:<kind>[:<min>:<max>]` parameter specs.
 ///
@@ -387,7 +378,7 @@ pub fn parse_space(spec: &str, kernel: &str) -> Result<ParameterSpace, ErrReply>
                 context()
             )));
         }
-        let kind = parse_kind(parts[1]).ok_or_else(|| {
+        let kind = ParamKind::from_label(parts[1]).ok_or_else(|| {
             bad(format!(
                 "parameter {:?}: kind must be unroll, cache-tile, or register-tile",
                 context()

@@ -14,10 +14,17 @@
 //! checkpoint*, so the replay recipe becomes "restore the snapshot, then
 //! update once per logged observation" — still a pure function of the
 //! checkpoint bytes, never of the warm store's later contents.
+//!
+//! The checkpoint is built and read with the workspace's JSON codec,
+//! [`alic_data::io`]: the full-range seed is an [`io::hex_u64`] string and
+//! is accepted back only as exactly 16 lowercase hex digits, so a
+//! truncated or re-signed seed is `corrupt` rather than a replay with some
+//! other seed. Any decode failure names the offending field.
 
 use std::collections::HashSet;
 
-use alic_data::io::JsonValue;
+use alic_data::io::{self, JsonValue};
+use alic_data::DataError;
 use alic_model::snapshot::{restore_snapshot, Snapshot};
 use alic_model::spec::SurrogateSpec;
 use alic_model::traits::ActiveSurrogate;
@@ -348,75 +355,56 @@ impl TuningSession {
     /// Returns an `io` error reply if serialization fails (a non-finite
     /// cost cannot enter the log, so this does not happen in practice).
     pub fn to_checkpoint_string(&self) -> Result<String, ErrReply> {
-        let params: Vec<JsonValue> = self
-            .space
-            .params()
-            .iter()
-            .map(|p| {
-                JsonValue::Object(vec![
-                    ("name".to_string(), JsonValue::String(p.name.clone())),
-                    (
-                        "kind".to_string(),
-                        JsonValue::String(p.kind.label().to_string()),
-                    ),
-                    ("min".to_string(), JsonValue::Number(p.min as f64)),
-                    ("max".to_string(), JsonValue::Number(p.max as f64)),
-                ])
-            })
-            .collect();
-        let observations: Vec<JsonValue> = self
-            .log
-            .iter()
-            .map(|(c, y)| {
-                JsonValue::Array(vec![
-                    JsonValue::Array(
-                        c.values()
-                            .iter()
-                            .map(|&v| JsonValue::Number(v as f64))
-                            .collect(),
-                    ),
-                    JsonValue::Number(*y),
-                ])
-            })
-            .collect();
+        let params = self.space.params().iter().map(|p| {
+            io::object([
+                ("name", JsonValue::String(p.name.clone())),
+                ("kind", JsonValue::String(p.kind.label().to_string())),
+                ("min", JsonValue::Number(f64::from(p.min))),
+                ("max", JsonValue::Number(f64::from(p.max))),
+            ])
+        });
+        let observations = self.log.iter().map(|(c, y)| {
+            JsonValue::Array(vec![
+                JsonValue::Array(
+                    c.values()
+                        .iter()
+                        .map(|&v| JsonValue::Number(f64::from(v)))
+                        .collect(),
+                ),
+                JsonValue::Number(*y),
+            ])
+        });
         let mut fields = vec![
-            (
-                "schema".to_string(),
-                JsonValue::String(SESSION_SCHEMA.to_string()),
-            ),
-            ("id".to_string(), JsonValue::String(self.id.clone())),
-            ("kernel".to_string(), JsonValue::String(self.kernel.clone())),
-            (
-                "model".to_string(),
-                JsonValue::String(self.spec.name().to_string()),
-            ),
+            ("schema", JsonValue::String(SESSION_SCHEMA.to_string())),
+            ("id", JsonValue::String(self.id.clone())),
+            ("kernel", JsonValue::String(self.kernel.clone())),
+            ("model", JsonValue::String(self.spec.name().to_string())),
             // Seeds use the full u64 range; hex keeps them exact where a
             // JSON number (f64) would round above 2^53.
-            (
-                "seed".to_string(),
-                JsonValue::String(format!("{:016x}", self.seed)),
-            ),
-            ("space".to_string(), JsonValue::Array(params)),
-            ("observations".to_string(), JsonValue::Array(observations)),
+            ("seed", io::hex_u64(self.seed)),
+            ("space", JsonValue::Array(params.collect())),
+            ("observations", JsonValue::Array(observations.collect())),
         ];
+        let failed =
+            |e: DataError| ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id));
         // Cold checkpoints omit the field entirely, keeping their bytes
         // identical to pre-warm-store builds.
         if let Some(warm) = &self.warm {
             fields.push((
-                "warm".to_string(),
-                JsonValue::Object(vec![
+                "warm",
+                io::object([
                     (
-                        "observations".to_string(),
-                        JsonValue::Number(warm.observations as f64),
+                        "observations",
+                        io::int(warm.observations as u64).map_err(failed)?,
                     ),
-                    ("snapshot".to_string(), warm.snapshot.clone()),
+                    ("snapshot", warm.snapshot.clone()),
                 ]),
             ));
         }
-        let doc = JsonValue::Object(fields);
-        doc.to_json_string()
+        io::object(fields)
+            .to_json_string()
             .map(|s| s + "\n")
-            .map_err(|e| ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id)))
+            .map_err(failed)
     }
 
     /// Restores a session from checkpoint text and replays its log into a
@@ -432,7 +420,7 @@ impl TuningSession {
         let corrupt = |detail: String| ErrReply::new(code::CORRUPT, detail);
         let doc =
             JsonValue::parse(text).map_err(|e| corrupt(format!("unparseable checkpoint: {e}")))?;
-        let mut session = Self::decode(&doc).map_err(corrupt)?;
+        let mut session = Self::decode(&doc).map_err(|e| corrupt(e.to_string()))?;
         session.rebuild().map_err(|e| {
             // A snapshot that no longer restores is damage to the
             // checkpoint itself (quarantined), not a transient model fault.
@@ -452,108 +440,70 @@ impl TuningSession {
         Ok(session)
     }
 
-    fn decode(doc: &JsonValue) -> Result<TuningSession, String> {
-        let field_str = |name: &str| -> Result<String, String> {
-            Ok(doc
-                .field(name)
-                .and_then(|v| v.as_str())
-                .map_err(|e| format!("field {name}: {e}"))?
-                .to_string())
-        };
-        let schema = field_str("schema")?;
+    fn decode(doc: &JsonValue) -> alic_data::Result<TuningSession> {
+        let bad = |message: String| DataError::Parse(message);
+        let schema = io::field_str(doc, "schema")?;
         if schema != SESSION_SCHEMA {
-            return Err(format!("schema {schema:?} (expected {SESSION_SCHEMA:?})"));
+            return Err(bad(format!(
+                "schema {schema:?} (expected {SESSION_SCHEMA:?})"
+            )));
         }
-        let id = field_str("id")?;
-        let kernel = field_str("kernel")?;
-        let model_name = field_str("model")?;
-        let spec = SurrogateSpec::from_name(&model_name)
-            .ok_or_else(|| format!("unknown model family {model_name:?}"))?;
-        let seed_hex = field_str("seed")?;
-        let seed = u64::from_str_radix(&seed_hex, 16).map_err(|_| "seed is not hex".to_string())?;
+        let model_name = io::field_str(doc, "model")?;
+        let spec = SurrogateSpec::from_name(model_name)
+            .ok_or_else(|| bad(format!("unknown model family {model_name:?}")))?;
         let mut params = Vec::new();
-        for p in doc
-            .field("space")
-            .and_then(|v| v.as_array())
-            .map_err(|e| format!("field space: {e}"))?
-        {
-            let name = p
-                .field("name")
-                .and_then(|v| v.as_str())
-                .map_err(|e| format!("space entry: {e}"))?
-                .to_string();
-            let kind_label = p
-                .field("kind")
-                .and_then(|v| v.as_str())
-                .map_err(|e| format!("space entry: {e}"))?;
-            let kind = match kind_label {
-                "unroll" => ParamKind::Unroll,
-                "cache-tile" => ParamKind::CacheTile,
-                "register-tile" => ParamKind::RegisterTile,
-                other => return Err(format!("unknown parameter kind {other:?}")),
-            };
-            let bound = |field: &str| -> Result<u32, String> {
-                let n = p
-                    .field(field)
-                    .and_then(|v| v.as_u64())
-                    .map_err(|e| format!("space entry {name:?}: {e}"))?;
-                u32::try_from(n).map_err(|_| format!("space entry {name:?}: {field} out of range"))
+        for p in io::field_array(doc, "space")? {
+            let name = io::field_str(p, "name")?;
+            let kind = io::field_str(p, "kind")?;
+            let kind = ParamKind::from_label(kind)
+                .ok_or_else(|| bad(format!("unknown parameter kind {kind:?}")))?;
+            let bound = |field: &str| {
+                u32::try_from(io::field_u64(p, field)?)
+                    .map_err(|_| bad(format!("space entry {name:?}: {field} out of range")))
             };
             let (min, max) = (bound("min")?, bound("max")?);
             if min > max {
-                return Err(format!("space entry {name:?}: empty range {min}..={max}"));
+                return Err(bad(format!(
+                    "space entry {name:?}: empty range {min}..={max}"
+                )));
             }
             params.push(ParamSpec::new(name, kind, min, max));
         }
-        let space = ParameterSpace::new(params).map_err(|e| format!("space: {e}"))?;
-        let mut session = TuningSession::new(id, kernel, space, spec, seed);
-        for entry in doc
-            .field("observations")
-            .and_then(|v| v.as_array())
-            .map_err(|e| format!("field observations: {e}"))?
-        {
-            let pair = entry.as_array().map_err(|e| format!("observation: {e}"))?;
-            if pair.len() != 2 {
-                return Err("observation entries are [values, cost] pairs".to_string());
-            }
-            let mut values = Vec::new();
-            for v in pair[0]
-                .as_array()
-                .map_err(|e| format!("observation: {e}"))?
-            {
-                let n = v.as_u64().map_err(|e| format!("observation value: {e}"))?;
-                values.push(
-                    u32::try_from(n).map_err(|_| "observation value out of range".to_string())?,
-                );
-            }
+        let space = ParameterSpace::new(params).map_err(|e| bad(format!("space: {e}")))?;
+        let mut session = TuningSession::new(
+            io::field_str(doc, "id")?,
+            io::field_str(doc, "kernel")?,
+            space,
+            spec,
+            io::field_hex_u64(doc, "seed")?,
+        );
+        for entry in io::field_array(doc, "observations")? {
+            let [values, cost] = entry.as_array()? else {
+                return Err(bad(
+                    "observation entries are [values, cost] pairs".to_string()
+                ));
+            };
+            let values = values
+                .as_array()?
+                .iter()
+                .map(|v| {
+                    u32::try_from(v.as_u64()?)
+                        .map_err(|_| bad("observation value out of range".to_string()))
+                })
+                .collect::<alic_data::Result<Vec<u32>>>()?;
             let config = Configuration::new(values);
             session
                 .space
                 .validate(&config)
-                .map_err(|e| format!("observation outside the space: {e}"))?;
-            let cost = pair[1]
-                .as_f64()
-                .map_err(|e| format!("observation cost: {e}"))?;
-            if !cost.is_finite() {
-                return Err("observation cost is not finite".to_string());
-            }
-            session.log.push((config, cost));
+                .map_err(|e| bad(format!("observation outside the space: {e}")))?;
+            // The parser admits only finite numbers, so the cost is finite.
+            session.log.push((config, cost.as_f64()?));
         }
-        if let JsonValue::Object(fields) = doc {
-            if let Some((_, warm_doc)) = fields.iter().find(|(k, _)| k == "warm") {
-                let observations = warm_doc
-                    .field("observations")
-                    .and_then(|v| v.as_usize())
-                    .map_err(|e| format!("warm: {e}"))?;
-                let snapshot = warm_doc
-                    .field("snapshot")
-                    .map_err(|e| format!("warm: {e}"))?
-                    .clone();
-                session.warm = Some(WarmStart {
-                    snapshot,
-                    observations,
-                });
-            }
+        if let Some(warm) = io::optional_field(doc, "warm") {
+            session.warm = Some(WarmStart {
+                snapshot: warm.field("snapshot")?.clone(),
+                observations: io::field_usize(warm, "observations")?,
+            });
         }
         Ok(session)
     }
@@ -651,6 +601,23 @@ mod tests {
         ] {
             let err = TuningSession::from_checkpoint_str(broken).unwrap_err();
             assert_eq!(err.code, code::CORRUPT, "{broken:?}: {}", err.render());
+        }
+    }
+
+    #[test]
+    fn checkpoint_seeds_must_be_sixteen_lowercase_hex_digits() {
+        // Seed 42 is written as "000000000000002a". A truncated, signed or
+        // re-cased seed must not replay with some other seed.
+        let mut s = small_session(SurrogateSpec::from_name("mean").unwrap());
+        observe(&mut s, vec![2, 2], 1.0);
+        let healthy = s.to_checkpoint_string().unwrap();
+        let written = "\"seed\":\"000000000000002a\"";
+        assert!(healthy.contains(written));
+        for seed in ["2a", "+00000000000002a", "000000000000002A", ""] {
+            let damaged = healthy.replace(written, &format!("\"seed\":\"{seed}\""));
+            let err = TuningSession::from_checkpoint_str(&damaged).unwrap_err();
+            assert_eq!(err.code, code::CORRUPT, "{seed:?}: {}", err.render());
+            assert!(err.render().contains("seed"), "{}", err.render());
         }
     }
 

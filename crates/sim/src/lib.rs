@@ -20,7 +20,7 @@
 //!   to the variance spreads of Table 2,
 //! * a **compile-cost model** ([`cost`]) charging more for heavily unrolled
 //!   code, and
-//! * a [`Profiler`](profiler::Profiler) implementation
+//! * a [`profiler::Profiler`] implementation
 //!   ([`profiler::SimulatedProfiler`]) that exposes exactly the interface an
 //!   iterative-compilation framework sees on real hardware: *compile a
 //!   configuration, run it once, get one noisy runtime*.

@@ -33,6 +33,17 @@ impl ParamKind {
             ParamKind::RegisterTile => "register-tile",
         }
     }
+
+    /// The kind whose [`label`](ParamKind::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<ParamKind> {
+        [
+            ParamKind::Unroll,
+            ParamKind::CacheTile,
+            ParamKind::RegisterTile,
+        ]
+        .into_iter()
+        .find(|kind| kind.label() == label)
+    }
 }
 
 /// One tunable parameter: a named integer with an inclusive range.
@@ -344,6 +355,20 @@ mod tests {
             ParamSpec::new("T_j", ParamKind::CacheTile, 0, 2),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn kind_labels_round_trip_and_unknown_labels_are_rejected() {
+        for kind in [
+            ParamKind::Unroll,
+            ParamKind::CacheTile,
+            ParamKind::RegisterTile,
+        ] {
+            assert_eq!(ParamKind::from_label(kind.label()), Some(kind));
+        }
+        for label in ["", "tile", "Unroll", "cache_tile", "unroll "] {
+            assert_eq!(ParamKind::from_label(label), None, "{label:?}");
+        }
     }
 
     #[test]

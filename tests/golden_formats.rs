@@ -207,7 +207,10 @@ fn warm_store_file_is_pinned() {
 
 fn manifest_spec() -> CampaignSpec {
     CampaignSpec::new(
-        vec![spapt_kernel(SpaptKernel::Mvt), spapt_kernel(SpaptKernel::Lu)],
+        vec![
+            spapt_kernel(SpaptKernel::Mvt),
+            spapt_kernel(SpaptKernel::Lu),
+        ],
         vec![SurrogateSpec::dynatree(30), SurrogateSpec::Mean],
         ComparisonConfig {
             learner: LearnerConfig {
