@@ -441,35 +441,36 @@ impl TuningSession {
     }
 
     fn decode(doc: &JsonValue) -> alic_data::Result<TuningSession> {
-        let bad = |message: String| DataError::Parse(message);
         let schema = io::field_str(doc, "schema")?;
         if schema != SESSION_SCHEMA {
-            return Err(bad(format!(
+            return Err(DataError::Parse(format!(
                 "schema {schema:?} (expected {SESSION_SCHEMA:?})"
             )));
         }
         let model_name = io::field_str(doc, "model")?;
         let spec = SurrogateSpec::from_name(model_name)
-            .ok_or_else(|| bad(format!("unknown model family {model_name:?}")))?;
+            .ok_or_else(|| DataError::Parse(format!("unknown model family {model_name:?}")))?;
         let mut params = Vec::new();
         for p in io::field_array(doc, "space")? {
             let name = io::field_str(p, "name")?;
             let kind = io::field_str(p, "kind")?;
             let kind = ParamKind::from_label(kind)
-                .ok_or_else(|| bad(format!("unknown parameter kind {kind:?}")))?;
+                .ok_or_else(|| DataError::Parse(format!("unknown parameter kind {kind:?}")))?;
             let bound = |field: &str| {
-                u32::try_from(io::field_u64(p, field)?)
-                    .map_err(|_| bad(format!("space entry {name:?}: {field} out of range")))
+                u32::try_from(io::field_u64(p, field)?).map_err(|_| {
+                    DataError::Parse(format!("space entry {name:?}: {field} out of range"))
+                })
             };
             let (min, max) = (bound("min")?, bound("max")?);
             if min > max {
-                return Err(bad(format!(
+                return Err(DataError::Parse(format!(
                     "space entry {name:?}: empty range {min}..={max}"
                 )));
             }
             params.push(ParamSpec::new(name, kind, min, max));
         }
-        let space = ParameterSpace::new(params).map_err(|e| bad(format!("space: {e}")))?;
+        let space =
+            ParameterSpace::new(params).map_err(|e| DataError::Parse(format!("space: {e}")))?;
         let mut session = TuningSession::new(
             io::field_str(doc, "id")?,
             io::field_str(doc, "kernel")?,
@@ -479,8 +480,8 @@ impl TuningSession {
         );
         for entry in io::field_array(doc, "observations")? {
             let [values, cost] = entry.as_array()? else {
-                return Err(bad(
-                    "observation entries are [values, cost] pairs".to_string()
+                return Err(DataError::Parse(
+                    "observation entries are [values, cost] pairs".to_string(),
                 ));
             };
             let values = values
@@ -488,14 +489,14 @@ impl TuningSession {
                 .iter()
                 .map(|v| {
                     u32::try_from(v.as_u64()?)
-                        .map_err(|_| bad("observation value out of range".to_string()))
+                        .map_err(|_| DataError::Parse("observation value out of range".to_string()))
                 })
                 .collect::<alic_data::Result<Vec<u32>>>()?;
             let config = Configuration::new(values);
             session
                 .space
                 .validate(&config)
-                .map_err(|e| bad(format!("observation outside the space: {e}")))?;
+                .map_err(|e| DataError::Parse(format!("observation outside the space: {e}")))?;
             // The parser admits only finite numbers, so the cost is finite.
             session.log.push((config, cost.as_f64()?));
         }
