@@ -203,16 +203,20 @@ impl ComparisonOutcome {
 ///
 /// Since the campaign-runner refactor this is a thin wrapper over a
 /// single-kernel, single-model [`CampaignSpec`](crate::runner::CampaignSpec):
-/// one work unit per `(plan, repetition)` pair, executed on the
-/// work-stealing pool with deterministic per-unit derived seeds
-/// ([`runner::execute_unit`](crate::runner::execute_unit)), then folded by
-/// the pure merge step [`assemble_outcome`]. Larger matrices — many kernels,
-/// many model families, sharded across processes with on-disk checkpoints —
-/// use the [`runner`](crate::runner) API directly.
+/// one work unit per `(plan, repetition)` pair, executed by
+/// [`runner::execute_units`](crate::runner::execute_units) on the
+/// work-stealing pool with deterministic per-unit derived seeds, then folded
+/// by the pure merge step [`assemble_outcome`]. Larger matrices — many
+/// kernels, many model families, sharded across processes with on-disk
+/// checkpoints — use the [`runner`](crate::runner) API directly.
 ///
 /// # Errors
 ///
-/// Propagates learner errors (for example inconsistent configurations).
+/// Returns [`CoreError::InvalidConfig`](crate::CoreError::InvalidConfig) for
+/// a configuration without plans or repetitions, and
+/// [`CoreError::Campaign`](crate::CoreError::Campaign) when a unit fails every
+/// execution attempt (panics and transient faults heal by re-execution, as
+/// in [`runner::run_campaign`](crate::runner::run_campaign)).
 pub fn compare_plans(spec: &KernelSpec, config: &ComparisonConfig) -> Result<ComparisonOutcome> {
     let campaign = crate::runner::CampaignSpec::single(spec.clone(), config.clone());
     let report = crate::runner::run_campaign(&campaign)?;
@@ -224,9 +228,8 @@ pub fn compare_plans(spec: &KernelSpec, config: &ComparisonConfig) -> Result<Com
     Ok(entry.outcome)
 }
 
-/// The pure merge step of a plan comparison: folds the flat run list of one
-/// `(kernel, model)` cell — plan-major, repetitions in ascending order, as
-/// produced by the campaign unit layout — into averaged curves and the
+/// The pure merge step of a plan comparison: folds the runs of one
+/// `(kernel, model)` cell, grouped per plan, into averaged curves and the
 /// Table 1 statistics.
 ///
 /// Being a pure function of the unit results, it can run long after (and on
@@ -235,30 +238,11 @@ pub fn compare_plans(spec: &KernelSpec, config: &ComparisonConfig) -> Result<Com
 /// which is what makes sharded-and-merged campaigns byte-identical to
 /// single-process runs.
 ///
-/// Runs beyond `plans × repetitions` are ignored; missing runs yield empty
-/// plan results (campaign merges validate completeness before calling this).
+/// A group may hold *fewer* than `config.repetitions` runs: when a work unit
+/// failed every healing pass, the resilient campaign merge
+/// ([`assemble_report_with_failures`](crate::runner::assemble_report_with_failures))
+/// still assembles its cell from the surviving repetitions.
 pub fn assemble_outcome(
-    kernel: &str,
-    config: &ComparisonConfig,
-    all_runs: Vec<LearnerRun>,
-) -> ComparisonOutcome {
-    let mut runs_iter = all_runs.into_iter();
-    let plan_runs: Vec<(SamplingPlan, Vec<LearnerRun>)> = config
-        .plans
-        .iter()
-        .map(|&plan| (plan, runs_iter.by_ref().take(config.repetitions).collect()))
-        .collect();
-    assemble_outcome_grouped(kernel, config, plan_runs)
-}
-
-/// [`assemble_outcome`] for runs already grouped per plan, possibly with
-/// *fewer* than `config.repetitions` runs in a group. This is the partial-cell
-/// path of the resilient campaign merge
-/// ([`assemble_report_with_failures`](crate::runner::assemble_report_with_failures)):
-/// when a work unit failed every healing pass, its cell is still assembled
-/// from the surviving repetitions. For full groups the result is identical to
-/// [`assemble_outcome`] (which delegates here).
-pub fn assemble_outcome_grouped(
     kernel: &str,
     config: &ComparisonConfig,
     plan_runs: Vec<(SamplingPlan, Vec<LearnerRun>)>,

@@ -36,9 +36,9 @@ use alic_stats::summary::OnlineStats;
 use alic_stats::FeatureMatrix;
 
 use crate::acquisition::Acquisition;
+use crate::cost::CostLedger;
 use crate::criteria::CompletionCriteria;
 use crate::curve::{CurvePoint, LearningCurve};
-use crate::ledger::CostLedger;
 use crate::plan::SamplingPlan;
 use crate::{CoreError, Result};
 

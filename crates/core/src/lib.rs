@@ -56,12 +56,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod acquisition;
+pub mod cost;
 pub mod criteria;
 pub mod curve;
 pub mod experiment;
 pub mod fault;
 pub mod learner;
-pub mod ledger;
 pub mod plan;
 pub mod runner;
 pub mod warmstore;
@@ -73,11 +73,11 @@ pub use alic_stats::policy;
 /// Convenient re-exports of the types needed to drive the learner.
 pub mod prelude {
     pub use crate::acquisition::Acquisition;
+    pub use crate::cost::CostLedger;
     pub use crate::criteria::CompletionCriteria;
     pub use crate::curve::{CurvePoint, LearningCurve};
     pub use crate::experiment::{ComparisonConfig, ComparisonOutcome, PlanResult};
     pub use crate::learner::{ActiveLearner, LearnerConfig, LearnerRun};
-    pub use crate::ledger::CostLedger;
     pub use crate::plan::SamplingPlan;
     pub use crate::runner::{CampaignLedger, CampaignReport, CampaignSpec};
     pub use crate::CoreError;
@@ -85,9 +85,9 @@ pub mod prelude {
 }
 
 pub use acquisition::Acquisition;
+pub use cost::CostLedger;
 pub use curve::{CurvePoint, LearningCurve};
 pub use learner::{ActiveLearner, LearnerConfig, LearnerRun};
-pub use ledger::CostLedger;
 pub use plan::SamplingPlan;
 
 /// Errors produced by the active-learning crate.
@@ -108,8 +108,8 @@ pub enum CoreError {
         available: usize,
     },
     /// Campaign orchestration failed: an incomplete ledger was merged, a
-    /// ledger belongs to a differently configured campaign, or a
-    /// checkpointed record is corrupt.
+    /// ledger belongs to a differently configured campaign, a checkpointed
+    /// record is corrupt, or a work unit failed every execution attempt.
     Campaign(String),
     /// The evaluator failed transiently (a flaky device, an injected chaos
     /// fault); the failed work is safe to retry.

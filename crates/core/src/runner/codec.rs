@@ -25,10 +25,10 @@
 use alic_data::io::{self, int, JsonValue};
 use alic_stats::summary::OnlineStats;
 
+use crate::cost::CostLedger;
 use crate::curve::{AveragedCurve, CurvePoint, LearningCurve};
 use crate::experiment::{ComparisonOutcome, PlanResult};
 use crate::learner::{ExampleRecord, LearnerRun};
-use crate::ledger::CostLedger;
 use crate::plan::SamplingPlan;
 use crate::runner::{CampaignEntry, CampaignReport, UnitFailure, UnitRecord};
 use crate::{CoreError, Result};

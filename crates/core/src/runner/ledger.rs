@@ -464,6 +464,14 @@ mod tests {
     use super::*;
     use crate::runner::tests::tiny_campaign;
     use crate::runner::{assemble_report, execute_units, run_campaign};
+    use alic_model::traits::ActiveSurrogate;
+
+    /// Executes `indices` into `ledger`; every unit must complete.
+    fn execute_into(spec: &CampaignSpec, ledger: &CampaignLedger, indices: &[usize]) {
+        let sink = |record: &UnitRecord, _: &dyn ActiveSurrogate| ledger.record(record);
+        let outcome = execute_units(spec, indices, &sink).unwrap();
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    }
 
     fn temp_dir(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -481,8 +489,7 @@ mod tests {
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
 
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &indices, &sink).unwrap();
+        execute_into(&spec, &ledger, &indices);
 
         // A stray torn tmp file from a kill must not confuse the ledger.
         fs::write(dir.join("units").join("unit-000001.json.tmp"), "{gar").unwrap();
@@ -509,8 +516,7 @@ mod tests {
         let spec = tiny_campaign();
         let dir = temp_dir("incomplete");
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
-        let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &[0, 2, 5], &sink).unwrap();
+        execute_into(&spec, &ledger, &[0, 2, 5]);
 
         assert_eq!(
             ledger
@@ -570,8 +576,7 @@ mod tests {
         let spec = tiny_campaign();
         let dir = temp_dir("manifest-heal");
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
-        let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &[0, 1], &sink).unwrap();
+        execute_into(&spec, &ledger, &[0, 1]);
         let healthy = fs::read_to_string(ledger.manifest_path()).unwrap();
 
         for broken in [&healthy[..healthy.len() / 2], ""] {
@@ -604,8 +609,7 @@ mod tests {
         let dir = temp_dir("report-heal");
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &indices, &sink).unwrap();
+        execute_into(&spec, &ledger, &indices);
         let report = assemble_report(&spec, ledger.load_all(&spec).unwrap()).unwrap();
         let path = ledger.write_report(&report).unwrap();
         let healthy = fs::read_to_string(&path).unwrap();
@@ -634,8 +638,7 @@ mod tests {
         let dir = temp_dir("recover");
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &indices, &sink).unwrap();
+        execute_into(&spec, &ledger, &indices);
         let baseline = assemble_report(&spec, ledger.load_all(&spec).unwrap()).unwrap();
 
         // Damage three records three different ways: garbage, truncation,
@@ -658,7 +661,7 @@ mod tests {
 
         // Re-executing exactly the quarantined units completes the campaign
         // with a byte-identical report.
-        execute_units(&spec, &recovery.quarantined, &sink).unwrap();
+        execute_into(&spec, &ledger, &recovery.quarantined);
         let healed = assemble_report(&spec, ledger.load_all(&spec).unwrap()).unwrap();
         assert_eq!(
             healed.to_json_string().unwrap(),
@@ -676,8 +679,7 @@ mod tests {
         fs::write(dir.join("units").join("unit-000000.json"), "{broken").unwrap();
         assert!(ledger.load_unit(0).is_err());
         // A record whose body disagrees with its file name is corruption too.
-        let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &[3], &sink).unwrap();
+        execute_into(&spec, &ledger, &[3]);
         fs::copy(
             dir.join("units").join("unit-000003.json"),
             dir.join("units").join("unit-000004.json"),

@@ -27,13 +27,28 @@
 //!   in final float ulps.
 //!
 //! Curve averaging and the Table 1 statistics are a *pure merge step* over
-//! unit records ([`assemble_report`] →
-//! [`assemble_outcome`](crate::experiment::assemble_outcome)), so they can
+//! unit records ([`assemble_report`] → [`assemble_outcome`]), so they can
 //! run long after — and on a different machine than — the units themselves.
 //!
 //! [`compare_plans`](crate::experiment::compare_plans), the experiment
 //! binaries (`table1`, `fig5`, `fig6`, `ablation`) and the `campaign` CLI
 //! all execute through this module.
+//!
+//! # Entry points
+//!
+//! * [`execute_unit`] runs one unit and returns its run and trained
+//!   surrogate. Only the executor calls it.
+//! * [`execute_units`] is the one executor. Every unit runs panic-isolated
+//!   with up to [`UNIT_ATTEMPTS`] attempts, and a checkpoint callback sees
+//!   each completed record and model. Units that fail every attempt come
+//!   back as [`UnitFailure`]s.
+//! * [`run_campaign`] runs a whole matrix in memory through the executor and
+//!   merges it; a unit that still fails is a [`CoreError::Campaign`].
+//! * [`heal_campaign`] drives the executor against a [`CampaignLedger`],
+//!   alternating passes with recovery scans of the on-disk records.
+//! * [`assemble_report`] is the pure merge step over unit records.
+//! * [`map_units`] is the order-preserving parallel map beneath the
+//!   executor, for experiment stages with their own unit shape.
 //!
 //! # Quickstart
 //!
@@ -91,12 +106,13 @@ use rayon::prelude::*;
 
 use alic_data::dataset::Dataset;
 use alic_data::split::TrainTestSplit;
+use alic_model::traits::ActiveSurrogate;
 use alic_model::SurrogateSpec;
 use alic_sim::kernel::KernelSpec;
 use alic_sim::profiler::SimulatedProfiler;
 use alic_stats::rng::derive_seed;
 
-use crate::experiment::{assemble_outcome_grouped, ComparisonConfig, ComparisonOutcome};
+use crate::experiment::{assemble_outcome, ComparisonConfig, ComparisonOutcome};
 use crate::learner::{ActiveLearner, LearnerConfig, LearnerRun};
 use crate::plan::SamplingPlan;
 use crate::{CoreError, Result};
@@ -310,7 +326,9 @@ impl KernelContext {
 
 /// Executes one work unit: builds the unit's profiler, learner and surrogate
 /// from seeds derived deterministically from the campaign seed and the
-/// repetition number, and runs Algorithm 1.
+/// repetition number, and runs Algorithm 1. Returns the unit's run together
+/// with its trained surrogate, which [`execute_units`] hands to its
+/// checkpoint callback (the warm-store harvest snapshots it).
 ///
 /// The derivation matches the pre-runner `compare_plans` exactly (repetition
 /// seeds shared across plans, models and kernels), so paired comparisons
@@ -319,25 +337,11 @@ impl KernelContext {
 /// # Errors
 ///
 /// Propagates learner errors (for example inconsistent configurations).
-pub fn execute_unit(spec: &CampaignSpec, ctx: &KernelContext, key: UnitKey) -> Result<LearnerRun> {
-    execute_unit_capturing(spec, ctx, key).map(|(run, _)| run)
-}
-
-/// [`execute_unit`] variant that also hands back the trained surrogate —
-/// the warm-store harvest path, where the model itself (not just the run
-/// statistics) is the artifact of interest.
-///
-/// # Errors
-///
-/// Propagates learner errors (for example inconsistent configurations).
-pub fn execute_unit_capturing(
+pub fn execute_unit(
     spec: &CampaignSpec,
     ctx: &KernelContext,
     key: UnitKey,
-) -> Result<(
-    LearnerRun,
-    Box<dyn alic_model::traits::ActiveSurrogate + Send>,
-)> {
+) -> Result<(LearnerRun, Box<dyn ActiveSurrogate + Send>)> {
     let unit = spec.index_of(key);
     // Chaos sites for unit execution: a transient whole-unit evaluator
     // error, and a mid-unit panic. Both are inert without an installed
@@ -363,8 +367,8 @@ pub fn execute_unit_capturing(
     Ok((run, model))
 }
 
-/// Order-preserving work-stealing parallel map — the executor primitive
-/// beneath [`execute_units`], exposed so experiment stages with their own
+/// Order-preserving work-stealing parallel map — the primitive beneath
+/// [`execute_units`], exposed so experiment stages with their own
 /// unit shape (for example Table 2's per-kernel noise rows) run on the same
 /// pool. Results are written back by index, so the output is independent of
 /// the thread count and scheduling order.
@@ -375,73 +379,6 @@ where
     F: Fn(&I) -> T + Sync + Send,
 {
     items.par_iter().map(f).collect()
-}
-
-/// Executes the given unit indices on the work-stealing pool, invoking
-/// `checkpoint` for every completed unit (the on-disk ledger passes
-/// [`CampaignLedger::record`]; in-memory callers pass a no-op).
-///
-/// Kernel contexts (dataset + split) are prepared once per distinct kernel
-/// appearing in `indices`, in parallel, before any unit runs.
-///
-/// # Errors
-///
-/// Returns the first unit execution or checkpoint error.
-pub fn execute_units<F>(
-    spec: &CampaignSpec,
-    indices: &[usize],
-    checkpoint: &F,
-) -> Result<Vec<UnitRecord>>
-where
-    F: Fn(&UnitRecord) -> Result<()> + Sync,
-{
-    let contexts = UnitContexts::prepare(spec, indices)?;
-    indices
-        .par_iter()
-        .map(|&index| {
-            let key = spec.unit(index);
-            let run = execute_unit(spec, contexts.for_kernel(key.kernel), key)?;
-            let record = make_record(spec, index, key, run);
-            checkpoint(&record)?;
-            Ok(record)
-        })
-        .collect()
-}
-
-/// The per-kernel contexts shared by every unit of one executor call.
-struct UnitContexts {
-    kernel_ids: Vec<usize>,
-    contexts: Vec<KernelContext>,
-}
-
-impl UnitContexts {
-    fn prepare(spec: &CampaignSpec, indices: &[usize]) -> Result<Self> {
-        spec.validate()?;
-        let count = spec.unit_count();
-        if let Some(&bad) = indices.iter().find(|&&i| i >= count) {
-            return Err(CoreError::InvalidConfig(format!(
-                "unit index {bad} out of range (campaign has {count} units)"
-            )));
-        }
-        let mut kernel_ids: Vec<usize> = indices.iter().map(|&i| spec.unit(i).kernel).collect();
-        kernel_ids.sort_unstable();
-        kernel_ids.dedup();
-        let contexts: Vec<KernelContext> = map_units(&kernel_ids, |&k| {
-            KernelContext::prepare(&spec.kernels[k], &spec.base)
-        });
-        Ok(UnitContexts {
-            kernel_ids,
-            contexts,
-        })
-    }
-
-    fn for_kernel(&self, kernel: usize) -> &KernelContext {
-        let slot = self
-            .kernel_ids
-            .binary_search(&kernel)
-            .expect("context prepared for every kernel in the unit set");
-        &self.contexts[slot]
-    }
 }
 
 fn make_record(spec: &CampaignSpec, index: usize, key: UnitKey, run: LearnerRun) -> UnitRecord {
@@ -455,7 +392,7 @@ fn make_record(spec: &CampaignSpec, index: usize, key: UnitKey, run: LearnerRun)
     }
 }
 
-/// One work unit the resilient executor could not complete, after bounded
+/// One work unit [`execute_units`] could not complete, after bounded
 /// re-execution. Recorded in [`CampaignReport::failures`] instead of killing
 /// the campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -472,7 +409,7 @@ pub struct UnitFailure {
     pub attempts: usize,
 }
 
-/// What a resilient execution pass produced: the completed records plus the
+/// What one [`execute_units`] pass produced: the completed records plus the
 /// units that kept failing.
 #[derive(Debug)]
 pub struct ExecutionOutcome {
@@ -482,8 +419,26 @@ pub struct ExecutionOutcome {
     pub failures: Vec<UnitFailure>,
 }
 
-/// Execution attempts per unit within one resilient pass (the first run plus
-/// bounded re-execution). Transient faults — injected chaos, a flaky
+impl ExecutionOutcome {
+    /// The completed records of a pass that must not lose any unit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Campaign`] naming the first failed unit, its last
+    /// error and its attempt count.
+    pub fn complete(self) -> Result<Vec<UnitRecord>> {
+        match self.failures.first() {
+            Some(f) => Err(CoreError::Campaign(format!(
+                "unit {} ({}, {}) failed after {} attempts: {}",
+                f.index, f.kernel, f.model, f.attempts, f.error
+            ))),
+            None => Ok(self.records),
+        }
+    }
+}
+
+/// Execution attempts per unit within one [`execute_units`] pass (the first
+/// run plus bounded re-execution). Transient faults — injected chaos, a flaky
 /// evaluator — heal within this budget; deterministic errors fail fast into
 /// a [`UnitFailure`].
 pub const UNIT_ATTEMPTS: usize = 3;
@@ -498,26 +453,47 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Panic-isolated, failure-tolerant variant of [`execute_units`]: every unit
-/// runs inside `catch_unwind`, so one panicking unit (or a transient
-/// evaluator/checkpoint error) becomes a [`UnitFailure`] after
-/// [`UNIT_ATTEMPTS`] bounded re-executions instead of poisoning the whole
-/// campaign. Completed units are checkpointed exactly as in
-/// [`execute_units`].
+/// The one unit executor: runs the given unit indices on the work-stealing
+/// pool and invokes `checkpoint` with every completed unit's record and
+/// trained surrogate. The on-disk ledger records the former
+/// ([`heal_campaign`]), the warm-store harvest snapshots the latter, and
+/// in-memory callers ([`run_campaign`]) pass a no-op.
+///
+/// Kernel contexts (dataset + split) are prepared once per distinct kernel
+/// appearing in `indices`, in parallel, before any unit runs. Every unit runs
+/// inside `catch_unwind`, so a panicking unit (or a transient
+/// evaluator/checkpoint error) is re-executed up to [`UNIT_ATTEMPTS`] times
+/// and then becomes a [`UnitFailure`] instead of poisoning the whole pass.
 ///
 /// # Errors
 ///
 /// Returns an error only for an invalid campaign or out-of-range indices;
 /// unit-level problems are reported in the outcome, never as an `Err`.
-pub fn execute_units_resilient<F>(
+pub fn execute_units<F>(
     spec: &CampaignSpec,
     indices: &[usize],
     checkpoint: &F,
 ) -> Result<ExecutionOutcome>
 where
-    F: Fn(&UnitRecord) -> Result<()> + Sync,
+    F: Fn(&UnitRecord, &dyn ActiveSurrogate) -> Result<()> + Sync,
 {
-    let contexts = UnitContexts::prepare(spec, indices)?;
+    spec.validate()?;
+    let count = spec.unit_count();
+    if let Some(&bad) = indices.iter().find(|&&i| i >= count) {
+        return Err(CoreError::InvalidConfig(format!(
+            "unit index {bad} out of range (campaign has {count} units)"
+        )));
+    }
+    let mut kernel_ids: Vec<usize> = indices.iter().map(|&i| spec.unit(i).kernel).collect();
+    kernel_ids.sort_unstable();
+    kernel_ids.dedup();
+    let contexts: Vec<KernelContext> = map_units(&kernel_ids, |&k| {
+        KernelContext::prepare(&spec.kernels[k], &spec.base)
+    });
+    let context_for = |kernel: usize| match kernel_ids.binary_search(&kernel) {
+        Ok(slot) => &contexts[slot],
+        Err(_) => unreachable!("context prepared for every kernel in the unit set"),
+    };
     let results: Vec<std::result::Result<UnitRecord, UnitFailure>> = indices
         .par_iter()
         .map(|&index| {
@@ -526,9 +502,9 @@ where
             for _ in 0..UNIT_ATTEMPTS {
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || -> Result<UnitRecord> {
-                        let run = execute_unit(spec, contexts.for_kernel(key.kernel), key)?;
+                        let (run, model) = execute_unit(spec, context_for(key.kernel), key)?;
                         let record = make_record(spec, index, key, run);
-                        checkpoint(&record)?;
+                        checkpoint(&record, &*model)?;
                         Ok(record)
                     },
                 ));
@@ -587,9 +563,9 @@ impl HealOutcome {
 }
 
 /// The self-healing campaign driver: executes `indices` against `ledger`
-/// with the panic-isolated executor, then alternates recovery scans
-/// (quarantining corrupt on-disk records) with re-execution of whatever
-/// failed or was quarantined, for up to [`HEAL_PASSES`] passes.
+/// through [`execute_units`], then alternates recovery scans (quarantining
+/// corrupt on-disk records) with re-execution of whatever failed or was
+/// quarantined, for up to [`HEAL_PASSES`] passes.
 ///
 /// Against a *bounded* adversary (transient faults, or the chaos plane with
 /// per-site budgets) this converges: every pass re-runs only the units that
@@ -606,7 +582,7 @@ pub fn heal_campaign(
     ledger: &CampaignLedger,
     indices: &[usize],
 ) -> Result<HealOutcome> {
-    let checkpoint = |record: &UnitRecord| ledger.record(record);
+    let checkpoint = |record: &UnitRecord, _: &dyn ActiveSurrogate| ledger.record(record);
     let mut outcome = HealOutcome {
         passes: 0,
         quarantined: 0,
@@ -616,7 +592,7 @@ pub fn heal_campaign(
     let mut to_run: Vec<usize> = indices.to_vec();
     for _ in 0..HEAL_PASSES {
         outcome.passes += 1;
-        let pass = execute_units_resilient(spec, &to_run, &checkpoint)?;
+        let pass = execute_units(spec, &to_run, &checkpoint)?;
         // Verify what actually landed on disk: a torn unit write reports
         // success but leaves a record the recovery scan rejects.
         let recovery = ledger.recover(spec)?;
@@ -721,7 +697,7 @@ impl CampaignReport {
 /// The pure merge step: validates that `records` cover the campaign's full
 /// unit matrix and folds them — grouped per `(kernel, model)` cell, plans
 /// and repetitions in campaign order — into averaged curves and Table 1
-/// statistics via [`assemble_outcome`](crate::experiment::assemble_outcome).
+/// statistics via [`assemble_outcome`].
 ///
 /// Records may arrive in any order (they are sorted by unit index), so
 /// shards can be merged from any interleaving.
@@ -741,8 +717,8 @@ pub fn assemble_report(spec: &CampaignSpec, records: Vec<UnitRecord>) -> Result<
 /// curve and the cell's Table 1 statistics would silently degenerate.
 ///
 /// Surviving cells are assembled from their remaining repetitions via
-/// [`crate::experiment::assemble_outcome_grouped`];
-/// with an empty failure list this is exactly [`assemble_report`].
+/// [`assemble_outcome`]; with an empty failure list this is exactly
+/// [`assemble_report`].
 ///
 /// # Errors
 ///
@@ -831,7 +807,7 @@ pub fn assemble_report_with_failures(
             entries.push(CampaignEntry {
                 model: model.name().to_string(),
                 kernel: kernel.name().to_string(),
-                outcome: assemble_outcome_grouped(kernel.name(), &spec.base, plan_runs),
+                outcome: assemble_outcome(kernel.name(), &spec.base, plan_runs),
             });
         }
     }
@@ -849,17 +825,20 @@ pub fn assemble_report_with_failures(
     })
 }
 
-/// Runs a whole campaign in memory — every unit on the work-stealing pool,
+/// Runs a whole campaign in memory — every unit through [`execute_units`],
 /// no ledger — and merges the results. This is the path the classic
 /// experiment entry points ([`compare_plans`](crate::experiment::compare_plans),
-/// `table1::run_for_kernels_with`) go through.
+/// `table1::run_for_kernels_with`) go through. Panics and transient faults
+/// heal by re-execution exactly as in a ledger-backed campaign.
 ///
 /// # Errors
 ///
-/// Propagates unit execution and merge errors.
+/// Returns [`CoreError::InvalidConfig`] for an invalid campaign, and
+/// [`CoreError::Campaign`] naming the first unit that failed all
+/// [`UNIT_ATTEMPTS`] attempts, with its last error.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport> {
     let indices: Vec<usize> = (0..spec.unit_count()).collect();
-    let records = execute_units(spec, &indices, &|_| Ok(()))?;
+    let records = execute_units(spec, &indices, &|_, _| Ok(()))?.complete()?;
     assemble_report(spec, records)
 }
 
@@ -908,6 +887,13 @@ mod tests {
             grid_resolution: 30,
             seed: 5,
         }
+    }
+
+    /// Runs `indices` with a no-op checkpoint; every unit must complete.
+    fn run_units(spec: &CampaignSpec, indices: &[usize]) -> Vec<UnitRecord> {
+        let outcome = execute_units(spec, indices, &|_, _| Ok(())).unwrap();
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        outcome.records
     }
 
     pub(crate) fn tiny_campaign() -> CampaignSpec {
@@ -993,7 +979,7 @@ mod tests {
         let spec = tiny_campaign();
         let bad = vec![spec.unit_count()];
         assert!(matches!(
-            execute_units(&spec, &bad, &|_| Ok(())),
+            execute_units(&spec, &bad, &|_, _| Ok(())),
             Err(CoreError::InvalidConfig(_))
         ));
     }
@@ -1026,8 +1012,8 @@ mod tests {
         // Execute the units in reverse order, in two calls, and merge.
         let mut indices: Vec<usize> = (0..spec.unit_count()).rev().collect();
         let (first, second) = indices.split_at_mut(5);
-        let mut records = execute_units(&spec, first, &|_| Ok(())).unwrap();
-        records.extend(execute_units(&spec, second, &|_| Ok(())).unwrap());
+        let mut records = run_units(&spec, first);
+        records.extend(run_units(&spec, second));
         let merged = assemble_report(&spec, records).unwrap();
 
         assert_eq!(merged, baseline);
@@ -1041,7 +1027,7 @@ mod tests {
     fn assemble_report_rejects_missing_and_foreign_units() {
         let spec = tiny_campaign();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let records = execute_units(&spec, &indices, &|_| Ok(())).unwrap();
+        let records = run_units(&spec, &indices);
 
         let mut missing = records.clone();
         missing.pop();
@@ -1059,26 +1045,12 @@ mod tests {
     }
 
     #[test]
-    fn resilient_executor_without_faults_matches_the_plain_executor() {
-        let spec = tiny_campaign();
-        let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let plain = execute_units(&spec, &indices, &|_| Ok(())).unwrap();
-        let outcome = execute_units_resilient(&spec, &indices, &|_| Ok(())).unwrap();
-        assert!(outcome.failures.is_empty());
-        assert_eq!(outcome.records, plain);
-        assert!(matches!(
-            execute_units_resilient(&spec, &[spec.unit_count()], &|_| Ok(())),
-            Err(CoreError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
     fn resilient_executor_isolates_panics_and_retries_transient_errors() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let spec = tiny_campaign();
         let indices: Vec<usize> = (0..8).collect();
         let transient_denials = AtomicUsize::new(2);
-        let checkpoint = |record: &UnitRecord| match record.index {
+        let checkpoint = |record: &UnitRecord, _: &dyn ActiveSurrogate| match record.index {
             3 => panic!("chaos monkey in the checkpoint"),
             5 => Err(CoreError::Evaluator("persistently flaky".to_string())),
             7 => {
@@ -1094,7 +1066,7 @@ mod tests {
             }
             _ => Ok(()),
         };
-        let outcome = execute_units_resilient(&spec, &indices, &checkpoint).unwrap();
+        let outcome = execute_units(&spec, &indices, &checkpoint).unwrap();
         let failed: Vec<usize> = outcome.failures.iter().map(|f| f.index).collect();
         assert_eq!(failed, vec![3, 5]);
         for failure in &outcome.failures {
@@ -1111,7 +1083,7 @@ mod tests {
     fn assemble_report_with_failures_uses_surviving_repetitions() {
         let spec = tiny_campaign();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let records = execute_units(&spec, &indices, &|_| Ok(())).unwrap();
+        let records = run_units(&spec, &indices);
         let baseline = assemble_report(&spec, records.clone()).unwrap();
 
         // Fail one repetition of cell (alpha, dynatree), plan 0; the group's

@@ -7,7 +7,7 @@
 //! ```text
 //! campaign [quick|laptop|full] [--model m1,m2,...] [--kernels k1,k2,...]
 //!          [--dir PATH] [--shard i/n] [--resume] [--merge]
-//!          [--chaos seed:site=rate[xbudget],...]
+//!          [--chaos seed:site=rate[xbudget],...] [--warm-store PATH]
 //! ```
 //!
 //! * Without `--shard`/`--merge`, it runs every unit of the matrix,
@@ -29,9 +29,12 @@
 //! invariant enforced by `tests/campaign_resume.rs` and the CI
 //! `campaign-smoke` job.
 //!
-//! Units always run through the self-healing executor
-//! ([`runner::heal_campaign`]): panicking units are isolated and re-executed,
+//! Units always run through the runner's one self-healing executor
+//! ([`runner::execute_units`], driven against the ledger by
+//! [`runner::heal_campaign`]): panicking units are isolated and re-executed,
 //! corrupt on-disk records are quarantined to `*.corrupt` and regenerated.
+//! The `--warm-store` harvest, which re-executes one unit per kernel × model
+//! to capture its trained surrogate, goes through the same executor.
 //! `--chaos seed:spec` (or the `ALIC_CHAOS` environment variable) installs a
 //! deterministic fault-injection plan — see [`alic_core::fault`] — under
 //! which the healed report must still come out byte-identical; the CI
@@ -41,6 +44,7 @@ use std::path::PathBuf;
 
 use alic_core::runner::{self, CampaignLedger, CampaignReport, CampaignSpec};
 use alic_core::{CoreError, Result};
+use alic_model::traits::ActiveSurrogate;
 use alic_model::SurrogateSpec;
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 
@@ -365,31 +369,46 @@ pub fn run(options: &CampaignOptions) -> Result<()> {
 }
 
 /// Trains (deterministically re-executes) one representative unit per
-/// kernel × model and offers each trained surrogate to the warm store under
-/// the `"campaign"` noise regime. Families without snapshot support are
-/// skipped silently.
+/// kernel × model — plan 0, repetition 0 — through the one executor
+/// [`runner::execute_units`], so harvest units retry and isolate panics like
+/// every other unit, and offers each trained surrogate to the warm store
+/// under the `"campaign"` noise regime. Families without snapshot support
+/// are skipped silently.
 fn harvest_warm_store(spec: &CampaignSpec, path: &std::path::Path) -> Result<()> {
     use alic_core::warmstore::{WarmKey, WarmStore};
+    use alic_model::snapshot::Snapshot;
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
+    // Plan 0, repetition 0 is the first unit of each (kernel, model) cell.
+    let cell_units = spec.base.plans.len() * spec.base.repetitions;
+    let cells = spec.kernels.len() * spec.models.len();
+    let indices: Vec<usize> = (0..cells).map(|cell| cell * cell_units).collect();
+    // Snapshots keyed by unit index; a retried unit overwrites its own
+    // entry with identical bytes.
+    let snapshots: Mutex<BTreeMap<usize, (usize, Snapshot)>> = Mutex::default();
+    let capture = |record: &runner::UnitRecord, model: &dyn ActiveSurrogate| {
+        if let Ok(snapshot) = model.snapshot() {
+            snapshots
+                .lock()
+                .expect("snapshot map poisoned")
+                .insert(record.index, (model.observation_count(), snapshot));
+        }
+        Ok(())
+    };
+    runner::execute_units(spec, &indices, &capture)?.complete()?;
+
+    // Insert in index (kernel-major) order: the store's two-slot
+    // displacement depends on insertion order.
     let mut store = WarmStore::open(path);
     let mut harvested = 0usize;
-    for (kernel_index, kernel) in spec.kernels.iter().enumerate() {
-        let ctx = runner::KernelContext::prepare(kernel, &spec.base);
-        for (model_index, model_spec) in spec.models.iter().enumerate() {
-            let key = runner::UnitKey {
-                kernel: kernel_index,
-                model: model_index,
-                plan: 0,
-                repetition: 0,
-            };
-            let (_, model) = runner::execute_unit_capturing(spec, &ctx, key)?;
-            let Ok(snapshot) = model.snapshot() else {
-                continue;
-            };
-            let warm_key =
-                WarmKey::new(kernel.name(), kernel.space(), model_spec.name(), "campaign");
-            if store.insert(&warm_key, model.observation_count(), snapshot) {
-                harvested += 1;
-            }
+    for (index, (observations, snapshot)) in snapshots.into_inner().expect("snapshot map poisoned")
+    {
+        let key = spec.unit(index);
+        let kernel = &spec.kernels[key.kernel];
+        let model = spec.models[key.model].name();
+        let warm_key = WarmKey::new(kernel.name(), kernel.space(), model, "campaign");
+        if store.insert(&warm_key, observations, snapshot) {
+            harvested += 1;
         }
     }
     store.save()?;

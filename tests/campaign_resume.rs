@@ -21,6 +21,7 @@ use alic::core::learner::LearnerConfig;
 use alic::core::plan::SamplingPlan;
 use alic::core::runner::{self, CampaignLedger, CampaignSpec, UnitRecord};
 use alic::data::dataset::DatasetConfig;
+use alic::model::traits::ActiveSurrogate;
 use alic::model::SurrogateSpec;
 use alic::sim::kernel::KernelSpec;
 use alic::sim::noise::NoiseProfile;
@@ -103,7 +104,7 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
-        let sink = |record: &UnitRecord| ledger.record(record);
+        let sink = |record: &UnitRecord, _: &dyn ActiveSurrogate| ledger.record(record);
 
         // Random execution order, dealt round-robin into the shards (so a
         // shard's unit set is arbitrary, not the contiguous CLI layout —
@@ -120,7 +121,7 @@ proptest! {
         let kill = (shards[0].len() as f64 * kill_fraction) as usize;
         shards[0].truncate(kill);
         for shard in &shards {
-            runner::execute_units(&spec, shard, &sink).unwrap();
+            prop_assert!(runner::execute_units(&spec, shard, &sink).unwrap().failures.is_empty());
         }
         // A kill can also leave a torn temp file behind; it must be ignored
         // by resume and merge alike.
@@ -131,7 +132,7 @@ proptest! {
         let remaining: Vec<usize> = (0..spec.unit_count())
             .filter(|i| !completed.contains(i))
             .collect();
-        runner::execute_units(&spec, &remaining, &sink).unwrap();
+        prop_assert!(runner::execute_units(&spec, &remaining, &sink).unwrap().failures.is_empty());
 
         // Merge from the on-disk records; byte-compare against the
         // unsharded in-memory baseline.

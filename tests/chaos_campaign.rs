@@ -31,7 +31,9 @@ use alic::core::fault::{self, FaultPlan, FaultSite};
 use alic::core::learner::LearnerConfig;
 use alic::core::plan::SamplingPlan;
 use alic::core::runner::{self, CampaignLedger, CampaignSpec};
+use alic::core::CoreError;
 use alic::data::dataset::DatasetConfig;
+use alic::experiments::campaign::{self, CampaignOptions};
 use alic::model::gp::GpConfig;
 use alic::model::SurrogateSpec;
 use alic::sim::kernel::KernelSpec;
@@ -222,4 +224,83 @@ fn injected_faults_are_actually_firing() {
     assert!(fired > 0, "no chaos site ever fired");
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn in_memory_campaign_heals_budgeted_unit_faults() {
+    // `run_campaign` (and through it `compare_plans` and the experiment
+    // binaries) runs on the same executor as a ledger-backed campaign: an
+    // erroring and a panicking unit attempt are re-executed, not fatal.
+    let baseline = baseline_json();
+    let _guard = fault::exclusive(
+        FaultPlan::new(3)
+            .with_site(FaultSite::UnitPanic, 1.0, Some(1))
+            .with_site(FaultSite::EvalError, 1.0, Some(1)),
+    );
+    let report = runner::run_campaign(&tiny_campaign()).unwrap();
+    assert_eq!(report.to_json_string().unwrap().as_str(), baseline);
+    assert_eq!(fault::injections(FaultSite::UnitPanic), 1);
+    assert_eq!(fault::injections(FaultSite::EvalError), 1);
+}
+
+#[test]
+fn in_memory_campaign_reports_units_that_never_heal() {
+    let _guard = fault::exclusive(FaultPlan::new(3).with_site(FaultSite::EvalError, 1.0, None));
+    let result = runner::run_campaign(&tiny_campaign());
+    match result {
+        Err(CoreError::Campaign(message)) => {
+            assert!(message.contains("after 3 attempts"), "{message}");
+        }
+        other => panic!("expected a campaign error, got {other:?}"),
+    }
+}
+
+#[test]
+fn warm_store_harvest_heals_unit_faults() {
+    // `--warm-store` re-executes one unit per kernel × model after the
+    // campaign; those units must heal like every other unit, and the healed
+    // store must hold the same bytes as a fault-free harvest's.
+    let root = std::env::temp_dir().join(format!("alic-chaos-harvest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let ledger = root.join("ledger");
+    let options = |store: Option<&std::path::Path>| {
+        let mut args = vec!["quick", "--kernels", "mvt,lu", "--model", "mean"]
+            .into_iter()
+            .map(String::from)
+            .collect::<Vec<_>>();
+        args.extend(["--dir".to_string(), ledger.display().to_string()]);
+        if let Some(store) = store {
+            args.extend([
+                "--resume".to_string(),
+                "--warm-store".to_string(),
+                store.display().to_string(),
+            ]);
+        }
+        CampaignOptions::parse_with_env(args, None, None, None).unwrap()
+    };
+
+    let clean_store = root.join("clean.json");
+    {
+        let _guard = fault::exclusive_clean();
+        campaign::run(&options(None)).unwrap();
+        campaign::run(&options(Some(&clean_store))).unwrap();
+    }
+    let clean = std::fs::read(&clean_store).unwrap();
+
+    for (name, site) in [
+        ("eval", FaultSite::EvalError),
+        ("panic", FaultSite::UnitPanic),
+    ] {
+        let store = root.join(format!("{name}.json"));
+        let _guard = fault::exclusive(FaultPlan::new(1).with_site(site, 1.0, Some(1)));
+        campaign::run(&options(Some(&store)))
+            .unwrap_or_else(|e| panic!("harvest under a {name} fault failed: {e}"));
+        assert_eq!(fault::injections(site), 1, "the {name} fault never fired");
+        assert!(
+            std::fs::read(&store).unwrap() == clean,
+            "the {name}-healed store differs from the fault-free one"
+        );
+    }
+
+    std::fs::remove_dir_all(&root).unwrap();
 }
