@@ -42,13 +42,14 @@
 //!   plus a few flops, move scoring reads cached likelihoods, and
 //!   steady-state `predict`/`predict_batch`/`alc_scores` calls do **zero**
 //!   flattening or posterior recomputation.
-//! * **Word-at-a-time split scans.** Each update gathers the receiving
-//!   leaf once into column-major feature/target buffers; every sharer's
-//!   split-proposal batch then runs through the [`scan`] kernels — u64
-//!   comparison-mask words, `popcnt` left counts and set-bit-ordered sums —
-//!   which are bit-identical to the scalar mask-multiply reference by
-//!   construction (property-tested), so the kernel choice is purely a
-//!   speed knob.
+//! * **Fused split scans.** Each update gathers a leaf that several
+//!   particles share once into column-major feature/target buffers; every
+//!   sharer's split-proposal batch then runs through one fused
+//!   mask-multiply pass over those columns ([`scan::scan_left`]), carrying
+//!   all attempts' accumulators at once. A sole owner skips the copy and
+//!   streams its point list through the same pass
+//!   ([`scan::scan_left_direct`]); the two are bit-identical by
+//!   construction (property-tested).
 //!
 //! The batch entry points ([`predict_batch`](SurrogateModel::predict_batch),
 //! [`alm_scores`](ActiveSurrogate::alm_scores),
@@ -75,7 +76,7 @@ use crate::snapshot::{self, Snapshot};
 use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
-use scan::{LeafColumns, ATTEMPT_BATCH, DEFAULT_SCAN_KIND};
+use scan::{LeafColumns, ATTEMPT_BATCH};
 
 pub use tree::{
     find_leaf_flat, find_leaves_flat_block, for_each_block_leaf, FlatNode, MomentCtx, ParticleTree,
@@ -419,8 +420,8 @@ impl DynaTree {
     /// order — the same sequence a direct walk of the tree would yield.
     ///
     /// All attempts of a batch (up to [`ATTEMPT_BATCH`]) are handed to one
-    /// [`scan::scan_left`] call: each attempt's left-side `(n, Σy, Σy²)`
-    /// comes back bit-identical regardless of the configured kernel. The
+    /// scan call: each attempt's left-side `(n, Σy, Σy²)` comes back
+    /// bit-identical whether the gathered or the streamed kernel ran. The
     /// right side is `totals − left`, and the children's likelihoods come
     /// from [`log_marginal_likelihood_of_sums`], compared in attempt order
     /// so results match an attempt-at-a-time evaluation.
@@ -537,9 +538,8 @@ impl DynaTree {
         let bounds = tree.leaf_bounds(leaf);
         // Sole-owner leaves stream the point list straight into the fused
         // scalar kernel (the gather is skipped for them — see phase 5);
-        // shared leaves scan the gathered columns with the configured
-        // kernel. Both paths visit points in list order, so the proposals
-        // are bit-identical either way.
+        // shared leaves scan the gathered columns. Both paths visit points
+        // in list order, so the proposals are bit-identical either way.
         let proposal = if gather.is_empty() {
             Self::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
                 scan::scan_left_direct(
@@ -552,7 +552,7 @@ impl DynaTree {
         } else {
             debug_assert_eq!(gather.len(), len, "gather out of sync with leaf");
             Self::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                scan::scan_left(DEFAULT_SCAN_KIND, gather, d, t, live)
+                scan::scan_left(gather, d, t, live)
             })
         };
         if let Some((split, children_lml)) = proposal {

@@ -1,61 +1,24 @@
-//! Split-proposal scan kernels: scalar and bitset+popcount (SIMD masks).
+//! Split-proposal scan kernels over one leaf.
 //!
 //! A grow move evaluates a batch of candidate splits of one leaf. For each
 //! candidate `(dimension, threshold)` the scorer needs the left child's
-//! `(n, Σy, Σy²)`; the right child is `totals − left`. This module holds the
-//! two interchangeable kernels that produce those triples from a
-//! column-major copy of the leaf ([`LeafColumns`]):
+//! `(n, Σy, Σy²)`; the right child is `totals − left`. Two fused scalar
+//! kernels produce those triples, both carrying every live attempt's
+//! accumulators through one branch-free pass that adds `mask * value` with
+//! a 0/1 comparison mask:
 //!
-//! * [`ScanKind::Scalar`] — the reference: one branch-free pass per attempt
-//!   accumulating `acc += mask * value` with a 0/1 comparison mask,
-//! * [`ScanKind::Simd`] — packs the comparison mask into u64 words
-//!   ([`alic_stats::bitset`]) built by SSE2 packed compares (`cfg`-gated to
-//!   x86-64; elsewhere the scalar mask builder fills the same words), takes
-//!   the count with `popcnt` and accumulates the sums over the set bits in
-//!   ascending order.
+//! * [`scan_left`] reads a column-major copy of the leaf ([`LeafColumns`]),
+//!   gathered once and shared by every particle that scans the same leaf,
+//! * [`scan_left_direct`] streams the leaf's point list without a copy, for
+//!   leaves only one particle will scan.
 //!
-//! Both are **bit-identical** by construction — same comparisons, and
-//! sums whose skipped terms are exact `±0.0` no-ops (see
-//! [`alic_stats::bitset`] for the argument) — which
-//! `tests/scan_identity.rs` pins with property tests and the committed
-//! `scan_variants` bench races side by side. [`DEFAULT_SCAN_KIND`] selects
-//! the winner on the benched host; changing it can never change results,
-//! only speed.
-
-use std::cell::RefCell;
-
-use alic_stats::bitset;
+//! Both accumulate each attempt in point order, so their triples are
+//! **bit-identical** — the property `tests/scan_identity.rs` pins, and the
+//! one that lets the tree pick either path per leaf without changing
+//! results.
 
 /// Split-proposal attempts evaluated per fused scan of the gathered leaf.
 pub const ATTEMPT_BATCH: usize = 8;
-
-/// Which split-scan kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKind {
-    /// Reference mask-multiply scan: one fused pass with every live
-    /// attempt's three accumulators carried simultaneously, so the
-    /// independent add chains hide FP latency even at small leaf sizes.
-    Scalar,
-    /// u64 mask words (SSE2-packed construction on x86-64), `popcnt`
-    /// counts, set-bit-ordered sums.
-    Simd,
-    /// Length dispatch: [`ScanKind::Scalar`] below
-    /// [`BITSET_MIN_LEN`] points, [`ScanKind::Simd`] at or above it. The
-    /// bitset kernel amortizes its mask-building pass only once a leaf
-    /// spans several words; short leaves (the common case deep in a grown
-    /// tree) stay on the fused scalar pass.
-    Auto,
-}
-
-/// Leaf size at which [`ScanKind::Auto`] switches from the fused scalar
-/// kernel to the SIMD bitset kernel — the crossover in the committed
-/// `scan_variants` bench on the benched host.
-pub const BITSET_MIN_LEN: usize = 256;
-
-/// The kernel the dynamic tree uses in production: fastest in the committed
-/// `scan_variants` bench on the benched host (see README "Performance").
-/// All kinds are bit-identical, so this is purely a speed choice.
-pub const DEFAULT_SCAN_KIND: ScanKind = ScanKind::Auto;
 
 /// Column-major copy of one leaf's points: per-dimension feature columns
 /// plus the target column, all contiguous and in point-list order.
@@ -143,20 +106,12 @@ impl LeafColumns {
     }
 }
 
-thread_local! {
-    /// Per-thread mask-word scratch for the bitset kernel; proposal scans
-    /// run inside the parallel move-decision pass, so the scratch cannot
-    /// live in the (shared) gathered columns.
-    static MASK_WORDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs the selected kernel over the first `live` attempts, returning each
-/// attempt's left-side `(n, Σy, Σy²)` in the first `live` entries of the
-/// three output arrays. Every kind accumulates per attempt in point order,
-/// so the triples are bit-identical across kinds (and to an
-/// attempt-at-a-time evaluation).
+/// Runs the fused scalar pass over the gathered columns for the first
+/// `live` attempts, returning each attempt's left-side `(n, Σy, Σy²)` in the
+/// first `live` entries of the three output arrays. Each attempt accumulates
+/// in point order, so the triples are bit-identical to an attempt-at-a-time
+/// evaluation and to [`scan_left_direct`] over the same points.
 pub fn scan_left(
-    kind: ScanKind,
     columns: &LeafColumns,
     dims: &[usize; ATTEMPT_BATCH],
     thresholds: &[f64; ATTEMPT_BATCH],
@@ -166,69 +121,20 @@ pub fn scan_left(
     [f64; ATTEMPT_BATCH],
     [f64; ATTEMPT_BATCH],
 ) {
-    let kind = match kind {
-        ScanKind::Auto if columns.len() < BITSET_MIN_LEN => ScanKind::Scalar,
-        ScanKind::Auto => ScanKind::Simd,
-        other => other,
-    };
     let mut n = [0.0f64; ATTEMPT_BATCH];
     let mut s = [0.0f64; ATTEMPT_BATCH];
     let mut q = [0.0f64; ATTEMPT_BATCH];
-    match kind {
-        ScanKind::Auto => unreachable!("resolved above"),
-        ScanKind::Scalar => {
-            // Monomorphize the fused pass on the live-attempt count so all
-            // `3 × live` accumulators stay in registers.
-            match live {
-                1 => scan_scalar_fused::<1>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                2 => scan_scalar_fused::<2>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                3 => scan_scalar_fused::<3>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                4 => scan_scalar_fused::<4>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                5 => scan_scalar_fused::<5>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                6 => scan_scalar_fused::<6>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                7 => scan_scalar_fused::<7>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                _ => scan_scalar_fused::<8>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-            }
-        }
-        ScanKind::Simd => {
-            let ys = columns.targets();
-            let ys_sq = columns.targets_sq();
-            let word_count = columns.len().div_ceil(bitset::WORD_BITS);
-            MASK_WORDS.with(|cell| {
-                let words = &mut *cell.borrow_mut();
-                // Stage 1: one mask strip per attempt (attempt `k` occupies
-                // `words[k * word_count..]`), counts via popcount.
-                words.clear();
-                words.resize(live * word_count, 0);
-                for k in 0..live {
-                    let strip = &mut words[k * word_count..(k + 1) * word_count];
-                    let col = columns.feature_column(dims[k]);
-                    fill_mask(col, thresholds[k], strip);
-                    n[k] = bitset::count_ones(strip) as f64;
-                }
-                // Stage 2: fused masked sums. Attempts are interleaved at
-                // word granularity so their (independent) accumulator
-                // chains overlap; within each attempt the set bits are
-                // still visited in ascending point order, which keeps every
-                // attempt's sums bit-identical to the scalar reference.
-                for w in 0..word_count {
-                    let base = w * bitset::WORD_BITS;
-                    for k in 0..live {
-                        let mut bits = words[k * word_count + w];
-                        let mut sk = s[k];
-                        let mut qk = q[k];
-                        while bits != 0 {
-                            let i = base + bits.trailing_zeros() as usize;
-                            sk += ys[i];
-                            qk += ys_sq[i];
-                            bits &= bits - 1;
-                        }
-                        s[k] = sk;
-                        q[k] = qk;
-                    }
-                }
-            });
-        }
+    // Monomorphize the fused pass on the live-attempt count so all
+    // `3 × live` accumulators stay in registers.
+    match live {
+        1 => scan_scalar_fused::<1>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        2 => scan_scalar_fused::<2>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        3 => scan_scalar_fused::<3>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        4 => scan_scalar_fused::<4>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        5 => scan_scalar_fused::<5>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        6 => scan_scalar_fused::<6>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        7 => scan_scalar_fused::<7>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        _ => scan_scalar_fused::<8>(columns, dims, thresholds, &mut n, &mut s, &mut q),
     }
     (n, s, q)
 }
@@ -237,8 +143,8 @@ pub fn scan_left(
 /// from a leaf's point list — the no-copy path for leaves only one particle
 /// will ever scan, where materializing [`LeafColumns`] first would cost more
 /// than the single scan it feeds. Point order is the stream order, so the
-/// triples are bit-identical to every column-based kernel run on a gather of
-/// the same stream.
+/// triples are bit-identical to [`scan_left`] run on a gather of the same
+/// stream.
 pub fn scan_left_direct<'s, I>(
     rows: I,
     dims: &[usize; ATTEMPT_BATCH],
@@ -337,16 +243,6 @@ fn scan_scalar_fused<const K: usize>(
     q[..K].copy_from_slice(&qk);
 }
 
-/// Builds the `<= threshold` mask words: SSE2 packed compares on x86-64,
-/// the scalar mask builder elsewhere.
-#[inline]
-fn fill_mask(column: &[f64], threshold: f64, words: &mut [u64]) {
-    #[cfg(target_arch = "x86_64")]
-    bitset::fill_mask_le_simd_into(column, threshold, words);
-    #[cfg(not(target_arch = "x86_64"))]
-    bitset::fill_mask_le_into(column, threshold, words);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,36 +288,5 @@ mod tests {
         assert!(columns.is_empty());
         let refilled = sample_columns(130, 2);
         assert_eq!(refilled.len(), 130);
-    }
-
-    #[test]
-    fn all_kinds_produce_bit_identical_triples() {
-        for len in [1, 2, 5, 63, 64, 65, 130] {
-            let columns = sample_columns(len, 3);
-            let dims = [0usize, 1, 2, 0, 1, 2, 0, 1];
-            let thresholds = [-2.5, -1.0, 0.0, 0.5, 1.5, 2.5, 3.5, -4.0];
-            let live = 8;
-            let (n0, s0, q0) = scan_left(ScanKind::Scalar, &columns, &dims, &thresholds, live);
-            for kind in [ScanKind::Simd, ScanKind::Auto] {
-                let (n1, s1, q1) = scan_left(kind, &columns, &dims, &thresholds, live);
-                for k in 0..live {
-                    assert_eq!(
-                        n0[k].to_bits(),
-                        n1[k].to_bits(),
-                        "{kind:?} n len={len} k={k}"
-                    );
-                    assert_eq!(
-                        s0[k].to_bits(),
-                        s1[k].to_bits(),
-                        "{kind:?} s len={len} k={k}"
-                    );
-                    assert_eq!(
-                        q0[k].to_bits(),
-                        q1[k].to_bits(),
-                        "{kind:?} q len={len} k={k}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -1,34 +1,19 @@
 //! u64 bitset masks over contiguous `f64` columns.
 //!
-//! The dynamic tree's split-proposal scan asks, for a batch of candidate
-//! thresholds, "what are the count, sum and sum of squares of the responses
-//! whose feature value falls at or below the threshold?". This module turns
-//! that question into word-at-a-time machine operations:
+//! The dynamic tree's block traversal routes 64 query points through a
+//! flattened tree together. At each internal node it needs the lanes
+//! whose feature value falls at or below the node's threshold, as one
+//! u64 word that it intersects with the lanes still reaching that node.
+//! [`fill_mask_le`] builds those words: bit `i % 64` of word `i / 64` is
+//! the membership of point `i`.
 //!
-//! 1. [`fill_mask_le`] compares one contiguous feature column against a
-//!    threshold and packs the results into u64 mask words (bit `i % 64` of
-//!    word `i / 64` is the membership of point `i`),
-//! 2. [`count_ones`] reduces the mask to the left-child count with the
-//!    `popcnt` instruction, and
-//! 3. [`masked_sum_and_sum_sq`] walks the set bits **in ascending index
-//!    order** to accumulate `Σy` and `Σy²` over the left child.
-//!
-//! # Bit-identity contract
-//!
-//! The reference scalar scan accumulates `acc += mask * y` with
-//! `mask ∈ {0.0, 1.0}` for every point in column order. The set-bit walk
-//! skips the `mask == 0.0` terms instead of adding `±0.0`, and that skip is
-//! *exact*: the accumulator starts at `+0.0` and can never become `-0.0`
-//! (in round-to-nearest, `x + (-x) == +0.0` and adding `±0.0` to any other
-//! value leaves it unchanged), so eliding a `+(±0.0)` step never changes the
-//! stored bits. Counts are exact integers below 2⁵³ either way. The SIMD
-//! mask builder performs the same IEEE `<=` comparisons two lanes at a time,
-//! so all three paths produce bit-identical `(count, Σy, Σy²)` triples — the
-//! property `tests/scan_identity.rs` pins down.
-//!
-//! Anything that would reassociate the sums (blocked partial sums, sorted
-//! prefix sums) is deliberately absent: it would be faster but not
-//! bit-identical, and the workspace's determinism contract wins.
+//! Two builders produce the same words. The scalar one
+//! ([`fill_mask_le_into`]) is the reference and the fallback on every
+//! target. On x86-64, `fill_mask_le_simd_into` does the comparisons two
+//! lanes at a time with SSE2 packed compares. Both perform the same IEEE
+//! `<=` per point, so their words are identical; the
+//! `simd_mask_is_identical_to_scalar` unit test pins this, and keeps the
+//! `cfg`-gated SSE2 code compiled and checked on every x86-64 test run.
 
 /// Number of points packed into one mask word.
 pub const WORD_BITS: usize = 64;
@@ -52,8 +37,8 @@ pub fn fill_mask_le(values: &[f64], threshold: f64, words: &mut Vec<u64>) {
     fill_mask_le_into(values, threshold, words);
 }
 
-/// [`fill_mask_le`] writing into a pre-sized word slice (callers packing
-/// several mask strips into one buffer).
+/// [`fill_mask_le`] writing into a pre-sized word slice, such as the
+/// one-word buffer of a 64-lane block.
 ///
 /// # Panics
 ///
@@ -138,35 +123,6 @@ pub fn fill_mask_le_simd_into(values: &[f64], threshold: f64, words: &mut [u64])
     }
 }
 
-/// Total number of set bits across the mask words (the left-child count).
-#[inline]
-pub fn count_ones(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// `(Σ values[i], Σ values[i]²)` over the set bits of the mask, accumulated
-/// in ascending index order (see the module-level bit-identity contract).
-///
-/// # Panics
-///
-/// Panics in debug builds when a set bit indexes past `values`.
-#[inline]
-pub fn masked_sum_and_sum_sq(words: &[u64], values: &[f64]) -> (f64, f64) {
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for (word_index, &word) in words.iter().enumerate() {
-        let base = word_index * WORD_BITS;
-        let mut bits = word;
-        while bits != 0 {
-            let value = values[base + bits.trailing_zeros() as usize];
-            sum += value;
-            sum_sq += value * value;
-            bits &= bits - 1;
-        }
-    }
-    (sum, sum_sq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,11 +151,6 @@ mod tests {
             let mut words = Vec::new();
             fill_mask_le(&values, threshold, &mut words);
             assert_eq!(words, reference_mask(&values, threshold), "n={n}");
-            assert_eq!(
-                count_ones(&words),
-                values.iter().filter(|v| **v <= threshold).count(),
-                "n={n}"
-            );
         }
     }
 
@@ -219,34 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn masked_sums_are_bit_identical_to_mask_multiply() {
-        for n in [1, 5, 64, 65, 130] {
-            let xs = column(n);
-            let ys: Vec<f64> = (0..n)
-                .map(|i| ((i * 29 + 3) % 53) as f64 / 7.0 - 3.0)
-                .collect();
-            let threshold = 0.7;
-            let mut words = Vec::new();
-            fill_mask_le(&xs, threshold, &mut words);
-            let (sum, sum_sq) = masked_sum_and_sum_sq(&words, &ys);
-            let (mut ref_sum, mut ref_sum_sq) = (0.0f64, 0.0f64);
-            for i in 0..n {
-                let mask = f64::from(xs[i] <= threshold);
-                ref_sum += mask * ys[i];
-                ref_sum_sq += mask * (ys[i] * ys[i]);
-            }
-            assert_eq!(sum.to_bits(), ref_sum.to_bits(), "n={n}");
-            assert_eq!(sum_sq.to_bits(), ref_sum_sq.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
     fn refilling_reuses_the_buffer() {
         let mut words = Vec::new();
         fill_mask_le(&column(130), 0.0, &mut words);
         assert_eq!(words.len(), 3);
         fill_mask_le(&column(10), 100.0, &mut words);
         assert_eq!(words.len(), 1);
-        assert_eq!(count_ones(&words), 10);
+        assert_eq!(words, vec![(1 << 10) - 1]);
     }
 }

@@ -14,8 +14,8 @@
 //!   the backing store of the batch scoring pipeline,
 //! * [`matrix`] / [`cholesky`] — a small dense linear-algebra kernel used by
 //!   the Gaussian-process comparison models,
-//! * [`bitset`] — u64 mask words over contiguous columns (popcount counts,
-//!   in-order masked sums), the substrate of the dynamic tree's split scan,
+//! * [`bitset`] — u64 `<=` mask words over contiguous columns (scalar and
+//!   SSE2 builders), the lane masks of the dynamic tree's block traversal,
 //! * [`sampling`] — random subset selection used for candidate sets,
 //! * [`rng`] — deterministic, seedable random-number-generator helpers,
 //! * [`fault`] — the deterministic fault-injection plane behind the
