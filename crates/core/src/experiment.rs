@@ -205,7 +205,7 @@ impl ComparisonOutcome {
 /// single-kernel, single-model [`CampaignSpec`](crate::runner::CampaignSpec):
 /// one work unit per `(plan, repetition)` pair, executed by
 /// [`runner::execute_units`](crate::runner::execute_units) on the
-/// work-stealing pool with deterministic per-unit derived seeds, then folded
+/// shared thread pool with deterministic per-unit derived seeds, then folded
 /// by the pure merge step [`assemble_outcome`]. Larger matrices — many
 /// kernels, many model families, sharded across processes with on-disk
 /// checkpoints — use the [`runner`](crate::runner) API directly.

@@ -214,7 +214,7 @@ impl CampaignLedger {
             )));
         }
         let indices: Vec<usize> = (0..expected).collect();
-        // Loading is pure per-unit work; reuse the work-stealing pool.
+        // Loading is pure per-unit work; reuse the unit pool.
         crate::runner::map_units(&indices, |&i| self.load_unit(i))
             .into_iter()
             .collect()

@@ -5,7 +5,7 @@
 //! [`SurrogateSpec`] model families. This module decomposes any such matrix
 //! into independent **work units** — one `(kernel, model, plan, repetition)`
 //! cell each, with deterministic per-unit derived seeds — and executes them
-//! on rayon's work-stealing thread pool. Each completed unit can be
+//! on the rayon shim's persistent thread pool. Each completed unit can be
 //! checkpointed as a JSON record in an on-disk [`CampaignLedger`], which
 //! makes every experiment built on the runner:
 //!
@@ -367,11 +367,13 @@ pub fn execute_unit(
     Ok((run, model))
 }
 
-/// Order-preserving work-stealing parallel map — the primitive beneath
+/// Order-preserving parallel map — the primitive beneath
 /// [`execute_units`], exposed so experiment stages with their own
 /// unit shape (for example Table 2's per-kernel noise rows) run on the same
-/// pool. Results are written back by index, so the output is independent of
-/// the thread count and scheduling order.
+/// pool. Nothing steals work: every thread claims its next items from one
+/// shared atomic cursor, so a thread that finishes a cheap unit early just
+/// claims another. Results are written back by index, so the output is
+/// independent of the thread count and scheduling order.
 pub fn map_units<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -453,7 +455,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The one unit executor: runs the given unit indices on the work-stealing
+/// The one unit executor: runs the given unit indices on the shared thread
 /// pool and invokes `checkpoint` with every completed unit's record and
 /// trained surrogate. The on-disk ledger records the former
 /// ([`heal_campaign`]), the warm-store harvest snapshots the latter, and

@@ -96,7 +96,7 @@ pub fn rows_from_outcomes(
 ///
 /// Executes as one flat campaign over the unit-based runner — every
 /// `(kernel, plan, repetition)` cell is an independent work unit on the
-/// work-stealing pool, so a cheap kernel finishing early never leaves
+/// shared pool, so a cheap kernel finishing early never leaves
 /// workers idle while an expensive one is still comparing plans. The same
 /// matrix can be sharded, checkpointed and resumed across processes through
 /// the `campaign` binary.

@@ -113,7 +113,7 @@ impl Table2Result {
 ///
 /// Table 2 has no learner dimension (kernels are profiled directly), so its
 /// unit is simply one kernel row; the rows run on the campaign runner's
-/// work-stealing executor ([`runner::map_units`]) with per-kernel derived
+/// parallel map ([`runner::map_units`]) with per-kernel derived
 /// seeds, like every other experiment stage.
 pub fn run(scale: Scale) -> Table2Result {
     let configurations = scale.table2_configurations();

@@ -625,20 +625,18 @@ impl DynaTree {
         }
 
         // 2. Weight pass: one flat traversal + cached-density evaluation per
-        //    unique tree, in parallel, then broadcast to the particles.
+        //    unique tree, then broadcast to the particles. Serial: a
+        //    traversal costs less than handing it to another thread.
         let groups = scratch.unique.len();
-        let weighted: Vec<(u32, f64)> = {
-            let arenas = &self.arenas;
-            let unique = &scratch.unique;
-            (0..groups)
-                .into_par_iter()
-                .map(|g| {
-                    let tree = &arenas[unique[g] as usize];
-                    let leaf = find_leaf_flat(tree.flat_nodes(), x);
-                    (leaf as u32, tree.leaf_moments()[leaf].log_density(y))
-                })
-                .collect()
-        };
+        let weighted: Vec<(u32, f64)> = scratch
+            .unique
+            .iter()
+            .map(|&slot| {
+                let tree = &self.arenas[slot as usize];
+                let leaf = find_leaf_flat(tree.flat_nodes(), x);
+                (leaf as u32, tree.leaf_moments()[leaf].log_density(y))
+            })
+            .collect();
         scratch.group_leaf.clear();
         scratch.log_weights.clear();
         scratch.group_leaf.extend(weighted.iter().map(|&(l, _)| l));
