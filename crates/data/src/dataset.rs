@@ -98,20 +98,6 @@ impl Dataset {
         }
     }
 
-    /// Builds a dataset directly from points (used by tests and loaders).
-    pub fn from_points(kernel: impl Into<String>, points: Vec<DataPoint>) -> Self {
-        let raw: Vec<Vec<f64>> = points
-            .iter()
-            .map(|p| p.configuration.to_features())
-            .collect();
-        let normalizer = Normalizer::fit(&raw).expect("points must not be empty");
-        Dataset {
-            kernel: kernel.into(),
-            points,
-            normalizer,
-        }
-    }
-
     /// Kernel name this dataset was profiled from.
     pub fn kernel(&self) -> &str {
         &self.kernel

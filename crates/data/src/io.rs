@@ -78,8 +78,9 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns [`DataError::Parse`] on malformed input, trailing characters,
-    /// nesting beyond an internal depth bound, or numbers outside the finite
-    /// `f64` range.
+    /// a key repeated within one object (the error names it), nesting
+    /// beyond an internal depth bound, or numbers outside the finite `f64`
+    /// range.
     pub fn parse(text: &str) -> Result<JsonValue> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
@@ -325,7 +326,13 @@ impl Parser<'_> {
         }
         loop {
             self.skip_whitespace();
+            let at = self.pos;
             let key = self.parse_string()?;
+            // The encoder never writes a key twice, so a repeat is damage,
+            // not a field to pick one copy of.
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(parse_error(format!("duplicate key {key:?} at byte {at}")));
+            }
             self.skip_whitespace();
             self.expect(b':')?;
             let value = self.parse_value()?;
@@ -776,6 +783,16 @@ mod tests {
         assert!(parse_err("{\"a\":1").contains("parse"));
         assert!(parse_err("[1,]").contains("parse"));
         assert!(parse_err("[1] x").contains("trailing"));
+    }
+
+    #[test]
+    fn duplicate_keys_are_a_parse_error_naming_the_key() {
+        let err = parse_err("{\"count\":99.0,\"count\":10.0}");
+        assert!(err.contains("duplicate key \"count\""), "{err}");
+        let err = parse_err("[{\"a\":{\"b\":1,\"b\":2}}]");
+        assert!(err.contains("duplicate key \"b\""), "{err}");
+        // The same key in sibling objects is fine.
+        assert!(JsonValue::parse("[{\"a\":1},{\"a\":2}]").is_ok());
     }
 
     #[test]

@@ -173,12 +173,6 @@ pub fn emit_text(name: &str, contents: &str) -> Option<PathBuf> {
     }
 }
 
-/// Returns the path `p` relative to the crate-independent output directory,
-/// for display in summaries.
-pub fn display_path(p: &Path) -> String {
-    p.display().to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,17 +45,6 @@ pub type Snapshot = JsonValue;
 /// Schema tag every model snapshot carries.
 pub const SNAPSHOT_SCHEMA: &str = "alic-model-snapshot/v1";
 
-/// The family name recorded in a snapshot (`"gp"`, `"dynatree"`, …) —
-/// matches [`crate::SurrogateSpec::name`].
-///
-/// # Errors
-///
-/// Returns [`ModelError::Snapshot`] when the field is absent or not a
-/// string.
-pub fn snapshot_family(doc: &JsonValue) -> Result<&str> {
-    Ok(io::field_str(doc, "family")?)
-}
-
 /// Rebuilds a boxed model from a snapshot produced by
 /// [`crate::SurrogateModel::snapshot`], dispatching on the embedded family
 /// tag. The restored model continues bit-identically to the one that was

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! alic-serve [--dir PATH] [--model NAME] [--seed N] [--max-sessions N]
-//!            [--deadline-ms N] [--checkpoint-every N] [--tcp ADDR]
+//!            [--deadline-ms N] [--tcp ADDR]
 //!            [--warm-store PATH] [--noise-regime LABEL]
 //!            [--watchdog-grace FACTOR]
 //! ```
@@ -19,7 +19,7 @@ use alic_serve::daemon::{serve_stdio, serve_tcp};
 use alic_serve::engine::{Engine, ServeConfig};
 
 const USAGE: &str = "usage: alic-serve [--dir PATH] [--model NAME] [--seed N] \
-[--max-sessions N] [--deadline-ms N] [--checkpoint-every N] [--tcp ADDR] \
+[--max-sessions N] [--deadline-ms N] [--tcp ADDR] \
 [--warm-store PATH] [--noise-regime LABEL] [--watchdog-grace FACTOR]";
 
 fn fail(msg: &str) -> ! {
@@ -68,13 +68,6 @@ fn main() {
                     .unwrap_or_else(|_| fail("--deadline-ms needs a u64"));
                 config.deadline = Duration::from_millis(ms);
             }
-            "--checkpoint-every" => {
-                config.checkpoint_every = value("a count")
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("--checkpoint-every needs a count >= 1"));
-            }
             "--tcp" => tcp = Some(value("an address like 127.0.0.1:4317")),
             "--warm-store" => config.warm_store = Some(value("a path").into()),
             "--noise-regime" => config.noise_regime = value("a label"),
@@ -95,22 +88,12 @@ fn main() {
         }
     }
     let engine = Engine::open(config).unwrap_or_else(|e| fail(&e));
-    match tcp {
-        Some(addr) => {
-            if let Err(e) = serve_tcp(engine, &addr) {
-                eprintln!("alic-serve: transport error: {e}");
-                std::process::exit(1);
-            }
-        }
-        None => match serve_stdio(engine) {
-            Err(e) => {
-                eprintln!("alic-serve: transport error: {e}");
-                std::process::exit(1);
-            }
-            // Sessions whose final flush failed are still volatile; say so
-            // in the exit code (paths are already on stderr).
-            Ok(failures) if failures > 0 => std::process::exit(1),
-            Ok(_) => {}
-        },
+    let served = match tcp {
+        Some(addr) => serve_tcp(engine, &addr),
+        None => serve_stdio(engine),
+    };
+    if let Err(e) = served {
+        eprintln!("alic-serve: transport error: {e}");
+        std::process::exit(1);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`FaultSite::ConnDrop`] — the connection drops mid-line: the request
 //!   in flight is lost and the reader reports EOF (the daemon's
-//!   end-of-connection path runs, flushing sessions).
+//!   end-of-connection path runs).
 //! * [`FaultSite::ShortRead`] — a read tears: only a prefix of the line
 //!   arrives. The engine parses the fragment like any other bytes and
 //!   replies with a structured `err`, never a panic.

@@ -9,10 +9,10 @@
 //! so the fault plane reaches the wire.
 //!
 //! Both transports treat SIGTERM as a drain request (see [`crate::term`]):
-//! the loop stops admitting input, every session flushes to checkpoint, and
-//! the structured [`DrainSummary`] goes to stderr — the same report the
-//! `drain` verb returns inline. The exit code reflects flush failures so a
-//! supervisor can tell a clean drain from one that left volatile state.
+//! the loop stops admitting input and the [`DrainSummary`] goes to stderr —
+//! the same report the `drain` verb returns inline. Every acknowledged
+//! observation is already durable, so a drain has nothing to lose and the
+//! daemon exits 0; a nonzero exit means a transport error.
 
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -27,36 +27,29 @@ use crate::protocol::PROTOCOL_VERSION;
 /// How often the transport loops poll the SIGTERM flag between requests.
 const TERM_POLL: Duration = Duration::from_millis(25);
 
-/// Renders a flush/drain summary to stderr and returns its failure count,
-/// so both transports (and both exit paths: EOF and SIGTERM) report
-/// identically.
-fn report(summary: &DrainSummary) -> usize {
-    eprintln!("alic-serve: {}", summary.render_detailed());
-    summary.failed_count()
+/// Renders a drain summary to stderr, so both transports (and both exit
+/// paths: EOF and SIGTERM) report identically.
+fn report(summary: &DrainSummary) {
+    eprintln!("alic-serve: {}", summary.render());
 }
 
 /// Runs the daemon over stdin/stdout until EOF, `quit`, `shutdown`, or
-/// SIGTERM. Returns how many session flushes failed on the way out, so the
-/// binary's exit code can reflect volatile state instead of silently
-/// dropping it.
-///
-/// Every session flushes to checkpoint on the way out, whatever ended the
-/// loop; a SIGKILL skips that, which is exactly the case the per-request
-/// checkpoints already cover. SIGTERM additionally pins the engine in the
-/// draining state before the flush, so nothing new is admitted while the
-/// process winds down.
+/// SIGTERM, then reports a [`DrainSummary`] on stderr (persisting the warm
+/// store on the way). SIGTERM additionally pins the engine in the draining
+/// state first, so nothing new is admitted while the process winds down.
 ///
 /// # Errors
 ///
 /// Propagates stdin read errors (write errors end the loop like EOF: the
 /// one client is gone).
-pub fn serve_stdio(mut engine: Engine) -> std::io::Result<usize> {
+pub fn serve_stdio(mut engine: Engine) -> std::io::Result<()> {
     let term = crate::term::install();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut conn = ConnState::new();
     if write_reply(&mut out, &format!("ok {PROTOCOL_VERSION}")).is_err() {
-        return Ok(report(&engine.flush_all()));
+        report(&engine.flush_all());
+        return Ok(());
     }
     // Stdin reads block (and std retries EINTR), so a signal cannot wake
     // the read itself: a reader thread feeds lines over a channel and the
@@ -75,7 +68,8 @@ pub fn serve_stdio(mut engine: Engine) -> std::io::Result<usize> {
     });
     loop {
         if term.load(Ordering::Acquire) {
-            return Ok(report(&engine.drain()));
+            report(&engine.drain());
+            return Ok(());
         }
         let line = match line_rx.recv_timeout(TERM_POLL) {
             Ok(Ok(Some(line))) => line,
@@ -95,7 +89,8 @@ pub fn serve_stdio(mut engine: Engine) -> std::io::Result<usize> {
             Action::CloseConnection | Action::ShutdownDaemon => break,
         }
     }
-    Ok(report(&engine.flush_all()))
+    report(&engine.flush_all());
+    Ok(())
 }
 
 enum EngineMsg {
@@ -113,8 +108,8 @@ enum EngineMsg {
 }
 
 /// Runs the daemon on a TCP listener; one thread per connection, one owner
-/// thread for the engine. `shutdown` flushes every session and exits the
-/// process (the accept loop holds no state worth unwinding); SIGTERM
+/// thread for the engine. `shutdown` reports the drain summary and exits
+/// the process (the accept loop holds no state worth unwinding); SIGTERM
 /// drains through the same owner-thread queue.
 ///
 /// # Errors
@@ -155,8 +150,8 @@ fn engine_owner(mut engine: Engine, rx: mpsc::Receiver<EngineMsg>) {
                 conns.remove(&conn);
             }
             EngineMsg::Drain => {
-                let failures = report(&engine.drain());
-                std::process::exit(if failures > 0 { 1 } else { 0 });
+                report(&engine.drain());
+                std::process::exit(0);
             }
             EngineMsg::Line { conn, line, reply } => {
                 let state = conns.entry(conn).or_default();
@@ -168,10 +163,8 @@ fn engine_owner(mut engine: Engine, rx: mpsc::Receiver<EngineMsg>) {
                 }
                 let _ = reply.send((response.reply, close));
                 if shutdown {
-                    // A nonzero exit reports sessions whose final flush
-                    // failed (the summary is already on stderr).
-                    let failures = report(&engine.flush_all());
-                    std::process::exit(if failures > 0 { 1 } else { 0 });
+                    report(&engine.flush_all());
+                    std::process::exit(0);
                 }
             }
         }

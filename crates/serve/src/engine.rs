@@ -4,14 +4,19 @@
 //! request line to one reply, and the stdin/TCP loops in [`crate::daemon`]
 //! are thin shells around it. Its contracts:
 //!
-//! * **Replied ⇒ durable** (with the default `checkpoint_every = 1`): a
-//!   mutating request is checkpointed through the ledger's
-//!   [`write_verified`] *before* the `ok` reply exists; on checkpoint
-//!   failure the mutation is rolled back and a structured `err` returned.
-//!   The converse does not hold — a kill between commit and reply can leave
-//!   one acknowledged-looking observation on disk (at-least-once). Clients
-//!   needing exactly-once re-`attach` and compare the reported observation
-//!   count before retrying an unacknowledged `observe`.
+//! * **Replied ⇒ durable**: an `observe` is applied to the live surrogate
+//!   and then committed through the ledger's [`write_verified`] *before*
+//!   the `ok` reply exists. Any failure rolls the observation back — the
+//!   log entry is popped and the surrogate replayed from the remaining
+//!   log — so a rejected observation never reaches disk and a resident
+//!   session always equals its checkpoint. The replay is the one cost of
+//!   this order: a commit that fails after a successful apply pays one
+//!   `rebuild`, once per demotion, because `SheddingWrites` sheds later
+//!   writes at admission. The converse of the guarantee does not hold — a
+//!   kill between commit and reply can leave one acknowledged-looking
+//!   observation on disk (at-least-once). Clients needing exactly-once
+//!   re-`attach` and compare the reported observation count before
+//!   retrying an unacknowledged `observe`.
 //! * **Panic isolation**: dispatch runs under `catch_unwind`; a panicking
 //!   request detaches the connection's live session (its on-disk
 //!   checkpoint is unaffected) and yields `err panic`, like
@@ -19,21 +24,18 @@
 //! * **Deadlines**: requests check a per-request deadline at safe points
 //!   (never between a durable commit and its reply) and shed with
 //!   `err deadline`.
-//! * **Graceful degradation**: at most `max_live` sessions are resident;
-//!   attaching one more evicts the least-recently-used idle session to its
-//!   checkpoint. When even eviction fails (e.g. a failing disk), requests
-//!   are shed with `err busy retry-after-ms <hint>`, the hint backing off
-//!   exponentially (via [`RetryPolicy::SERVE_HINT`]) while the condition
-//!   persists.
-//! * **The degradation ladder** ([`HealthState`]): resource pressure walks
-//!   the engine down `Healthy → SheddingWrites` (checkpoint writes failing:
-//!   observes shed with `err degraded retry-after-ms`, reads still served)
-//!   `→ ReadOnly` (eviction impossible: only `suggest`/`best`/`sessions`)
-//!   `→ Draining` (terminal: state flushed, nothing new admitted). A
-//!   successful probe write promotes the engine back to `Healthy`
-//!   automatically. The `health` verb reports the state plus per-site
-//!   injection and retry counters; `drain` flushes everything and reports
-//!   per-session outcomes as one [`DrainSummary`].
+//! * **Bounded residency**: at most `max_live` sessions are resident;
+//!   attaching one more evicts the least-recently-used session. Every
+//!   resident session is already durable, so eviction never writes and
+//!   never fails.
+//! * **The degradation ladder** ([`HealthState`]): a failing checkpoint
+//!   write moves the engine from `Healthy` to `SheddingWrites` (writes
+//!   shed with `err degraded retry-after-ms <hint>`, the hint backing off
+//!   exponentially via [`RetryPolicy::SERVE_HINT`]; reads still served).
+//!   A successful probe write promotes it back to `Healthy`
+//!   automatically. `Draining` is terminal: nothing new is admitted. The
+//!   `health` verb reports the state plus per-site injection and retry
+//!   counters; `drain` reports one [`DrainSummary`].
 //! * **Watchdog**: a request exceeding its deadline by
 //!   [`ServeConfig::watchdog_grace`] is flagged by a background thread and,
 //!   on completion, detached exactly like the panic path (`err stuck`).
@@ -93,10 +95,6 @@ pub struct ServeConfig {
     pub max_live: usize,
     /// Per-request deadline.
     pub deadline: Duration,
-    /// Checkpoint cadence in observations. `1` (the default) gives the
-    /// replied-⇒-durable guarantee; larger values trade a bounded window of
-    /// acknowledged-but-volatile observations for fewer writes under load.
-    pub checkpoint_every: usize,
     /// Optional warm-start store path. `None` (the default) disables warm
     /// starts entirely — every reply stays byte-identical to a build
     /// without the store.
@@ -120,7 +118,6 @@ impl ServeConfig {
             seed: 0,
             max_live: DEFAULT_MAX_LIVE,
             deadline: DEFAULT_DEADLINE,
-            checkpoint_every: 1,
             warm_store: None,
             noise_regime: "default".to_string(),
             watchdog_grace: DEFAULT_WATCHDOG_GRACE,
@@ -128,21 +125,19 @@ impl ServeConfig {
     }
 }
 
-/// The engine's position on the degradation ladder, ordered by severity.
+/// The engine's position on the degradation ladder.
 ///
-/// Demotions only ever move down the ladder (and never out of `Draining`);
-/// a successful probe write promotes straight back to `Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A failed checkpoint write demotes `Healthy` to `SheddingWrites`; a
+/// successful probe write promotes straight back. Nothing leaves
+/// `Draining`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// All verbs served.
     Healthy,
     /// Checkpoint writes are failing: mutating verbs are shed with
     /// `err degraded retry-after-ms`, reads are still served from memory.
     SheddingWrites,
-    /// Even eviction is impossible: only `suggest`/`best`/`sessions` (and
-    /// the control verbs) are served.
-    ReadOnly,
-    /// Terminal: sessions are flushed and no new work is admitted.
+    /// Terminal: no new work is admitted.
     Draining,
 }
 
@@ -152,79 +147,28 @@ impl HealthState {
         match self {
             HealthState::Healthy => "healthy",
             HealthState::SheddingWrites => "shedding-writes",
-            HealthState::ReadOnly => "read-only",
             HealthState::Draining => "draining",
         }
     }
 }
 
-/// Per-session outcome of one flush/drain pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlushOutcome {
-    /// The session was dirty and its checkpoint was written.
-    Flushed,
-    /// The session had no volatile state.
-    Clean,
-    /// The checkpoint write failed; the payload is the structured error
-    /// detail (the session stays resident and dirty).
-    Failed(String),
-}
-
-impl FlushOutcome {
-    /// Short wire label (`flushed` / `clean` / `failed`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlushOutcome::Flushed => "flushed",
-            FlushOutcome::Clean => "clean",
-            FlushOutcome::Failed(_) => "failed",
-        }
-    }
-}
-
-/// Structured result of draining or flushing the live table — the one
-/// summary shared by the `drain` verb and both transports' shutdown paths.
+/// Result of draining or shutting down the engine — the one summary shared
+/// by the `drain` verb and both transports' shutdown paths. Sessions are
+/// durable whenever they are acknowledged, so there is nothing per-session
+/// to report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DrainSummary {
-    /// Per-session outcomes in session-id order.
-    pub outcomes: Vec<(String, FlushOutcome)>,
+    /// Sessions resident when the summary was taken.
+    pub sessions: usize,
     /// Error from persisting the warm store, if any (advisory: warm-store
-    /// damage never counts against the flush).
+    /// damage never fails a drain).
     pub warm_store_error: Option<String>,
 }
 
 impl DrainSummary {
-    /// Sessions flushed or already clean.
-    pub fn ok_count(&self) -> usize {
-        self.outcomes.len() - self.failed_count()
-    }
-
-    /// Sessions whose final checkpoint write failed.
-    pub fn failed_count(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| matches!(o, FlushOutcome::Failed(_)))
-            .count()
-    }
-
-    /// The one-line headline form: `drained ok <n> failed <m>`.
+    /// The one-line form: `drained <n> [warm-store=failed]`.
     pub fn render(&self) -> String {
-        format!(
-            "drained ok {} failed {}",
-            self.ok_count(),
-            self.failed_count()
-        )
-    }
-
-    /// The headline plus per-session outcomes:
-    /// `drained ok <n> failed <m> [<id>=<outcome> ...] [warm-store=failed]`.
-    pub fn render_detailed(&self) -> String {
-        let mut out = self.render();
-        for (id, outcome) in &self.outcomes {
-            out.push(' ');
-            out.push_str(id);
-            out.push('=');
-            out.push_str(outcome.label());
-        }
+        let mut out = format!("drained {}", self.sessions);
         if self.warm_store_error.is_some() {
             out.push_str(" warm-store=failed");
         }
@@ -283,7 +227,6 @@ impl ConnState {
 struct LiveEntry {
     session: TuningSession,
     last_touch: u64,
-    dirty: usize,
 }
 
 /// The daemon's core: a bounded table of live sessions over a checkpoint
@@ -294,11 +237,12 @@ pub struct Engine {
     live: BTreeMap<String, LiveEntry>,
     clock: u64,
     next_id: u64,
-    busy_streak: u32,
+    /// Consecutive shed replies; nonzero only while not `Healthy`, since
+    /// the promoting probe resets it.
+    shed_streak: u32,
     warm: Option<WarmStore>,
     state: HealthState,
     req_seq: u64,
-    flush_failures: u64,
     watchdog: Watchdog,
 }
 
@@ -337,11 +281,10 @@ impl Engine {
             live: BTreeMap::new(),
             clock: 0,
             next_id,
-            busy_streak: 0,
+            shed_streak: 0,
             warm,
             state: HealthState::Healthy,
             req_seq: 0,
-            flush_failures: 0,
             watchdog: Watchdog::spawn(),
         })
     }
@@ -436,9 +379,9 @@ impl Engine {
             Ok(Err(e)) => Response::text(e.render(), Action::Continue),
             Err(payload) => {
                 // The live state the panicking request touched is suspect;
-                // detach it. The on-disk checkpoint is intact (mutations
-                // checkpoint before they apply), so a re-attach restores
-                // the session to its last durable state.
+                // detach it. The on-disk checkpoint is intact (an observe
+                // commits only after its apply returned), so a re-attach
+                // restores the session to its last durable state.
                 if let Some(id) = conn.current.take() {
                     self.live.remove(&id);
                 }
@@ -503,7 +446,7 @@ impl Engine {
                         )
                     })?,
                 };
-                self.make_room()?;
+                self.make_room();
                 let id = format!("s{:06}", self.next_id);
                 let seed = derive_seed2(self.config.seed, STREAM_SESSION_SEED, self.next_id);
                 // Consult the warm store; a snapshot that fails to restore
@@ -527,7 +470,6 @@ impl Engine {
                     LiveEntry {
                         session,
                         last_touch: self.clock,
-                        dirty: 0,
                     },
                 );
                 conn.current = Some(id.clone());
@@ -575,59 +517,32 @@ impl Engine {
                     return Err(deadline_err());
                 }
                 let path = self.session_path(&id);
-                let cadence = self.config.checkpoint_every.max(1);
                 let entry = self.live_mut(&id)?;
                 entry.session.record(config.clone(), *cost);
-                entry.dirty += 1;
-                if entry.dirty >= cadence {
-                    if let Err(e) = checkpoint_session(&path, &entry.session) {
-                        entry.session.unrecord();
-                        entry.dirty -= 1;
+                // Apply, then commit: the disk only ever sees an
+                // observation the surrogate accepted.
+                let failure = match entry.session.apply_last() {
+                    Err(e) => model_err(e),
+                    Ok(()) => match checkpoint_session(&path, &entry.session) {
+                        Ok(()) => {
+                            let n = entry.session.observations();
+                            return Ok((format!("ok observed {n}"), Action::Continue));
+                        }
                         // A failing commit write is the ladder's entry
                         // point: demote and shed with a backoff hint.
-                        return Err(self.degrade_write(e));
-                    }
-                    entry.dirty = 0;
+                        Err(e) => self.degrade_write(e),
+                    },
+                };
+                // One rollback for every failure: drop the observation and
+                // replay the surrogate from the durable log. A surrogate
+                // that will not rebuild leaves the table, so the next
+                // attach replays the unchanged checkpoint.
+                let entry = self.live_mut(&id)?;
+                entry.session.unrecord();
+                if entry.session.rebuild().is_err() {
+                    self.live.remove(&id);
                 }
-                let mut rollback_write_failed = false;
-                if let Err(model_failure) = entry.session.apply_last() {
-                    // The model rejected the observation: roll the log back
-                    // in memory, then bring the disk copy back in line.
-                    entry.session.unrecord();
-                    if checkpoint_session(&path, &entry.session).is_ok() {
-                        // Disk and memory agree on the rolled-back log.
-                        entry.dirty = 0;
-                        if entry.session.rebuild().is_err() {
-                            // The surrogate would not rebuild; drop the
-                            // entry so the next attach replays from the
-                            // (now correct) checkpoint.
-                            self.live.remove(&id);
-                        }
-                    } else {
-                        // The rollback checkpoint failed, so the in-memory
-                        // log is the only correct copy: at cadence 1 the
-                        // disk still holds the rejected observation, at
-                        // larger cadences it may be missing acknowledged
-                        // ones. Keep the entry resident and dirty so a
-                        // later checkpoint, eviction, or flush repairs the
-                        // disk — dropping it here would resurrect the
-                        // rejected observation (or lose acknowledged ones)
-                        // on the next attach.
-                        entry.dirty = entry.dirty.max(1);
-                        let _ = entry.session.rebuild();
-                        rollback_write_failed = true;
-                    }
-                    if rollback_write_failed {
-                        // The reply stays `err model` (the observation was
-                        // rejected, not shed), but the disk is degraded.
-                        self.demote(HealthState::SheddingWrites);
-                    }
-                    return Err(model_err(model_failure));
-                }
-                let n = entry.session.observations();
-                // A successful admission write clears any shed streak.
-                self.busy_streak = 0;
-                Ok((format!("ok observed {n}"), Action::Continue))
+                Err(failure)
             }
             Request::Best => {
                 let id = attached(conn)?;
@@ -646,14 +561,10 @@ impl Engine {
                 self.ensure_live(&id)?;
                 let path = self.session_path(&id);
                 match checkpoint_session(&path, &self.live_ref(&id)?.session) {
-                    Ok(()) => {
-                        self.live_mut(&id)?.dirty = 0;
-                        self.busy_streak = 0;
-                        Ok((
-                            format!("ok checkpoint {SESSIONS_DIR}/{id}.json"),
-                            Action::Continue,
-                        ))
-                    }
+                    Ok(()) => Ok((
+                        format!("ok checkpoint {SESSIONS_DIR}/{id}.json"),
+                        Action::Continue,
+                    )),
                     Err(e) => Err(self.degrade_write(e)),
                 }
             }
@@ -708,12 +619,10 @@ impl Engine {
                 };
                 Ok((
                     format!(
-                        "ok health state={} live={} shed-streak={} flush-failed={} \
-                         retry-sleeps={} inj={} warm={}",
+                        "ok health state={} live={} shed-streak={} retry-sleeps={} inj={} warm={}",
                         self.state.label(),
                         self.live.len(),
-                        self.busy_streak,
-                        self.flush_failures,
+                        self.shed_streak,
                         policy::sleeps(),
                         inj,
                         warm
@@ -723,10 +632,7 @@ impl Engine {
             }
             Request::Drain => {
                 let summary = self.drain();
-                Ok((
-                    format!("ok {}", summary.render_detailed()),
-                    Action::Continue,
-                ))
+                Ok((format!("ok {}", summary.render()), Action::Continue))
             }
             Request::Quit => {
                 let _ = self.flush_all();
@@ -757,74 +663,36 @@ impl Engine {
         if self.state == HealthState::Draining {
             return Err(ErrReply::new(
                 code::DRAINING,
-                "daemon is draining; state is flushed and no new work is admitted",
+                "daemon is draining; no new work is admitted",
             ));
         }
         if self.state == HealthState::Healthy {
             return Ok(());
         }
-        self.try_promote();
-        match self.state {
-            HealthState::Healthy => Ok(()),
-            HealthState::SheddingWrites => match request {
-                Request::NewSession { .. } | Request::Observe { .. } | Request::Checkpoint => {
-                    Err(self.shed(
-                        code::DEGRADED,
-                        "shedding writes: checkpoint writes are failing; reads are still served",
-                    ))
-                }
-                _ => Ok(()),
-            },
-            HealthState::ReadOnly => match request {
-                Request::Suggest { .. } | Request::Best => Ok(()),
-                Request::NewSession { .. } | Request::Attach { .. } => Err(self.shed(
-                    code::BUSY,
-                    "read-only: the live table cannot evict; only suggest/best/sessions are served",
-                )),
-                _ => Err(self.shed(
-                    code::DEGRADED,
-                    "read-only: the live table cannot evict; only suggest/best/sessions are served",
-                )),
-            },
-            HealthState::Draining => Err(ErrReply::new(
-                code::DRAINING,
-                "daemon is draining; state is flushed and no new work is admitted",
-            )),
-        }
-    }
-
-    /// Demotes the ladder to `to` unless already at that severity or worse.
-    /// Never demotes out of `Draining` (it is terminal) and never promotes —
-    /// promotion is the probe's job.
-    fn demote(&mut self, to: HealthState) {
-        if self.state != HealthState::Draining && to > self.state {
-            self.state = to;
-        }
-    }
-
-    /// Attempts automatic promotion back to `Healthy`: one successful
-    /// atomic write to the probe file proves the disk admits writes again.
-    fn try_promote(&mut self) {
-        if !matches!(
-            self.state,
-            HealthState::SheddingWrites | HealthState::ReadOnly
-        ) {
-            return;
-        }
+        // Shedding writes: one probe write may promote straight back.
         let probe = self.config.dir.join(PROBE_FILE);
         if write_atomic(&probe, "alic-serve health probe\n").is_ok() {
             self.state = HealthState::Healthy;
-            self.busy_streak = 0;
+            self.shed_streak = 0;
+            return Ok(());
+        }
+        match request {
+            Request::NewSession { .. } | Request::Observe { .. } | Request::Checkpoint => Err(self
+                .shed(
+                    code::DEGRADED,
+                    "shedding writes: checkpoint writes are failing; reads are still served",
+                )),
+            _ => Ok(()),
         }
     }
 
     /// Builds a load-shedding reply: bumps the shed streak and stamps the
     /// `retry-after-ms` hint from [`RetryPolicy::SERVE_HINT`], so the hint
-    /// backs off exponentially while the condition persists and resets on
-    /// the next successful admission.
+    /// backs off exponentially while the condition persists and resets
+    /// when the probe promotes the engine back to `Healthy`.
     fn shed(&mut self, code: &'static str, why: &str) -> ErrReply {
-        self.busy_streak = self.busy_streak.saturating_add(1);
-        let hint = RetryPolicy::SERVE_HINT.hint_ms(self.busy_streak);
+        self.shed_streak = self.shed_streak.saturating_add(1);
+        let hint = RetryPolicy::SERVE_HINT.hint_ms(self.shed_streak);
         ErrReply::new(code, format!("retry-after-ms {hint} ({why})"))
     }
 
@@ -832,9 +700,10 @@ impl Engine {
     /// `SheddingWrites` and sheds with a `degraded` backoff hint carrying
     /// the underlying error.
     fn degrade_write(&mut self, e: ErrReply) -> ErrReply {
-        self.demote(HealthState::SheddingWrites);
-        let msg = e.msg;
-        self.shed(code::DEGRADED, &msg)
+        if self.state == HealthState::Healthy {
+            self.state = HealthState::SheddingWrites;
+        }
+        self.shed(code::DEGRADED, &e.msg)
     }
 
     fn internal_missing(id: &str) -> ErrReply {
@@ -899,13 +768,12 @@ impl Engine {
                     format!("checkpoint of {id} claims id {}; quarantined", session.id()),
                 ));
             }
-            self.make_room()?;
+            self.make_room();
             self.live.insert(
                 id.to_string(),
                 LiveEntry {
                     session,
                     last_touch: self.clock,
-                    dirty: 0,
                 },
             );
         }
@@ -913,10 +781,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Evicts least-recently-used sessions until a slot is free, flushing
-    /// dirty ones to checkpoint first. Failure to evict is the `busy`
-    /// shedding point.
-    fn make_room(&mut self) -> Result<(), ErrReply> {
+    /// Evicts least-recently-used sessions until a slot is free. A
+    /// resident session always equals its checkpoint, so eviction writes
+    /// nothing and cannot fail.
+    fn make_room(&mut self) {
         let cap = self.config.max_live.max(1);
         while self.live.len() >= cap {
             // Select the victim by reference — ties on `last_touch` break
@@ -928,34 +796,14 @@ impl Engine {
                 .min_by_key(|&(id, entry)| (entry.last_touch, id))
                 .map(|(id, _)| id.clone())
             else {
-                return Err(ErrReply::new(
-                    code::INTERNAL,
-                    "live table at capacity yet empty; eviction bookkeeping slipped",
-                ));
+                return;
             };
-            let dirty = self.live[&victim].dirty > 0;
-            if dirty {
-                let path = self.session_path(&victim);
-                if let Err(e) = checkpoint_session(&path, &self.live[&victim].session) {
-                    // A table that cannot evict cannot admit: demote to
-                    // read-only until the probe proves writes work again.
-                    self.demote(HealthState::ReadOnly);
-                    let msg = e.msg;
-                    return Err(self.shed(
-                        code::BUSY,
-                        &format!("live-session table full and evicting {victim} failed: {msg}"),
-                    ));
-                }
-            }
             // An evicted session's trained surrogate is exactly what the
-            // warm store wants: harvest it before the entry disappears.
-            if let Some(entry) = self.live.get(&victim) {
+            // warm store wants: harvest it as the entry leaves.
+            if let Some(entry) = self.live.remove(&victim) {
                 Self::harvest_warm(&mut self.warm, &self.config.noise_regime, &entry.session);
             }
-            self.live.remove(&victim);
         }
-        self.busy_streak = 0;
-        Ok(())
     }
 
     /// Builds the warm-store key for a session under this engine's noise
@@ -992,37 +840,13 @@ impl Engine {
         store.insert(&key, depth, snapshot);
     }
 
-    /// Checkpoints every dirty live session (shutdown/EOF/drain path) and
-    /// reports the per-session outcome as a [`DrainSummary`] instead of
-    /// free-form stderr lines — the drain verb and both transports render
-    /// the same structured `drained ok <n> failed <m>` summary. With the
-    /// default cadence of 1 nothing is ever dirty here. Fitted live
-    /// surrogates are also harvested into the warm store, which is then
-    /// persisted — advisory, so store failures are carried in the summary
-    /// but never counted against the flush.
+    /// The shutdown/EOF/drain path: harvests every fitted live surrogate
+    /// into the warm store, persists the store, and reports one
+    /// [`DrainSummary`] — the drain verb and both transports render the
+    /// same `drained <n>` line. Sessions need no flush: each one was
+    /// durable when its last reply went out. Warm-store failures are
+    /// advisory and only carried in the summary.
     pub fn flush_all(&mut self) -> DrainSummary {
-        let mut outcomes = Vec::new();
-        let ids: Vec<String> = self.live.keys().cloned().collect();
-        for id in ids {
-            let outcome = if self.live[&id].dirty > 0 {
-                let path = self.session_path(&id);
-                match checkpoint_session(&path, &self.live[&id].session) {
-                    Ok(()) => {
-                        if let Some(entry) = self.live.get_mut(&id) {
-                            entry.dirty = 0;
-                        }
-                        FlushOutcome::Flushed
-                    }
-                    Err(e) => {
-                        self.flush_failures += 1;
-                        FlushOutcome::Failed(e.msg)
-                    }
-                }
-            } else {
-                FlushOutcome::Clean
-            };
-            outcomes.push((id, outcome));
-        }
         let mut warm_store_error = None;
         if self.warm.is_some() {
             for entry in self.live.values() {
@@ -1036,15 +860,15 @@ impl Engine {
             }
         }
         DrainSummary {
-            outcomes,
+            sessions: self.live.len(),
             warm_store_error,
         }
     }
 
-    /// The drain protocol: stop admitting new work, flush every live
-    /// session, and report per-session outcomes. After this the ladder is
-    /// pinned at [`HealthState::Draining`] — only `sessions`, `health`,
-    /// `drain`, `quit` and `shutdown` keep answering.
+    /// The drain protocol: stop admitting new work and report one
+    /// [`DrainSummary`]. After this the ladder is pinned at
+    /// [`HealthState::Draining`] — only `sessions`, `health`, `drain`,
+    /// `quit` and `shutdown` keep answering.
     pub fn drain(&mut self) -> DrainSummary {
         self.state = HealthState::Draining;
         self.flush_all()

@@ -9,7 +9,9 @@
 //! the self-healing campaign runner:
 //!
 //! * every acknowledged mutation is durable before the reply is written —
-//!   sessions checkpoint through the campaign ledger's
+//!   an observation is applied to the surrogate, then committed (a failure
+//!   at either step rolls it back), and sessions checkpoint through the
+//!   campaign ledger's
 //!   [`write_verified`](alic_core::runner::ledger::write_verified) (atomic
 //!   rename, bounded retry with exponential backoff, read-back
 //!   verification), so a SIGKILLed daemon
@@ -23,19 +25,16 @@
 //!   detached and later restored from its checkpoint, never taking the
 //!   process down;
 //! * malformed input always yields a structured `err <code> <msg>` reply;
-//! * under load the daemon degrades gracefully: the live-session table is
-//!   bounded with LRU idle eviction to checkpoint, and requests that cannot
-//!   be served are shed with an explicit `busy` reply carrying a
-//!   retry-after hint;
+//! * the live-session table is bounded with LRU eviction; every resident
+//!   session already equals its checkpoint, so eviction never writes;
 //! * under *resource pressure* it walks an explicit degradation ladder
-//!   (healthy → shedding-writes → read-only → draining) instead of failing
-//!   randomly: persistent checkpoint-write failures shed writes while reads
-//!   keep answering, eviction failures go read-only, and a successful probe
-//!   write promotes back to healthy ([`engine::HealthState`]);
+//!   (healthy → shedding-writes, and the terminal draining) instead of
+//!   failing randomly: persistent checkpoint-write failures shed writes
+//!   with a retry-after hint while reads keep answering, and a successful
+//!   probe write promotes back to healthy ([`engine::HealthState`]);
 //! * `health` reports the ladder state plus fault/retry counters, `drain`
-//!   (or SIGTERM, in both transports) stops admission and flushes every
-//!   session with a structured per-session outcome report
-//!   ([`engine::DrainSummary`]);
+//!   (or SIGTERM, in both transports) stops admission and reports one
+//!   [`engine::DrainSummary`];
 //! * a watchdog thread ([`watchdog`]) flags requests that blow through
 //!   their deadline by a grace factor; the wedged session is detached like
 //!   the panic path and restored from its checkpoint on re-attach.
@@ -58,8 +57,6 @@ pub mod session;
 pub mod term;
 pub mod watchdog;
 
-pub use engine::{
-    Action, ConnState, DrainSummary, Engine, FlushOutcome, HealthState, Response, ServeConfig,
-};
+pub use engine::{Action, ConnState, DrainSummary, Engine, HealthState, Response, ServeConfig};
 pub use protocol::{ErrReply, Request, PROTOCOL_VERSION};
 pub use session::TuningSession;

@@ -14,7 +14,7 @@
 //! checkpoint                              -> ok checkpoint <relative-path>
 //! sessions                                -> ok sessions [<id> ...]
 //! health                                  -> ok health state=<s> live=<n> ...
-//! drain                                   -> ok drained ok <n> failed <m> [<id>=<outcome> ...]
+//! drain                                   -> ok drained <n> [warm-store=failed]
 //! quit                                    -> ok bye          (closes the connection)
 //! shutdown                                -> ok shutdown     (stops the daemon)
 //! ```
@@ -32,7 +32,7 @@ use alic_sim::space::{Configuration, ParamKind, ParamSpec, ParameterSpace};
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 
 /// Protocol identifier announced by the daemon when a connection opens.
-pub const PROTOCOL_VERSION: &str = "alic-serve/1";
+pub const PROTOCOL_VERSION: &str = "alic-serve/2";
 
 /// Longest request line the daemon accepts, in bytes.
 pub const MAX_LINE_BYTES: usize = 8192;
@@ -63,13 +63,11 @@ pub mod code {
     pub const BAD_CONFIG: &str = "bad-config";
     /// The observed cost is not a finite number.
     pub const BAD_COST: &str = "bad-cost";
-    /// The daemon is shedding load; the message carries `retry-after-ms`.
-    pub const BUSY: &str = "busy";
     /// The daemon is on the degradation ladder (checkpoint writes are
     /// failing): writes are shed with a `retry-after-ms` hint while reads
     /// are still served.
     pub const DEGRADED: &str = "degraded";
-    /// The daemon is draining: state is flushed and no new work is admitted.
+    /// The daemon is draining: no new work is admitted.
     pub const DRAINING: &str = "draining";
     /// The request exceeded its deadline.
     pub const DEADLINE: &str = "deadline";

@@ -178,16 +178,19 @@ impl TuningSession {
             .collect()
     }
 
-    /// Appends one observation to the log **without** touching the model —
-    /// the engine checkpoints between [`record`](Self::record) and
-    /// [`apply_last`](Self::apply_last) so a reply is only ever written for
-    /// a durable observation.
+    /// Appends one observation to the log **without** touching the model.
+    /// The engine follows it with [`apply_last`](Self::apply_last) and only
+    /// then checkpoints, so the disk only ever holds observations the
+    /// surrogate accepted, and a reply is only ever written for a durable
+    /// one.
     pub fn record(&mut self, config: Configuration, cost: f64) {
         self.log.push((config, cost));
     }
 
-    /// Rolls back the most recent [`record`](Self::record) (checkpoint or
-    /// model failure: the observation must not survive in memory either).
+    /// Rolls back the most recent [`record`](Self::record) (model or
+    /// checkpoint failure: the observation must not survive in memory
+    /// either; follow with [`rebuild`](Self::rebuild) to drop it from the
+    /// surrogate too).
     pub fn unrecord(&mut self) {
         self.log.pop();
     }

@@ -2,10 +2,9 @@
 //!
 //! A supervisor (systemd, Kubernetes, the CI drain-smoke job) stops a daemon
 //! with SIGTERM and expects it to exit cleanly. For `alic-serve` "cleanly"
-//! means *drained*: every session flushed to checkpoint and the outcome
-//! reported, so acknowledged observations are never lost to a polite
-//! shutdown (SIGKILL is the crash path the per-request checkpoints already
-//! cover).
+//! means *drained*: admission stopped, the warm store persisted and the
+//! summary reported. Every acknowledged observation is already durable,
+//! so neither a polite shutdown nor a SIGKILL can lose one.
 //!
 //! The handler itself does the only thing that is async-signal-safe: it
 //! stores to an atomic flag. The transport loops poll the flag between

@@ -122,11 +122,6 @@ impl SimulatedProfiler {
         &self.spec
     }
 
-    /// The noise model in use (exposed for calibration experiments).
-    pub fn noise_model(&self) -> &NoiseModel {
-        &self.noise
-    }
-
     /// Rescales all noise magnitudes by `factor` (noise-robustness ablation).
     pub fn scale_noise(&mut self, factor: f64) {
         let scaled: NoiseProfile = self.spec.noise().scaled(factor);

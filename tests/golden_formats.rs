@@ -183,6 +183,21 @@ fn every_model_snapshot_family_is_pinned() {
     }
 }
 
+/// The strict-decoder probe: duplicating a key of the committed mean
+/// snapshot used to restore whichever copy came first (a count of 99). A
+/// repeated key is now a parse error naming the key, so the damaged
+/// document never reaches `restore_snapshot`.
+#[test]
+fn a_duplicated_key_in_a_committed_snapshot_is_refused() {
+    let committed = fs::read_to_string(fixture("snapshot_mean.json")).unwrap();
+    let damaged = committed.replacen("\"count\":10.0", "\"count\":99.0,\"count\":10.0", 1);
+    assert_ne!(damaged, committed, "fixture no longer holds \"count\":10.0");
+    let err = JsonValue::parse(damaged.trim_end())
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("duplicate key \"count\""), "{err}");
+}
+
 #[test]
 fn warm_store_file_is_pinned() {
     let (observations, snapshot) = cold_session(spec("mean")).model_snapshot().unwrap();

@@ -197,7 +197,7 @@ fn settle(
             continue;
         };
         let Some(rest) = reply.strip_prefix(prefix.as_str()) else {
-            continue; // structured err (panic/io/busy/...): retry
+            continue; // structured err (panic/io/degraded/...): retry
         };
         let durable: usize = rest.parse().unwrap();
         if matches!(op, Op::Observe(_)) && durable == *obs_done + 1 {
