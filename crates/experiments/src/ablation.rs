@@ -19,7 +19,7 @@ use alic_core::experiment::{compare_plans, ComparisonConfig};
 use alic_core::plan::SamplingPlan;
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 
-use crate::scale::Scale;
+use crate::table1::head_to_head_plans;
 
 /// Result of the acquisition-function ablation for one strategy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,12 +71,6 @@ pub fn acquisition_ablation_with(
     .collect()
 }
 
-/// Runs the acquisition ablation on one kernel at a given scale with the
-/// default surrogate.
-pub fn acquisition_ablation(kernel: SpaptKernel, scale: Scale) -> Vec<AcquisitionResult> {
-    acquisition_ablation_with(kernel, &scale.comparison_config())
-}
-
 /// Result of the noise-robustness ablation for one noise scale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NoiseResult {
@@ -95,6 +89,7 @@ pub fn noise_ablation_with(
     scales: &[f64],
     config: &ComparisonConfig,
 ) -> Vec<NoiseResult> {
+    let (baseline, variable) = head_to_head_plans(config);
     scales
         .iter()
         .map(|&factor| {
@@ -103,18 +98,6 @@ pub fn noise_ablation_with(
             let spec = spec.with_noise(noisy);
             let outcome = compare_plans(&spec, config)
                 .expect("ablation configuration is internally consistent");
-            let baseline = config
-                .plans
-                .iter()
-                .copied()
-                .find(|p| !p.allows_revisits() && p.observations_per_visit() > 1)
-                .unwrap_or(SamplingPlan::fixed35());
-            let variable = config
-                .plans
-                .iter()
-                .copied()
-                .find(|p| p.allows_revisits())
-                .unwrap_or_default();
             NoiseResult {
                 noise_scale: factor,
                 lowest_common_rmse: outcome.lowest_common_rmse,
@@ -124,19 +107,15 @@ pub fn noise_ablation_with(
         .collect()
 }
 
-/// Runs the noise-robustness ablation on one kernel at a given scale with
-/// the default surrogate.
-pub fn noise_ablation(kernel: SpaptKernel, scales: &[f64], scale: Scale) -> Vec<NoiseResult> {
-    noise_ablation_with(kernel, scales, &scale.comparison_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn acquisition_ablation_covers_all_strategies() {
-        let results = acquisition_ablation(SpaptKernel::Mvt, Scale::Quick);
+        let results =
+            acquisition_ablation_with(SpaptKernel::Mvt, &Scale::Quick.comparison_config());
         assert_eq!(results.len(), 3);
         let labels: Vec<&str> = results.iter().map(|r| r.acquisition.as_str()).collect();
         assert!(labels.contains(&"ALC"));
@@ -150,7 +129,11 @@ mod tests {
 
     #[test]
     fn noise_ablation_reports_one_row_per_scale() {
-        let results = noise_ablation(SpaptKernel::Hessian, &[1.0, 4.0], Scale::Quick);
+        let results = noise_ablation_with(
+            SpaptKernel::Hessian,
+            &[1.0, 4.0],
+            &Scale::Quick.comparison_config(),
+        );
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].noise_scale, 1.0);
         assert_eq!(results[1].noise_scale, 4.0);

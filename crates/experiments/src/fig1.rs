@@ -92,7 +92,7 @@ pub fn run(scale: Scale) -> Fig1Result {
     )
 }
 
-/// Runs the study with explicit parameters (exposed for tests and benches).
+/// Runs the study with explicit parameters (exposed for tests).
 pub fn run_with(grid: u32, observations: usize, threshold: f64, seed: u64) -> Fig1Result {
     let spec = spapt_kernel(SpaptKernel::Mm);
     let mut profiler = SimulatedProfiler::new(spec, seed);

@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 use alic_core::experiment::ComparisonOutcome;
 use alic_sim::spapt::SpaptKernel;
 
-use crate::scale::Scale;
 use crate::table1;
 
 /// The six benchmarks shown in Figure 6.
@@ -80,19 +79,15 @@ pub fn run_with(config: &alic_core::experiment::ComparisonConfig) -> Fig6Result 
     curves_from_outcomes(&outcomes)
 }
 
-/// Runs the comparison for the six Figure 6 benchmarks at the given scale.
-pub fn run(scale: Scale) -> Fig6Result {
-    run_with(&scale.comparison_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alic_sim::spapt::SpaptKernel;
+    use crate::scale::Scale;
 
     #[test]
     fn produces_three_series_per_kernel() {
-        let (_, outcomes) = table1::run_for_kernels(&[SpaptKernel::Mvt], Scale::Quick);
+        let (_, outcomes) =
+            table1::run_for_kernels_with(&[SpaptKernel::Mvt], &Scale::Quick.comparison_config());
         let fig = curves_from_outcomes(&outcomes);
         assert_eq!(fig.kernels.len(), 1);
         let curves = &fig.kernels[0];
@@ -107,7 +102,10 @@ mod tests {
 
     #[test]
     fn series_share_a_common_cost_grid() {
-        let (_, outcomes) = table1::run_for_kernels(&[SpaptKernel::Hessian], Scale::Quick);
+        let (_, outcomes) = table1::run_for_kernels_with(
+            &[SpaptKernel::Hessian],
+            &Scale::Quick.comparison_config(),
+        );
         let fig = curves_from_outcomes(&outcomes);
         let curves = &fig.kernels[0];
         let reference = &curves.series[0].costs;

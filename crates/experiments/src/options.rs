@@ -10,7 +10,7 @@
 //!
 //! Model names are those of
 //! [`SurrogateSpec::names`](alic_model::SurrogateSpec::names):
-//! `dynatree`, `cart`, `gp`, `knn` and `mean`.
+//! `dynatree`, `cart`, `gp`, `sgp`, `knn` and `mean`.
 
 use alic_core::experiment::ComparisonConfig;
 use alic_model::SurrogateSpec;

@@ -17,7 +17,7 @@ use alic_model::SurrogateSpec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Smoke-test sizes; finishes in a few seconds. Used by integration
-    /// tests and Criterion benches.
+    /// tests.
     Quick,
     /// Laptop-scale sizes reproducing the qualitative shapes of the paper's
     /// results in minutes. The default.

@@ -13,8 +13,6 @@ use alic_core::runner::{self, CampaignSpec};
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 use alic_stats::error::geometric_mean;
 
-use crate::scale::Scale;
-
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table1Row {
@@ -41,24 +39,34 @@ pub struct Table1Result {
     pub geometric_mean_speedup: Option<f64>,
 }
 
-/// Runs the full plan comparison for the given kernels and converts the
-/// outcomes into Table 1 rows.
-pub fn rows_from_outcomes(
-    outcomes: &[ComparisonOutcome],
-    config: &ComparisonConfig,
-) -> Table1Result {
-    let baseline_plan = config
+/// The two plans Table 1 compares head to head in `config`: the
+/// fixed-observation baseline (the first plan that takes several
+/// observations per visit without revisits, else `fixed35`) and the
+/// variable-observation plan (the first that allows revisits, else the
+/// default sequential plan).
+pub(crate) fn head_to_head_plans(config: &ComparisonConfig) -> (SamplingPlan, SamplingPlan) {
+    let baseline = config
         .plans
         .iter()
         .copied()
         .find(|p| !p.allows_revisits() && p.observations_per_visit() > 1)
         .unwrap_or(SamplingPlan::fixed35());
-    let variable_plan = config
+    let variable = config
         .plans
         .iter()
         .copied()
         .find(|p| p.allows_revisits())
         .unwrap_or_default();
+    (baseline, variable)
+}
+
+/// Converts the outcomes of an already-run plan comparison into Table 1
+/// rows.
+pub fn rows_from_outcomes(
+    outcomes: &[ComparisonOutcome],
+    config: &ComparisonConfig,
+) -> Table1Result {
+    let (baseline_plan, variable_plan) = head_to_head_plans(config);
 
     let rows: Vec<Table1Row> = outcomes
         .iter()
@@ -115,33 +123,20 @@ pub fn run_for_kernels_with(
     (rows_from_outcomes(&outcomes, config), outcomes)
 }
 
-/// Runs the comparison for a set of kernels at a given scale with the
-/// default (dynamic-tree) surrogate.
-pub fn run_for_kernels(
-    kernels: &[SpaptKernel],
-    scale: Scale,
-) -> (Table1Result, Vec<ComparisonOutcome>) {
-    run_for_kernels_with(kernels, &scale.comparison_config())
-}
-
 /// Runs Table 1 over all 11 benchmarks with an explicit configuration.
 pub fn run_with(config: &ComparisonConfig) -> (Table1Result, Vec<ComparisonOutcome>) {
     run_for_kernels_with(&SpaptKernel::all(), config)
 }
 
-/// Runs Table 1 over all 11 benchmarks at the given scale.
-pub fn run(scale: Scale) -> (Table1Result, Vec<ComparisonOutcome>) {
-    run_with(&scale.comparison_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn quick_scale_produces_rows_with_speedups() {
         let kernels = [SpaptKernel::Mvt, SpaptKernel::Gemver];
-        let (table, outcomes) = run_for_kernels(&kernels, Scale::Quick);
+        let (table, outcomes) = run_for_kernels_with(&kernels, &Scale::Quick.comparison_config());
         assert_eq!(table.rows.len(), 2);
         assert_eq!(outcomes.len(), 2);
         for row in &table.rows {
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn geometric_mean_reflects_individual_speedups() {
         let kernels = [SpaptKernel::Mvt, SpaptKernel::Hessian];
-        let (table, _) = run_for_kernels(&kernels, Scale::Quick);
+        let (table, _) = run_for_kernels_with(&kernels, &Scale::Quick.comparison_config());
         if let Some(gm) = table.geometric_mean_speedup {
             let speedups: Vec<f64> = table.rows.iter().filter_map(|r| r.speedup).collect();
             let lo = speedups.iter().cloned().fold(f64::INFINITY, f64::min);

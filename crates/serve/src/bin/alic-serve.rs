@@ -4,7 +4,6 @@
 //! alic-serve [--dir PATH] [--model NAME] [--seed N] [--max-sessions N]
 //!            [--deadline-ms N] [--tcp ADDR]
 //!            [--warm-store PATH] [--noise-regime LABEL]
-//!            [--watchdog-grace FACTOR]
 //! ```
 //!
 //! Without `--tcp` the daemon speaks the protocol on stdin/stdout. The
@@ -20,7 +19,7 @@ use alic_serve::engine::{Engine, ServeConfig};
 
 const USAGE: &str = "usage: alic-serve [--dir PATH] [--model NAME] [--seed N] \
 [--max-sessions N] [--deadline-ms N] [--tcp ADDR] \
-[--warm-store PATH] [--noise-regime LABEL] [--watchdog-grace FACTOR]";
+[--warm-store PATH] [--noise-regime LABEL]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("alic-serve: {msg}");
@@ -71,15 +70,6 @@ fn main() {
             "--tcp" => tcp = Some(value("an address like 127.0.0.1:4317")),
             "--warm-store" => config.warm_store = Some(value("a path").into()),
             "--noise-regime" => config.noise_regime = value("a label"),
-            "--watchdog-grace" => {
-                config.watchdog_grace = value("a factor")
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|g| g.is_finite() && *g >= 0.0)
-                    .unwrap_or_else(|| {
-                        fail("--watchdog-grace needs a finite factor >= 0 (0 disables)")
-                    });
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;

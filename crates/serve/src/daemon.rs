@@ -9,14 +9,16 @@
 //! so the fault plane reaches the wire.
 //!
 //! Both transports treat SIGTERM as a drain request (see [`crate::term`]):
-//! the loop stops admitting input and the [`DrainSummary`] goes to stderr —
-//! the same report the `drain` verb returns inline. Every acknowledged
-//! observation is already durable, so a drain has nothing to lose and the
-//! daemon exits 0; a nonzero exit means a transport error.
+//! the loop that owns the engine — the stdin loop, or the TCP owner
+//! thread — polls the flag between requests, so the request in flight
+//! finishes first. It then stops admitting input and the [`DrainSummary`]
+//! goes to stderr — the same report the `drain` verb returns inline. Every
+//! acknowledged observation is already durable, so a drain has nothing to
+//! lose and the daemon exits 0; a nonzero exit means a transport error.
 
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -24,7 +26,8 @@ use crate::chaos::{write_reply, ChaosLines};
 use crate::engine::{Action, ConnState, DrainSummary, Engine};
 use crate::protocol::PROTOCOL_VERSION;
 
-/// How often the transport loops poll the SIGTERM flag between requests.
+/// How often the engine-owning loops poll the SIGTERM flag between
+/// requests.
 const TERM_POLL: Duration = Duration::from_millis(25);
 
 /// Renders a drain summary to stderr, so both transports (and both exit
@@ -102,15 +105,12 @@ enum EngineMsg {
     Close {
         conn: u64,
     },
-    /// SIGTERM arrived: drain and exit (queued like any request, so
-    /// requests already in flight finish first).
-    Drain,
 }
 
 /// Runs the daemon on a TCP listener; one thread per connection, one owner
 /// thread for the engine. `shutdown` reports the drain summary and exits
-/// the process (the accept loop holds no state worth unwinding); SIGTERM
-/// drains through the same owner-thread queue.
+/// the process (the accept loop holds no state worth unwinding); the owner
+/// thread polls SIGTERM between requests and drains the same way.
 ///
 /// # Errors
 ///
@@ -119,15 +119,7 @@ pub fn serve_tcp(engine: Engine, addr: &str) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let (tx, rx) = mpsc::channel::<EngineMsg>();
     let term = crate::term::install();
-    let term_tx = tx.clone();
-    std::thread::spawn(move || loop {
-        if term.load(Ordering::Acquire) {
-            let _ = term_tx.send(EngineMsg::Drain);
-            break;
-        }
-        std::thread::sleep(TERM_POLL);
-    });
-    std::thread::spawn(move || engine_owner(engine, rx));
+    std::thread::spawn(move || engine_owner(engine, rx, term));
     let mut next_conn = 0u64;
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
@@ -142,16 +134,21 @@ pub fn serve_tcp(engine: Engine, addr: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-fn engine_owner(mut engine: Engine, rx: mpsc::Receiver<EngineMsg>) {
+fn engine_owner(mut engine: Engine, rx: mpsc::Receiver<EngineMsg>, term: &AtomicBool) {
     let mut conns: std::collections::HashMap<u64, ConnState> = std::collections::HashMap::new();
-    for msg in rx {
+    loop {
+        if term.load(Ordering::Acquire) {
+            report(&engine.drain());
+            std::process::exit(0);
+        }
+        let msg = match rx.recv_timeout(TERM_POLL) {
+            Ok(msg) => msg,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        };
         match msg {
             EngineMsg::Close { conn } => {
                 conns.remove(&conn);
-            }
-            EngineMsg::Drain => {
-                report(&engine.drain());
-                std::process::exit(0);
             }
             EngineMsg::Line { conn, line, reply } => {
                 let state = conns.entry(conn).or_default();

@@ -36,9 +36,10 @@
 //!   automatically. `Draining` is terminal: nothing new is admitted. The
 //!   `health` verb reports the state plus per-site injection and retry
 //!   counters; `drain` reports one [`DrainSummary`].
-//! * **Watchdog**: a request exceeding its deadline by
-//!   [`ServeConfig::watchdog_grace`] is flagged by a background thread and,
-//!   on completion, detached exactly like the panic path (`err stuck`).
+//! * **Stuck requests**: a request that returns after more than
+//!   [`STUCK_GRACE`] times its deadline is detached exactly like the panic
+//!   path (`err stuck`). The check runs when the request returns, so a
+//!   request that never returns is never judged.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,7 +58,6 @@ use crate::protocol::{
     self, code, format_config, format_cost, sanitize, ErrReply, Request, MAX_LINE_BYTES,
 };
 use crate::session::{TuningSession, WarmStart};
-use crate::watchdog::Watchdog;
 
 /// Subdirectory of the serve directory holding one checkpoint per session.
 pub const SESSIONS_DIR: &str = "sessions";
@@ -68,9 +68,12 @@ pub const DEFAULT_MAX_LIVE: usize = 8;
 /// Default per-request deadline.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_millis(2_000);
 
-/// Default watchdog grace factor: a request is stuck once it runs longer
-/// than `deadline × grace`.
-pub const DEFAULT_WATCHDOG_GRACE: f64 = 4.0;
+/// Stuck-request grace factor: a request that returns after more than
+/// `deadline × STUCK_GRACE` is judged stuck and its session detached.
+pub const STUCK_GRACE: f64 = 4.0;
+
+/// The largest session number: ids are `s` plus exactly six digits.
+const MAX_SESSION_ID: u64 = 999_999;
 
 /// Relative path (under the serve directory) of the ladder's probe file:
 /// one successful atomic write there proves the disk admits writes again.
@@ -103,10 +106,6 @@ pub struct ServeConfig {
     /// trained under an incompatible featurization (e.g. campaign
     /// normalizers) never seed serve sessions.
     pub noise_regime: String,
-    /// Watchdog grace factor: a request running longer than
-    /// `deadline × watchdog_grace` is flagged as stuck and its session
-    /// detached on completion. `0.0` disables the watchdog.
-    pub watchdog_grace: f64,
 }
 
 impl ServeConfig {
@@ -120,7 +119,6 @@ impl ServeConfig {
             deadline: DEFAULT_DEADLINE,
             warm_store: None,
             noise_regime: "default".to_string(),
-            watchdog_grace: DEFAULT_WATCHDOG_GRACE,
         }
     }
 }
@@ -242,8 +240,6 @@ pub struct Engine {
     shed_streak: u32,
     warm: Option<WarmStore>,
     state: HealthState,
-    req_seq: u64,
-    watchdog: Watchdog,
 }
 
 impl Engine {
@@ -284,8 +280,6 @@ impl Engine {
             shed_streak: 0,
             warm,
             state: HealthState::Healthy,
-            req_seq: 0,
-            watchdog: Watchdog::spawn(),
         })
     }
 
@@ -341,23 +335,16 @@ impl Engine {
             Err(e) => return Response::text(e.render(), Action::Continue),
         };
         let started = Instant::now();
-        self.req_seq += 1;
-        let seq = self.req_seq;
-        let grace = self.config.watchdog_grace;
-        let limit = if grace > 0.0 {
-            self.config.deadline.mul_f64(grace)
-        } else {
-            Duration::ZERO
-        };
-        self.watchdog.begin(seq, limit);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(conn, &request, started)));
-        if self.watchdog.finish(seq) {
-            // The watchdog flagged this request as stuck while it ran. The
-            // engine is single-owner, so the only safe enforcement point is
-            // completion: detach the session exactly like the panic path
-            // (durable state is untouched; any reply the late work computed
-            // is dropped, and at-least-once reconciliation on re-attach
-            // covers a mutation that did commit).
+        let limit = self.config.deadline.mul_f64(STUCK_GRACE);
+        if !limit.is_zero() && started.elapsed() > limit {
+            // The request outlived its deadline by the grace factor. The
+            // engine is single-owner and Rust offers no safe cancellation,
+            // so completion is the only enforcement point: detach the
+            // session exactly like the panic path (durable state is
+            // untouched; any reply the late work computed is dropped, and
+            // at-least-once reconciliation on re-attach covers a mutation
+            // that did commit).
             if let Some(id) = conn.current.take() {
                 self.live.remove(&id);
             }
@@ -365,7 +352,7 @@ impl Engine {
                 ErrReply::new(
                     code::STUCK,
                     format!(
-                        "request exceeded {grace}x its {}ms deadline (watchdog); \
+                        "request exceeded {STUCK_GRACE}x its {}ms deadline; \
                          session detached, re-attach to restore it",
                         self.config.deadline.as_millis()
                     ),
@@ -412,10 +399,9 @@ impl Engine {
             panic!("chaos: injected request panic");
         }
         // An injected stall sleeps past deadline × grace, so both the
-        // cooperative deadline checks and the watchdog observe it.
+        // cooperative deadline checks and the stuck check observe it.
         if inject(FaultSite::Stall) {
-            let grace = self.config.watchdog_grace.max(1.0);
-            std::thread::sleep(self.config.deadline.mul_f64(2.0 * grace));
+            std::thread::sleep(self.config.deadline.mul_f64(2.0 * STUCK_GRACE));
         }
         self.clock += 1;
         self.admit(request)?;
@@ -446,6 +432,14 @@ impl Engine {
                         )
                     })?,
                 };
+                // Ids are exactly six digits on the wire and on disk; a
+                // seventh digit would mint an id no request can name.
+                if self.next_id > MAX_SESSION_ID {
+                    return Err(ErrReply::new(
+                        code::INTERNAL,
+                        format!("session ids exhausted (s{MAX_SESSION_ID} exists)"),
+                    ));
+                }
                 self.make_room();
                 let id = format!("s{:06}", self.next_id);
                 let seed = derive_seed2(self.config.seed, STREAM_SESSION_SEED, self.next_id);
@@ -1029,6 +1023,28 @@ mod tests {
         // Id allocation continues past restored sessions.
         let reply = ok(&mut engine, &mut conn, "newsession mvt u:unroll");
         assert!(reply.starts_with("ok session s000001 "), "{reply}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn newsession_refuses_to_mint_a_seven_digit_id() {
+        let (engine, dir) = temp_engine("id-overflow");
+        drop(engine);
+        let sessions = dir.join(SESSIONS_DIR);
+        std::fs::write(sessions.join("s999999.json"), "{placeholder}").unwrap();
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        let reply = err(&mut engine, &mut conn, "newsession mvt u:unroll:1:9");
+        assert!(reply.starts_with("err internal "), "{reply}");
+        assert!(!sessions.join("s1000000.json").exists());
+        assert_eq!(
+            ok(&mut engine, &mut conn, "sessions"),
+            "ok sessions s999999"
+        );
+        assert_eq!(
+            std::fs::read_to_string(sessions.join("s999999.json")).unwrap(),
+            "{placeholder}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,9 +35,11 @@
 //! * `health` reports the ladder state plus fault/retry counters, `drain`
 //!   (or SIGTERM, in both transports) stops admission and reports one
 //!   [`engine::DrainSummary`];
-//! * a watchdog thread ([`watchdog`]) flags requests that blow through
-//!   their deadline by a grace factor; the wedged session is detached like
-//!   the panic path and restored from its checkpoint on re-attach.
+//! * a request that returns after more than its deadline times
+//!   [`engine::STUCK_GRACE`] is judged stuck: its session is detached like
+//!   the panic path and restored from its checkpoint on re-attach. The
+//!   judgement happens on return, so a request that never returns is not
+//!   detected. The daemon runs no timer threads.
 //!
 //! The `alic_stats::fault` chaos plane reaches into the daemon end to end:
 //! the connection layer has injection sites for dropped connections
@@ -55,7 +57,6 @@ pub mod engine;
 pub mod protocol;
 pub mod session;
 pub mod term;
-pub mod watchdog;
 
 pub use engine::{Action, ConnState, DrainSummary, Engine, HealthState, Response, ServeConfig};
 pub use protocol::{ErrReply, Request, PROTOCOL_VERSION};

@@ -71,8 +71,9 @@ pub mod code {
     pub const DRAINING: &str = "draining";
     /// The request exceeded its deadline.
     pub const DEADLINE: &str = "deadline";
-    /// The watchdog flagged the request as stuck (it exceeded its deadline
-    /// by the grace factor); the session was detached like the panic path.
+    /// The request returned after more than its deadline times
+    /// [`crate::engine::STUCK_GRACE`]; the session was detached like the
+    /// panic path.
     pub const STUCK: &str = "stuck";
     /// The request panicked; the session was detached (re-`attach` restores
     /// it from its last checkpoint).

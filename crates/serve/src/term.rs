@@ -30,11 +30,6 @@ pub fn install() -> &'static AtomicBool {
     &TERM
 }
 
-/// Whether SIGTERM has been received (always false before [`install`]).
-pub fn triggered() -> bool {
-    TERM.load(Ordering::Acquire)
-}
-
 #[cfg(unix)]
 fn register() {
     const SIGTERM: i32 = 15;

@@ -74,7 +74,7 @@ pub enum FaultSite {
     /// A ledger write fails with out-of-space (`ENOSPC`): the disk is full.
     Enospc = 10,
     /// A request stalls: the instrumented site sleeps long enough to trip its
-    /// deadline (and the serve watchdog's grace factor).
+    /// deadline, and to outlast the serve engine's stuck-request grace.
     Stall = 11,
     /// File-descriptor exhaustion: opening or writing a file fails with
     /// `EMFILE`-style errors.

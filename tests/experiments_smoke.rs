@@ -22,7 +22,8 @@ fn figure2_sweep_matches_the_papers_shape() {
 #[test]
 fn table1_and_fig5_quick_scale() {
     let kernels = [SpaptKernel::Lu, SpaptKernel::Mvt];
-    let (table, outcomes) = table1::run_for_kernels(&kernels, Scale::Quick);
+    let (table, outcomes) =
+        table1::run_for_kernels_with(&kernels, &Scale::Quick.comparison_config());
     assert_eq!(table.rows.len(), 2);
     assert_eq!(outcomes.len(), 2);
     for row in &table.rows {
@@ -39,7 +40,8 @@ fn table1_and_fig5_quick_scale() {
 
 #[test]
 fn fig6_quick_scale_produces_aligned_series() {
-    let (_, outcomes) = table1::run_for_kernels(&[SpaptKernel::Hessian], Scale::Quick);
+    let (_, outcomes) =
+        table1::run_for_kernels_with(&[SpaptKernel::Hessian], &Scale::Quick.comparison_config());
     let fig = fig6::curves_from_outcomes(&outcomes);
     assert_eq!(fig.kernels.len(), 1);
     for series in &fig.kernels[0].series {
@@ -56,7 +58,8 @@ fn table2_quick_scale_rows_are_ordered() {
 
 #[test]
 fn acquisition_ablation_quick_scale() {
-    let rows = ablation::acquisition_ablation(SpaptKernel::Lu, Scale::Quick);
+    let rows =
+        ablation::acquisition_ablation_with(SpaptKernel::Lu, &Scale::Quick.comparison_config());
     assert_eq!(rows.len(), 3);
     assert!(rows.iter().all(|r| r.mean_cost > 0.0));
 }

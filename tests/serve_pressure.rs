@@ -12,7 +12,7 @@
 //!
 //! The deterministic tests below pin the individual mechanisms: ladder
 //! transitions (healthy → shedding-writes → healthy), the exponential
-//! `retry-after-ms` hint and its reset, the watchdog's `err stuck`
+//! `retry-after-ms` hint and its reset, the stuck check's `err stuck`
 //! detach/re-attach cycle, and a drain that needs no writes.
 //!
 //! Every test manipulates the process-global fault plane, so each takes
@@ -48,13 +48,11 @@ fn temp_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// The pressure config: a short deadline so injected stalls overrun it, a
-/// tight watchdog grace so the watchdog (3ms poll) flags them well within
-/// the test.
+/// The pressure config: a short deadline so injected stalls overrun it
+/// and are judged stuck well within the test.
 fn pressure_config(dir: &Path) -> ServeConfig {
     let mut config = ServeConfig::new(dir);
     config.deadline = Duration::from_millis(50);
-    config.watchdog_grace = 3.0;
     config
 }
 
@@ -103,7 +101,7 @@ fn baseline() -> &'static (Vec<String>, String) {
 /// 1.0, so with budget >= 5 the first commits exhaust
 /// `RetryPolicy::LEDGER`'s attempts and trip the ladder, while the tail of
 /// the budget is silently absorbed by the retries; occasional fd
-/// exhaustion; and a small stall budget (each stall sleeps ~6x the
+/// exhaustion; and a small stall budget (each stall sleeps 8x the
 /// deadline, so rate and budget stay low to bound wall-clock).
 fn pressure_plan(seed: u64, enospc: u64, stall: u64) -> FaultPlan {
     FaultPlan::new(seed)
@@ -152,8 +150,8 @@ fn settle(engine: &mut Engine, conn: &mut ConnState, line: &str, obs_done: &mut 
 
 /// Creates the workload's session, retrying through the pressure. A
 /// `newsession` shed by the ladder commits nothing (the checkpoint write
-/// failed before the id was consumed), but one flagged by the watchdog
-/// (`err stuck` after an injected stall) may well have committed — so the
+/// failed before the id was consumed), but one judged stuck (`err stuck`
+/// after an injected stall) may well have committed — so the
 /// driver probes the `sessions` listing before re-creating, and attaches
 /// to `s000000` if the first attempt already landed.
 fn create_session(engine: &mut Engine, conn: &mut ConnState) {
@@ -241,8 +239,8 @@ proptest! {
 fn degraded_hints_back_off_and_reset_after_readmission() {
     let _guard = fault::exclusive_clean();
     let dir = temp_dir("ladder");
-    // Default config: the 2s deadline keeps the watchdog and cooperative
-    // shedding out of this test's way.
+    // Default config: the 2s deadline keeps the stuck check and
+    // cooperative shedding out of this test's way.
     let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
     let mut conn = ConnState::new();
     let reply = engine.handle_line(&mut conn, NEWSESSION).reply.unwrap();
@@ -313,15 +311,15 @@ fn degraded_hints_back_off_and_reset_after_readmission() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The watchdog flags a stalled request, detaches its session like the
-/// panic path, and a re-attach restores it from the durable checkpoint.
+/// A stalled request is judged stuck when it returns: its session is
+/// detached like the panic path, and a re-attach restores it from the
+/// durable checkpoint.
 #[test]
-fn watchdog_detaches_a_stalled_request_and_reattach_restores() {
+fn stuck_request_is_detached_and_reattach_restores() {
     let _guard = fault::exclusive_clean();
-    let dir = temp_dir("watchdog");
+    let dir = temp_dir("stuck");
     let mut config = pressure_config(&dir);
     config.deadline = Duration::from_millis(30);
-    config.watchdog_grace = 2.0;
     let mut engine = Engine::open(config).unwrap();
     let mut conn = ConnState::new();
     engine.handle_line(&mut conn, NEWSESSION).reply.unwrap();
@@ -330,8 +328,8 @@ fn watchdog_detaches_a_stalled_request_and_reattach_restores() {
         assert!(reply.starts_with("ok observed "), "{reply}");
     }
 
-    // One stall: the request sleeps ~4x its deadline, the watchdog (limit
-    // 2x) flags it, and the engine enforces the flag on completion.
+    // One stall: the request sleeps past its deadline times the grace
+    // factor, so it is judged stuck when it returns.
     fault::install(FaultPlan::new(9).with_site(FaultSite::Stall, 1.0, Some(1)));
     let reply = engine
         .handle_line(&mut conn, &format!("attach {SID}"))
