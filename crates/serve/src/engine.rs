@@ -1027,6 +1027,47 @@ mod tests {
     }
 
     #[test]
+    fn restored_session_appends_to_an_identical_checkpoint() {
+        let observes: Vec<String> = (0..12u32)
+            .map(|i| {
+                let cost = 1.0 + f64::from((i * 7) % 11) / 3.0;
+                format!("observe {},{} {cost}", 1 + (i * 5) % 20, (i * 3) % 7)
+            })
+            .collect();
+        let newsession = "newsession mvt u:unroll:1:20,t:cache-tile:0:6 gp";
+        let checkpoint =
+            |dir: &Path| std::fs::read(dir.join(SESSIONS_DIR).join("s000000.json")).unwrap();
+
+        let (mut straight, straight_dir) = temp_engine("append-straight");
+        let mut conn = ConnState::new();
+        ok(&mut straight, &mut conn, newsession);
+        for line in &observes {
+            ok(&mut straight, &mut conn, line);
+        }
+        drop(straight);
+
+        let (mut engine, dir) = temp_engine("append-restarted");
+        let mut conn = ConnState::new();
+        ok(&mut engine, &mut conn, newsession);
+        let (first, rest) = observes.split_at(observes.len() / 2);
+        for line in first {
+            ok(&mut engine, &mut conn, line);
+        }
+        drop(engine);
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        ok(&mut engine, &mut conn, "attach s000000");
+        for line in rest {
+            ok(&mut engine, &mut conn, line);
+        }
+        drop(engine);
+
+        assert_eq!(checkpoint(&dir), checkpoint(&straight_dir));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&straight_dir).unwrap();
+    }
+
+    #[test]
     fn newsession_refuses_to_mint_a_seven_digit_id() {
         let (engine, dir) = temp_engine("id-overflow");
         drop(engine);

@@ -20,6 +20,13 @@
 //! is accepted back only as exactly 16 lowercase hex digits, so a
 //! truncated or re-signed seed is `corrupt` rather than a replay with some
 //! other seed. Any decode failure names the offending field.
+//!
+//! The session keeps its checkpoint encoded. Everything before the
+//! observations and everything after them is encoded once, when the
+//! session is created or restored; each observation is encoded once, when
+//! it is recorded, and appended. A checkpoint is then those pieces joined,
+//! so its cost per observe no longer grows with the log, and its bytes are
+//! exactly what encoding the whole document as one codec tree gives.
 
 use std::collections::HashSet;
 
@@ -75,6 +82,34 @@ pub struct TuningSession {
     log: Vec<(Configuration, f64)>,
     model: Option<Box<dyn ActiveSurrogate + Send>>,
     warm: Option<WarmStart>,
+    /// The checkpoint of exactly `log`, or the codec's first error on it.
+    encoded: Result<Encoded, DataError>,
+}
+
+/// A checkpoint in three pieces: `head + body + tail` is the document.
+#[derive(Debug, Default)]
+struct Encoded {
+    /// Every field before the observations, through `"observations":[`.
+    head: String,
+    /// The comma-joined `[[values],cost]` entries, in log order.
+    body: String,
+    /// `]`, the `warm` field of a warm session, then `}` and a newline.
+    tail: String,
+}
+
+impl Encoded {
+    /// Appends one observation entry, `[[values],cost]`, to the body.
+    fn push(&mut self, config: &Configuration, cost: f64) -> Result<(), DataError> {
+        if !self.body.is_empty() {
+            self.body.push(',');
+        }
+        let values = config.values().iter();
+        JsonValue::Array(vec![
+            JsonValue::Array(values.map(|&v| JsonValue::Number(f64::from(v))).collect()),
+            JsonValue::Number(cost),
+        ])
+        .write_into(&mut self.body)
+    }
 }
 
 impl TuningSession {
@@ -86,7 +121,20 @@ impl TuningSession {
         spec: SurrogateSpec,
         seed: u64,
     ) -> Self {
-        TuningSession {
+        Self::with_warm(id, kernel, space, spec, seed, None)
+    }
+
+    /// Creates an empty session with its warm start (if any) in place, and
+    /// encodes the checkpoint fields that never change after this.
+    fn with_warm(
+        id: impl Into<String>,
+        kernel: impl Into<String>,
+        space: ParameterSpace,
+        spec: SurrogateSpec,
+        seed: u64,
+        warm: Option<WarmStart>,
+    ) -> Self {
+        let mut session = TuningSession {
             id: id.into(),
             kernel: kernel.into(),
             space,
@@ -94,8 +142,11 @@ impl TuningSession {
             seed,
             log: Vec::new(),
             model: None,
-            warm: None,
-        }
+            warm,
+            encoded: Ok(Encoded::default()),
+        };
+        session.encoded = session.encode();
+        session
     }
 
     /// Creates a session seeded from a previously trained surrogate
@@ -115,8 +166,7 @@ impl TuningSession {
         seed: u64,
         warm: WarmStart,
     ) -> Result<TuningSession, ErrReply> {
-        let mut session = TuningSession::new(id, kernel, space, spec, seed);
-        session.warm = Some(warm);
+        let mut session = TuningSession::with_warm(id, kernel, space, spec, seed, Some(warm));
         session.rebuild().map_err(|e| {
             ErrReply::new(
                 code::MODEL,
@@ -183,7 +233,17 @@ impl TuningSession {
     /// then checkpoints, so the disk only ever holds observations the
     /// surrogate accepted, and a reply is only ever written for a durable
     /// one.
+    ///
+    /// The observation's checkpoint entry is encoded here, once, and
+    /// appended to the session's encoded checkpoint. A cost the codec
+    /// cannot write (NaN, infinite) is still logged; the failure is kept
+    /// and [`to_checkpoint_string`](Self::to_checkpoint_string) reports it.
     pub fn record(&mut self, config: Configuration, cost: f64) {
+        if let Ok(encoded) = &mut self.encoded {
+            if let Err(e) = encoded.push(&config, cost) {
+                self.encoded = Err(e);
+            }
+        }
         self.log.push((config, cost));
     }
 
@@ -191,8 +251,13 @@ impl TuningSession {
     /// checkpoint failure: the observation must not survive in memory
     /// either; follow with [`rebuild`](Self::rebuild) to drop it from the
     /// surrogate too).
+    ///
+    /// Re-encodes the checkpoint from the remaining log: O(n), like the
+    /// rebuild that follows it, and the bytes are those from before the
+    /// `record`.
     pub fn unrecord(&mut self) {
         self.log.pop();
+        self.encoded = self.encode();
     }
 
     /// Folds the most recently recorded observation into the surrogate.
@@ -353,11 +418,29 @@ impl TuningSession {
 
     /// Serializes the session checkpoint (canonical JSON + newline).
     ///
+    /// Joins the pieces encoded at creation and by each
+    /// [`record`](Self::record): nothing is re-encoded, and the bytes equal
+    /// those of the whole document written by the codec in one pass.
+    ///
     /// # Errors
     ///
-    /// Returns an `io` error reply if serialization fails (a non-finite
-    /// cost cannot enter the log, so this does not happen in practice).
+    /// Returns an `io` error reply if serialization failed (a non-finite
+    /// cost cannot enter the engine's log, so this does not happen in
+    /// practice).
     pub fn to_checkpoint_string(&self) -> Result<String, ErrReply> {
+        let Encoded { head, body, tail } = self.encoded.as_ref().map_err(|e| {
+            ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id))
+        })?;
+        let mut text = String::with_capacity(head.len() + body.len() + tail.len());
+        text.push_str(head);
+        text.push_str(body);
+        text.push_str(tail);
+        Ok(text)
+    }
+
+    /// Encodes the whole checkpoint: the fixed fields, then one entry per
+    /// logged observation.
+    fn encode(&self) -> Result<Encoded, DataError> {
         let params = self.space.params().iter().map(|p| {
             io::object([
                 ("name", JsonValue::String(p.name.clone())),
@@ -366,18 +449,7 @@ impl TuningSession {
                 ("max", JsonValue::Number(f64::from(p.max))),
             ])
         });
-        let observations = self.log.iter().map(|(c, y)| {
-            JsonValue::Array(vec![
-                JsonValue::Array(
-                    c.values()
-                        .iter()
-                        .map(|&v| JsonValue::Number(f64::from(v)))
-                        .collect(),
-                ),
-                JsonValue::Number(*y),
-            ])
-        });
-        let mut fields = vec![
+        let mut head = io::object([
             ("schema", JsonValue::String(SESSION_SCHEMA.to_string())),
             ("id", JsonValue::String(self.id.clone())),
             ("kernel", JsonValue::String(self.kernel.clone())),
@@ -386,28 +458,32 @@ impl TuningSession {
             // JSON number (f64) would round above 2^53.
             ("seed", io::hex_u64(self.seed)),
             ("space", JsonValue::Array(params.collect())),
-            ("observations", JsonValue::Array(observations.collect())),
-        ];
-        let failed =
-            |e: DataError| ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id));
+            ("observations", JsonValue::Array(Vec::new())),
+        ])
+        .to_json_string()?;
+        // Keep the open observations array: entries and `]` come later.
+        head.truncate(head.len() - "]}".len());
+        let mut tail = String::from("]");
         // Cold checkpoints omit the field entirely, keeping their bytes
         // identical to pre-warm-store builds.
         if let Some(warm) = &self.warm {
-            fields.push((
-                "warm",
-                io::object([
-                    (
-                        "observations",
-                        io::int(warm.observations as u64).map_err(failed)?,
-                    ),
-                    ("snapshot", warm.snapshot.clone()),
-                ]),
-            ));
+            tail.push_str(",\"warm\":");
+            io::object([
+                ("observations", io::int(warm.observations as u64)?),
+                ("snapshot", warm.snapshot.clone()),
+            ])
+            .write_into(&mut tail)?;
         }
-        io::object(fields)
-            .to_json_string()
-            .map(|s| s + "\n")
-            .map_err(failed)
+        tail.push_str("}\n");
+        let mut encoded = Encoded {
+            head,
+            body: String::new(),
+            tail,
+        };
+        for (config, cost) in &self.log {
+            encoded.push(config, *cost)?;
+        }
+        Ok(encoded)
     }
 
     /// Restores a session from checkpoint text and replays its log into a
@@ -474,12 +550,20 @@ impl TuningSession {
         }
         let space =
             ParameterSpace::new(params).map_err(|e| DataError::Parse(format!("space: {e}")))?;
-        let mut session = TuningSession::new(
+        let warm = match io::optional_field(doc, "warm") {
+            Some(warm) => Some(WarmStart {
+                snapshot: warm.field("snapshot")?.clone(),
+                observations: io::field_usize(warm, "observations")?,
+            }),
+            None => None,
+        };
+        let mut session = TuningSession::with_warm(
             io::field_str(doc, "id")?,
             io::field_str(doc, "kernel")?,
             space,
             spec,
             io::field_hex_u64(doc, "seed")?,
+            warm,
         );
         for entry in io::field_array(doc, "observations")? {
             let [values, cost] = entry.as_array()? else {
@@ -501,13 +585,7 @@ impl TuningSession {
                 .validate(&config)
                 .map_err(|e| DataError::Parse(format!("observation outside the space: {e}")))?;
             // The parser admits only finite numbers, so the cost is finite.
-            session.log.push((config, cost.as_f64()?));
-        }
-        if let Some(warm) = io::optional_field(doc, "warm") {
-            session.warm = Some(WarmStart {
-                snapshot: warm.field("snapshot")?.clone(),
-                observations: io::field_usize(warm, "observations")?,
-            });
+            session.record(config, cost.as_f64()?);
         }
         Ok(session)
     }
@@ -516,6 +594,69 @@ impl TuningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The oracle for [`TuningSession::to_checkpoint_string`]: the whole
+    /// checkpoint built as one codec tree and encoded in one pass.
+    fn tree_checkpoint(s: &TuningSession) -> Result<String, ErrReply> {
+        let params = s.space.params().iter().map(|p| {
+            io::object([
+                ("name", JsonValue::String(p.name.clone())),
+                ("kind", JsonValue::String(p.kind.label().to_string())),
+                ("min", JsonValue::Number(f64::from(p.min))),
+                ("max", JsonValue::Number(f64::from(p.max))),
+            ])
+        });
+        let observations = s.log.iter().map(|(c, y)| {
+            JsonValue::Array(vec![
+                JsonValue::Array(
+                    c.values()
+                        .iter()
+                        .map(|&v| JsonValue::Number(f64::from(v)))
+                        .collect(),
+                ),
+                JsonValue::Number(*y),
+            ])
+        });
+        let mut fields = vec![
+            ("schema", JsonValue::String(SESSION_SCHEMA.to_string())),
+            ("id", JsonValue::String(s.id.clone())),
+            ("kernel", JsonValue::String(s.kernel.clone())),
+            ("model", JsonValue::String(s.spec.name().to_string())),
+            ("seed", io::hex_u64(s.seed)),
+            ("space", JsonValue::Array(params.collect())),
+            ("observations", JsonValue::Array(observations.collect())),
+        ];
+        let failed =
+            |e: DataError| ErrReply::new(code::IO, format!("serializing session {}: {e}", s.id));
+        if let Some(warm) = &s.warm {
+            fields.push((
+                "warm",
+                io::object([
+                    (
+                        "observations",
+                        io::int(warm.observations as u64).map_err(failed)?,
+                    ),
+                    ("snapshot", warm.snapshot.clone()),
+                ]),
+            ));
+        }
+        io::object(fields)
+            .to_json_string()
+            .map(|s| s + "\n")
+            .map_err(failed)
+    }
+
+    /// Both encoders' output, with errors rendered so they compare too.
+    fn encodings(s: &TuningSession) -> (Result<String, String>, Result<String, String>) {
+        let render = |e: ErrReply| e.render();
+        (
+            s.to_checkpoint_string().map_err(render),
+            tree_checkpoint(s).map_err(render),
+        )
+    }
 
     fn small_session(spec: SurrogateSpec) -> TuningSession {
         let space = ParameterSpace::new(vec![
@@ -724,16 +865,118 @@ mod tests {
 
     #[test]
     fn rollback_keeps_log_and_model_consistent() {
-        let mut s = small_session(SurrogateSpec::from_name("gp").unwrap());
+        let spec = SurrogateSpec::from_name("gp").unwrap();
+        let mut cold = small_session(spec);
         for (i, cost) in [4.0, 3.5, 3.8, 2.9].iter().enumerate() {
-            observe(&mut s, vec![1 + i as u32, i as u32], *cost);
+            observe(&mut cold, vec![1 + i as u32, i as u32], *cost);
         }
+        let (depth, snapshot) = cold.model_snapshot().unwrap();
+        let mut warm = TuningSession::new_warm(
+            "s000001",
+            "mvt",
+            cold.space().clone(),
+            spec,
+            7,
+            WarmStart {
+                snapshot,
+                observations: depth,
+            },
+        )
+        .unwrap();
+        observe(&mut warm, vec![5, 4], 3.3);
+        for s in [&mut cold, &mut warm] {
+            let before = s.to_checkpoint_string().unwrap();
+            let suggestion = s.suggest(2).unwrap();
+            s.record(Configuration::new(vec![7, 3]), 2.0);
+            s.apply_last().unwrap();
+            s.unrecord();
+            s.rebuild().unwrap();
+            assert_eq!(s.to_checkpoint_string().unwrap(), before);
+            assert_eq!(s.suggest(2).unwrap(), suggestion);
+        }
+    }
+
+    #[test]
+    fn non_finite_cost_fails_the_checkpoint_until_rolled_back() {
+        let mut s = small_session(SurrogateSpec::from_name("mean").unwrap());
+        observe(&mut s, vec![2, 2], 1.0);
         let before = s.to_checkpoint_string().unwrap();
-        let suggestion = s.suggest(2).unwrap();
-        s.record(Configuration::new(vec![7, 3]), 2.0);
+        s.record(Configuration::new(vec![3, 1]), f64::NAN);
+        let err = s.to_checkpoint_string().unwrap_err();
+        assert_eq!(err.code, code::IO, "{}", err.render());
+        // Later records do not mask the failure.
+        s.record(Configuration::new(vec![4, 1]), 2.0);
+        assert_eq!(s.to_checkpoint_string().unwrap_err().code, code::IO);
         s.unrecord();
-        s.rebuild().unwrap();
+        s.unrecord();
         assert_eq!(s.to_checkpoint_string().unwrap(), before);
-        assert_eq!(s.suggest(2).unwrap(), suggestion);
+    }
+
+    /// A warm start for `spec`, taken from a donor fitted on six points.
+    fn donor_warm_start(spec: SurrogateSpec) -> WarmStart {
+        let mut donor = small_session(spec);
+        for (i, cost) in [4.0, 3.5, 3.8, 2.9, 3.1, 2.7].iter().enumerate() {
+            observe(&mut donor, vec![1 + i as u32, (i % 7) as u32], *cost);
+        }
+        let (observations, snapshot) = donor.model_snapshot().unwrap();
+        WarmStart {
+            snapshot,
+            observations,
+        }
+    }
+
+    proptest! {
+        /// The kept checkpoint equals the tree encoder's, byte for byte,
+        /// after every step: records, rolled-back records (some of them
+        /// non-finite, so both encoders fail alike), and round trips
+        /// through the checkpoint text into a restored session that then
+        /// records more.
+        #[test]
+        fn kept_checkpoint_matches_the_tree_encoder(
+            family in 0usize..2,
+            warm in 0usize..2,
+            ops in vec(0usize..6, 1..16),
+            values in vec(0u32..1_000, 32),
+            mantissas in vec(-1e3f64..1e3, 16),
+            exponents in vec(-30i32..30, 16),
+        ) {
+            let spec = SurrogateSpec::from_name(["mean", "dynatree"][family]).unwrap();
+            let mut s = if warm == 1 {
+                let space = small_session(spec).space().clone();
+                TuningSession::new_warm("s000007", "mvt", space, spec, 5, donor_warm_start(spec))
+                    .unwrap()
+            } else {
+                small_session(spec)
+            };
+            let (kept, tree) = encodings(&s);
+            prop_assert_eq!(kept, tree);
+            for (i, op) in ops.iter().enumerate() {
+                let (u1, t1) = (1 + values[2 * i] % 12, values[2 * i + 1] % 7);
+                let config = Configuration::new(vec![u1, t1]);
+                let cost = mantissas[i] * 10f64.powi(exponents[i]);
+                match op {
+                    0..=2 => s.record(config, cost),
+                    3 | 4 => {
+                        let cost = if *op == 4 { [f64::NAN, f64::INFINITY][i % 2] } else { cost };
+                        let before = s.to_checkpoint_string();
+                        s.record(config, cost);
+                        let (kept, tree) = encodings(&s);
+                        prop_assert_eq!(kept, tree);
+                        s.unrecord();
+                        prop_assert_eq!(
+                            s.to_checkpoint_string().map_err(|e| e.render()),
+                            before.map_err(|e| e.render())
+                        );
+                    }
+                    _ => {
+                        let text = s.to_checkpoint_string().unwrap();
+                        s = TuningSession::from_checkpoint_str(&text).unwrap();
+                        prop_assert_eq!(s.to_checkpoint_string().unwrap(), text);
+                    }
+                }
+                let (kept, tree) = encodings(&s);
+                prop_assert_eq!(kept, tree);
+            }
+        }
     }
 }
