@@ -53,12 +53,22 @@
 //!
 //! The batch entry points ([`predict_batch`](SurrogateModel::predict_batch),
 //! [`alm_scores`](ActiveSurrogate::alm_scores),
-//! [`alc_scores`](ActiveSurrogate::alc_scores)) chunk candidates directly by
-//! index (no per-call block collection), share per-leaf contribution tables
-//! across candidates, traverse each **unique** tree once per candidate and
-//! accumulate multiplicity-weighted contributions in first-seen particle
-//! order — results are bit-identical to the single-point methods regardless
-//! of the thread count.
+//! [`alc_scores`](ActiveSurrogate::alc_scores)) share one **split-mask
+//! kernel** ([`SplitForest`]). Copy-on-write particles keep their
+//! ancestors' splits, so the unique trees of a call hold far fewer
+//! distinct `(dimension, threshold)` splits than internal nodes. Each call
+//! interns those splits once; each 64-row block (candidates chunked
+//! directly by index, references one chunk at a time) is compared once per
+//! *distinct* split into a u64 `<=` mask; and each unique tree routes the
+//! block with `reach & mask` / `reach & !mask` word operations alone,
+//! visiting each leaf once per block with the word of lanes that land
+//! there. The ALC reference tables are built serially into one buffer
+//! over the whole forest, the candidate blocks run in parallel. The kernel
+//! makes exactly the `<=` comparisons a per-row [`find_leaf_flat`] walk
+//! makes, and every lane accumulates its unique trees' terms in
+//! first-seen particle order, the order of a per-row loop — so results
+//! are bit-identical to the single-point methods regardless of the
+//! thread count.
 
 pub mod scan;
 pub mod tree;
@@ -79,14 +89,14 @@ use crate::{validate_training_set, ModelError, Result};
 use scan::{LeafColumns, ATTEMPT_BATCH};
 
 pub use tree::{
-    find_leaf_flat, find_leaves_flat_block, for_each_block_leaf, FlatNode, MomentCtx, ParticleTree,
-    QueryBlock, Split, FLAT_LEAF,
+    find_leaf_flat, FlatNode, MomentCtx, ParticleTree, QueryBlock, Split, SplitForest, FLAT_LEAF,
 };
 
-/// Candidates per parallel scoring block. Each block accumulates its scores
-/// independently (per-candidate work is ordered by particle index), so the
-/// block size affects only scheduling granularity, never results.
-const SCORE_BLOCK: usize = 64;
+/// Candidates per parallel scoring block: one reach word. Each block
+/// accumulates its scores independently (per-candidate work is ordered by
+/// particle index), so the block split affects only scheduling, never
+/// results.
+const SCORE_BLOCK: usize = tree::TRAVERSE_BLOCK;
 
 /// "No group" sentinel in the arena→group scratch map.
 const NO_GROUP: u32 = u32::MAX;
@@ -308,6 +318,11 @@ impl DynaTree {
         let rng = StatsRng::from_state_words(&rng_words)
             .ok_or_else(|| snapshot::err("field rng: malformed generator state"))?;
         let dimension = io::nullable(doc, "dimension", io::field_usize)?;
+        if dimension.is_some_and(|d| d != xs.dim()) {
+            return Err(snapshot::err(
+                "field dimension: disagrees with the training rows",
+            ));
+        }
         let depth_bound = io::field_usize(doc, "depth_bound")?;
         let mut table = LnGammaTable::new(&prior);
         table.ensure(ys.len().max(1));
@@ -333,7 +348,13 @@ impl DynaTree {
                         "arena slot {slot} is live but stored as null"
                     )));
                 } else {
-                    arenas.push(ParticleTree::from_snapshot(tree_doc, &ctx, ys.len())?);
+                    let tree = ParticleTree::from_snapshot(tree_doc, &ctx, ys.len())?;
+                    if tree.n_dims() != xs.dim() {
+                        return Err(snapshot::err(format!(
+                            "arena slot {slot}: tree width disagrees with the training rows"
+                        )));
+                    }
+                    arenas.push(tree);
                 }
             }
         }
@@ -392,6 +413,16 @@ impl DynaTree {
             }
         }
         groups
+    }
+
+    /// The split forest of the unique trees behind `groups`, in group
+    /// order: tree `t` of the forest is the arena of `groups[t]`.
+    fn split_forest(&self, groups: &[(u32, u32)]) -> SplitForest {
+        SplitForest::new(
+            groups
+                .iter()
+                .map(|&(slot, _)| self.arenas[slot as usize].flat_nodes()),
+        )
     }
 
     /// The split prior `p_split(depth) = α (1 + depth)^(−β)`, clamped away
@@ -835,6 +866,26 @@ fn clone_slot(arenas: &mut [ParticleTree], src: usize, dst: usize) {
     }
 }
 
+/// Stages one block of at most [`SCORE_BLOCK`] rows and compares it against
+/// every distinct split of `forest`: returns the block's full reach word
+/// and its split masks.
+fn stage_block(forest: &SplitForest, dim: usize, rows: &[&[f64]]) -> (u64, Vec<u64>) {
+    let mut staged = QueryBlock::default();
+    staged.fill(dim, rows);
+    let mut masks = Vec::new();
+    forest.block_masks(&staged, &mut masks);
+    (staged.full_mask(), masks)
+}
+
+/// Calls `f(lane)` for every set bit of `lanes`, in ascending lane order.
+#[inline]
+fn for_each_lane(mut lanes: u64, mut f: impl FnMut(usize)) {
+    while lanes != 0 {
+        f(lanes.trailing_zeros() as usize);
+        lanes &= lanes - 1;
+    }
+}
+
 /// Systematic resampling of particle indices proportionally to the given log
 /// weights, written into `indices` (the identity assignment when the weights
 /// are degenerate). `weights` is a reusable workspace.
@@ -950,11 +1001,13 @@ impl SurrogateModel for DynaTree {
             return Ok(Vec::new());
         }
         // The cached flat traversals and leaf moments make this a pure read:
-        // no flattening, no posterior computation, just one traversal per
-        // (unique tree, input) pair. Candidate blocks are chunked directly
-        // by index; block `b` covers `inputs[b*SCORE_BLOCK..]`.
+        // no flattening, no posterior computation. Candidate blocks are
+        // chunked directly by index; block `b` covers
+        // `inputs[b*SCORE_BLOCK..]`.
         let groups = self.arena_groups();
+        let forest = self.split_forest(&groups);
         let n = self.particles.len() as f64;
+        let dim = inputs[0].len();
         let scored: Vec<Vec<Prediction>> = (0..inputs.len().div_ceil(SCORE_BLOCK))
             .into_par_iter()
             .map(|b| {
@@ -963,26 +1016,23 @@ impl SurrogateModel for DynaTree {
                 // Accumulate over unique trees in first-seen particle order
                 // with multiplicity weights, exactly like `predict`, so
                 // results are bit-identical to the single-point method and
-                // independent of the thread count. Each tree is applied in
-                // two block-wide passes — resolve every candidate's leaf,
-                // then gather that leaf's moments — so the traversal loop
-                // carries no accumulator dependencies and the gather loop
-                // is a tight indexed sweep (same adds in the same order as
-                // a fused loop).
+                // independent of the thread count. A leaf's two weighted
+                // moment terms are formed once per (leaf, reach word) and
+                // added to each lane that lands there.
                 let mut mean_acc = vec![0.0f64; block.len()];
                 let mut second_moment = vec![0.0f64; block.len()];
-                let mut staged = QueryBlock::default();
-                staged.fill(block[0].len(), block);
+                let (reach, masks) = stage_block(&forest, dim, block);
                 let mut stack = Vec::new();
-                for &(slot, mult) in &groups {
-                    let tree = &self.arenas[slot as usize];
-                    let flat = tree.flat_nodes();
-                    let moments = tree.leaf_moments();
+                for (t, &(slot, mult)) in groups.iter().enumerate() {
+                    let moments = self.arenas[slot as usize].leaf_moments();
                     let k = mult as f64;
-                    for_each_block_leaf(flat, &staged, &mut stack, |i, leaf| {
-                        let m = &moments[leaf as usize];
-                        mean_acc[i] += k * m.mean;
-                        second_moment[i] += k * (m.variance + m.mean * m.mean);
+                    forest.for_each_leaf(t, &masks, reach, &mut stack, |leaf, lanes| {
+                        let m = &moments[leaf];
+                        let (mean, second) = (k * m.mean, k * (m.variance + m.mean * m.mean));
+                        for_each_lane(lanes, |i| {
+                            mean_acc[i] += mean;
+                            second_moment[i] += second;
+                        });
                     });
                 }
                 mean_acc
@@ -1083,48 +1133,61 @@ impl ActiveSurrogate for DynaTree {
         // integrates the reduction over the input distribution. The
         // reference traversals and the division are shared across all
         // candidates (and all particles of a shared tree); the per-candidate
-        // work is one cached flat traversal and one table add per unique
-        // tree.
+        // work is one split-mask walk and one table add per unique tree.
         let groups = self.arena_groups();
-        let tables: Vec<(u32, f64, Vec<f64>)> = groups
-            .par_iter()
-            .map(|&(slot, mult)| {
-                let tree = &self.arenas[slot as usize];
-                let flat = tree.flat_nodes();
-                let moments = tree.leaf_moments();
-                let mut add = vec![0.0f64; flat.len()];
-                let mut staged = QueryBlock::default();
-                let mut stack = Vec::new();
-                for chunk in reference.chunks(SCORE_BLOCK) {
-                    staged.fill(chunk[0].len(), chunk);
-                    for_each_block_leaf(flat, &staged, &mut stack, |_, leaf| {
-                        add[leaf as usize] += moments[leaf as usize].variance;
-                    });
-                }
-                for (leaf, affected) in add.iter_mut().enumerate() {
-                    if *affected > 0.0 {
-                        *affected /= moments[leaf].n_eff + 1.0;
+        let forest = self.split_forest(&groups);
+        let dim = candidates[0].len();
+        // The tables of every tree share one buffer over the forest's node
+        // numbering. They are built serially, one reference chunk at a
+        // time: per-tree jobs are too small to pay for a hand-off, and each
+        // chunk is staged and compared once for all trees. A leaf adds its
+        // variance once per reference lane, in chunk order, as a
+        // per-reference loop would.
+        let mut add = vec![0.0f64; forest.node_count()];
+        let mut stack = Vec::new();
+        for chunk in reference.chunks(SCORE_BLOCK) {
+            let (reach, masks) = stage_block(&forest, dim, chunk);
+            for (t, &(slot, _)) in groups.iter().enumerate() {
+                let moments = self.arenas[slot as usize].leaf_moments();
+                let table = &mut add[forest.node_range(t)];
+                forest.for_each_leaf(t, &masks, reach, &mut stack, |leaf, lanes| {
+                    let variance = moments[leaf].variance;
+                    for _ in 0..lanes.count_ones() {
+                        table[leaf] += variance;
                     }
+                });
+            }
+        }
+        for (t, &(slot, _)) in groups.iter().enumerate() {
+            let moments = self.arenas[slot as usize].leaf_moments();
+            for (leaf, affected) in add[forest.node_range(t)].iter_mut().enumerate() {
+                if *affected > 0.0 {
+                    *affected /= moments[leaf].n_eff + 1.0;
                 }
-                (slot, mult as f64, add)
-            })
-            .collect();
+            }
+        }
         let denominator = reference.len() as f64 * self.particles.len() as f64;
         let scored: Vec<Vec<f64>> = (0..candidates.len().div_ceil(SCORE_BLOCK))
             .into_par_iter()
             .map(|b| {
                 let lo = b * SCORE_BLOCK;
                 let block = &candidates[lo..(lo + SCORE_BLOCK).min(candidates.len())];
-                // Two block-wide passes per tree, like `predict_batch`:
-                // traverse, then gather from the contribution table.
+                // Unique trees in first-seen particle order, like
+                // `predict_batch`: each lane's total is the same sum in the
+                // same order as a per-candidate loop. A zero term is
+                // skipped; adding it would leave a total unchanged, since a
+                // total that starts at +0.0 is never −0.0.
                 let mut totals = vec![0.0f64; block.len()];
-                let mut staged = QueryBlock::default();
-                staged.fill(block[0].len(), block);
+                let (reach, masks) = stage_block(&forest, dim, block);
                 let mut stack = Vec::new();
-                for (slot, k, add) in &tables {
-                    let flat = self.arenas[*slot as usize].flat_nodes();
-                    for_each_block_leaf(flat, &staged, &mut stack, |i, leaf| {
-                        totals[i] += k * add[leaf as usize];
+                for (t, &(_, mult)) in groups.iter().enumerate() {
+                    let k = mult as f64;
+                    let table = &add[forest.node_range(t)];
+                    forest.for_each_leaf(t, &masks, reach, &mut stack, |leaf, lanes| {
+                        let term = k * table[leaf];
+                        if term != 0.0 {
+                            for_each_lane(lanes, |i| totals[i] += term);
+                        }
                     });
                 }
                 totals.iter().map(|t| t / denominator).collect()
@@ -1294,6 +1357,147 @@ mod tests {
         assert!((batch[1] - single1).abs() < 1e-12);
     }
 
+    /// Scalar oracle for `alc_scores`: one [`find_leaf_flat`] per (unique
+    /// tree, row), trees in first-seen particle order, rows one at a time.
+    fn oracle_alc(model: &DynaTree, candidates: &[&[f64]], reference: &[&[f64]]) -> Vec<f64> {
+        let groups = model.arena_groups();
+        let tables: Vec<Vec<f64>> = groups
+            .iter()
+            .map(|&(slot, _)| {
+                let tree = &model.arenas[slot as usize];
+                let moments = tree.leaf_moments();
+                let mut add = vec![0.0f64; tree.flat_nodes().len()];
+                for r in reference {
+                    let leaf = find_leaf_flat(tree.flat_nodes(), r);
+                    add[leaf] += moments[leaf].variance;
+                }
+                for (leaf, affected) in add.iter_mut().enumerate() {
+                    if *affected > 0.0 {
+                        *affected /= moments[leaf].n_eff + 1.0;
+                    }
+                }
+                add
+            })
+            .collect();
+        let denominator = reference.len() as f64 * model.particles.len() as f64;
+        candidates
+            .iter()
+            .map(|c| {
+                let mut total = 0.0f64;
+                for (&(slot, mult), add) in groups.iter().zip(&tables) {
+                    let tree = &model.arenas[slot as usize];
+                    total += mult as f64 * add[find_leaf_flat(tree.flat_nodes(), c)];
+                }
+                total / denominator
+            })
+            .collect()
+    }
+
+    /// Scalar oracle for `predict_batch`, with the same per-row order.
+    fn oracle_predictions(model: &DynaTree, rows: &[&[f64]]) -> Vec<Prediction> {
+        let groups = model.arena_groups();
+        let n = model.particles.len() as f64;
+        rows.iter()
+            .map(|x| {
+                let (mut mean_acc, mut second_moment) = (0.0f64, 0.0f64);
+                for &(slot, mult) in &groups {
+                    let tree = &model.arenas[slot as usize];
+                    let m = &tree.leaf_moments()[find_leaf_flat(tree.flat_nodes(), x)];
+                    let k = mult as f64;
+                    mean_acc += k * m.mean;
+                    second_moment += k * (m.variance + m.mean * m.mean);
+                }
+                let mean = mean_acc / n;
+                Prediction::new(mean, (second_moment / n - mean * mean).max(0.0))
+            })
+            .collect()
+    }
+
+    /// Random rows in `[0, 1]^dim`; about a third of them have one
+    /// coordinate moved exactly onto a split threshold of `splits`.
+    fn rows_near_splits(
+        rng: &mut SmallRng,
+        count: usize,
+        dim: usize,
+        splits: &[(usize, f64)],
+    ) -> Vec<Vec<f64>> {
+        (0..count)
+            .map(|_| {
+                let mut row: Vec<f64> = (0..dim).map(|_| rng.gen_range_f64(0.0, 1.0)).collect();
+                if !splits.is_empty() && rng.gen_index(3) == 0 {
+                    let (d, threshold) = splits[rng.gen_index(splits.len())];
+                    row[d] = threshold;
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// A seeded property loop (the same deterministic-cases scheme as the
+    /// workspace's `proptest!` shim): the split-mask kernels equal the
+    /// scalar oracles bit for bit.
+    #[test]
+    fn batch_kernels_equal_the_scalar_oracle_bitwise() {
+        for case in 0..24u64 {
+            let mut rng = SmallRng::substream(0x0AC1E, case, 0);
+            let dim = 1 + (case as usize % 6);
+            let n = 20 + rng.gen_index(50);
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.gen_range_f64(0.0, 1.0)).collect())
+                .collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|x| {
+                    let step = if x[0] > 0.5 { 2.0 } else { 0.0 };
+                    step + x.iter().sum::<f64>() + rng.gen_range_f64(-0.1, 0.1)
+                })
+                .collect();
+            let mut model = DynaTree::new(DynaTreeConfig {
+                particles: 30,
+                seed: case,
+                ..Default::default()
+            });
+            model.fit(&crate::row_views(&xs), &ys).unwrap();
+            let splits: Vec<(usize, f64)> = model
+                .arena_groups()
+                .iter()
+                .flat_map(|&(slot, _)| model.arenas[slot as usize].flat_nodes())
+                .filter(|node| node.dimension != FLAT_LEAF)
+                .map(|node| (node.dimension as usize, node.threshold))
+                .collect();
+            assert!(!splits.is_empty(), "case {case}: no tree grew");
+            let mut count = 1 + rng.gen_index(200);
+            if count.is_multiple_of(SCORE_BLOCK) {
+                count += 1;
+            }
+            let references = if case % 3 == 0 {
+                1 + rng.gen_index(SCORE_BLOCK)
+            } else {
+                SCORE_BLOCK + 1 + rng.gen_index(100)
+            };
+            let candidates = rows_near_splits(&mut rng, count, dim, &splits);
+            let reference = rows_near_splits(&mut rng, references, dim, &splits);
+            let (candidates, reference) = (views(&candidates), views(&reference));
+
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let alc = model.alc_scores(&candidates, &reference).unwrap();
+            assert_eq!(
+                bits(&alc),
+                bits(&oracle_alc(&model, &candidates, &reference)),
+                "case {case}: {dim}-D, {count} candidates, {references} references"
+            );
+            let predictions = model.predict_batch(&candidates).unwrap();
+            let oracle = oracle_predictions(&model, &candidates);
+            for (i, (p, o)) in predictions.iter().zip(&oracle).enumerate() {
+                assert_eq!(
+                    (p.mean.to_bits(), p.variance.to_bits()),
+                    (o.mean.to_bits(), o.variance.to_bits()),
+                    "case {case}: prediction {i} of {count}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn predict_batch_is_bit_identical_to_predict() {
         let model = fit_on(|x| (3.0 * x).cos(), 70, 29);
@@ -1390,6 +1594,66 @@ mod tests {
             a.alc_scores(&views(&candidates), &reference).unwrap(),
             b.alc_scores(&views(&candidates), &reference).unwrap()
         );
+    }
+
+    /// Replaces field `name` of a JSON object.
+    fn set_field(doc: &mut JsonValue, name: &str, value: JsonValue) {
+        let JsonValue::Object(fields) = doc else {
+            panic!("not an object");
+        };
+        let field = fields.iter_mut().find(|(k, _)| k == name).expect("field");
+        field.1 = value;
+    }
+
+    #[test]
+    fn snapshot_with_a_mismatched_width_is_rejected() {
+        let xs: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![i as f64 / 29.0, (i % 7) as f64 / 6.0])
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] + 2.0 * x[1]).collect();
+        let mut model = DynaTree::new(DynaTreeConfig {
+            particles: 20,
+            seed: 43,
+            ..Default::default()
+        });
+        model.fit(&crate::row_views(&xs), &ys).unwrap();
+        let doc = model.snapshot().unwrap();
+        assert!(DynaTree::from_snapshot(&doc).is_ok());
+
+        // A 2-D model that claims to be 1-D would index past a 1-D query.
+        let mut narrow = doc.clone();
+        set_field(&mut narrow, "dimension", io::int(1).unwrap());
+        assert!(matches!(
+            DynaTree::from_snapshot(&narrow),
+            Err(ModelError::Snapshot(_))
+        ));
+
+        // A live tree three features wide (with consistent bounds) next to
+        // 2-D training rows.
+        let mut wide = doc.clone();
+        let JsonValue::Object(fields) = &mut wide else {
+            panic!("not an object");
+        };
+        let (_, JsonValue::Array(arenas)) = fields.iter_mut().find(|(k, _)| k == "arenas").unwrap()
+        else {
+            panic!("arenas is not an array");
+        };
+        let tree = arenas.iter_mut().find(|t| !t.is_null()).unwrap();
+        let bounds: Vec<f64> = io::field_hex_f64s(tree, "bounds")
+            .unwrap()
+            .chunks_exact(4)
+            .flat_map(|node| {
+                node.iter()
+                    .copied()
+                    .chain([f64::INFINITY, f64::NEG_INFINITY])
+            })
+            .collect();
+        set_field(tree, "bounds", io::hex_f64s(bounds));
+        set_field(tree, "n_dims", io::int(3).unwrap());
+        assert!(matches!(
+            DynaTree::from_snapshot(&wide),
+            Err(ModelError::Snapshot(_))
+        ));
     }
 
     #[test]

@@ -70,8 +70,9 @@ const FREE_NODE: u32 = u32::MAX - 1;
 const NONE: u32 = u32::MAX;
 
 /// A compact, traversal-only copy of one tree node (24 bytes). Every scoring
-/// path traverses these dense arrays; the tree keeps its own copy cached and
-/// structurally fresh, so batch calls never re-flatten.
+/// path reads these dense arrays (batch calls through a [`SplitForest`]);
+/// the tree keeps its own copy cached and structurally fresh, so batch
+/// calls never re-flatten.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatNode {
     /// Split dimension, or [`FLAT_LEAF`] when the node is a leaf.
@@ -108,14 +109,9 @@ pub fn find_leaf_flat(nodes: &[FlatNode], x: &[f64]) -> usize {
 /// Width of a scoring traversal block: one u64 reach word.
 pub const TRAVERSE_BLOCK: usize = 64;
 
-/// Reach-mask density at which the partition compare switches from the
-/// set-bit walk to one full-width SIMD mask build over the 64-lane column.
-const DENSE_REACH: u32 = 32;
-
-/// Column-major staging of up to [`TRAVERSE_BLOCK`] query rows, reused
-/// across every tree a scoring pass pushes the block through. Lanes past
-/// `len` are zero-padded; their comparison bits are garbage that the reach
-/// masks never select.
+/// Column-major staging of up to [`TRAVERSE_BLOCK`] query rows, the input
+/// of [`SplitForest::block_masks`]. Lanes past `len` are zero-padded; their
+/// comparison bits are garbage that the reach masks never select.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBlock {
     /// `cols[d * TRAVERSE_BLOCK + i]` is dimension `d` of query `i`.
@@ -138,23 +134,13 @@ impl QueryBlock {
         }
     }
 
-    /// Number of staged queries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the staging is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The 64-lane column of `dimension`.
     fn column(&self, dimension: usize) -> &[f64] {
         &self.cols[dimension * TRAVERSE_BLOCK..(dimension + 1) * TRAVERSE_BLOCK]
     }
 
     /// Reach word with one bit per staged query.
-    fn full_mask(&self) -> u64 {
+    pub fn full_mask(&self) -> u64 {
         match self.len {
             64 => u64::MAX,
             n => (1u64 << n) - 1,
@@ -162,97 +148,186 @@ impl QueryBlock {
     }
 }
 
-/// Resolves the leaves of a staged query block in **one walk of the tree**,
-/// invoking `on_leaf(lane, leaf_node)` once per query.
+/// One node of a [`SplitForest`] tree (12 bytes): an internal node names
+/// its interned split, a leaf carries [`FLAT_LEAF`].
+#[derive(Debug, Clone, Copy)]
+struct MaskNode {
+    split: u32,
+    left: u32,
+    right: u32,
+}
+
+/// The trees of one scoring call with every internal node's
+/// `(dimension, threshold)` split interned into a forest-wide split id.
 ///
-/// [`find_leaf_flat`] walks one query at a time — per level a dependent node
-/// load plus a data-dependent split branch, re-reading every node once per
-/// query that crosses it. This kernel inverts the loop: a depth-first walk
-/// of the tree carries a u64 **reach word** (bit `i` = "query `i` reaches
-/// this node"), splits it at each internal node with the node's comparison
-/// mask, and descends only into subtrees whose reach word is non-zero. Each
-/// node is read once per *block* instead of once per query, the compare over
-/// a node's survivors is a branch-free mask build (full-width SIMD when the
-/// reach word is dense, a set-bit walk when sparse), and leaf assignment is
-/// a `trailing_zeros` sweep of the final reach words. Callers fuse their
-/// per-query gather into `on_leaf` instead of staging leaf indices.
+/// Copy-on-write particles keep their ancestors' splits, so a particle set
+/// holds far fewer distinct splits than internal nodes. The forest lets a
+/// scoring pass compare each *distinct* split once per 64-row block
+/// ([`block_masks`](SplitForest::block_masks)) and then route the block
+/// through every tree with word operations alone
+/// ([`for_each_leaf`](SplitForest::for_each_leaf)).
 ///
-/// Every query undergoes exactly the comparisons its serial traversal would
-/// (those of the nodes on its root-to-leaf path, against the same
-/// thresholds), so the resolved leaves are identical to per-query
-/// [`find_leaf_flat`] calls. Lanes sharing a leaf are reported in ascending
-/// lane order; across leaves the order follows the walk, which only matters
-/// to sinks that accumulate across lanes (none do — every caller keeps
-/// per-lane accumulators).
-///
-/// `stack` is reusable scratch for the DFS; it is cleared on entry.
-pub fn for_each_block_leaf(
-    nodes: &[FlatNode],
-    block: &QueryBlock,
-    stack: &mut Vec<(u32, u64)>,
-    mut on_leaf: impl FnMut(usize, u32),
-) {
-    if block.is_empty() {
-        return;
-    }
-    stack.clear();
-    stack.push((0, block.full_mask()));
-    while let Some((index, reach)) = stack.pop() {
-        let node = nodes[index as usize];
-        if node.dimension == FLAT_LEAF {
-            let mut bits = reach;
-            while bits != 0 {
-                on_leaf(bits.trailing_zeros() as usize, index);
-                bits &= bits - 1;
-            }
-            continue;
-        }
-        let column = block.column(node.dimension as usize);
-        let compare = if reach.count_ones() >= DENSE_REACH {
-            full_compare_mask(column, node.threshold)
-        } else {
-            let mut word = 0u64;
-            let mut bits = reach;
-            while bits != 0 {
-                let i = bits.trailing_zeros();
-                word |= u64::from(column[i as usize] <= node.threshold) << i;
-                bits &= bits - 1;
-            }
-            word
+/// Node ids keep their [`FlatNode`] numbering within each tree, so a leaf
+/// id indexes the tree's [`ParticleTree::leaf_moments`], and
+/// `node_range(t).start + leaf` indexes a per-node buffer laid out over the
+/// whole forest.
+#[derive(Debug, Clone)]
+pub struct SplitForest {
+    nodes: Vec<MaskNode>,
+    /// Tree `t` owns `nodes[starts[t]..starts[t + 1]]`.
+    starts: Vec<usize>,
+    /// Split dimension per split id.
+    split_dims: Vec<u32>,
+    /// Split threshold per split id.
+    split_thresholds: Vec<f64>,
+}
+
+impl SplitForest {
+    /// Interns the splits of `trees`, given as flat traversal arrays.
+    /// Two nodes share a split id iff they test the same dimension against
+    /// a threshold with the same bits.
+    pub fn new<'a>(trees: impl IntoIterator<Item = &'a [FlatNode]>) -> Self {
+        let trees: Vec<&[FlatNode]> = trees.into_iter().collect();
+        let total: usize = trees.iter().map(|t| t.len()).sum();
+        // Open addressing at load <= 1/2; a slot holds a split id.
+        let capacity = (2 * total).next_power_of_two().max(16);
+        let shift = 64 - capacity.trailing_zeros();
+        let mut slots = vec![u32::MAX; capacity];
+        let mut forest = SplitForest {
+            nodes: Vec::with_capacity(total),
+            starts: Vec::with_capacity(trees.len() + 1),
+            split_dims: Vec::new(),
+            split_thresholds: Vec::new(),
         };
-        let left = reach & compare;
-        let right = reach & !compare;
-        if right != 0 {
-            stack.push((node.right, right));
+        for tree in trees {
+            forest.starts.push(forest.nodes.len());
+            for node in tree {
+                if node.dimension == FLAT_LEAF {
+                    forest.nodes.push(MaskNode {
+                        split: FLAT_LEAF,
+                        left: 0,
+                        right: 0,
+                    });
+                    continue;
+                }
+                let bits = node.threshold.to_bits();
+                let key = bits ^ u64::from(node.dimension).rotate_right(16);
+                let mut h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+                let split = loop {
+                    let id = slots[h];
+                    if id == u32::MAX {
+                        let id = forest.split_dims.len() as u32;
+                        slots[h] = id;
+                        forest.split_dims.push(node.dimension);
+                        forest.split_thresholds.push(node.threshold);
+                        break id;
+                    }
+                    let i = id as usize;
+                    if forest.split_dims[i] == node.dimension
+                        && forest.split_thresholds[i].to_bits() == bits
+                    {
+                        break id;
+                    }
+                    h = (h + 1) & (capacity - 1);
+                };
+                forest.nodes.push(MaskNode {
+                    split,
+                    left: node.left,
+                    right: node.right,
+                });
+            }
         }
-        if left != 0 {
-            stack.push((node.left, left));
+        forest.starts.push(forest.nodes.len());
+        forest
+    }
+
+    /// Number of distinct splits across the forest.
+    pub fn split_count(&self) -> usize {
+        self.split_dims.len()
+    }
+
+    /// Total node count: the length of a per-node buffer over the forest.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The span of tree `tree` in a per-node buffer over the forest.
+    pub fn node_range(&self, tree: usize) -> std::ops::Range<usize> {
+        self.starts[tree]..self.starts[tree + 1]
+    }
+
+    /// Writes one `<=` mask per split id over the staged block into `masks`
+    /// (bit `i` of `masks[s]` = query `i` goes left at split `s`), through
+    /// the same IEEE `<=` as [`find_leaf_flat`]: SSE2-built on x86-64, the
+    /// scalar builder elsewhere.
+    pub fn block_masks(&self, block: &QueryBlock, masks: &mut Vec<u64>) {
+        masks.clear();
+        masks.resize(self.split_count(), 0);
+        for ((mask, &dimension), &threshold) in masks
+            .iter_mut()
+            .zip(&self.split_dims)
+            .zip(&self.split_thresholds)
+        {
+            let column = block.column(dimension as usize);
+            let word = std::slice::from_mut(mask);
+            #[cfg(target_arch = "x86_64")]
+            alic_stats::bitset::fill_mask_le_simd_into(column, threshold, word);
+            #[cfg(not(target_arch = "x86_64"))]
+            alic_stats::bitset::fill_mask_le_into(column, threshold, word);
         }
     }
-}
 
-/// [`for_each_block_leaf`] writing the leaf index of query `i` to
-/// `leaf_of[i]` — for callers that want the assignments themselves rather
-/// than a fused gather.
-pub fn find_leaves_flat_block(
-    nodes: &[FlatNode],
-    block: &QueryBlock,
-    leaf_of: &mut [u32],
-    stack: &mut Vec<(u32, u64)>,
-) {
-    debug_assert!(leaf_of.len() >= block.len());
-    for_each_block_leaf(nodes, block, stack, |lane, leaf| leaf_of[lane] = leaf);
-}
-
-/// `<= threshold` mask over one full 64-lane column (SIMD-built on x86-64).
-#[inline]
-fn full_compare_mask(column: &[f64], threshold: f64) -> u64 {
-    let mut word = [0u64; 1];
-    #[cfg(target_arch = "x86_64")]
-    alic_stats::bitset::fill_mask_le_simd_into(column, threshold, &mut word);
-    #[cfg(not(target_arch = "x86_64"))]
-    alic_stats::bitset::fill_mask_le_into(column, threshold, &mut word);
-    word[0]
+    /// Routes the lanes of `reach` through tree `tree` using only the
+    /// block's split masks, invoking `on_leaf(leaf, lanes)` once per leaf
+    /// that any lane reaches, with `lanes` the non-zero word of the lanes
+    /// that land there.
+    ///
+    /// At an internal node the reach word splits into `reach & mask` (left)
+    /// and `reach & !mask` (right), where `mask` is the node's split mask
+    /// from [`block_masks`](SplitForest::block_masks): the bit a lane
+    /// contributes is the `x[dimension] <= threshold` comparison its
+    /// [`find_leaf_flat`] walk makes at that node, so every lane lands in
+    /// exactly the leaf `find_leaf_flat` returns. Each leaf is reported at
+    /// most once per walk and callers accumulate per lane or per leaf, so
+    /// the order leaves are visited in never reaches a result.
+    ///
+    /// `stack` is reusable scratch for the depth-first walk.
+    pub fn for_each_leaf(
+        &self,
+        tree: usize,
+        masks: &[u64],
+        reach: u64,
+        stack: &mut Vec<(u32, u64)>,
+        mut on_leaf: impl FnMut(usize, u64),
+    ) {
+        if reach == 0 {
+            return;
+        }
+        let nodes = &self.nodes[self.node_range(tree)];
+        stack.clear();
+        let (mut index, mut reach) = (0u32, reach);
+        loop {
+            let node = nodes[index as usize];
+            if node.split == FLAT_LEAF {
+                on_leaf(index as usize, reach);
+                match stack.pop() {
+                    Some(next) => (index, reach) = next,
+                    None => return,
+                }
+                continue;
+            }
+            let mask = masks[node.split as usize];
+            let (left, right) = (reach & mask, reach & !mask);
+            if left == 0 {
+                index = node.right;
+            } else {
+                if right != 0 {
+                    stack.push((node.right, right));
+                }
+                (index, reach) = (node.left, left);
+            }
+        }
+    }
 }
 
 std::thread_local! {
@@ -573,6 +648,11 @@ impl ParticleTree {
     /// Monotone upper bound on any depth this tree has ever reached.
     pub fn depth_bound(&self) -> usize {
         self.depth_bound as usize
+    }
+
+    /// Feature dimensionality the tree's splits and bounds range over.
+    pub(crate) fn n_dims(&self) -> usize {
+        self.n_dims
     }
 
     /// Per-dimension `[lo, hi]` pairs over the points of leaf `index`
@@ -1496,47 +1576,62 @@ mod tests {
     }
 
     #[test]
-    fn block_traversal_matches_serial_traversal() {
+    fn split_mask_walk_matches_serial_traversal() {
         let (prior, table) = ctx_parts();
         let ctx = MomentCtx {
             prior: &prior,
             table: &table,
         };
         let (xs, ys) = line_data(64);
-        let mut tree = root(64, &xs, &ys, &ctx);
-        // Grow an unbalanced three-level tree so lanes finish at different
-        // depths (the interesting case for the pending-word bookkeeping).
+        let split = |threshold| Split {
+            dimension: 0,
+            threshold,
+        };
+        // An unbalanced three-level tree, so lanes finish at different
+        // depths.
+        let mut first = root(64, &xs, &ys, &ctx);
         for (leaf, threshold) in [(0usize, 0.5), (1, 0.25), (3, 0.125)] {
-            tree.grow(
-                leaf,
-                Split {
-                    dimension: 0,
-                    threshold,
-                },
-                &xs,
-                &ys,
-                1,
-                &ctx,
-            );
+            assert!(first.grow(leaf, split(threshold), &xs, &ys, 1, &ctx));
         }
-        let queries: Vec<Vec<f64>> = (0..130).map(|i| vec![i as f64 / 129.0]).collect();
+        // A copy-on-write descendant keeps every ancestor split and adds
+        // one; a third tree reuses two of those thresholds at other nodes.
+        let mut second = first.clone();
+        let right = second.find_leaf(&[0.9]);
+        assert!(second.grow(right, split(0.75), &xs, &ys, 1, &ctx));
+        let mut third = root(64, &xs, &ys, &ctx);
+        assert!(third.grow(0, split(0.25), &xs, &ys, 1, &ctx));
+        let right = third.find_leaf(&[0.9]);
+        assert!(third.grow(right, split(0.5), &xs, &ys, 1, &ctx));
+        let trees = [&first, &second, &third];
+        let forest = SplitForest::new(trees.iter().map(|t| t.flat_nodes()));
+        assert_eq!(forest.split_count(), 4, "shared splits intern once");
+        // Every eighth query sits exactly on a threshold.
+        let queries: Vec<Vec<f64>> = (0..=130).map(|i| vec![i as f64 / 128.0]).collect();
         let views: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-        let flat = tree.flat_nodes();
-        // Cover partial, full and odd-sized blocks, including size 64 (both
-        // the sparse set-bit compare and the dense full-width mask build).
+        let (mut staged, mut masks, mut stack) = (QueryBlock::default(), Vec::new(), Vec::new());
         for chunk in [1usize, 3, 63, 64].iter().flat_map(|&s| views.chunks(s)) {
-            let mut leaf_of = [0u32; 64];
-            let mut staged = QueryBlock::default();
             staged.fill(1, chunk);
-            let mut stack = Vec::new();
-            find_leaves_flat_block(flat, &staged, &mut leaf_of, &mut stack);
-            for (i, q) in chunk.iter().enumerate() {
-                assert_eq!(
-                    leaf_of[i] as usize,
-                    find_leaf_flat(flat, q),
-                    "query {q:?} in a {}-row block",
-                    chunk.len()
-                );
+            forest.block_masks(&staged, &mut masks);
+            for (t, tree) in trees.iter().enumerate() {
+                let mut leaf_of = [usize::MAX; 64];
+                forest.for_each_leaf(t, &masks, staged.full_mask(), &mut stack, |leaf, lanes| {
+                    let mut bits = lanes;
+                    while bits != 0 {
+                        let lane = bits.trailing_zeros() as usize;
+                        assert_eq!(leaf_of[lane], usize::MAX, "lane {lane} lands twice");
+                        leaf_of[lane] = leaf;
+                        bits &= bits - 1;
+                    }
+                });
+                for (i, q) in chunk.iter().enumerate() {
+                    assert_eq!(
+                        leaf_of[i],
+                        find_leaf_flat(tree.flat_nodes(), q),
+                        "tree {t}, query {q:?} in a {}-row block",
+                        chunk.len()
+                    );
+                }
+                assert!(leaf_of[chunk.len()..].iter().all(|&l| l == usize::MAX));
             }
         }
     }

@@ -1,9 +1,10 @@
 //! u64 bitset masks over contiguous `f64` columns.
 //!
-//! The dynamic tree's block traversal routes 64 query points through a
-//! flattened tree together. At each internal node it needs the lanes
-//! whose feature value falls at or below the node's threshold, as one
-//! u64 word that it intersects with the lanes still reaching that node.
+//! The dynamic tree's split-mask kernel routes 64 query points through
+//! its trees together. For each distinct split it needs the lanes whose
+//! feature value falls at or below the split's threshold, as one u64 word
+//! that every node testing that split intersects with the lanes still
+//! reaching it.
 //! [`fill_mask_le`] builds those words: bit `i % 64` of word `i / 64` is
 //! the membership of point `i`.
 //!

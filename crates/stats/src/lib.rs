@@ -15,7 +15,8 @@
 //! * [`matrix`] / [`cholesky`] — a small dense linear-algebra kernel used by
 //!   the Gaussian-process comparison models,
 //! * [`bitset`] — u64 `<=` mask words over contiguous columns (scalar and
-//!   SSE2 builders), the lane masks of the dynamic tree's block traversal,
+//!   SSE2 builders), the per-split lane masks of the dynamic tree's batch
+//!   scoring,
 //! * [`sampling`] — random subset selection used for candidate sets,
 //! * [`rng`] — deterministic, seedable random-number-generator helpers,
 //! * [`fault`] — the deterministic fault-injection plane behind the
