@@ -48,6 +48,7 @@ use alic_model::traits::ActiveSurrogate;
 use alic_model::SurrogateSpec;
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 
+use crate::options::parse_model;
 use crate::report::{format_sci, TextTable};
 use crate::scale::Scale;
 use crate::table1;
@@ -146,8 +147,7 @@ impl CampaignOptions {
                 };
             if let Some(list) = value_of("--model", &arg)? {
                 for name in list.split(',').filter(|n| !n.is_empty()) {
-                    let model = SurrogateSpec::from_name(name)
-                        .ok_or_else(|| format!("unknown model '{name}'"))?;
+                    let model = parse_model(name, "")?;
                     // A duplicate axis entry would double the unit matrix
                     // and double-count rows in the name-keyed report tables.
                     if models.contains(&model) {
@@ -208,10 +208,7 @@ impl CampaignOptions {
         let scale = scale.unwrap_or_default();
         if models.is_empty() {
             if let Some(value) = model_env {
-                models.push(
-                    SurrogateSpec::from_name(value)
-                        .ok_or_else(|| format!("unknown model '{value}' in ALIC_MODEL"))?,
-                );
+                models.push(parse_model(value, " in ALIC_MODEL")?);
             }
         }
         if models.is_empty() {

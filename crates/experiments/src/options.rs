@@ -10,7 +10,7 @@
 //!
 //! Model names are those of
 //! [`SurrogateSpec::names`](alic_model::SurrogateSpec::names):
-//! `dynatree`, `cart`, `gp`, `sgp`, `knn` and `mean`.
+//! `dynatree`, `cart`, `gp`, `knn` and `mean`.
 
 use alic_core::experiment::ComparisonConfig;
 use alic_model::SurrogateSpec;
@@ -80,10 +80,7 @@ impl RunOptions {
                 .map(str::to_string)
                 .or_else(|| (arg == "--model").then(|| args.next().unwrap_or_default()))
             {
-                model = Some(
-                    SurrogateSpec::from_name(&name)
-                        .ok_or_else(|| format!("unknown model '{name}'"))?,
-                );
+                model = Some(parse_model(&name, "")?);
             } else if let Some(s) = Scale::from_name(&arg) {
                 scale = Some(s);
             } else {
@@ -100,10 +97,7 @@ impl RunOptions {
         }
         if model.is_none() {
             if let Some(value) = model_env {
-                model = Some(
-                    SurrogateSpec::from_name(value)
-                        .ok_or_else(|| format!("unknown model '{value}' in ALIC_MODEL"))?,
-                );
+                model = Some(parse_model(value, " in ALIC_MODEL")?);
             }
         }
         Ok(RunOptions {
@@ -124,6 +118,17 @@ impl RunOptions {
     pub fn describe(&self) -> String {
         format!("{} scale, {} model", self.scale, self.model)
     }
+}
+
+/// Parses a model-family name; the error names the offending `source` and
+/// lists every valid name.
+pub(crate) fn parse_model(name: &str, source: &str) -> Result<SurrogateSpec, String> {
+    SurrogateSpec::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown model '{name}'{source} (expected one of: {})",
+            SurrogateSpec::names().join("|")
+        )
+    })
 }
 
 #[cfg(test)]
@@ -162,6 +167,12 @@ mod tests {
         assert!(parse(&["--model", "bogus"]).is_err());
         assert!(parse(&["bogus"]).is_err());
         assert!(parse(&["--model"]).is_err());
+        // The retired sparse GP is an unknown name like any other.
+        let err = parse(&["--model", "sgp"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown model 'sgp' (expected one of: dynatree|cart|gp|knn|mean)"
+        );
     }
 
     #[test]
@@ -179,6 +190,10 @@ mod tests {
         assert_eq!(args_win.model.name(), "cart");
         assert!(RunOptions::parse_with_env(strings(&[]), Some("bogus"), None).is_err());
         assert!(RunOptions::parse_with_env(strings(&[]), None, Some("bogus")).is_err());
+        assert_eq!(
+            RunOptions::parse_with_env(strings(&[]), None, Some("sgp")).unwrap_err(),
+            "unknown model 'sgp' in ALIC_MODEL (expected one of: dynatree|cart|gp|knn|mean)"
+        );
     }
 
     #[test]

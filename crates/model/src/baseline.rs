@@ -25,16 +25,41 @@ impl ConstantMean {
     }
 
     /// Rebuilds a model from a [`SurrogateModel::snapshot`] document.
+    ///
+    /// Only the two shapes [`SurrogateModel::snapshot`] can write restore:
+    /// an unfitted model (count 0, the empty accumulator bit for bit, no
+    /// dimension) or a fitted one (count > 0, finite `min <= mean <= max`,
+    /// finite `m2 >= 0`, dimension >= 1). Anything else is
+    /// [`ModelError::Snapshot`].
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
         let dimension = io::nullable(doc, "dimension", io::field_usize)?;
+        let count = io::field_usize(doc, "count")?;
+        let mean = io::field_hex_f64(doc, "mean")?;
+        let m2 = io::field_hex_f64(doc, "m2")?;
+        let min = io::field_hex_f64(doc, "min")?;
+        let max = io::field_hex_f64(doc, "max")?;
+        let empty = OnlineStats::new();
+        let possible = if count == 0 {
+            dimension.is_none()
+                && [mean, m2, min, max].map(f64::to_bits)
+                    == [empty.mean(), empty.m2(), empty.min(), empty.max()].map(f64::to_bits)
+        } else {
+            dimension.is_some_and(|d| d >= 1)
+                && m2.is_finite()
+                && m2 >= 0.0
+                && min.is_finite()
+                && max.is_finite()
+                && min <= mean
+                && mean <= max
+        };
+        if !possible {
+            return Err(snapshot::err(format!(
+                "mean: impossible state (count {count}, mean {mean}, m2 {m2}, \
+                 min {min}, max {max}, dimension {dimension:?})"
+            )));
+        }
         Ok(ConstantMean {
-            stats: OnlineStats::from_parts(
-                io::field_usize(doc, "count")?,
-                io::field_hex_f64(doc, "mean")?,
-                io::field_hex_f64(doc, "m2")?,
-                io::field_hex_f64(doc, "min")?,
-                io::field_hex_f64(doc, "max")?,
-            ),
+            stats: OnlineStats::from_parts(count, mean, m2, min, max),
             dimension,
         })
     }
@@ -107,6 +132,7 @@ impl ActiveSurrogate for ConstantMean {}
 mod tests {
     use super::*;
     use crate::row_views;
+    use crate::snapshot::with_field;
 
     #[test]
     fn predicts_the_training_mean_everywhere() {
@@ -127,6 +153,56 @@ mod tests {
         model.update(&[2.0], 4.0).unwrap();
         assert!((model.predict(&[0.0]).unwrap().mean - 2.0).abs() < 1e-12);
         assert_eq!(model.observation_count(), 3);
+    }
+
+    #[test]
+    fn both_possible_snapshot_shapes_restore() {
+        let unfitted = ConstantMean::new().snapshot().unwrap();
+        let restored = ConstantMean::from_snapshot(&unfitted).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), unfitted);
+        let doc = fitted_snapshot();
+        let restored = ConstantMean::from_snapshot(&doc).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), doc);
+    }
+
+    fn fitted_snapshot() -> JsonValue {
+        let xs = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0, 2.0]];
+        let mut model = ConstantMean::new();
+        model.fit(&row_views(&xs), &[0.5, -1.0, 3.0]).unwrap();
+        model.snapshot().unwrap()
+    }
+
+    fn assert_refused(damaged: &JsonValue) {
+        match ConstantMean::from_snapshot(damaged) {
+            Err(ModelError::Snapshot(msg)) => assert!(msg.contains("impossible"), "{msg}"),
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(_) => panic!("impossible snapshot restored: {damaged:?}"),
+        }
+    }
+
+    #[test]
+    fn a_nan_mean_is_refused() {
+        assert_refused(&with_field(
+            &fitted_snapshot(),
+            "mean",
+            io::hex_f64(f64::NAN),
+        ));
+    }
+
+    #[test]
+    fn a_minimum_above_the_maximum_is_refused() {
+        assert_refused(&with_field(&fitted_snapshot(), "min", io::hex_f64(4.0)));
+    }
+
+    #[test]
+    fn observations_without_a_dimension_are_refused() {
+        let doc = fitted_snapshot();
+        assert_refused(&with_field(&doc, "dimension", JsonValue::Null));
+        assert_refused(&with_field(&doc, "dimension", io::int(0).unwrap()));
+        // Nor does an unfitted model carry a dimension or extremes.
+        let unfitted = ConstantMean::new().snapshot().unwrap();
+        assert_refused(&with_field(&unfitted, "dimension", io::int(2).unwrap()));
+        assert_refused(&with_field(&unfitted, "min", io::hex_f64(0.0)));
     }
 
     #[test]

@@ -303,10 +303,8 @@ impl GaussianProcess {
 
 /// Median pairwise distance over sub-sampled row pairs — the lengthscale
 /// heuristic. A property of the data's scale, not of `n`: it is computed
-/// once at fit time and reused unchanged by every incremental update. The
-/// sparse variant ([`crate::sgp`]) shares it so both families resolve the
-/// same hyper-parameters from the same data.
-pub(crate) fn median_pairwise_distance(xs: &FeatureMatrix) -> f64 {
+/// once at fit time and reused unchanged by every incremental update.
+fn median_pairwise_distance(xs: &FeatureMatrix) -> f64 {
     let n = xs.len();
     let mut distances = Vec::new();
     // Sub-sample pairs for large training sets to keep this O(n) in practice.

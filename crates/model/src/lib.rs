@@ -54,13 +54,11 @@ pub mod dynatree;
 pub mod gp;
 pub mod knn;
 pub mod leaf;
-pub mod sgp;
 pub mod snapshot;
 pub mod spec;
 pub mod traits;
 
 pub use dynatree::{DynaTree, DynaTreeConfig};
-pub use sgp::{SparseGaussianProcess, SparseGpConfig};
 pub use spec::SurrogateSpec;
 pub use traits::{ActiveSurrogate, Prediction, SurrogateModel};
 
@@ -141,7 +139,7 @@ pub fn row_views(rows: &[Vec<f64>]) -> Vec<&[f64]> {
 /// Validates one `(x, y)` observation before it may touch model state.
 ///
 /// Every [`SurrogateModel::update`] implementation calls this first, making
-/// the non-finite-input policy uniform across the six families: a NaN or
+/// the non-finite-input policy uniform across the five families: a NaN or
 /// infinite feature or target is rejected with
 /// [`ModelError::NonFiniteInput`] *before any state mutation*, so a rejected
 /// observation can never change a model's subsequent predictions. The

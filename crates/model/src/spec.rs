@@ -22,7 +22,6 @@ use crate::cart::{CartConfig, RegressionTree};
 use crate::dynatree::{DynaTree, DynaTreeConfig};
 use crate::gp::{GaussianProcess, GpConfig};
 use crate::knn::{KnnConfig, KnnRegressor};
-use crate::sgp::{SparseGaussianProcess, SparseGpConfig};
 use crate::traits::ActiveSurrogate;
 
 /// A description of a surrogate model that can be stored in experiment
@@ -35,8 +34,6 @@ pub enum SurrogateSpec {
     Cart(CartConfig),
     /// Squared-exponential Gaussian process.
     Gp(GpConfig),
-    /// Inducing-point sparse Gaussian process (usable on 100k-point pools).
-    Sgp(SparseGpConfig),
     /// k-nearest-neighbour regressor.
     Knn(KnnConfig),
     /// Constant-mean baseline (the floor every useful model must beat).
@@ -56,7 +53,6 @@ impl SurrogateSpec {
             SurrogateSpec::DynaTree(_) => "dynatree",
             SurrogateSpec::Cart(_) => "cart",
             SurrogateSpec::Gp(_) => "gp",
-            SurrogateSpec::Sgp(_) => "sgp",
             SurrogateSpec::Knn(_) => "knn",
             SurrogateSpec::Mean => "mean",
         }
@@ -65,7 +61,7 @@ impl SurrogateSpec {
     /// The canonical names accepted by [`SurrogateSpec::from_name`], in
     /// presentation order.
     pub fn names() -> &'static [&'static str] {
-        &["dynatree", "cart", "gp", "sgp", "knn", "mean"]
+        &["dynatree", "cart", "gp", "knn", "mean"]
     }
 
     /// Dynamic-tree spec with the given particle count and default priors —
@@ -80,12 +76,11 @@ impl SurrogateSpec {
 
     /// One default-configured spec per model family, in the order of
     /// [`SurrogateSpec::names`].
-    pub fn all() -> [SurrogateSpec; 6] {
+    pub fn all() -> [SurrogateSpec; 5] {
         [
             SurrogateSpec::DynaTree(DynaTreeConfig::default()),
             SurrogateSpec::Cart(CartConfig::default()),
             SurrogateSpec::Gp(GpConfig::default()),
-            SurrogateSpec::Sgp(SparseGpConfig::default()),
             SurrogateSpec::Knn(KnnConfig::default()),
             SurrogateSpec::Mean,
         ]
@@ -100,9 +95,6 @@ impl SurrogateSpec {
             }
             "cart" | "tree" | "regression-tree" => Some(SurrogateSpec::Cart(CartConfig::default())),
             "gp" | "gaussian-process" => Some(SurrogateSpec::Gp(GpConfig::default())),
-            "sgp" | "sparse-gp" | "sparse-gaussian-process" => {
-                Some(SurrogateSpec::Sgp(SparseGpConfig::default()))
-            }
             "knn" | "k-nn" | "nearest-neighbour" | "nearest-neighbor" => {
                 Some(SurrogateSpec::Knn(KnnConfig::default()))
             }
@@ -127,7 +119,6 @@ impl SurrogateSpec {
             }
             SurrogateSpec::Cart(config) => Box::new(RegressionTree::new(config)),
             SurrogateSpec::Gp(config) => Box::new(GaussianProcess::new(config)),
-            SurrogateSpec::Sgp(config) => Box::new(SparseGaussianProcess::new(config)),
             SurrogateSpec::Knn(config) => Box::new(KnnRegressor::new(config)),
             SurrogateSpec::Mean => Box::new(ConstantMean::new()),
         }

@@ -103,7 +103,7 @@ pub trait SurrogateModel: std::fmt::Debug {
     ///
     /// Floating-point state is hex-bit-encoded (see [`crate::snapshot`]) so
     /// the round-trip never loses a ULP. The default implementation refuses:
-    /// only the six [`crate::SurrogateSpec`] families opt in.
+    /// only the five [`crate::SurrogateSpec`] families opt in.
     ///
     /// # Errors
     ///

@@ -983,6 +983,10 @@ mod tests {
             err(&mut engine, &mut conn, "newsession mvt u:unroll bogusmodel")
                 .starts_with("err bad-model")
         );
+        assert!(
+            err(&mut engine, &mut conn, "newsession mvt u:unroll:1:9 sgp")
+                .starts_with("err bad-model")
+        );
         assert!(engine.handle_line(&mut conn, "   ").reply.is_none());
         let long = "x".repeat(MAX_LINE_BYTES + 1);
         assert!(err(&mut engine, &mut conn, &long).starts_with("err "));
@@ -1216,9 +1220,19 @@ mod tests {
         let (mut engine, dir) = temp_engine("corrupt");
         let mut conn = ConnState::new();
         ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9");
+        ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9 gp");
         drop(engine);
         let path = dir.join(SESSIONS_DIR).join("s000000.json");
         std::fs::write(&path, "{torn").unwrap();
+        // A well-formed checkpoint naming a family that no longer exists.
+        let retired = dir.join(SESSIONS_DIR).join("s000001.json");
+        let text = std::fs::read_to_string(&retired).unwrap();
+        assert!(text.contains("\"model\":\"gp\""), "{text}");
+        std::fs::write(
+            &retired,
+            text.replace("\"model\":\"gp\"", "\"model\":\"sgp\""),
+        )
+        .unwrap();
 
         let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
         let mut conn = ConnState::new();
@@ -1228,6 +1242,13 @@ mod tests {
         assert!(dir.join(SESSIONS_DIR).join("s000000.json.corrupt").exists());
         // The damaged id no longer resolves; the evidence is preserved.
         assert!(err(&mut engine, &mut conn, "attach s000000").starts_with("err unknown-session"));
+        let reply = err(&mut engine, &mut conn, "attach s000001");
+        assert!(
+            reply.starts_with("err corrupt") && reply.contains("sgp"),
+            "{reply}"
+        );
+        assert!(!retired.exists());
+        assert!(dir.join(SESSIONS_DIR).join("s000001.json.corrupt").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

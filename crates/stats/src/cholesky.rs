@@ -1,9 +1,9 @@
 //! Cholesky decomposition and symmetric-positive-definite solves.
 //!
-//! The Gaussian-process surrogate needs `K⁻¹ y`, batched `L⁻¹ K*` solves and
-//! log determinants of kernel matrices, and — because the active-learning
-//! loop appends one observation per iteration — an **incremental rank-1
-//! extension** of an existing factorization.
+//! The Gaussian-process surrogate needs `K⁻¹ y`, batched `L⁻¹ K*` solves
+//! and — because the active-learning loop appends one observation per
+//! iteration — an **incremental rank-1 extension** of an existing
+//! factorization.
 //!
 //! # Layout and cost
 //!
@@ -200,54 +200,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Rank-1 update of the factorization in place: after the call the
-    /// factor corresponds to `A + v vᵀ`.
-    ///
-    /// Runs in `O(n²)` using the classic sequence of Givens-style rotations
-    /// (LINPACK `dchud`): column `k` of the factor is rotated against the
-    /// remaining tail of `v`. Since `v vᵀ` is positive semi-definite, the
-    /// update of a positive-definite factor cannot fail mathematically; the
-    /// error return only guards against non-finite input. This is what keeps
-    /// the sparse Gaussian process's per-observation update at `O(m²)`: its
-    /// information matrix `P = I + σ⁻² Φᵀ Φ` grows by one outer product per
-    /// observation, and refactorizing would cost `O(m³)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `v.len() != n` and
-    /// [`StatsError::NonFiniteInput`] when the update produces a non-finite
-    /// pivot (only possible with non-finite input). On error the factor may
-    /// be partially updated and should be rebuilt by the caller.
-    pub fn rank_one_update(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.n;
-        if v.len() != n {
-            return Err(StatsError::DimensionMismatch {
-                expected: n,
-                actual: v.len(),
-            });
-        }
-        let mut work = v.to_vec();
-        for k in 0..n {
-            let diag_index = row_offset(k) + k;
-            let pivot = self.data[diag_index];
-            let wk = work[k];
-            let rotated = (pivot * pivot + wk * wk).sqrt();
-            if rotated <= 0.0 || !rotated.is_finite() {
-                return Err(StatsError::NonFiniteInput);
-            }
-            let c = rotated / pivot;
-            let s = wk / pivot;
-            self.data[diag_index] = rotated;
-            for (i, w) in work.iter_mut().enumerate().skip(k + 1) {
-                let index = row_offset(i) + k;
-                let updated = (self.data[index] + s * *w) / c;
-                self.data[index] = updated;
-                *w = c * *w - s * updated;
-            }
-        }
-        Ok(())
-    }
-
     /// Row `i` of the packed factor (entries `(i, 0..=i)`).
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
@@ -363,14 +315,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Log determinant of the original matrix, `2 Σ ln L_ii`.
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.data[row_offset(i) + i].ln())
-            .sum::<f64>()
-            * 2.0
-    }
-
     /// Reconstructs `A = L Lᵀ` (mainly useful for testing).
     pub fn reconstruct(&self) -> Matrix {
         let l = self.factor();
@@ -430,13 +374,6 @@ mod tests {
         for (bi, yi) in b.iter().zip(&back) {
             assert!((bi - yi).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn log_determinant_matches_direct_product() {
-        let chol = Cholesky::decompose(&spd_example()).unwrap();
-        // det = (2*1*3)^2 = 36.
-        assert!((chol.log_determinant() - 36.0f64.ln()).abs() < 1e-10);
     }
 
     #[test]
@@ -508,44 +445,7 @@ mod tests {
         assert_eq!(chol, before, "failed append must not corrupt the factor");
     }
 
-    #[test]
-    fn rank_one_update_rejects_wrong_length() {
-        let mut chol = Cholesky::decompose(&spd_example()).unwrap();
-        assert!(matches!(
-            chol.rank_one_update(&[1.0, 2.0]),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
-    }
-
     proptest! {
-        #[test]
-        fn rank_one_update_matches_cold_factorization(
-            values in proptest::collection::vec(-2.0f64..2.0, 16),
-            update in proptest::collection::vec(-3.0f64..3.0, 4),
-        ) {
-            // Random 4x4 SPD matrix A = B Bᵀ + 2 I, updated by v vᵀ.
-            let b = Matrix::from_fn(4, 4, |i, j| values[i * 4 + j]);
-            let mut a = b.matmul(&b.transpose()).unwrap();
-            a.add_diagonal(2.0);
-            let mut updated = Cholesky::decompose(&a).unwrap();
-            updated.rank_one_update(&update).unwrap();
-            let mut target = a.clone();
-            for i in 0..4 {
-                for j in 0..4 {
-                    target.set(i, j, target.get(i, j) + update[i] * update[j]);
-                }
-            }
-            let cold = Cholesky::decompose(&target).unwrap();
-            for i in 0..4 {
-                for j in 0..4 {
-                    prop_assert!(
-                        (updated.factor().get(i, j) - cold.factor().get(i, j)).abs() < 1e-9,
-                        "factor mismatch at ({}, {})", i, j
-                    );
-                }
-            }
-        }
-
         #[test]
         fn reconstruction_roundtrips_random_spd(values in proptest::collection::vec(-2.0f64..2.0, 9)) {
             // Build SPD matrix as B Bᵀ + n I from a random 3x3 B.

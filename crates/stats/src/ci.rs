@@ -128,17 +128,6 @@ pub fn interval_from_summary(summary: &Summary, level: f64) -> ConfidenceInterva
     }
 }
 
-/// Result of the paper's post-hoc sampling-plan validation: does the ratio of
-/// the CI half width to the mean stay below `threshold`?
-///
-/// # Errors
-///
-/// Propagates errors from [`confidence_interval`].
-pub fn passes_ci_threshold(values: &[f64], level: f64, threshold: f64) -> Result<bool> {
-    let ci = confidence_interval(values, level)?;
-    Ok(ci.ratio_to_mean() <= threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,14 +195,6 @@ mod tests {
     fn ratio_to_mean_handles_zero_mean() {
         let ci = confidence_interval(&[-1.0, 1.0], 0.95).unwrap();
         assert!(ci.ratio_to_mean().is_infinite());
-    }
-
-    #[test]
-    fn threshold_check_matches_ratio() {
-        let values = [100.0, 100.1, 99.9, 100.05, 99.95];
-        assert!(passes_ci_threshold(&values, 0.95, 0.01).unwrap());
-        let noisy = [100.0, 140.0, 60.0, 120.0, 80.0];
-        assert!(!passes_ci_threshold(&noisy, 0.95, 0.01).unwrap());
     }
 
     #[test]

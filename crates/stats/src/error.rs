@@ -84,21 +84,6 @@ pub fn geometric_mean(values: &[f64]) -> Result<f64> {
     Ok((log_sum / values.len() as f64).exp())
 }
 
-/// Maximum absolute error between predictions and observations.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when the slices are empty and
-/// [`StatsError::LengthMismatch`] when they differ in length.
-pub fn max_absolute_error(predicted: &[f64], observed: &[f64]) -> Result<f64> {
-    validate_pair(predicted, observed)?;
-    Ok(predicted
-        .iter()
-        .zip(observed)
-        .map(|(p, o)| (p - o).abs())
-        .fold(0.0, f64::max))
-}
-
 fn validate_pair(left: &[f64], right: &[f64]) -> Result<()> {
     if left.is_empty() || right.is_empty() {
         return Err(StatsError::EmptyInput);
@@ -174,12 +159,5 @@ mod tests {
     fn mean_absolute_deviation_of_symmetric_sample() {
         let values = [9.0, 11.0];
         assert_eq!(mean_absolute_deviation(&values, 10.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn max_absolute_error_picks_worst_point() {
-        let pred = [1.0, 2.0, 3.0];
-        let obs = [1.1, 5.0, 3.0];
-        assert!((max_absolute_error(&pred, &obs).unwrap() - 3.0).abs() < 1e-12);
     }
 }

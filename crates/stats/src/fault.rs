@@ -62,7 +62,7 @@ pub enum FaultSite {
     EvalError = 4,
     /// A single profiled observation comes back non-finite (NaN runtime).
     ObservationNan = 5,
-    /// GP/SGP factorization exhausts its jitter ladder.
+    /// GP factorization exhausts its jitter ladder.
     JitterExhaustion = 6,
     /// A serve connection drops mid-line: the line in flight is lost and the
     /// peer sees EOF.

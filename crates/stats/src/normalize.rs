@@ -3,8 +3,7 @@
 //! The paper (§4.5) scales and centres every feature of the configuration
 //! vectors "to transform them into something similar to the Standard Normal
 //! Distribution". [`Normalizer`] fits per-feature means and standard
-//! deviations on a training matrix and applies (or inverts) the affine
-//! transform.
+//! deviations on a training matrix and applies the affine transform.
 
 use serde::{Deserialize, Serialize};
 
@@ -113,21 +112,6 @@ impl Normalizer {
         rows.iter().map(|r| self.transform_row(r)).collect()
     }
 
-    /// Inverts the normalization of a single feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `row` has a different
-    /// width than the fitted data.
-    pub fn inverse_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        self.check_width(row)?;
-        Ok(row
-            .iter()
-            .zip(self.means.iter().zip(&self.scales))
-            .map(|(v, (m, s))| v * s + m)
-            .collect())
-    }
-
     fn check_width(&self, row: &[f64]) -> Result<()> {
         if row.len() != self.width() {
             return Err(StatsError::DimensionMismatch {
@@ -209,20 +193,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn roundtrip_recovers_original(rows in proptest::collection::vec(
-            proptest::collection::vec(-1e3f64..1e3, 4), 2..20)
-        ) {
-            let norm = Normalizer::fit(&rows).unwrap();
-            for row in &rows {
-                let z = norm.transform_row(row).unwrap();
-                let back = norm.inverse_row(&z).unwrap();
-                for (orig, rec) in row.iter().zip(&back) {
-                    prop_assert!((orig - rec).abs() < 1e-6 * (1.0 + orig.abs()));
-                }
-            }
-        }
-
         #[test]
         fn transformed_values_are_finite(rows in proptest::collection::vec(
             proptest::collection::vec(-1e6f64..1e6, 3), 2..15)

@@ -3,8 +3,7 @@
 //! Algorithm 1 of the paper repeatedly needs uniform random subsets: the
 //! initial `n_init` seed examples, and the `n_c` fresh candidates drawn from
 //! the not-yet-visited pool at every iteration. These helpers provide
-//! reproducible sampling with and without replacement over index ranges and
-//! slices.
+//! reproducible sampling without replacement over index ranges.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -43,15 +42,6 @@ pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, population: usize, count: us
     result
 }
 
-/// Draws `count` distinct elements from `items` uniformly at random,
-/// returning clones.
-pub fn sample_from<T: Clone, R: Rng + ?Sized>(rng: &mut R, items: &[T], count: usize) -> Vec<T> {
-    sample_indices(rng, items.len(), count)
-        .into_iter()
-        .map(|i| items[i].clone())
-        .collect()
-}
-
 /// Splits `0..population` into two disjoint shuffled index sets of sizes
 /// `first` and `population - first` (used for train/test splits).
 ///
@@ -71,26 +61,6 @@ pub fn split_indices<R: Rng + ?Sized>(
     all.shuffle(rng);
     let second = all.split_off(first);
     (all, second)
-}
-
-/// Reservoir-samples `count` items from an iterator of unknown length.
-pub fn reservoir_sample<T, I, R>(rng: &mut R, iter: I, count: usize) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-    R: Rng + ?Sized,
-{
-    let mut reservoir: Vec<T> = Vec::with_capacity(count);
-    for (seen, item) in iter.into_iter().enumerate() {
-        if reservoir.len() < count {
-            reservoir.push(item);
-        } else {
-            let j = rng.gen_range(0..=seen);
-            if j < count {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
 }
 
 #[cfg(test)]
@@ -125,15 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_from_clones_selected_items() {
-        let items: Vec<String> = (0..20).map(|i| format!("cfg{i}")).collect();
-        let mut rng = seeded_rng(3);
-        let picked = sample_from(&mut rng, &items, 4);
-        assert_eq!(picked.len(), 4);
-        assert!(picked.iter().all(|p| items.contains(p)));
-    }
-
-    #[test]
     fn split_is_disjoint_and_complete() {
         let mut rng = seeded_rng(5);
         let (train, test) = split_indices(&mut rng, 10_000, 7_500);
@@ -147,22 +108,6 @@ mod tests {
     #[should_panic(expected = "cannot take")]
     fn split_rejects_oversized_first_part() {
         split_indices(&mut seeded_rng(0), 3, 4);
-    }
-
-    #[test]
-    fn reservoir_sample_has_requested_size() {
-        let mut rng = seeded_rng(9);
-        let sample = reservoir_sample(&mut rng, 0..10_000, 32);
-        assert_eq!(sample.len(), 32);
-        let unique: HashSet<_> = sample.iter().copied().collect();
-        assert_eq!(unique.len(), 32);
-    }
-
-    #[test]
-    fn reservoir_sample_of_short_stream_keeps_everything() {
-        let mut rng = seeded_rng(9);
-        let sample = reservoir_sample(&mut rng, 0..3, 10);
-        assert_eq!(sample, vec![0, 1, 2]);
     }
 
     #[test]

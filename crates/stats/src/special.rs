@@ -4,7 +4,7 @@
 //! scientific-computing dependency: the log-gamma function (Lanczos
 //! approximation), the regularized incomplete beta function (Lentz continued
 //! fraction), the Student-t and standard-normal distribution functions, and
-//! their inverses. These back the confidence-interval machinery in
+//! the Student-t inverse. These back the confidence-interval machinery in
 //! [`crate::ci`] and the posterior-predictive computations of the
 //! dynamic-tree model.
 
@@ -190,67 +190,6 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal quantile function (inverse CDF), via the Acklam rational
-/// approximation refined with one Halley step.
-///
-/// # Panics
-///
-/// Panics if `p` is outside the open interval `(0, 1)`.
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "probability must lie in (0, 1)");
-    // Acklam's algorithm.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step.
-    let e = normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
 /// Complementary error function, via the Numerical Recipes Chebyshev fit
 /// (absolute error below 1.2e-7, adequate for CDF evaluation here).
 pub fn erfc(x: f64) -> f64 {
@@ -360,17 +299,9 @@ mod tests {
     }
 
     #[test]
-    fn normal_quantile_roundtrips() {
-        for &p in &[0.01, 0.1, 0.5, 0.9, 0.99] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-6, "p={p}");
-        }
-    }
-
-    #[test]
     fn t_converges_to_normal_for_large_df() {
         let t_q = student_t_quantile(0.975, 10_000.0);
-        let n_q = normal_quantile(0.975);
+        let n_q = 1.959_963_984_540_054; // standard normal quantile at 0.975
         assert!((t_q - n_q).abs() < 1e-3);
     }
 

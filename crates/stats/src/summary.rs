@@ -58,16 +58,6 @@ impl Summary {
             self.std_dev() / (self.count as f64).sqrt()
         }
     }
-
-    /// Coefficient of variation (`std_dev / mean`), or zero when the mean is
-    /// zero.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean.abs()
-        }
-    }
 }
 
 impl Default for Summary {
@@ -100,7 +90,7 @@ impl Default for Summary {
 /// assert!((stats.mean() - 4.0).abs() < 1e-12);
 /// assert!((stats.variance() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: usize,
     mean: f64,
@@ -234,6 +224,13 @@ impl OnlineStats {
     }
 }
 
+impl Default for OnlineStats {
+    /// The empty accumulator, [`OnlineStats::new`].
+    fn default() -> Self {
+        OnlineStats::new()
+    }
+}
+
 impl FromIterator<f64> for OnlineStats {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         let mut stats = OnlineStats::new();
@@ -343,6 +340,11 @@ mod tests {
         let s = Summary::default();
         assert_eq!(s.count, 0);
         assert_eq!(s.std_error(), 0.0);
+        // The default accumulator is the empty one, with infinite extremes.
+        let empty = OnlineStats::default();
+        assert_eq!(empty, OnlineStats::new());
+        assert_eq!(empty.min(), f64::INFINITY);
+        assert_eq!(empty.max(), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -427,11 +429,5 @@ mod tests {
             quantile(&[1.0], 1.5),
             Err(StatsError::InvalidConfidenceLevel)
         );
-    }
-
-    #[test]
-    fn coefficient_of_variation_handles_zero_mean() {
-        let s = Summary::from_slice(&[-1.0, 1.0]);
-        assert_eq!(s.coefficient_of_variation(), 0.0);
     }
 }

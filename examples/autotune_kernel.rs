@@ -10,7 +10,7 @@
 //!
 //! where `kernel` is one of the 11 SPAPT names (default: `mm`) and `FAMILY`
 //! is any surrogate family name accepted by `SurrogateSpec::from_name`
-//! (`dynatree`, `cart`, `gp`, `sgp`, `knn`, `mean`; default `dynatree`).
+//! (`dynatree`, `cart`, `gp`, `knn`, `mean`; default `dynatree`).
 //! The `ALIC_MODEL` environment variable sets the family too, with the
 //! `--model` flag taking precedence — the same override the experiment
 //! binaries honour.

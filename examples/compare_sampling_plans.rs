@@ -11,8 +11,7 @@
 //! cargo run --release --example compare_sampling_plans [kernel] [model]
 //! ```
 //!
-//! where `model` is one of `dynatree` (default), `cart`, `gp`, `sgp`, `knn`,
-//! `mean`.
+//! where `model` is one of `dynatree` (default), `cart`, `gp`, `knn`, `mean`.
 
 use alic::core::experiment::{compare_plans, ComparisonConfig};
 use alic::core::prelude::*;

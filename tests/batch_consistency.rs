@@ -132,9 +132,8 @@ fn run_learner(spec: SurrogateSpec) -> LearnerRun {
 }
 
 /// The `RAYON_NUM_THREADS=1` vs `4` determinism guarantee, for the dynamic
-/// tree (parallel tree traversals), the Gaussian process (parallel blocked
-/// triangular solves), and the sparse GP (parallel fit-block sweep with the
-/// serial in-order reduce). The shim's programmatic override stands in
+/// tree (parallel tree traversals) and the Gaussian process (parallel
+/// blocked triangular solves). The shim's programmatic override stands in
 /// for the environment variable because `setenv` concurrent with
 /// worker-thread `getenv` is undefined behavior on glibc;
 /// `current_num_threads` reads the override exactly where it would read
@@ -144,7 +143,6 @@ fn learner_runs_are_identical_across_thread_counts() {
     for spec in [
         SurrogateSpec::dynatree(50),
         SurrogateSpec::from_name("gp").unwrap(),
-        SurrogateSpec::from_name("sgp").unwrap(),
     ] {
         rayon::set_num_threads(1);
         let serial = run_learner(spec);

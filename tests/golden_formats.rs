@@ -150,7 +150,7 @@ fn warm_session_checkpoint_is_pinned() {
 
 /// The families at fixture-friendly sizes: a four-particle dynamic tree,
 /// defaults for the rest.
-fn fixture_models() -> [SurrogateSpec; 6] {
+fn fixture_models() -> [SurrogateSpec; 5] {
     let mut models = SurrogateSpec::all();
     models[0] = SurrogateSpec::dynatree(4);
     models

@@ -38,7 +38,7 @@ const GOLDEN_KERNELS: [SpaptKernel; 2] = [SpaptKernel::Mvt, SpaptKernel::Gemver]
 /// The six model families at smoke-friendly hyper-parameters (the dynamic
 /// tree is shrunk so the whole suite stays fast in debug builds; the other
 /// families are scale-independent defaults).
-fn golden_models() -> [SurrogateSpec; 6] {
+fn golden_models() -> [SurrogateSpec; 5] {
     let mut models = SurrogateSpec::all();
     models[0] = SurrogateSpec::dynatree(30);
     models
