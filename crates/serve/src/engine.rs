@@ -5,18 +5,26 @@
 //! are thin shells around it. Its contracts:
 //!
 //! * **Replied ⇒ durable**: an `observe` is applied to the live surrogate
-//!   and then committed through the ledger's [`write_verified`] *before*
-//!   the `ok` reply exists. Any failure rolls the observation back — the
-//!   log entry is popped and the surrogate replayed from the remaining
-//!   log — so a rejected observation never reaches disk and a resident
-//!   session always equals its checkpoint. The replay is the one cost of
+//!   and then committed as one verified line appended to the session's
+//!   [journal] *before* the `ok` reply exists. Any failure
+//!   rolls the observation back — the log entry is popped and the
+//!   surrogate replayed from the remaining log — so a rejected observation
+//!   never reaches disk and a resident session always equals its
+//!   checkpoint plus journal. The replay is the one cost of
 //!   this order: a commit that fails after a successful apply pays one
 //!   `rebuild`, once per demotion, because `SheddingWrites` sheds later
 //!   writes at admission. The converse of the guarantee does not hold — a
 //!   kill between commit and reply can leave one acknowledged-looking
 //!   observation on disk (at-least-once). Clients needing exactly-once
 //!   re-`attach` and compare the reported observation count before
-//!   retrying an unacknowledged `observe`.
+//!   retrying an unacknowledged `observe`. "Durable" means written to the
+//!   operating system: neither file is fsynced, so the bytes survive a
+//!   killed daemon but not a power loss.
+//! * **Compaction**: `<id>.json` is written whole, through the ledger's
+//!   [`write_verified`], only at `newsession`, at the `checkpoint` verb
+//!   and when the engine drains, quits, shuts down or reaches EOF
+//!   ([`Engine::flush_all`]). Each compaction then removes `<id>.log`, so
+//!   an `observe` writes one line whatever the session's length.
 //! * **Panic isolation**: dispatch runs under `catch_unwind`; a panicking
 //!   request detaches the connection's live session (its on-disk
 //!   checkpoint is unaffected) and yields `err panic`, like
@@ -29,9 +37,10 @@
 //!   resident session is already durable, so eviction never writes and
 //!   never fails.
 //! * **The degradation ladder** ([`HealthState`]): a failing checkpoint
-//!   write moves the engine from `Healthy` to `SheddingWrites` (writes
-//!   shed with `err degraded retry-after-ms <hint>`, the hint backing off
-//!   exponentially via [`RetryPolicy::SERVE_HINT`]; reads still served).
+//!   write or journal append moves the engine from `Healthy` to
+//!   `SheddingWrites` (writes shed with `err degraded retry-after-ms
+//!   <hint>`, the hint backing off exponentially via
+//!   [`RetryPolicy::SERVE_HINT`]; reads still served).
 //!   A successful probe write promotes it back to `Healthy`
 //!   automatically. `Draining` is terminal: nothing new is admitted. The
 //!   `health` verb reports the state plus per-site injection and retry
@@ -54,12 +63,14 @@ use alic_stats::fault::{inject, injections, FaultSite};
 use alic_stats::policy::{self, RetryPolicy};
 use alic_stats::rng::derive_seed2;
 
+use crate::journal;
 use crate::protocol::{
     self, code, format_config, format_cost, sanitize, ErrReply, Request, MAX_LINE_BYTES,
 };
 use crate::session::{TuningSession, WarmStart};
 
-/// Subdirectory of the serve directory holding one checkpoint per session.
+/// Subdirectory of the serve directory holding each session's checkpoint
+/// (`<id>.json`) and journal (`<id>.log`).
 pub const SESSIONS_DIR: &str = "sessions";
 
 /// Default bound on resident live sessions.
@@ -86,7 +97,8 @@ const STREAM_SESSION_SEED: u64 = 0x5e55;
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Root of the checkpoint directory (`<dir>/sessions/<id>.json`).
+    /// Root of the checkpoint directory (`<dir>/sessions/<id>.json`, with
+    /// the journal `<id>.log` next to it).
     pub dir: PathBuf,
     /// Surrogate family for sessions that do not name one.
     pub default_model: SurrogateSpec,
@@ -125,9 +137,9 @@ impl ServeConfig {
 
 /// The engine's position on the degradation ladder.
 ///
-/// A failed checkpoint write demotes `Healthy` to `SheddingWrites`; a
-/// successful probe write promotes straight back. Nothing leaves
-/// `Draining`.
+/// A failed checkpoint write or journal append demotes `Healthy` to
+/// `SheddingWrites`; a successful probe write promotes straight back.
+/// Nothing leaves `Draining`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// All verbs served.
@@ -225,6 +237,9 @@ impl ConnState {
 struct LiveEntry {
     session: TuningSession,
     last_touch: u64,
+    /// Verified length of the session's journal: 0 when the checkpoint
+    /// holds every observation and no journal file is left.
+    journal_len: u64,
 }
 
 /// The daemon's core: a bounded table of live sessions over a checkpoint
@@ -244,7 +259,9 @@ pub struct Engine {
 
 impl Engine {
     /// Opens (creating if necessary) the serve directory and scans existing
-    /// checkpoints so new session ids never collide with old ones.
+    /// checkpoints and journals so new session ids never collide with old
+    /// ones: a journal whose checkpoint is gone must not extend a new
+    /// session.
     ///
     /// # Errors
     ///
@@ -262,7 +279,7 @@ impl Engine {
             let Some(name) = name.to_str() else { continue };
             if let Some(n) = name
                 .strip_prefix('s')
-                .and_then(|rest| rest.strip_suffix(".json"))
+                .and_then(|rest| rest.strip_suffix(".json").or(rest.strip_suffix(".log")))
                 .filter(|digits| digits.len() == 6)
                 .and_then(|digits| digits.parse::<u64>().ok())
             {
@@ -309,8 +326,9 @@ impl Engine {
         self.config.dir.join(SESSIONS_DIR)
     }
 
-    fn session_path(&self, id: &str) -> PathBuf {
-        self.sessions_dir().join(format!("{id}.json"))
+    /// The checkpoint and journal paths of session `id`.
+    fn session_files(&self, id: &str) -> (PathBuf, PathBuf) {
+        session_files(&self.sessions_dir(), id)
     }
 
     /// Handles one raw input line and returns the reply plus transport
@@ -454,7 +472,8 @@ impl Engine {
                 let warm_obs = session.warm_observations();
                 // Durable before acknowledged: the session exists on disk
                 // before the client ever learns its id.
-                if let Err(e) = checkpoint_session(&self.session_path(&id), &session) {
+                let (checkpoint, _) = self.session_files(&id);
+                if let Err(e) = checkpoint_session(&checkpoint, &session) {
                     return Err(self.degrade_write(e));
                 }
                 let dim = space.dimension();
@@ -464,6 +483,7 @@ impl Engine {
                     LiveEntry {
                         session,
                         last_touch: self.clock,
+                        journal_len: 0,
                     },
                 );
                 conn.current = Some(id.clone());
@@ -510,14 +530,14 @@ impl Engine {
                 if over_deadline() {
                     return Err(deadline_err());
                 }
-                let path = self.session_path(&id);
+                let (_, log) = self.session_files(&id);
                 let entry = self.live_mut(&id)?;
                 entry.session.record(config.clone(), *cost);
                 // Apply, then commit: the disk only ever sees an
                 // observation the surrogate accepted.
                 let failure = match entry.session.apply_last() {
                     Err(e) => model_err(e),
-                    Ok(()) => match checkpoint_session(&path, &entry.session) {
+                    Ok(()) => match commit(&log, entry) {
                         Ok(()) => {
                             let n = entry.session.observations();
                             return Ok((format!("ok observed {n}"), Action::Continue));
@@ -553,8 +573,8 @@ impl Engine {
             Request::Checkpoint => {
                 let id = attached(conn)?;
                 self.ensure_live(&id)?;
-                let path = self.session_path(&id);
-                match checkpoint_session(&path, &self.live_ref(&id)?.session) {
+                let (checkpoint, log) = self.session_files(&id);
+                match compact(&checkpoint, &log, self.live_mut(&id)?) {
                     Ok(()) => Ok((
                         format!("ok checkpoint {SESSIONS_DIR}/{id}.json"),
                         Action::Continue,
@@ -724,11 +744,12 @@ impl Engine {
             .ok_or_else(|| Self::internal_missing(id))
     }
 
-    /// Makes `id` resident: a no-op when live, otherwise a checkpoint
-    /// restore (with LRU eviction to make room).
+    /// Makes `id` resident: a no-op when live, otherwise a restore of its
+    /// checkpoint and journal (with LRU eviction to make room). A torn
+    /// journal tail is truncated here, before anything can append to it.
     fn ensure_live(&mut self, id: &str) -> Result<(), ErrReply> {
         if !self.live.contains_key(id) {
-            let path = self.session_path(id);
+            let (path, log) = self.session_files(id);
             let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -739,14 +760,22 @@ impl Engine {
                 }
                 Err(e) => return Err(ErrReply::new(code::IO, format!("reading {id}: {e}"))),
             };
-            let session = match TuningSession::from_checkpoint_str(&text) {
-                Ok(session) => session,
+            let journal = match std::fs::read(&log) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => {
+                    return Err(ErrReply::new(
+                        code::IO,
+                        format!("reading the journal of {id}: {e}"),
+                    ))
+                }
+            };
+            let (session, valid) = match TuningSession::restore(&text, &journal) {
+                Ok(restored) => restored,
                 Err(e) if e.code == code::CORRUPT => {
                     // Preserve the evidence and report structured
                     // corruption; the id is gone until re-created.
-                    quarantine_file(&path).map_err(|qe| {
-                        ErrReply::new(code::IO, format!("quarantining {id}: {qe}"))
-                    })?;
+                    quarantine_session(&path, &log, id)?;
                     return Err(ErrReply::new(
                         code::CORRUPT,
                         format!("checkpoint of {id} was damaged and quarantined to {id}.json.corrupt: {}", e.msg),
@@ -755,12 +784,23 @@ impl Engine {
                 Err(e) => return Err(e),
             };
             if session.id() != id {
-                quarantine_file(&path)
-                    .map_err(|qe| ErrReply::new(code::IO, format!("quarantining {id}: {qe}")))?;
+                quarantine_session(&path, &log, id)?;
                 return Err(ErrReply::new(
                     code::CORRUPT,
                     format!("checkpoint of {id} claims id {}; quarantined", session.id()),
                 ));
+            }
+            if valid < journal.len() {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&log)
+                    .and_then(|file| file.set_len(valid as u64))
+                    .map_err(|e| {
+                        ErrReply::new(
+                            code::IO,
+                            format!("truncating the torn journal tail of {id}: {e}"),
+                        )
+                    })?;
             }
             self.make_room();
             self.live.insert(
@@ -768,6 +808,7 @@ impl Engine {
                 LiveEntry {
                     session,
                     last_touch: self.clock,
+                    journal_len: valid as u64,
                 },
             );
         }
@@ -776,8 +817,8 @@ impl Engine {
     }
 
     /// Evicts least-recently-used sessions until a slot is free. A
-    /// resident session always equals its checkpoint, so eviction writes
-    /// nothing and cannot fail.
+    /// resident session always equals its checkpoint plus journal, so
+    /// eviction writes nothing and cannot fail.
     fn make_room(&mut self) {
         let cap = self.config.max_live.max(1);
         while self.live.len() >= cap {
@@ -834,13 +875,23 @@ impl Engine {
         store.insert(&key, depth, snapshot);
     }
 
-    /// The shutdown/EOF/drain path: harvests every fitted live surrogate
-    /// into the warm store, persists the store, and reports one
-    /// [`DrainSummary`] — the drain verb and both transports render the
-    /// same `drained <n>` line. Sessions need no flush: each one was
-    /// durable when its last reply went out. Warm-store failures are
-    /// advisory and only carried in the summary.
+    /// The shutdown/EOF/quit/drain path: compacts every live session that
+    /// has a journal, harvests every fitted live surrogate into the warm
+    /// store, persists the store, and reports one [`DrainSummary`] — the
+    /// drain verb and both transports render the same `drained <n>` line.
+    ///
+    /// Every session was durable when its last reply went out, so a
+    /// compaction that fails loses nothing: the checkpoint and journal it
+    /// leaves restore the same session. Compaction and warm-store
+    /// failures are advisory; only the latter is carried in the summary.
     pub fn flush_all(&mut self) -> DrainSummary {
+        let sessions = self.sessions_dir();
+        for (id, entry) in &mut self.live {
+            if entry.journal_len > 0 {
+                let (checkpoint, log) = session_files(&sessions, id);
+                let _ = compact(&checkpoint, &log, entry);
+            }
+        }
         let mut warm_store_error = None;
         if self.warm.is_some() {
             for entry in self.live.values() {
@@ -882,8 +933,17 @@ fn model_err(e: alic_model::ModelError) -> ErrReply {
     ErrReply::new(code::MODEL, e.to_string())
 }
 
-/// Writes one session checkpoint through the ledger's atomic, retrying,
-/// read-back-verifying writer.
+/// `<sessions>/<id>.json` and `<sessions>/<id>.log`: a session's
+/// checkpoint and journal.
+fn session_files(sessions: &Path, id: &str) -> (PathBuf, PathBuf) {
+    (
+        sessions.join(format!("{id}.json")),
+        sessions.join(format!("{id}.log")),
+    )
+}
+
+/// Writes one whole session checkpoint through the ledger's atomic,
+/// retrying, read-back-verifying writer.
 ///
 /// Verification matters more here than in the campaign ledger: a torn unit
 /// record heals by deterministic re-execution, but a session checkpoint is
@@ -894,6 +954,46 @@ fn checkpoint_session(path: &Path, session: &TuningSession) -> Result<(), ErrRep
     let text = session.to_checkpoint_string()?;
     write_verified(path, &text)
         .map_err(|e| ErrReply::new(code::IO, format!("checkpointing {}: {e}", session.id())))
+}
+
+/// Commits a session's last recorded observation: one line appended to its
+/// journal, read back before this returns.
+fn commit(log: &Path, entry: &mut LiveEntry) -> Result<(), ErrReply> {
+    let session = &entry.session;
+    let line = journal::line(session.observations(), session.last_entry()?);
+    entry.journal_len = journal::append(log, entry.journal_len, &line)
+        .map_err(|e| ErrReply::new(code::IO, format!("journaling {}: {e}", session.id())))?;
+    Ok(())
+}
+
+/// Compacts a session: writes its whole checkpoint, which then holds every
+/// journaled observation, and removes the journal. A kill between the two
+/// steps leaves journal lines the checkpoint already holds, which restore
+/// skips.
+fn compact(checkpoint: &Path, log: &Path, entry: &mut LiveEntry) -> Result<(), ErrReply> {
+    checkpoint_session(checkpoint, &entry.session)?;
+    match std::fs::remove_file(log) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(ErrReply::new(
+            code::IO,
+            format!("removing the journal of {}: {e}", entry.session.id()),
+        )),
+        _ => {
+            entry.journal_len = 0;
+            Ok(())
+        }
+    }
+}
+
+/// Moves a damaged session aside: its checkpoint to `<id>.json.corrupt`
+/// and its journal, if any, to `<id>.log.corrupt`.
+fn quarantine_session(checkpoint: &Path, log: &Path, id: &str) -> Result<(), ErrReply> {
+    let failed =
+        |e: alic_core::CoreError| ErrReply::new(code::IO, format!("quarantining {id}: {e}"));
+    quarantine_file(checkpoint).map_err(failed)?;
+    if log.exists() {
+        quarantine_file(log).map_err(failed)?;
+    }
+    Ok(())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1048,6 +1148,7 @@ mod tests {
         for line in &observes {
             ok(&mut straight, &mut conn, line);
         }
+        ok(&mut straight, &mut conn, "checkpoint");
         drop(straight);
 
         let (mut engine, dir) = temp_engine("append-restarted");
@@ -1064,6 +1165,7 @@ mod tests {
         for line in rest {
             ok(&mut engine, &mut conn, line);
         }
+        ok(&mut engine, &mut conn, "checkpoint");
         drop(engine);
 
         assert_eq!(checkpoint(&dir), checkpoint(&straight_dir));
@@ -1089,6 +1191,27 @@ mod tests {
         assert_eq!(
             std::fs::read_to_string(sessions.join("s999999.json")).unwrap(),
             "{placeholder}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn newsession_never_reuses_the_id_of_a_leftover_journal() {
+        let (engine, dir) = temp_engine("leftover-journal");
+        drop(engine);
+        let sessions = dir.join(SESSIONS_DIR);
+        let stray = journal::line(1, "[[4],1]");
+        std::fs::write(sessions.join("s000003.log"), &stray).unwrap();
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert_eq!(
+            ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9"),
+            "ok session s000004 dim 1"
+        );
+        assert!(err(&mut engine, &mut conn, "best").starts_with("err empty"));
+        assert_eq!(
+            std::fs::read_to_string(sessions.join("s000003.log")).unwrap(),
+            stray
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,16 +8,20 @@
 //! The headline property is **crash safety**, built from the same pieces as
 //! the self-healing campaign runner:
 //!
-//! * every acknowledged mutation is durable before the reply is written —
-//!   an observation is applied to the surrogate, then committed (a failure
-//!   at either step rolls it back), and sessions checkpoint through the
-//!   campaign ledger's
+//! * every acknowledged mutation is written before the reply is — an
+//!   observation is applied to the surrogate, then committed as one
+//!   checksummed, read-back-verified line appended to the session's
+//!   [`journal`] (a failure at either step rolls it back). The compacted
+//!   checkpoint goes through the campaign ledger's
 //!   [`write_verified`](alic_core::runner::ledger::write_verified) (atomic
 //!   rename, bounded retry with exponential backoff, read-back
-//!   verification), so a SIGKILLed daemon
-//!   restarts and resumes every session with **bit-identical** surrogate
-//!   state (checkpoints are event logs replayed through the deterministic
-//!   fit/update paths, not serialized model internals);
+//!   verification) when a session is created, on `checkpoint`, and on
+//!   drain, quit, shutdown or EOF. So a SIGKILLed daemon restarts and
+//!   resumes every session with **bit-identical** surrogate state
+//!   (checkpoint plus journal is an event log replayed through the
+//!   deterministic fit/update paths, not serialized model internals).
+//!   Nothing is fsynced: the bytes survive a killed daemon, not a power
+//!   loss;
 //! * read-only requests (`suggest`, `best`) are pure functions of durable
 //!   state, so their replies are byte-identical before and after a restart;
 //! * every request runs under a deadline with panic isolation
@@ -26,10 +30,11 @@
 //!   process down;
 //! * malformed input always yields a structured `err <code> <msg>` reply;
 //! * the live-session table is bounded with LRU eviction; every resident
-//!   session already equals its checkpoint, so eviction never writes;
+//!   session already equals its checkpoint plus journal, so eviction never
+//!   writes;
 //! * under *resource pressure* it walks an explicit degradation ladder
 //!   (healthy → shedding-writes, and the terminal draining) instead of
-//!   failing randomly: persistent checkpoint-write failures shed writes
+//!   failing randomly: persistent write failures shed writes
 //!   with a retry-after hint while reads keep answering, and a successful
 //!   probe write promotes back to healthy ([`engine::HealthState`]);
 //! * `health` reports the ladder state plus fault/retry counters, `drain`
@@ -54,6 +59,7 @@
 pub mod chaos;
 pub mod daemon;
 pub mod engine;
+pub mod journal;
 pub mod protocol;
 pub mod session;
 pub mod term;

@@ -63,9 +63,9 @@ pub mod code {
     pub const BAD_CONFIG: &str = "bad-config";
     /// The observed cost is not a finite number.
     pub const BAD_COST: &str = "bad-cost";
-    /// The daemon is on the degradation ladder (checkpoint writes are
-    /// failing): writes are shed with a `retry-after-ms` hint while reads
-    /// are still served.
+    /// The daemon is on the degradation ladder (checkpoint writes or
+    /// journal appends are failing): writes are shed with a
+    /// `retry-after-ms` hint while reads are still served.
     pub const DEGRADED: &str = "degraded";
     /// The daemon is draining: no new work is admitted.
     pub const DRAINING: &str = "draining";
@@ -78,7 +78,8 @@ pub mod code {
     /// The request panicked; the session was detached (re-`attach` restores
     /// it from its last checkpoint).
     pub const PANIC: &str = "panic";
-    /// A checkpoint or directory operation failed after bounded retries.
+    /// A checkpoint, journal or directory operation failed after bounded
+    /// retries.
     pub const IO: &str = "io";
     /// A session checkpoint on disk is damaged (it was quarantined to
     /// `*.corrupt`).
@@ -168,7 +169,7 @@ pub enum Request {
     },
     /// `best`
     Best,
-    /// `checkpoint`
+    /// `checkpoint`: compact the session's journal into its checkpoint.
     Checkpoint,
     /// `sessions`
     Sessions,

@@ -27,8 +27,13 @@
 //! it is recorded, and appended. A checkpoint is then those pieces joined,
 //! so its cost per observe no longer grows with the log, and its bytes are
 //! exactly what encoding the whole document as one codec tree gives.
+//!
+//! Between compactions the engine keeps each observation's entry in the
+//! session's [journal] instead, and
+//! [`restore`](TuningSession::restore) replays the journal after the
+//! checkpoint it extends.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use alic_data::io::{self, JsonValue};
 use alic_data::DataError;
@@ -39,6 +44,7 @@ use alic_model::ModelError;
 use alic_sim::space::{Configuration, ParamKind, ParamSpec, ParameterSpace};
 use alic_stats::rng::seeded_substream;
 
+use crate::journal;
 use crate::protocol::{code, sanitize, ErrReply};
 
 /// Schema tag of a session checkpoint file.
@@ -80,6 +86,8 @@ pub struct TuningSession {
     spec: SurrogateSpec,
     seed: u64,
     log: Vec<(Configuration, f64)>,
+    /// How many times each configuration occurs in `log`.
+    seen: HashMap<Configuration, usize>,
     model: Option<Box<dyn ActiveSurrogate + Send>>,
     warm: Option<WarmStart>,
     /// The checkpoint of exactly `log`, or the codec's first error on it.
@@ -93,6 +101,8 @@ struct Encoded {
     head: String,
     /// The comma-joined `[[values],cost]` entries, in log order.
     body: String,
+    /// Where the last entry starts in `body`.
+    last: usize,
     /// `]`, the `warm` field of a warm session, then `}` and a newline.
     tail: String,
 }
@@ -103,6 +113,7 @@ impl Encoded {
         if !self.body.is_empty() {
             self.body.push(',');
         }
+        self.last = self.body.len();
         let values = config.values().iter();
         JsonValue::Array(vec![
             JsonValue::Array(values.map(|&v| JsonValue::Number(f64::from(v))).collect()),
@@ -141,6 +152,7 @@ impl TuningSession {
             spec,
             seed,
             log: Vec::new(),
+            seen: HashMap::new(),
             model: None,
             warm,
             encoded: Ok(Encoded::default()),
@@ -244,7 +256,21 @@ impl TuningSession {
                 self.encoded = Err(e);
             }
         }
+        *self.seen.entry(config.clone()).or_default() += 1;
         self.log.push((config, cost));
+    }
+
+    /// The checkpoint entry of the most recent [`record`](Self::record),
+    /// `[[values],cost]`: the payload of its journal line.
+    ///
+    /// # Errors
+    ///
+    /// The same `io` reply as
+    /// [`to_checkpoint_string`](Self::to_checkpoint_string) when the log
+    /// holds a cost the codec cannot write.
+    pub fn last_entry(&self) -> Result<&str, ErrReply> {
+        let encoded = self.encoded.as_ref().map_err(|e| self.encode_failed(e))?;
+        Ok(&encoded.body[encoded.last..])
     }
 
     /// Rolls back the most recent [`record`](Self::record) (model or
@@ -256,7 +282,14 @@ impl TuningSession {
     /// rebuild that follows it, and the bytes are those from before the
     /// `record`.
     pub fn unrecord(&mut self) {
-        self.log.pop();
+        if let Some((config, _)) = self.log.pop() {
+            if let Some(n) = self.seen.get_mut(&config) {
+                *n -= 1;
+                if *n == 0 {
+                    self.seen.remove(&config);
+                }
+            }
+        }
         self.encoded = self.encode();
     }
 
@@ -352,8 +385,8 @@ impl TuningSession {
         let pool = self
             .space
             .sample_distinct(&mut rng, SUGGEST_POOL.max(4 * count));
-        let seen: HashSet<&Configuration> = self.log.iter().map(|(c, _)| c).collect();
-        let fresh: Vec<&Configuration> = pool.iter().filter(|c| !seen.contains(c)).collect();
+        let fresh: Vec<&Configuration> =
+            pool.iter().filter(|c| !self.seen.contains_key(c)).collect();
         // A tiny, fully observed space still deserves an answer: fall back
         // to re-suggesting observed points rather than replying with fewer
         // than asked (or nothing).
@@ -428,14 +461,18 @@ impl TuningSession {
     /// cost cannot enter the engine's log, so this does not happen in
     /// practice).
     pub fn to_checkpoint_string(&self) -> Result<String, ErrReply> {
-        let Encoded { head, body, tail } = self.encoded.as_ref().map_err(|e| {
-            ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id))
-        })?;
+        let Encoded {
+            head, body, tail, ..
+        } = self.encoded.as_ref().map_err(|e| self.encode_failed(e))?;
         let mut text = String::with_capacity(head.len() + body.len() + tail.len());
         text.push_str(head);
         text.push_str(body);
         text.push_str(tail);
         Ok(text)
+    }
+
+    fn encode_failed(&self, e: &DataError) -> ErrReply {
+        ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id))
     }
 
     /// Encodes the whole checkpoint: the fixed fields, then one entry per
@@ -478,6 +515,7 @@ impl TuningSession {
         let mut encoded = Encoded {
             head,
             body: String::new(),
+            last: 0,
             tail,
         };
         for (config, cost) in &self.log {
@@ -496,10 +534,30 @@ impl TuningSession {
     /// itself fails (e.g. an injected jitter-ladder exhaustion) — the file
     /// is fine and a retry may succeed.
     pub fn from_checkpoint_str(text: &str) -> Result<TuningSession, ErrReply> {
+        Self::restore(text, b"").map(|(session, _)| session)
+    }
+
+    /// Restores a session from its checkpoint text and its
+    /// [journal], then replays the whole log into a rebuilt
+    /// surrogate. Returns the session and the length of the journal's
+    /// valid prefix: everything after it is a torn tail the caller
+    /// truncates.
+    ///
+    /// Journal lines at or below the checkpoint's observation count are
+    /// skipped (a compaction finished but its journal was not yet
+    /// removed). The first line with a bad checksum, a bad entry, or an
+    /// index out of sequence ends the valid prefix.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_checkpoint_str`](Self::from_checkpoint_str); a damaged
+    /// journal is never an error.
+    pub fn restore(checkpoint: &str, journal: &[u8]) -> Result<(TuningSession, usize), ErrReply> {
         let corrupt = |detail: String| ErrReply::new(code::CORRUPT, detail);
-        let doc =
-            JsonValue::parse(text).map_err(|e| corrupt(format!("unparseable checkpoint: {e}")))?;
+        let doc = JsonValue::parse(checkpoint)
+            .map_err(|e| corrupt(format!("unparseable checkpoint: {e}")))?;
         let mut session = Self::decode(&doc).map_err(|e| corrupt(e.to_string()))?;
+        let valid = session.replay_journal(journal);
         session.rebuild().map_err(|e| {
             // A snapshot that no longer restores is damage to the
             // checkpoint itself (quarantined), not a transient model fault.
@@ -516,7 +574,32 @@ impl TuningSession {
                 ),
             )
         })?;
-        Ok(session)
+        Ok((session, valid))
+    }
+
+    /// Records the journal's observations that follow the checkpoint and
+    /// returns the length of its valid prefix.
+    fn replay_journal(&mut self, journal: &[u8]) -> usize {
+        let mut valid = 0;
+        let mut previous = None;
+        for raw in journal.split_inclusive(|&b| b == b'\n') {
+            let Some((index, entry)) = journal::parse_line(raw) else {
+                break;
+            };
+            if previous.is_some_and(|p: usize| index != p + 1) {
+                break;
+            }
+            if index > self.log.len() {
+                let decoded = JsonValue::parse(entry).and_then(|e| self.decode_entry(&e));
+                match decoded {
+                    Ok((config, cost)) if index == self.log.len() + 1 => self.record(config, cost),
+                    _ => break,
+                }
+            }
+            previous = Some(index);
+            valid += raw.len();
+        }
+        valid
     }
 
     fn decode(doc: &JsonValue) -> alic_data::Result<TuningSession> {
@@ -566,34 +649,42 @@ impl TuningSession {
             warm,
         );
         for entry in io::field_array(doc, "observations")? {
-            let [values, cost] = entry.as_array()? else {
-                return Err(DataError::Parse(
-                    "observation entries are [values, cost] pairs".to_string(),
-                ));
-            };
-            let values = values
-                .as_array()?
-                .iter()
-                .map(|v| {
-                    u32::try_from(v.as_u64()?)
-                        .map_err(|_| DataError::Parse("observation value out of range".to_string()))
-                })
-                .collect::<alic_data::Result<Vec<u32>>>()?;
-            let config = Configuration::new(values);
-            session
-                .space
-                .validate(&config)
-                .map_err(|e| DataError::Parse(format!("observation outside the space: {e}")))?;
-            // The parser admits only finite numbers, so the cost is finite.
-            session.record(config, cost.as_f64()?);
+            let (config, cost) = session.decode_entry(entry)?;
+            session.record(config, cost);
         }
         Ok(session)
+    }
+
+    /// Decodes one observation entry, `[[values],cost]`, of this session's
+    /// space.
+    fn decode_entry(&self, entry: &JsonValue) -> alic_data::Result<(Configuration, f64)> {
+        let [values, cost] = entry.as_array()? else {
+            return Err(DataError::Parse(
+                "observation entries are [values, cost] pairs".to_string(),
+            ));
+        };
+        let values = values
+            .as_array()?
+            .iter()
+            .map(|v| {
+                u32::try_from(v.as_u64()?)
+                    .map_err(|_| DataError::Parse("observation value out of range".to_string()))
+            })
+            .collect::<alic_data::Result<Vec<u32>>>()?;
+        let config = Configuration::new(values);
+        self.space
+            .validate(&config)
+            .map_err(|e| DataError::Parse(format!("observation outside the space: {e}")))?;
+        // The parser admits only finite numbers, so the cost is finite.
+        Ok((config, cost.as_f64()?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::collections::HashSet;
 
     use proptest::collection::vec;
     use proptest::prelude::*;

@@ -3,8 +3,8 @@
 //! Implemented from scratch so that the workspace does not need an external
 //! scientific-computing dependency: the log-gamma function (Lanczos
 //! approximation), the regularized incomplete beta function (Lentz continued
-//! fraction), the Student-t and standard-normal distribution functions, and
-//! the Student-t inverse. These back the confidence-interval machinery in
+//! fraction), the Student-t distribution function, and the Student-t
+//! inverse. These back the confidence-interval machinery in
 //! [`crate::ci`] and the posterior-predictive computations of the
 //! dynamic-tree model.
 
@@ -185,34 +185,6 @@ pub fn student_t_quantile(p: f64, df: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Standard normal cumulative distribution function.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Complementary error function, via the Numerical Recipes Chebyshev fit
-/// (absolute error below 1.2e-7, adequate for CDF evaluation here).
-pub fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.265_512_23
-            + t * (1.000_023_68
-                + t * (0.374_091_96
-                    + t * (0.096_784_18
-                        + t * (-0.186_288_06
-                            + t * (0.278_868_07
-                                + t * (-1.135_203_98
-                                    + t * (1.488_515_87
-                                        + t * (-0.822_152_23 + t * 0.170_872_77)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,13 +261,6 @@ mod tests {
                 assert!((student_t_cdf(t, df) - p).abs() < 1e-8);
             }
         }
-    }
-
-    #[test]
-    fn normal_cdf_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-4);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-4);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! The deterministic tests below pin the individual mechanisms: ladder
 //! transitions (healthy → shedding-writes → healthy), the exponential
 //! `retry-after-ms` hint and its reset, the stuck check's `err stuck`
-//! detach/re-attach cycle, and a drain that needs no writes.
+//! detach/re-attach cycle, and a drain whose compaction fails on a dead
+//! disk without losing an observation.
 //!
 //! Every test manipulates the process-global fault plane, so each takes
 //! the plane's exclusive guard.
@@ -72,7 +73,9 @@ fn workload() -> Vec<&'static str> {
 }
 
 /// Fault-free replies plus the fault-free final checkpoint bytes, computed
-/// once under a clean (guarded) plane.
+/// once under a clean (guarded) plane. Observes only append to the
+/// session's journal, so the baseline compacts with `checkpoint` before it
+/// reads the checkpoint.
 fn baseline() -> &'static (Vec<String>, String) {
     static BASELINE: OnceLock<(Vec<String>, String)> = OnceLock::new();
     BASELINE.get_or_init(|| {
@@ -90,6 +93,8 @@ fn baseline() -> &'static (Vec<String>, String) {
                 reply
             })
             .collect();
+        let reply = engine.handle_line(&mut conn, "checkpoint").reply.unwrap();
+        assert_eq!(reply, format!("ok checkpoint sessions/{SID}.json"));
         let checkpoint =
             std::fs::read_to_string(dir.join("sessions").join(format!("{SID}.json"))).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -97,8 +102,8 @@ fn baseline() -> &'static (Vec<String>, String) {
     })
 }
 
-/// A pressure plan: out-of-space failures on the checkpoint writer at rate
-/// 1.0, so with budget >= 5 the first commits exhaust
+/// A pressure plan: out-of-space failures on the checkpoint writer and the
+/// journal append at rate 1.0, so with budget >= 5 the first commits exhaust
 /// `RetryPolicy::LEDGER`'s attempts and trip the ladder, while the tail of
 /// the budget is silently absorbed by the retries; occasional fd
 /// exhaustion; and a small stall budget (each stall sleeps 8x the
@@ -211,8 +216,9 @@ proptest! {
         let health = engine.handle_line(&mut conn, "health").reply.unwrap();
         prop_assert!(health.starts_with("ok health state=healthy "), "{}", health);
 
-        // Drain: every acknowledged observe is already durable, so the
-        // drain only reports the one resident session.
+        // Drain: every acknowledged observe is already durable; the drain
+        // compacts the journal into the checkpoint and reports the one
+        // resident session.
         let drained = engine.handle_line(&mut conn, "drain").reply.unwrap();
         prop_assert_eq!(drained.as_str(), "ok drained 1");
         // Draining is terminal: no new work, reads included.
@@ -248,8 +254,9 @@ fn degraded_hints_back_off_and_reset_after_readmission() {
     assert_eq!(engine.health_state(), HealthState::Healthy);
     let sleeps_before = policy::sleeps();
 
-    // Every checkpoint write hits ENOSPC: the first observe exhausts the
-    // ledger policy's 5 attempts and demotes the ladder to shedding-writes.
+    // Every write hits ENOSPC: the first observe's journal append exhausts
+    // the ledger policy's 5 attempts and demotes the ladder to
+    // shedding-writes.
     fault::install(FaultPlan::new(3).with_site(FaultSite::Enospc, 1.0, Some(1000)));
     let reply = engine
         .handle_line(&mut conn, "observe 3,2 4.0")
@@ -350,32 +357,39 @@ fn stuck_request_is_detached_and_reattach_restores() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Every acknowledged observation is already durable, so a drain has
-/// nothing to write: under a dead disk it still replies `ok drained 1`
-/// without attempting a single session write, and the checkpoint holds the
-/// acknowledged observation.
+/// A drain compacts each session's journal into its checkpoint. Under a
+/// dead disk that compaction fails, and the drain still replies `ok drained
+/// 1` without losing anything: the checkpoint and the journal stay as they
+/// were, a restart restores the acknowledged observation from them, and
+/// once the disk is back `quit` compacts.
 #[test]
-fn drain_under_a_dead_disk_writes_nothing() {
+fn drain_under_a_dead_disk_keeps_the_journal() {
     let _guard = fault::exclusive_clean();
     let dir = temp_dir("drain-dead-disk");
+    let checkpoint = dir.join("sessions").join(format!("{SID}.json"));
+    let journal = dir.join("sessions").join(format!("{SID}.log"));
     let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
     let mut conn = ConnState::new();
     engine.handle_line(&mut conn, NEWSESSION).reply.unwrap();
+    let created = std::fs::read(&checkpoint).unwrap();
     let reply = engine
         .handle_line(&mut conn, "observe 3,2 4.0")
         .reply
         .unwrap();
     assert_eq!(reply, "ok observed 1");
+    let journaled = std::fs::read(&journal).unwrap();
+    assert_eq!(journaled.iter().filter(|&&b| b == b'\n').count(), 1);
 
     fault::install(FaultPlan::new(13).with_site(FaultSite::Enospc, 1.0, None));
     let reply = engine.handle_line(&mut conn, "drain").reply.unwrap();
     assert_eq!(reply, "ok drained 1");
-    assert_eq!(
-        fault::injections(FaultSite::Enospc),
-        0,
-        "drain attempted a write"
+    assert!(
+        fault::injections(FaultSite::Enospc) > 0,
+        "drain never tried to compact"
     );
     fault::deactivate();
+    assert_eq!(std::fs::read(&checkpoint).unwrap(), created);
+    assert_eq!(std::fs::read(&journal).unwrap(), journaled);
 
     // Draining pins the ladder: recovery does not re-admit work.
     let reply = engine
@@ -384,13 +398,23 @@ fn drain_under_a_dead_disk_writes_nothing() {
         .unwrap();
     assert!(reply.starts_with("err draining "), "{reply}");
     drop(engine);
-    let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
-    let mut conn = ConnState::new();
-    let reply = engine
-        .handle_line(&mut conn, &format!("attach {SID}"))
-        .reply
-        .unwrap();
-    assert_eq!(reply, format!("ok attached {SID} obs 1"));
+    for _ in 0..2 {
+        // The first restart replays the journal and its `quit` compacts;
+        // the second restores from the compacted checkpoint alone.
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        let reply = engine
+            .handle_line(&mut conn, &format!("attach {SID}"))
+            .reply
+            .unwrap();
+        assert_eq!(reply, format!("ok attached {SID} obs 1"));
+        assert_eq!(
+            engine.handle_line(&mut conn, "quit").reply.unwrap(),
+            "ok bye"
+        );
+        assert!(!journal.exists(), "quit left the journal behind");
+        assert_ne!(std::fs::read(&checkpoint).unwrap(), created);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -33,6 +33,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use alic::serve::chaos::{write_reply, ChaosLines};
+use alic::serve::journal;
 use alic::serve::{ConnState, Engine, ServeConfig};
 use alic::stats::fault::{self, FaultPlan, FaultSite};
 
@@ -325,4 +326,283 @@ fn dynatree_session_restarts_bit_identically() {
         suggest
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// The session journal: `sessions/<id>.log`, one checksummed line per
+// acknowledged observe, compacted into `sessions/<id>.json` by
+// `checkpoint` (and by drain, quit, shutdown or EOF).
+
+const JOURNAL_OBSERVES: [&str; 6] = [
+    "observe 3,2 4.0",
+    "observe 9,1 3.1",
+    "observe 14,5 2.8",
+    "observe 6,3 3.4",
+    "observe 18,0 2.9",
+    "observe 11,4 3.0",
+];
+
+/// The checkpoint and journal paths of `s000000` under `dir`.
+fn session_files(dir: &Path) -> (PathBuf, PathBuf) {
+    let sessions = dir.join("sessions");
+    (sessions.join("s000000.json"), sessions.join("s000000.log"))
+}
+
+fn request(engine: &mut Engine, conn: &mut ConnState, line: &str) -> String {
+    engine.handle_line(conn, line).reply.unwrap()
+}
+
+fn ok(engine: &mut Engine, conn: &mut ConnState, line: &str) -> String {
+    let reply = request(engine, conn, line);
+    assert!(reply.starts_with("ok "), "{line:?} -> {reply}");
+    reply
+}
+
+/// A fresh engine on `dir` with `s000000` holding the first `n` journal
+/// observes, none of them compacted.
+fn journaled_session(dir: &Path, n: usize) -> (Engine, ConnState) {
+    let mut engine = Engine::open(ServeConfig::new(dir)).unwrap();
+    let mut conn = ConnState::new();
+    ok(&mut engine, &mut conn, NEWSESSION);
+    for line in &JOURNAL_OBSERVES[..n] {
+        ok(&mut engine, &mut conn, line);
+    }
+    (engine, conn)
+}
+
+/// The compacted checkpoint of a session that observed only the first `k`
+/// journal observes, for every `k`.
+fn compacted_prefixes() -> Vec<Vec<u8>> {
+    let dir = temp_dir("journal-prefixes");
+    let (mut engine, mut conn) = journaled_session(&dir, 0);
+    let (checkpoint, _) = session_files(&dir);
+    let mut prefixes = vec![std::fs::read(&checkpoint).unwrap()];
+    for line in JOURNAL_OBSERVES {
+        ok(&mut engine, &mut conn, line);
+        ok(&mut engine, &mut conn, "checkpoint");
+        prefixes.push(std::fs::read(&checkpoint).unwrap());
+    }
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+    prefixes
+}
+
+/// Attaches `s000000` in a restarted engine, asserts its observation
+/// count, then compacts it and returns the checkpoint bytes.
+fn attach_and_compact(dir: &Path, obs: usize) -> Vec<u8> {
+    let mut engine = Engine::open(ServeConfig::new(dir)).unwrap();
+    let mut conn = ConnState::new();
+    assert_eq!(
+        request(&mut engine, &mut conn, "attach s000000"),
+        format!("ok attached s000000 obs {obs}")
+    );
+    ok(&mut engine, &mut conn, "checkpoint");
+    let (checkpoint, journal) = session_files(dir);
+    assert!(!journal.exists(), "checkpoint left the journal behind");
+    std::fs::read(checkpoint).unwrap()
+}
+
+#[test]
+fn each_observe_appends_one_line_and_leaves_the_checkpoint_alone() {
+    let _guard = fault::exclusive_clean();
+    let dir = temp_dir("journal-append");
+    let (mut engine, mut conn) = journaled_session(&dir, 0);
+    let (checkpoint, journal) = session_files(&dir);
+    let created = std::fs::read(&checkpoint).unwrap();
+    let created_at = std::fs::metadata(&checkpoint).unwrap().modified().unwrap();
+    assert!(!journal.exists());
+    let mut lines = Vec::new();
+    for (i, line) in JOURNAL_OBSERVES.iter().enumerate() {
+        assert_eq!(
+            request(&mut engine, &mut conn, line),
+            format!("ok observed {}", i + 1)
+        );
+        let on_disk = std::fs::read(&journal).unwrap();
+        let (grown, added) = on_disk.split_at(lines.len());
+        assert_eq!(grown, &lines[..], "observe {} rewrote the journal", i + 1);
+        let (index, _) = journal::parse_line(added).expect("one whole journal line");
+        assert_eq!(index, i + 1);
+        lines = on_disk;
+        assert_eq!(std::fs::read(&checkpoint).unwrap(), created);
+        let modified = std::fs::metadata(&checkpoint).unwrap().modified().unwrap();
+        assert_eq!(
+            modified,
+            created_at,
+            "observe {} rewrote the checkpoint",
+            i + 1
+        );
+    }
+    ok(&mut engine, &mut conn, "checkpoint");
+    assert!(!journal.exists());
+    assert_eq!(
+        std::fs::read(&checkpoint).unwrap(),
+        compacted_prefixes()[JOURNAL_OBSERVES.len()]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn journal_cut_at_every_byte_recovers_the_whole_lines_before_the_cut() {
+    let _guard = fault::exclusive_clean();
+    let prefixes = compacted_prefixes();
+    let source = temp_dir("journal-cut-source");
+    let (engine, _) = journaled_session(&source, JOURNAL_OBSERVES.len());
+    drop(engine); // killed: nothing compacted
+    let (checkpoint, journal) = session_files(&source);
+    let checkpoint = std::fs::read(checkpoint).unwrap();
+    let journal = std::fs::read(journal).unwrap();
+    for cut in 0..=journal.len() {
+        let dir = temp_dir("journal-cut");
+        std::fs::create_dir_all(dir.join("sessions")).unwrap();
+        let (cut_checkpoint, cut_journal) = session_files(&dir);
+        std::fs::write(&cut_checkpoint, &checkpoint).unwrap();
+        std::fs::write(&cut_journal, &journal[..cut]).unwrap();
+        let whole = journal[..cut].iter().filter(|&&b| b == b'\n').count();
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert_eq!(
+            request(&mut engine, &mut conn, "attach s000000"),
+            format!("ok attached s000000 obs {whole}"),
+            "cut at byte {cut}"
+        );
+        // The torn tail is gone before anything can append after it.
+        let kept = std::fs::read(&cut_journal).unwrap();
+        assert!(
+            kept.is_empty() || kept.ends_with(b"\n"),
+            "cut at byte {cut}"
+        );
+        assert_eq!(kept, journal[..kept.len()], "cut at byte {cut}");
+        drop(engine);
+        assert_eq!(
+            attach_and_compact(&dir, whole),
+            prefixes[whole],
+            "cut at byte {cut}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&source).unwrap();
+}
+
+#[test]
+fn torn_append_is_never_acknowledged_and_the_next_observe_appends_cleanly() {
+    let _guard = fault::exclusive_clean();
+    let dir = temp_dir("journal-torn");
+    let (mut engine, mut conn) = journaled_session(&dir, 1);
+    let (_, journal) = session_files(&dir);
+    let before = std::fs::read(&journal).unwrap();
+
+    // Every attempt of the append tears: the observe is refused and the
+    // journal is back at its length before the append.
+    fault::install(FaultPlan::new(31).with_site(FaultSite::TornWrite, 1.0, Some(5)));
+    let reply = request(&mut engine, &mut conn, JOURNAL_OBSERVES[1]);
+    assert!(reply.starts_with("err degraded "), "{reply}");
+    assert_eq!(fault::injections(FaultSite::TornWrite), 5);
+    assert_eq!(std::fs::read(&journal).unwrap(), before);
+    fault::deactivate();
+    assert_eq!(
+        request(&mut engine, &mut conn, JOURNAL_OBSERVES[1]),
+        "ok observed 2"
+    );
+
+    // Two torn attempts, then a clean one: acknowledged with one clean line.
+    fault::install(FaultPlan::new(37).with_site(FaultSite::TornWrite, 1.0, Some(2)));
+    assert_eq!(
+        request(&mut engine, &mut conn, JOURNAL_OBSERVES[2]),
+        "ok observed 3"
+    );
+    assert_eq!(fault::injections(FaultSite::TornWrite), 2);
+    fault::deactivate();
+    let on_disk = std::fs::read(&journal).unwrap();
+    let indices: Vec<usize> = on_disk
+        .split_inclusive(|&b| b == b'\n')
+        .map(|line| journal::parse_line(line).expect("a whole line").0)
+        .collect();
+    assert_eq!(indices, [1, 2, 3]);
+    drop(engine);
+    assert_eq!(attach_and_compact(&dir, 3), compacted_prefixes()[3]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn crash_between_compaction_and_journal_removal_loses_and_repeats_nothing() {
+    let _guard = fault::exclusive_clean();
+    let prefixes = compacted_prefixes();
+    let dir = temp_dir("journal-stale");
+    let (mut engine, mut conn) = journaled_session(&dir, 3);
+    let (checkpoint, journal) = session_files(&dir);
+    let stale = std::fs::read(&journal).unwrap();
+    ok(&mut engine, &mut conn, "checkpoint");
+    drop(engine);
+    // The kill landed after the checkpoint's rename, before the removal.
+    std::fs::write(&journal, &stale).unwrap();
+    assert_eq!(std::fs::read(&checkpoint).unwrap(), prefixes[3]);
+    assert_eq!(attach_and_compact(&dir, 3), prefixes[3]);
+
+    // A session restored over stale lines appends after them, and a
+    // second restart skips them again.
+    std::fs::write(&journal, &stale).unwrap();
+    let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+    let mut conn = ConnState::new();
+    ok(&mut engine, &mut conn, "attach s000000");
+    assert_eq!(
+        request(&mut engine, &mut conn, JOURNAL_OBSERVES[3]),
+        "ok observed 4"
+    );
+    drop(engine);
+    assert_eq!(attach_and_compact(&dir, 4), prefixes[4]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn bad_checksum_or_out_of_order_index_mid_journal_ends_recovery_there() {
+    let _guard = fault::exclusive_clean();
+    let prefixes = compacted_prefixes();
+    let source = temp_dir("journal-damage-source");
+    let (engine, _) = journaled_session(&source, 5);
+    drop(engine);
+    let (checkpoint, journal) = session_files(&source);
+    let checkpoint = std::fs::read(checkpoint).unwrap();
+    let journal = std::fs::read(journal).unwrap();
+    let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
+    assert_eq!(lines.len(), 5);
+    // Line 3's cost 2.8 becomes 2.9: a well-formed entry, a bad checksum.
+    let flipped = String::from_utf8(lines[2].to_vec())
+        .unwrap()
+        .replacen("2.8", "2.9", 1);
+    let cases: [(&str, Vec<&[u8]>); 3] = [
+        (
+            "bad checksum",
+            vec![lines[0], lines[1], flipped.as_bytes(), lines[3], lines[4]],
+        ),
+        (
+            "swapped lines",
+            vec![lines[0], lines[1], lines[3], lines[2], lines[4]],
+        ),
+        (
+            "repeated line",
+            vec![lines[0], lines[1], lines[1], lines[2], lines[3]],
+        ),
+    ];
+    for (label, damaged) in cases {
+        let dir = temp_dir("journal-damage");
+        std::fs::create_dir_all(dir.join("sessions")).unwrap();
+        let (damaged_checkpoint, damaged_journal) = session_files(&dir);
+        std::fs::write(&damaged_checkpoint, &checkpoint).unwrap();
+        std::fs::write(&damaged_journal, damaged.concat()).unwrap();
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert_eq!(
+            request(&mut engine, &mut conn, "attach s000000"),
+            "ok attached s000000 obs 2",
+            "{label}"
+        );
+        assert_eq!(
+            std::fs::read(&damaged_journal).unwrap(),
+            [lines[0], lines[1]].concat(),
+            "{label}: the tail from the damaged line on is truncated"
+        );
+        drop(engine);
+        assert_eq!(attach_and_compact(&dir, 2), prefixes[2], "{label}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&source).unwrap();
 }
