@@ -55,10 +55,11 @@ impl Default for KnnRegressor {
 }
 
 impl KnnRegressor {
-    /// Creates an unfitted regressor with the given configuration.
+    /// Creates an unfitted regressor with the given configuration. A `k` of
+    /// 0 averages one neighbour, like a `k` of 1.
     pub fn new(config: KnnConfig) -> Self {
         KnnRegressor {
-            config,
+            config: KnnConfig { k: config.k.max(1) },
             xs: FeatureMatrix::new(1),
             ys: Vec::new(),
             dimension: None,
@@ -71,15 +72,40 @@ impl KnnRegressor {
     }
 
     /// Rebuilds a regressor from a [`SurrogateModel::snapshot`] document.
+    ///
+    /// Only a state `fit`/`update` can reach restores: `k ≥ 1`, one finite
+    /// target per finite row, and either no dimension and no rows
+    /// (unfitted) or a nonzero dimension equal to the rows' width and at
+    /// least one row (fitted).
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
+        let k = io::field_usize(doc, "k")?;
+        let xs_dim = io::field_usize(doc, "xs_dim")?;
         let xs = snapshot::get_rows(doc, "xs")?;
+        let ys = io::field_hex_f64s(doc, "ys")?;
         let dimension = io::nullable(doc, "dimension", io::field_usize)?;
+        let impossible = if k == 0 {
+            Some("k is 0".to_string())
+        } else if ys.len() != xs.len() {
+            Some(format!("{} targets for {} rows", ys.len(), xs.len()))
+        } else if !xs.as_slice().iter().chain(&ys).all(|v| v.is_finite()) {
+            Some("a non-finite row or target".to_string())
+        } else {
+            match dimension {
+                None if !ys.is_empty() => Some(format!("unfitted with {} rows", ys.len())),
+                Some(d) if d == 0 || d != xs_dim => {
+                    Some(format!("dimension {d} for rows of width {xs_dim}"))
+                }
+                Some(_) if ys.is_empty() => Some("fitted with no rows".to_string()),
+                _ => None,
+            }
+        };
+        if let Some(why) = impossible {
+            return Err(snapshot::err(format!("knn: impossible state: {why}")));
+        }
         Ok(KnnRegressor {
-            config: KnnConfig {
-                k: io::field_usize(doc, "k")?,
-            },
+            config: KnnConfig { k },
             xs,
-            ys: io::field_hex_f64s(doc, "ys")?,
+            ys,
             dimension,
         })
     }
@@ -138,7 +164,7 @@ impl SurrogateModel for KnnRegressor {
                 )
             })
             .collect();
-        let k = self.config.k.max(1).min(indexed.len());
+        let k = self.config.k.min(indexed.len());
         // Partial selection: O(n) expected to isolate the k nearest, then a
         // sort of only those k to fix the averaging order. The
         // distance-then-index order makes both steps deterministic and
@@ -192,6 +218,7 @@ impl ActiveSurrogate for KnnRegressor {}
 mod tests {
     use super::*;
     use crate::row_views;
+    use crate::snapshot::with_field;
 
     #[test]
     fn nearest_neighbour_recovers_local_structure() {
@@ -252,6 +279,77 @@ mod tests {
         knn.fit(&row_views(&xs), &ys).unwrap();
         let p = knn.predict(&[1.0]).unwrap();
         assert!((p.mean - 2.0).abs() < 1e-12, "mean {} != 2", p.mean);
+    }
+
+    fn fitted_snapshot() -> JsonValue {
+        let xs = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0, 2.0]];
+        let mut knn = KnnRegressor::with_k(2);
+        knn.fit(&row_views(&xs), &[0.5, -1.0, 3.0]).unwrap();
+        knn.snapshot().unwrap()
+    }
+
+    fn assert_refused(damaged: &JsonValue) {
+        match KnnRegressor::from_snapshot(damaged) {
+            Err(ModelError::Snapshot(msg)) => assert!(msg.contains("impossible"), "{msg}"),
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(_) => panic!("impossible snapshot restored: {damaged:?}"),
+        }
+    }
+
+    #[test]
+    fn both_possible_snapshot_shapes_restore() {
+        let unfitted = KnnRegressor::with_k(0).snapshot().unwrap();
+        let restored = KnnRegressor::from_snapshot(&unfitted).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), unfitted);
+        let doc = fitted_snapshot();
+        let restored = KnnRegressor::from_snapshot(&doc).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), doc);
+    }
+
+    #[test]
+    fn a_non_finite_row_or_target_is_refused() {
+        let doc = fitted_snapshot();
+        let rows = [0.0, 1.0, f64::NAN, 0.0, 2.0, 2.0];
+        assert_refused(&with_field(&doc, "xs", io::hex_f64s(rows)));
+        let targets = [0.5, f64::INFINITY, 3.0];
+        assert_refused(&with_field(&doc, "ys", io::hex_f64s(targets)));
+    }
+
+    #[test]
+    fn a_target_count_other_than_the_row_count_is_refused() {
+        let doc = fitted_snapshot();
+        assert_refused(&with_field(&doc, "ys", io::hex_f64s([0.5, -1.0])));
+        assert_refused(&with_field(&doc, "ys", io::hex_f64s([0.5, -1.0, 3.0, 4.0])));
+    }
+
+    #[test]
+    fn a_k_of_zero_is_refused() {
+        assert_refused(&with_field(&fitted_snapshot(), "k", io::int(0).unwrap()));
+    }
+
+    #[test]
+    fn a_dimension_other_than_the_row_width_is_refused() {
+        let doc = fitted_snapshot();
+        assert_refused(&with_field(&doc, "dimension", io::int(3).unwrap()));
+        // Six values read as three rows of two or two rows of three.
+        let widened = with_field(&doc, "xs_dim", io::int(3).unwrap());
+        assert_refused(&with_field(&widened, "ys", io::hex_f64s([0.5, -1.0])));
+        // A zero width reads the six values as six one-wide rows.
+        let zero = with_field(&doc, "xs_dim", io::int(0).unwrap());
+        let zero = with_field(&zero, "dimension", io::int(0).unwrap());
+        assert_refused(&with_field(&zero, "ys", io::hex_f64s([1.0; 6])));
+    }
+
+    #[test]
+    fn an_unfitted_snapshot_with_rows_is_refused() {
+        assert_refused(&with_field(
+            &fitted_snapshot(),
+            "dimension",
+            JsonValue::Null,
+        ));
+        // Nor does a fitted one come without rows.
+        let empty = with_field(&fitted_snapshot(), "xs", io::hex_f64s([]));
+        assert_refused(&with_field(&empty, "ys", io::hex_f64s([])));
     }
 
     #[test]

@@ -126,7 +126,8 @@ mod tests {
     #[test]
     fn hex_f64_columns_round_trip_every_bit_pattern() {
         // The knn snapshot stores its targets as a packed f64 column; any
-        // bit pattern written there restores verbatim.
+        // bit pattern written there decodes verbatim, and every finite one
+        // restores verbatim (knn refuses non-finite targets on restore).
         let values = [
             0.0,
             -0.0,
@@ -144,11 +145,23 @@ mod tests {
         let model = trained("knn");
         let doc = with_field(&model.snapshot().unwrap(), "ys", io::hex_f64s(values));
         let text = doc.to_json_string().unwrap();
-        let restored = restore_snapshot(&JsonValue::parse(&text).unwrap()).unwrap();
-        let back = restored.snapshot().unwrap();
-        let ys = io::field_hex_f64s(&back, "ys").unwrap();
+        let parsed = JsonValue::parse(&text).unwrap();
+        let ys = io::field_hex_f64s(&parsed, "ys").unwrap();
         assert_eq!(ys.len(), values.len());
         for (a, b) in values.iter().zip(&ys) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert!(restore_snapshot(&parsed).is_err());
+
+        let finite: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
+        let rows: Vec<f64> = (0..finite.len()).flat_map(|i| [i as f64, 0.5]).collect();
+        let doc = with_field(&doc, "xs", io::hex_f64s(rows));
+        let doc = with_field(&doc, "ys", io::hex_f64s(finite.iter().copied()));
+        let text = doc.to_json_string().unwrap();
+        let restored = restore_snapshot(&JsonValue::parse(&text).unwrap()).unwrap();
+        let ys = io::field_hex_f64s(&restored.snapshot().unwrap(), "ys").unwrap();
+        assert_eq!(ys.len(), finite.len());
+        for (a, b) in finite.iter().zip(&ys) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -51,6 +51,7 @@
 //!   request that never returns is never judged.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -258,10 +259,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Opens (creating if necessary) the serve directory and scans existing
-    /// checkpoints and journals so new session ids never collide with old
-    /// ones: a journal whose checkpoint is gone must not extend a new
-    /// session.
+    /// Opens (creating if necessary) the serve directory and scans every
+    /// `sNNNNNN.*` file so new session ids never collide with old ones: a
+    /// journal whose checkpoint is gone must not extend a new session, and
+    /// a quarantined id must not be minted again, or its next quarantine
+    /// would rename over the first `.corrupt` evidence.
     ///
     /// # Errors
     ///
@@ -278,10 +280,9 @@ impl Engine {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if let Some(n) = name
-                .strip_prefix('s')
-                .and_then(|rest| rest.strip_suffix(".json").or(rest.strip_suffix(".log")))
-                .filter(|digits| digits.len() == 6)
-                .and_then(|digits| digits.parse::<u64>().ok())
+                .split_once('.')
+                .and_then(|(id, _)| protocol::parse_session_id(id).ok())
+                .and_then(|id| id[1..].parse::<u64>().ok())
             {
                 next_id = next_id.max(n + 1);
             }
@@ -791,6 +792,7 @@ impl Engine {
                 ));
             }
             if valid < journal.len() {
+                keep_cut_lines(&log, &journal[valid..], id)?;
                 std::fs::OpenOptions::new()
                     .write(true)
                     .open(&log)
@@ -982,6 +984,30 @@ fn compact(checkpoint: &Path, log: &Path, entry: &mut LiveEntry) -> Result<(), E
             Ok(())
         }
     }
+}
+
+/// Appends the journal bytes recovery is about to cut to `<id>.log.cut`
+/// when they hold at least one whole line: a bad line mid-journal ends
+/// recovery, and the acknowledged lines after it are evidence. A lone
+/// unterminated line is what a killed append leaves behind; it is cut
+/// silently.
+fn keep_cut_lines(log: &Path, cut: &[u8], id: &str) -> Result<(), ErrReply> {
+    if !cut.contains(&b'\n') {
+        return Ok(());
+    }
+    let mut path = log.as_os_str().to_owned();
+    path.push(".cut");
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(PathBuf::from(path))
+        .and_then(|mut file| file.write_all(cut))
+        .map_err(|e| {
+            ErrReply::new(
+                code::IO,
+                format!("keeping the cut journal lines of {id}: {e}"),
+            )
+        })
 }
 
 /// Moves a damaged session aside: its checkpoint to `<id>.json.corrupt`
@@ -1212,6 +1238,44 @@ mod tests {
         assert_eq!(
             std::fs::read_to_string(sessions.join("s000003.log")).unwrap(),
             stray
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn newsession_never_reuses_a_quarantined_id() {
+        let (mut engine, dir) = temp_engine("quarantined-id");
+        let mut conn = ConnState::new();
+        ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9");
+        drop(engine);
+        let sessions = dir.join(SESSIONS_DIR);
+        let damaged = b"{first damage".to_vec();
+        std::fs::write(sessions.join("s000000.json"), &damaged).unwrap();
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert!(err(&mut engine, &mut conn, "attach s000000").starts_with("err corrupt"));
+        drop(engine);
+
+        // Restarted, the daemon mints past the quarantined id, so the
+        // next quarantine cannot rename over the first one's evidence.
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert_eq!(
+            ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9"),
+            "ok session s000001 dim 1"
+        );
+        drop(engine);
+        std::fs::write(sessions.join("s000001.json"), "{second damage").unwrap();
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert!(err(&mut engine, &mut conn, "attach s000001").starts_with("err corrupt"));
+        assert_eq!(
+            std::fs::read(sessions.join("s000000.json.corrupt")).unwrap(),
+            damaged
+        );
+        assert_eq!(
+            ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9"),
+            "ok session s000002 dim 1"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

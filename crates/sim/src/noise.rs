@@ -170,7 +170,10 @@ impl NoiseModel {
 
     /// The smooth noise-field value at `config`, in `[0, 1]`.
     pub fn field(&self, config: &Configuration) -> f64 {
-        let t = self.normalized_positions(config);
+        self.field_at(&self.normalized_positions(config))
+    }
+
+    fn field_at(&self, t: &[f64]) -> f64 {
         let projection: f64 = t
             .iter()
             .zip(&self.field_weights)
@@ -182,10 +185,13 @@ impl NoiseModel {
 
     /// Whether `config` lies inside a high-noise pocket.
     pub fn in_pocket(&self, config: &Configuration) -> bool {
+        self.in_pocket_at(&self.normalized_positions(config))
+    }
+
+    fn in_pocket_at(&self, t: &[f64]) -> bool {
         if self.profile.pocket_fraction <= 0.0 {
             return false;
         }
-        let t = self.normalized_positions(config);
         let projection: f64 = t
             .iter()
             .zip(&self.pocket_weights)
@@ -203,11 +209,12 @@ impl NoiseModel {
     /// Interpolates log-linearly between `sigma_quiet` and `sigma_loud`
     /// according to the noise field, then applies the pocket multiplier.
     pub fn sigma(&self, config: &Configuration) -> f64 {
-        let field = self.field(config);
+        let t = self.normalized_positions(config);
+        let field = self.field_at(&t);
         let quiet = self.profile.sigma_quiet.max(1e-12);
         let loud = self.profile.sigma_loud.max(quiet);
         let mut sigma = quiet * (loud / quiet).powf(field);
-        if self.in_pocket(config) {
+        if self.in_pocket_at(&t) {
             sigma *= self.profile.pocket_multiplier;
         }
         sigma
@@ -222,7 +229,16 @@ impl NoiseModel {
         config: &Configuration,
         true_mean: f64,
     ) -> f64 {
-        let sigma = self.sigma(config);
+        self.sample_at(rng, self.sigma(config), true_mean)
+    }
+
+    /// Draws one noisy runtime observation around `true_mean` with jitter
+    /// standard deviation `sigma`, as returned by [`sigma`](Self::sigma).
+    ///
+    /// Consumes exactly the random draws [`sample`](Self::sample) does, so a
+    /// caller that keeps a configuration's `sigma` across repeated runs gets
+    /// the same observations as one that recomputes it every time.
+    pub fn sample_at<R: Rng + ?Sized>(&self, rng: &mut R, sigma: f64, true_mean: f64) -> f64 {
         // Box-Muller Gaussian.
         let gaussian = {
             let u1: f64 = rng.gen_range(f64::EPSILON..1.0);

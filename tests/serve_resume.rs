@@ -471,6 +471,11 @@ fn journal_cut_at_every_byte_recovers_the_whole_lines_before_the_cut() {
             "cut at byte {cut}"
         );
         assert_eq!(kept, journal[..kept.len()], "cut at byte {cut}");
+        // A lone unterminated line is a killed append, cut silently.
+        assert!(
+            !dir.join("sessions").join("s000000.log.cut").exists(),
+            "cut at byte {cut}"
+        );
         drop(engine);
         assert_eq!(
             attach_and_compact(&dir, whole),
@@ -600,8 +605,22 @@ fn bad_checksum_or_out_of_order_index_mid_journal_ends_recovery_there() {
             [lines[0], lines[1]].concat(),
             "{label}: the tail from the damaged line on is truncated"
         );
+        // The cut lines are kept, byte for byte, as evidence.
+        let cut_lines = dir.join("sessions").join("s000000.log.cut");
+        assert_eq!(
+            std::fs::read(&cut_lines).unwrap(),
+            damaged[2..].concat(),
+            "{label}: the cut lines are kept"
+        );
         drop(engine);
+        // The same damage found again appends to the evidence.
+        std::fs::write(&damaged_journal, damaged.concat()).unwrap();
         assert_eq!(attach_and_compact(&dir, 2), prefixes[2], "{label}");
+        assert_eq!(
+            std::fs::read(&cut_lines).unwrap(),
+            [damaged[2..].concat(), damaged[2..].concat()].concat(),
+            "{label}: a second cut appends"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
     std::fs::remove_dir_all(&source).unwrap();
