@@ -64,6 +64,7 @@ pub mod fault;
 pub mod learner;
 pub mod plan;
 pub mod runner;
+pub mod store;
 pub mod warmstore;
 
 /// The unified retry/timeout/backoff policy (re-exported from

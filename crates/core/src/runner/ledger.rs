@@ -12,12 +12,13 @@
 //!     ...
 //! ```
 //!
-//! Unit records are written to a temporary file and atomically renamed into
-//! place, so a killed process can never leave a torn record — on resume, a
+//! Every file is written through [`crate::store`], the one storage layer
+//! for durable state: a unit record is one [`store::replace`] (tmp file,
+//! rename), so a killed process never leaves a torn record — on resume, a
 //! unit either exists completely or is re-run. Because unit results are
 //! deterministic, even two processes racing on the same unit converge on
-//! identical bytes. Stray `*.tmp` files from kills are swept on open (and
-//! are never counted as completed units).
+//! identical bytes. Stray tmp files from kills are swept on open (and are
+//! never counted as completed units).
 //!
 //! The manifest pins the campaign's [`fingerprint`](CampaignSpec::fingerprint);
 //! opening a ledger directory with a differently configured campaign is an
@@ -29,16 +30,16 @@
 //! filesystem (transient write errors, torn data that *looks* committed).
 //! Three layers defend against that, all exercised by the chaos suite:
 //!
-//! * every write retries under the unified retry policy
-//!   ([`write_atomic`] via `alic_stats::policy::RetryPolicy::LEDGER` —
-//!   capped exponential backoff with deterministic jitter),
+//! * every write retries under `alic_stats::policy::RetryPolicy::LEDGER`
+//!   (capped exponential backoff with deterministic jitter),
 //! * the manifest and the merged report are verified by read-back after
-//!   every write and rewritten on mismatch ([`write_verified`]); a
-//!   truncated manifest or report found on open is quarantined to
-//!   `*.corrupt` and regenerated,
+//!   every write and rewritten on mismatch ([`store::replace_verified`]);
+//!   a truncated manifest or report found on open is quarantined with
+//!   [`store::set_aside`] (to `*.corrupt`, or `*.corrupt.N` when earlier
+//!   evidence exists) and regenerated,
 //! * unit records are *not* read back on write (they are bulk data);
 //!   instead [`CampaignLedger::recover`] scans them on resume, quarantines
-//!   any corrupt, truncated, or misindexed record to `*.corrupt`, and
+//!   any corrupt, truncated, or misindexed record the same way, and
 //!   reports the indices so the campaign re-executes exactly those units.
 
 use std::collections::BTreeSet;
@@ -46,10 +47,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use alic_data::io::{self, JsonValue};
-use alic_stats::policy::{PolicySite, RetryPolicy};
 
-use crate::fault::{inject, FaultSite};
 use crate::runner::{codec, CampaignReport, CampaignSpec, UnitRecord};
+use crate::store;
 use crate::{CoreError, Result};
 
 /// Schema tag of the ledger manifest.
@@ -79,7 +79,7 @@ impl CampaignLedger {
     pub fn open(dir: impl Into<PathBuf>, spec: &CampaignSpec) -> Result<Self> {
         spec.validate()?;
         let dir = dir.into();
-        fs::create_dir_all(dir.join(UNITS_DIR))?;
+        store::create_dir(&dir.join(UNITS_DIR))?;
         let ledger = CampaignLedger { dir };
         ledger.sweep_stale_tmp()?;
         let manifest = manifest_json(spec)?;
@@ -92,7 +92,7 @@ impl CampaignLedger {
                 // fingerprint to check against; preserve the evidence as
                 // `*.corrupt` and rewrite it from this campaign's spec.
                 Err(_) => {
-                    quarantine_file(&path)?;
+                    store::set_aside(&path)?;
                     write_verified(&path, &fresh)?;
                 }
             },
@@ -106,7 +106,7 @@ impl CampaignLedger {
         let report = ledger.report_path();
         if let Ok(text) = fs::read_to_string(&report) {
             if JsonValue::parse(&text).is_err() {
-                quarantine_file(&report)?;
+                store::set_aside(&report)?;
             }
         }
         Ok(ledger)
@@ -140,24 +140,18 @@ impl CampaignLedger {
     ///
     /// Returns an I/O error when the units directory cannot be read.
     pub fn completed(&self) -> Result<BTreeSet<usize>> {
-        let mut completed = BTreeSet::new();
-        for entry in fs::read_dir(self.dir.join(UNITS_DIR))? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(index) = name
-                .strip_prefix("unit-")
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|digits| digits.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            completed.insert(index);
-        }
-        Ok(completed)
+        Ok(store::list(&self.dir.join(UNITS_DIR))?
+            .iter()
+            .filter_map(|name| {
+                name.strip_prefix("unit-")?
+                    .strip_suffix(".json")?
+                    .parse::<usize>()
+                    .ok()
+            })
+            .collect())
     }
 
-    /// Checkpoints one completed unit atomically (write to `*.tmp`, then
-    /// rename into place).
+    /// Checkpoints one completed unit with one [`store::replace`].
     ///
     /// # Errors
     ///
@@ -236,33 +230,11 @@ impl CampaignLedger {
     /// renames) from the ledger root and the units directory, returning how
     /// many were swept. Quarantined `*.corrupt` files are kept.
     pub fn sweep_stale_tmp(&self) -> Result<usize> {
-        let mut swept = 0;
-        for dir in [self.dir.clone(), self.dir.join(UNITS_DIR)] {
-            let entries = match fs::read_dir(&dir) {
-                Ok(entries) => entries,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e.into()),
-            };
-            for entry in entries {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.contains(".tmp") {
-                    // A racing process may have just renamed its tmp away;
-                    // a NotFound here is success, anything else is not.
-                    match fs::remove_file(entry.path()) {
-                        Ok(()) => swept += 1,
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-        }
-        Ok(swept)
+        Ok(store::sweep(&self.dir)? + store::sweep(&self.dir.join(UNITS_DIR))?)
     }
 
     /// Scans every checkpointed unit record of `spec`, quarantining corrupt,
-    /// truncated, or misindexed records to `*.corrupt` so that
+    /// truncated, or misindexed records with [`store::set_aside`] so that
     /// [`completed`](CampaignLedger::completed) no longer counts them and a
     /// resume pass re-executes them. Also sweeps stale `*.tmp` files.
     ///
@@ -278,7 +250,7 @@ impl CampaignLedger {
                 continue;
             }
             if self.load_unit(index).is_err() {
-                quarantine_file(&self.unit_path(index))?;
+                store::set_aside(&self.unit_path(index))?;
                 quarantined.push(index);
             }
         }
@@ -306,112 +278,23 @@ impl RecoveryReport {
     }
 }
 
-/// Moves a damaged file aside as `<name>.corrupt`, preserving the evidence
-/// while making room for a regenerated replacement.
-pub fn quarantine_file(path: &Path) -> Result<()> {
-    let mut target = path.as_os_str().to_owned();
-    target.push(".corrupt");
-    fs::rename(path, PathBuf::from(target))?;
-    Ok(())
-}
-
-/// Bounded retry attempts for one atomic write (and for one read-back
-/// verification loop in [`write_verified`]). Mirrors
-/// [`RetryPolicy::LEDGER`]'s attempt count.
-pub const WRITE_ATTEMPTS: usize = RetryPolicy::LEDGER.attempts as usize;
-
-/// Writes `contents` to `path` atomically (write to a unique `*.tmp`, then
-/// rename into place), retrying transient failures under
-/// [`RetryPolicy::LEDGER`] — capped exponential backoff whose jitter is
-/// deterministic under the fault plane. Also the durability primitive behind
-/// serve-session checkpoints.
+/// [`store::replace`] of `contents`, as a [`CoreError`].
 ///
 /// # Errors
 ///
-/// Returns the last I/O error once all [`WRITE_ATTEMPTS`] attempts fail —
-/// always a structured [`CoreError`], never a panic, so exhausted retries
-/// cannot abort a healing pass or take down a daemon request loop.
+/// [`CoreError::Io`] once every attempt has failed.
 pub fn write_atomic(path: &Path, contents: &str) -> Result<()> {
-    RetryPolicy::LEDGER
-        .run(PolicySite::LedgerWrite, |_| {
-            write_atomic_once(path, contents)
-        })
-        .map_err(CoreError::Io)
+    Ok(store::replace(path, contents.as_bytes())?)
 }
 
-fn write_atomic_once(path: &Path, contents: &str) -> std::io::Result<()> {
-    // The temp name is unique per process and write, so two processes
-    // racing on the same file (e.g. both creating the manifest of a fresh
-    // ledger, or overlapping --resume invocations re-running one unit)
-    // each rename a *complete* — and, units being deterministic, identical —
-    // file into place; neither can observe or clobber the other's
-    // half-written temp.
-    static WRITE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let serial = WRITE_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}-{serial}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    if inject(FaultSite::WriteIo) {
-        return Err(std::io::Error::other(
-            "chaos: injected transient write failure",
-        ));
-    }
-    if inject(FaultSite::Enospc) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::StorageFull,
-            "chaos: injected out-of-space write failure (ENOSPC)",
-        ));
-    }
-    if inject(FaultSite::FdLimit) {
-        return Err(std::io::Error::other(
-            "chaos: injected file-descriptor exhaustion (EMFILE)",
-        ));
-    }
-    // A torn write is the one fault atomic rename cannot see: the data lands
-    // truncated but the rename still commits it. Modelled by writing only a
-    // prefix of the payload and reporting success — the caller's read-back
-    // verification or the resume-time recovery scan must catch it.
-    let payload: &[u8] = if inject(FaultSite::TornWrite) {
-        &contents.as_bytes()[..contents.len() / 2]
-    } else {
-        contents.as_bytes()
-    };
-    // Stray tmp files are removed on *every* failure path (a write that
-    // errors half-way used to leak its tmp); the open-time sweep is the
-    // backstop for tmps orphaned by a kill.
-    fs::write(&tmp, payload).inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
-    })?;
-    if inject(FaultSite::RenameFail) {
-        let _ = fs::remove_file(&tmp);
-        return Err(std::io::Error::other("chaos: injected rename failure"));
-    }
-    fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
-    })?;
-    Ok(())
-}
-
-/// [`write_atomic`] plus read-back verification: rewrites until the bytes on
-/// disk equal `contents`, within [`WRITE_ATTEMPTS`]. Used for the manifest
-/// and the merged report, whose correctness later steps depend on; unit
-/// records rely on the cheaper resume-time recovery scan instead.
+/// [`store::replace_verified`] of `contents`, as a [`CoreError`].
 ///
 /// # Errors
 ///
-/// Returns write errors from [`write_atomic`], or [`CoreError::Campaign`]
-/// when the bytes on disk still disagree after [`WRITE_ATTEMPTS`] rewrites.
+/// [`CoreError::Io`] once every attempt has failed or the bytes on disk
+/// still disagree.
 pub fn write_verified(path: &Path, contents: &str) -> Result<()> {
-    for _ in 0..WRITE_ATTEMPTS {
-        write_atomic(path, contents)?;
-        if fs::read_to_string(path).is_ok_and(|on_disk| on_disk == contents) {
-            return Ok(());
-        }
-    }
-    Err(CoreError::Campaign(format!(
-        "{} failed read-back verification after {WRITE_ATTEMPTS} rewrites",
-        path.display()
-    )))
+    Ok(store::replace_verified(path, contents.as_bytes())?)
 }
 
 fn manifest_json(spec: &CampaignSpec) -> Result<JsonValue> {
@@ -658,6 +541,20 @@ mod tests {
         }
         // Recovery is idempotent once the damage is quarantined.
         assert!(ledger.recover(&spec).unwrap().is_clean());
+        // A second quarantine of the same record keeps the first evidence,
+        // and neither name counts as a completed unit.
+        let first = fs::read(unit(0).with_extension("json.corrupt")).unwrap();
+        fs::write(unit(0), "{second garbage").unwrap();
+        assert_eq!(ledger.recover(&spec).unwrap().quarantined, vec![0]);
+        assert_eq!(
+            fs::read(unit(0).with_extension("json.corrupt")).unwrap(),
+            first
+        );
+        assert_eq!(
+            fs::read_to_string(unit(0).with_extension("json.corrupt.1")).unwrap(),
+            "{second garbage"
+        );
+        assert!(!ledger.completed().unwrap().contains(&0));
 
         // Re-executing exactly the quarantined units completes the campaign
         // with a byte-identical report.

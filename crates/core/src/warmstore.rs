@@ -5,8 +5,8 @@
 //! model snapshots (see `alic_model::snapshot`) by a Zobrist-style 64-bit
 //! fingerprint over the *tuning situation* — kernel identity, search-space
 //! shape, surrogate family, and noise regime — in a fixed-size,
-//! two-slot-per-bucket transposition table, persisted through the ledger's
-//! verified atomic writer so the store survives daemon restarts.
+//! two-slot-per-bucket transposition table, persisted through
+//! [`store::replace_verified`] so the store survives daemon restarts.
 //!
 //! # Fingerprint and discriminant
 //!
@@ -38,8 +38,9 @@
 //! A warm-started session copies the snapshot into its own checkpoint at
 //! creation, so resumed sessions remain a pure function of (checkpoint
 //! bytes, event log) whether the store has since changed, been corrupted,
-//! or been deleted. A store that fails to parse is quarantined
-//! (`<name>.corrupt`) and replaced by an empty one — cold-start behavior is
+//! or been deleted. A store that fails to parse is quarantined with
+//! [`store::set_aside`] (`<name>.corrupt`, or `<name>.corrupt.N` beside
+//! earlier evidence) and replaced by an empty one — cold-start behavior is
 //! byte-identical to running with no store at all.
 
 use std::path::{Path, PathBuf};
@@ -48,7 +49,7 @@ use alic_data::io::{self, JsonValue};
 use alic_sim::space::ParameterSpace;
 use alic_stats::rng::derive_seed;
 
-use crate::runner::ledger::{quarantine_file, write_verified};
+use crate::store;
 use crate::{CoreError, Result};
 
 /// Number of buckets in the table (power of two). With two slots per
@@ -187,8 +188,8 @@ impl WarmStore {
     }
 
     /// Opens the store at `path`. A missing file yields an empty store; a
-    /// present-but-invalid file is quarantined (renamed `<name>.corrupt`,
-    /// best effort) and likewise yields an empty store, so corruption
+    /// present-but-invalid file is quarantined ([`store::set_aside`], best
+    /// effort) and likewise yields an empty store, so corruption
     /// degrades to cold starts instead of failing the daemon.
     pub fn open(path: impl Into<PathBuf>) -> WarmStore {
         let path = path.into();
@@ -198,14 +199,14 @@ impl WarmStore {
                 return WarmStore::blank(path, DEFAULT_WARM_BUCKETS);
             }
             Err(_) => {
-                let _ = quarantine_file(&path);
+                let _ = store::set_aside(&path);
                 return WarmStore::blank(path, DEFAULT_WARM_BUCKETS);
             }
         };
         match WarmStore::decode(&path, &text) {
             Ok(store) => store,
             Err(_) => {
-                let _ = quarantine_file(&path);
+                let _ = store::set_aside(&path);
                 WarmStore::blank(path, DEFAULT_WARM_BUCKETS)
             }
         }
@@ -271,9 +272,8 @@ impl WarmStore {
         })
     }
 
-    /// Persists the store through the verified atomic writer: write a `*.tmp`
-    /// file, rename it into place, read it back; up to five attempts. No
-    /// fsync is issued, so a power loss can still lose the latest save.
+    /// Persists the store with one [`store::replace_verified`]. No fsync is
+    /// issued, so a power loss can still lose the latest save.
     ///
     /// # Errors
     ///
@@ -301,7 +301,10 @@ impl WarmStore {
             ("stores", io::int(self.stores)?),
             ("entries", JsonValue::Array(entries)),
         ]);
-        write_verified(&self.path, &doc.to_json_string()?)
+        Ok(store::replace_verified(
+            &self.path,
+            doc.to_json_string()?.as_bytes(),
+        )?)
     }
 
     /// Looks up a cached surrogate for `key`, bumping the hit/miss counter.
@@ -571,6 +574,22 @@ mod tests {
         store.insert(&key("gemm"), 8, model_doc(1));
         store.save().unwrap();
         assert_eq!(WarmStore::open(&path).len(), 1);
+    }
+
+    #[test]
+    fn a_second_quarantine_keeps_the_first_evidence() {
+        let dir = std::env::temp_dir().join("alic-warmstore-corrupt-twice");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("warm.json");
+        for damage in ["{first damage", "{second damage"] {
+            std::fs::write(&path, damage).unwrap();
+            assert!(WarmStore::open(&path).is_empty());
+        }
+        let kept = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        assert_eq!(kept("warm.json.corrupt"), "{first damage");
+        assert_eq!(kept("warm.json.corrupt.1"), "{second damage");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -172,6 +172,10 @@ impl RegressionTree {
     /// Rebuilds a tree from a [`SurrogateModel::snapshot`] document. Nodes
     /// are stored as parallel columns with a kind discriminator (0 = leaf,
     /// 1 = split); non-applicable columns hold zeros.
+    ///
+    /// Only a tree `fit`/`update` can build restores (see
+    /// [`impossible_tree`]): a cycle would spin `predict` forever and an
+    /// out-of-range split dimension would panic it.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
         let kinds = io::field_hex_u32s(doc, "node_kind")?;
         let dims = io::field_hex_u32s(doc, "node_dimension")?;
@@ -229,6 +233,9 @@ impl RegressionTree {
             });
         }
         let dimension = io::nullable(doc, "dimension", io::field_usize)?;
+        if let Some(why) = impossible_tree(&nodes, dimension) {
+            return Err(snapshot::err(format!("cart: impossible state: {why}")));
+        }
         Ok(RegressionTree {
             config: CartConfig {
                 max_depth: io::field_usize(doc, "max_depth")?,
@@ -281,6 +288,52 @@ impl RegressionTree {
             }),
         }
     }
+}
+
+/// Why `nodes` over `dimension` features is no tree `fit`/`update` can
+/// build, or `None` when it is one: no nodes and no dimension (unfitted),
+/// or a tree rooted at node 0 that reaches every node exactly once, splits
+/// only dimensions below `dimension`, and has leaves holding at least one
+/// target with finite `min <= mean <= max`. Children are range-checked by
+/// the caller.
+fn impossible_tree(nodes: &[Node], dimension: Option<usize>) -> Option<String> {
+    let dim = match (nodes.is_empty(), dimension) {
+        (true, None) => return None,
+        (true, Some(d)) => return Some(format!("dimension {d} but no nodes")),
+        (false, None) => return Some(format!("{} nodes but no dimension", nodes.len())),
+        (false, Some(d)) => d,
+    };
+    let mut reached = vec![false; nodes.len()];
+    let mut stack = vec![0];
+    while let Some(i) = stack.pop() {
+        if std::mem::replace(&mut reached[i], true) {
+            return Some(format!("node {i} is reached twice"));
+        }
+        match &nodes[i] {
+            Node::Leaf { stats } => {
+                let (count, mean, _, min, max) = stats.parts();
+                let ordered = min.is_finite() && max.is_finite() && min <= mean && mean <= max;
+                if count == 0 || !ordered {
+                    return Some(format!(
+                        "leaf {i} holds {count} targets, min {min} mean {mean} max {max}"
+                    ));
+                }
+            }
+            Node::Split {
+                dimension: d,
+                left,
+                right,
+                ..
+            } => {
+                if *d >= dim {
+                    return Some(format!("node {i} splits dimension {d} of {dim}"));
+                }
+                stack.extend([*right, *left]);
+            }
+        }
+    }
+    let unreached = reached.iter().position(|&r| !r)?;
+    Some(format!("node {unreached} is unreachable"))
 }
 
 fn variance_of(indices: &[usize], ys: &[f64]) -> f64 {
@@ -446,6 +499,7 @@ impl ActiveSurrogate for RegressionTree {}
 mod tests {
     use super::*;
     use crate::row_views;
+    use crate::snapshot::with_field;
 
     fn step_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         // A step function: 1.0 below x = 0.5, 3.0 above.
@@ -560,5 +614,84 @@ mod tests {
         let quiet = tree.predict(&[0.25]).unwrap().variance;
         let noisy = tree.predict(&[0.75]).unwrap().variance;
         assert!(noisy > quiet);
+    }
+
+    fn fitted_snapshot() -> JsonValue {
+        let (xs, ys) = step_data();
+        let mut tree = RegressionTree::with_defaults();
+        tree.fit(&row_views(&xs), &ys).unwrap();
+        assert!(tree.leaf_count() >= 2);
+        tree.snapshot().unwrap()
+    }
+
+    /// `doc` with entry `index` of the u32 column `name` set to `value`.
+    fn with_u32(doc: &JsonValue, name: &str, index: usize, value: u32) -> JsonValue {
+        let mut column = io::field_hex_u32s(doc, name).unwrap();
+        column[index] = value;
+        with_field(doc, name, io::hex_u32s(column))
+    }
+
+    /// `doc` with entry `index` of the f64 column `name` set to `value`.
+    fn with_f64(doc: &JsonValue, name: &str, index: usize, value: f64) -> JsonValue {
+        let mut column = io::field_hex_f64s(doc, name).unwrap();
+        column[index] = value;
+        with_field(doc, name, io::hex_f64s(column))
+    }
+
+    fn assert_refused(damaged: &JsonValue) {
+        match RegressionTree::from_snapshot(damaged) {
+            Err(ModelError::Snapshot(msg)) => assert!(msg.contains("impossible"), "{msg}"),
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(_) => panic!("impossible snapshot restored: {damaged:?}"),
+        }
+    }
+
+    #[test]
+    fn both_possible_snapshot_shapes_restore() {
+        let unfitted = RegressionTree::with_defaults().snapshot().unwrap();
+        let restored = RegressionTree::from_snapshot(&unfitted).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), unfitted);
+        let doc = fitted_snapshot();
+        let restored = RegressionTree::from_snapshot(&doc).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), doc);
+    }
+
+    #[test]
+    fn a_cycle_or_a_shared_child_is_refused() {
+        // Node 0's left child set to 0: `predict` would spin forever.
+        let doc = fitted_snapshot();
+        assert_refused(&with_u32(&doc, "node_left", 0, 0));
+        // Both children of the root pointing at one subtree.
+        let right = io::field_hex_u32s(&doc, "node_right").unwrap()[0];
+        assert_refused(&with_u32(&doc, "node_left", 0, right));
+    }
+
+    #[test]
+    fn a_split_dimension_out_of_range_is_refused() {
+        // `predict` would index past the query row and panic.
+        assert_refused(&with_u32(&fitted_snapshot(), "node_dimension", 0, 7));
+    }
+
+    #[test]
+    fn an_empty_or_disordered_leaf_is_refused() {
+        let doc = fitted_snapshot();
+        let leaf = io::field_hex_u32s(&doc, "node_kind")
+            .unwrap()
+            .iter()
+            .position(|&kind| kind == 0)
+            .unwrap();
+        assert_refused(&with_u32(&doc, "leaf_count", leaf, 0));
+        let max = io::field_hex_f64s(&doc, "leaf_max").unwrap()[leaf];
+        assert_refused(&with_f64(&doc, "leaf_mean", leaf, max + 1.0));
+        assert_refused(&with_f64(&doc, "leaf_min", leaf, f64::NAN));
+    }
+
+    #[test]
+    fn nodes_without_a_dimension_are_refused() {
+        assert_refused(&with_field(
+            &fitted_snapshot(),
+            "dimension",
+            JsonValue::Null,
+        ));
     }
 }

@@ -171,6 +171,10 @@ impl GaussianProcess {
     /// Rebuilds a process from a [`SurrogateModel::snapshot`] document; the
     /// packed Cholesky factor is restored verbatim (never re-factorized), so
     /// the restored model predicts bit-identically.
+    ///
+    /// Only a state `fit`/`update` can reach restores (see
+    /// [`GaussianProcess::impossible`]); a short `alpha`, say, would
+    /// otherwise predict silently wrong values.
     pub(crate) fn from_snapshot(doc: &JsonValue) -> Result<Self> {
         let config = GpConfig {
             lengthscale: io::nullable(doc, "config_lengthscale", io::field_hex_f64)?,
@@ -184,7 +188,7 @@ impl GaussianProcess {
             .transpose()
             .map_err(|e| snapshot::err(format!("field chol: {e}")))?;
         let dimension = io::nullable(doc, "dimension", io::field_usize)?;
-        Ok(GaussianProcess {
+        let gp = GaussianProcess {
             config,
             xs,
             ys,
@@ -197,7 +201,50 @@ impl GaussianProcess {
             alpha: io::field_hex_f64s(doc, "alpha")?,
             dimension,
             refactorizations: io::field_usize(doc, "refactorizations")?,
-        })
+        };
+        match gp.impossible() {
+            None => Ok(gp),
+            Some(why) => Err(snapshot::err(format!("gp: impossible state: {why}"))),
+        }
+    }
+
+    /// Why this state is one `fit`/`update` cannot reach, or `None`. The
+    /// factor's order already equals the target count (the restore builds
+    /// it so); beyond that one row, and one kernel-row-cache triangle entry
+    /// per target pair, must go with each target, and one weight too once
+    /// factorized; the hyperparameters must be finite and positive (the
+    /// noise and the jitter may be 0); and the dimension must be absent
+    /// with no targets (unfitted) or equal the rows' width.
+    fn impossible(&self) -> Option<String> {
+        let n = self.ys.len();
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        let configured = [self.config.lengthscale, self.config.signal_variance];
+        if self.xs.len() != n {
+            Some(format!("{} rows for {n} targets", self.xs.len()))
+        } else if self.kernel_rows.len() != n * (n + 1) / 2 {
+            Some(format!(
+                "{} kernel entries for {n} targets",
+                self.kernel_rows.len()
+            ))
+        } else if self.chol.is_some() && self.alpha.len() != n {
+            Some(format!("{} weights for {n} targets", self.alpha.len()))
+        } else if !positive(self.lengthscale)
+            || !positive(self.signal_variance)
+            || !configured.into_iter().flatten().all(positive)
+            || !non_negative(self.config.noise_variance)
+            || !non_negative(self.jitter)
+        {
+            Some("a hyperparameter that is not finite and positive".to_string())
+        } else {
+            match self.dimension {
+                None if n > 0 || self.chol.is_some() => Some(format!("unfitted with {n} targets")),
+                Some(d) if d != self.xs.dim() => {
+                    Some(format!("dimension {d} for rows of width {}", self.xs.dim()))
+                }
+                _ => None,
+            }
+        }
     }
 
     fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -495,6 +542,7 @@ impl ActiveSurrogate for GaussianProcess {}
 mod tests {
     use super::*;
     use crate::row_views;
+    use crate::snapshot::with_field;
 
     fn sine_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
@@ -674,5 +722,78 @@ mod tests {
         gp.fit(&row_views(&xs), &ys).unwrap();
         assert_eq!(gp.lengthscale(), 0.42);
         assert_eq!(gp.signal_variance(), 2.0);
+    }
+
+    fn fitted_snapshot() -> JsonValue {
+        let (xs, ys) = sine_data(6);
+        let mut gp = GaussianProcess::with_defaults();
+        gp.fit(&row_views(&xs), &ys).unwrap();
+        gp.snapshot().unwrap()
+    }
+
+    fn assert_refused(damaged: &JsonValue) {
+        match GaussianProcess::from_snapshot(damaged) {
+            Err(ModelError::Snapshot(msg)) => assert!(msg.contains("impossible"), "{msg}"),
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(_) => panic!("impossible snapshot restored: {damaged:?}"),
+        }
+    }
+
+    #[test]
+    fn both_possible_snapshot_shapes_restore() {
+        let unfitted = GaussianProcess::with_defaults().snapshot().unwrap();
+        let restored = GaussianProcess::from_snapshot(&unfitted).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), unfitted);
+        let doc = fitted_snapshot();
+        let restored = GaussianProcess::from_snapshot(&doc).unwrap();
+        assert_eq!(restored.snapshot().unwrap(), doc);
+    }
+
+    #[test]
+    fn a_weight_or_kernel_cache_of_the_wrong_length_is_refused() {
+        // `alpha` cut to one entry: `predict` would silently sum one term.
+        let doc = fitted_snapshot();
+        assert_refused(&with_field(&doc, "alpha", io::hex_f64s([0.5])));
+        let rows = io::field_hex_f64s(&doc, "kernel_rows").unwrap();
+        let short = rows[..rows.len() - 1].iter().copied();
+        assert_refused(&with_field(&doc, "kernel_rows", io::hex_f64s(short)));
+    }
+
+    #[test]
+    fn rows_or_a_factor_that_disagree_with_the_targets_are_refused() {
+        let doc = fitted_snapshot();
+        let xs = io::field_hex_f64s(&doc, "xs").unwrap();
+        assert_refused(&with_field(
+            &doc,
+            "xs",
+            io::hex_f64s(xs[1..].iter().copied()),
+        ));
+        let chol = io::field_hex_f64s(&doc, "chol").unwrap();
+        let short = chol[..chol.len() - 1].iter().copied();
+        assert!(matches!(
+            GaussianProcess::from_snapshot(&with_field(&doc, "chol", io::hex_f64s(short))),
+            Err(ModelError::Snapshot(_))
+        ));
+    }
+
+    #[test]
+    fn a_non_positive_or_non_finite_hyperparameter_is_refused() {
+        let doc = fitted_snapshot();
+        for (name, value) in [
+            ("lengthscale", 0.0),
+            ("lengthscale", f64::NAN),
+            ("signal_variance", -1.0),
+            ("jitter", f64::INFINITY),
+            ("config_noise_variance", -1e-4),
+        ] {
+            assert_refused(&with_field(&doc, name, io::hex_f64(value)));
+        }
+    }
+
+    #[test]
+    fn a_dimension_other_than_the_row_width_is_refused() {
+        let doc = fitted_snapshot();
+        assert_refused(&with_field(&doc, "dimension", io::int(2).unwrap()));
+        assert_refused(&with_field(&doc, "dimension", JsonValue::Null));
     }
 }

@@ -20,9 +20,15 @@
 //!   retrying an unacknowledged `observe`. "Durable" means written to the
 //!   operating system: neither file is fsynced, so the bytes survive a
 //!   killed daemon but not a power loss.
-//! * **Compaction**: `<id>.json` is written whole, through the ledger's
-//!   [`write_verified`], only at `newsession`, at the `checkpoint` verb
-//!   and when the engine drains, quits, shuts down or reaches EOF
+//! * **One storage layer**: every file the engine writes, removes, cuts or
+//!   quarantines goes through [`alic_core::store`], the layer the campaign
+//!   ledger and the warm store use too. A damaged session is set aside to
+//!   `<id>.json.corrupt` (`.corrupt.N` beside earlier evidence), and
+//!   [`Engine::open`] sweeps the tmp files a kill during a checkpoint or
+//!   probe write leaves behind.
+//! * **Compaction**: `<id>.json` is written whole, with
+//!   [`store::replace_verified`], only at `newsession`, at the `checkpoint`
+//!   verb and when the engine drains, quits, shuts down or reaches EOF
 //!   ([`Engine::flush_all`]). Each compaction then removes `<id>.log`, so
 //!   an `observe` writes one line whatever the session's length.
 //! * **Panic isolation**: dispatch runs under `catch_unwind`; a panicking
@@ -51,12 +57,11 @@
 //!   request that never returns is never judged.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use alic_core::runner::ledger::{quarantine_file, write_atomic, write_verified};
+use alic_core::store;
 use alic_core::warmstore::{WarmKey, WarmStore};
 use alic_model::spec::SurrogateSpec;
 use alic_sim::space::ParameterSpace;
@@ -259,34 +264,35 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Opens (creating if necessary) the serve directory and scans every
+    /// Opens (creating if necessary) the serve directory, sweeps the tmp
+    /// files a killed checkpoint or probe write left in it, and scans every
     /// `sNNNNNN.*` file so new session ids never collide with old ones: a
     /// journal whose checkpoint is gone must not extend a new session, and
-    /// a quarantined id must not be minted again, or its next quarantine
-    /// would rename over the first `.corrupt` evidence.
+    /// a quarantined id is not minted again.
     ///
     /// # Errors
     ///
-    /// Returns a message when the directory cannot be created or scanned.
+    /// Returns a message when the directory cannot be created, swept or
+    /// scanned.
     pub fn open(config: ServeConfig) -> Result<Engine, String> {
         let sessions = config.dir.join(SESSIONS_DIR);
-        std::fs::create_dir_all(&sessions)
+        store::create_dir(&sessions)
             .map_err(|e| format!("cannot create {}: {e}", sessions.display()))?;
-        let mut next_id = 0u64;
-        let entries = std::fs::read_dir(&sessions)
-            .map_err(|e| format!("cannot scan {}: {e}", sessions.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("cannot scan {}: {e}", sessions.display()))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .split_once('.')
-                .and_then(|(id, _)| protocol::parse_session_id(id).ok())
-                .and_then(|id| id[1..].parse::<u64>().ok())
-            {
-                next_id = next_id.max(n + 1);
-            }
+        for dir in [&config.dir, &sessions] {
+            store::sweep(dir).map_err(|e| format!("cannot sweep {}: {e}", dir.display()))?;
         }
+        let next_id = store::list(&sessions)
+            .map_err(|e| format!("cannot scan {}: {e}", sessions.display()))?
+            .iter()
+            .filter_map(|name| {
+                let (id, _) = name.split_once('.')?;
+                protocol::parse_session_id(id).ok()?[1..]
+                    .parse::<u64>()
+                    .ok()
+            })
+            .map(|n| n + 1)
+            .max()
+            .unwrap_or(0);
         // A corrupt store quarantines inside `open` and comes back empty,
         // so warm-start damage can never fail daemon startup.
         let warm = config.warm_store.as_deref().map(WarmStore::open);
@@ -592,19 +598,14 @@ impl Engine {
                 }
                 let mut ids: std::collections::BTreeSet<String> =
                     self.live.keys().cloned().collect();
-                let entries = std::fs::read_dir(self.sessions_dir())
+                let names = store::list(&self.sessions_dir())
                     .map_err(|e| ErrReply::new(code::IO, format!("scanning sessions: {e}")))?;
-                for entry in entries {
-                    let entry = entry
-                        .map_err(|e| ErrReply::new(code::IO, format!("scanning sessions: {e}")))?;
-                    if let Some(name) = entry.file_name().to_str() {
-                        if let Some(id) = name.strip_suffix(".json") {
-                            if protocol::parse_session_id(id).is_ok() {
-                                ids.insert(id.to_string());
-                            }
-                        }
-                    }
-                }
+                let checkpoints = names.iter().filter_map(|name| name.strip_suffix(".json"));
+                ids.extend(
+                    checkpoints
+                        .filter(|id| protocol::parse_session_id(id).is_ok())
+                        .map(str::to_string),
+                );
                 let mut reply = String::from("ok sessions");
                 for id in ids {
                     reply.push(' ');
@@ -686,7 +687,7 @@ impl Engine {
         }
         // Shedding writes: one probe write may promote straight back.
         let probe = self.config.dir.join(PROBE_FILE);
-        if write_atomic(&probe, "alic-serve health probe\n").is_ok() {
+        if store::replace(&probe, b"alic-serve health probe\n").is_ok() {
             self.state = HealthState::Healthy;
             self.shed_streak = 0;
             return Ok(());
@@ -776,10 +777,13 @@ impl Engine {
                 Err(e) if e.code == code::CORRUPT => {
                     // Preserve the evidence and report structured
                     // corruption; the id is gone until re-created.
-                    quarantine_session(&path, &log, id)?;
+                    let aside = quarantine_session(&path, &log, id)?;
                     return Err(ErrReply::new(
                         code::CORRUPT,
-                        format!("checkpoint of {id} was damaged and quarantined to {id}.json.corrupt: {}", e.msg),
+                        format!(
+                            "checkpoint of {id} was damaged and quarantined to {aside}: {}",
+                            e.msg
+                        ),
                     ));
                 }
                 Err(e) => return Err(e),
@@ -793,16 +797,12 @@ impl Engine {
             }
             if valid < journal.len() {
                 keep_cut_lines(&log, &journal[valid..], id)?;
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&log)
-                    .and_then(|file| file.set_len(valid as u64))
-                    .map_err(|e| {
-                        ErrReply::new(
-                            code::IO,
-                            format!("truncating the torn journal tail of {id}: {e}"),
-                        )
-                    })?;
+                store::truncate(&log, valid as u64).map_err(|e| {
+                    ErrReply::new(
+                        code::IO,
+                        format!("truncating the torn journal tail of {id}: {e}"),
+                    )
+                })?;
             }
             self.make_room();
             self.live.insert(
@@ -944,8 +944,7 @@ fn session_files(sessions: &Path, id: &str) -> (PathBuf, PathBuf) {
     )
 }
 
-/// Writes one whole session checkpoint through the ledger's atomic,
-/// retrying, read-back-verifying writer.
+/// Writes one whole session checkpoint with [`store::replace_verified`].
 ///
 /// Verification matters more here than in the campaign ledger: a torn unit
 /// record heals by deterministic re-execution, but a session checkpoint is
@@ -954,7 +953,7 @@ fn session_files(sessions: &Path, id: &str) -> (PathBuf, PathBuf) {
 /// verified writer turns it into a structured, retryable error instead.
 fn checkpoint_session(path: &Path, session: &TuningSession) -> Result<(), ErrReply> {
     let text = session.to_checkpoint_string()?;
-    write_verified(path, &text)
+    store::replace_verified(path, text.as_bytes())
         .map_err(|e| ErrReply::new(code::IO, format!("checkpointing {}: {e}", session.id())))
 }
 
@@ -963,7 +962,7 @@ fn checkpoint_session(path: &Path, session: &TuningSession) -> Result<(), ErrRep
 fn commit(log: &Path, entry: &mut LiveEntry) -> Result<(), ErrReply> {
     let session = &entry.session;
     let line = journal::line(session.observations(), session.last_entry()?);
-    entry.journal_len = journal::append(log, entry.journal_len, &line)
+    entry.journal_len = store::append(log, entry.journal_len, line.as_bytes())
         .map_err(|e| ErrReply::new(code::IO, format!("journaling {}: {e}", session.id())))?;
     Ok(())
 }
@@ -974,16 +973,14 @@ fn commit(log: &Path, entry: &mut LiveEntry) -> Result<(), ErrReply> {
 /// skips.
 fn compact(checkpoint: &Path, log: &Path, entry: &mut LiveEntry) -> Result<(), ErrReply> {
     checkpoint_session(checkpoint, &entry.session)?;
-    match std::fs::remove_file(log) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(ErrReply::new(
+    store::remove(log).map_err(|e| {
+        ErrReply::new(
             code::IO,
             format!("removing the journal of {}: {e}", entry.session.id()),
-        )),
-        _ => {
-            entry.journal_len = 0;
-            Ok(())
-        }
-    }
+        )
+    })?;
+    entry.journal_len = 0;
+    Ok(())
 }
 
 /// Appends the journal bytes recovery is about to cut to `<id>.log.cut`
@@ -997,29 +994,32 @@ fn keep_cut_lines(log: &Path, cut: &[u8], id: &str) -> Result<(), ErrReply> {
     }
     let mut path = log.as_os_str().to_owned();
     path.push(".cut");
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(PathBuf::from(path))
-        .and_then(|mut file| file.write_all(cut))
-        .map_err(|e| {
-            ErrReply::new(
-                code::IO,
-                format!("keeping the cut journal lines of {id}: {e}"),
-            )
-        })
+    let path = PathBuf::from(path);
+    // The evidence so far; should its length be unreadable, so is the file,
+    // and the append below fails instead of writing at 0.
+    let at = std::fs::metadata(&path).map_or(0, |meta| meta.len());
+    store::append(&path, at, cut).map_err(|e| {
+        ErrReply::new(
+            code::IO,
+            format!("keeping the cut journal lines of {id}: {e}"),
+        )
+    })?;
+    Ok(())
 }
 
-/// Moves a damaged session aside: its checkpoint to `<id>.json.corrupt`
-/// and its journal, if any, to `<id>.log.corrupt`.
-fn quarantine_session(checkpoint: &Path, log: &Path, id: &str) -> Result<(), ErrReply> {
-    let failed =
-        |e: alic_core::CoreError| ErrReply::new(code::IO, format!("quarantining {id}: {e}"));
-    quarantine_file(checkpoint).map_err(failed)?;
+/// Moves a damaged session aside with [`store::set_aside`]: its checkpoint
+/// to `<id>.json.corrupt` and its journal, if any, to `<id>.log.corrupt`
+/// (`.corrupt.N` beside earlier evidence). Returns the checkpoint's new
+/// file name.
+fn quarantine_session(checkpoint: &Path, log: &Path, id: &str) -> Result<String, ErrReply> {
+    let failed = |e: std::io::Error| ErrReply::new(code::IO, format!("quarantining {id}: {e}"));
+    let aside = store::set_aside(checkpoint).map_err(failed)?;
     if log.exists() {
-        quarantine_file(log).map_err(failed)?;
+        store::set_aside(log).map_err(failed)?;
     }
-    Ok(())
+    Ok(aside
+        .file_name()
+        .map_or_else(String::new, |name| name.to_string_lossy().into_owned()))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1277,6 +1277,69 @@ mod tests {
             ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9"),
             "ok session s000002 dim 1"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_second_quarantine_of_an_id_keeps_the_first_evidence() {
+        let (mut engine, dir) = temp_engine("quarantined-twice");
+        let mut conn = ConnState::new();
+        ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9");
+        drop(engine);
+        let sessions = dir.join(SESSIONS_DIR);
+        for (damage, aside) in [
+            ("{first damage", "s000000.json.corrupt"),
+            ("{second damage", "s000000.json.corrupt.1"),
+        ] {
+            std::fs::write(sessions.join("s000000.json"), damage).unwrap();
+            let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+            let mut conn = ConnState::new();
+            let reply = err(&mut engine, &mut conn, "attach s000000");
+            assert!(
+                reply.contains(&format!("quarantined to {aside}:")),
+                "{reply}"
+            );
+        }
+        for (aside, damage) in [
+            ("s000000.json.corrupt", "{first damage"),
+            ("s000000.json.corrupt.1", "{second damage"),
+        ] {
+            assert_eq!(
+                std::fs::read_to_string(sessions.join(aside)).unwrap(),
+                damage
+            );
+        }
+        // Neither evidence name is a session, and neither id is reminted.
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let mut conn = ConnState::new();
+        assert_eq!(ok(&mut engine, &mut conn, "sessions"), "ok sessions");
+        assert_eq!(
+            ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9"),
+            "ok session s000001 dim 1"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_sweeps_the_tmp_files_a_killed_write_leaves() {
+        let (mut engine, dir) = temp_engine("sweep");
+        let mut conn = ConnState::new();
+        ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9");
+        let listed = ok(&mut engine, &mut conn, "sessions");
+        drop(engine);
+        let strays = [
+            dir.join(SESSIONS_DIR).join("s000000.json.tmp-4242-7"),
+            dir.join(format!("{PROBE_FILE}.tmp-4242-8")),
+        ];
+        for stray in &strays {
+            std::fs::write(stray, "{half a write").unwrap();
+        }
+        let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        for stray in &strays {
+            assert!(!stray.exists(), "{} survived open", stray.display());
+        }
+        let mut conn = ConnState::new();
+        assert_eq!(ok(&mut engine, &mut conn, "sessions"), listed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

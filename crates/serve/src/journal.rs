@@ -16,27 +16,22 @@
 //! * `<fnv64-hex>` is the FNV-1a hash of `<obs-index> <entry>` as 16
 //!   lowercase hex digits.
 //!
-//! [`append`] verifies the line it wrote by reading back only that line.
-//! On a mismatch or an error it truncates the journal back to its length
-//! before the append and retries under [`RetryPolicy::LEDGER`], so a torn
-//! append is never acknowledged and no later line lands after garbage.
+//! This module owns only the line format. The engine writes each line with
+//! [`alic_core::store::append`], which reads back only that line and, on a
+//! mismatch or an error, truncates the journal back to its length before
+//! the append and retries, so a torn append is never acknowledged and no
+//! later line lands after garbage.
 //!
 //! On restore, [`TuningSession::restore`](crate::session::TuningSession::restore)
 //! replays the lines in order after the checkpoint. Lines at or below the
 //! checkpoint's observation count are left over from a compaction whose
 //! journal removal never ran, and are skipped. The first line with a bad
 //! checksum, a bad entry, or an index out of sequence ends the journal: it
-//! and everything after it are a torn tail, which the engine truncates.
+//! and everything after it are a torn tail, which the engine truncates
+//! with [`alic_core::store::truncate`].
 //!
 //! Neither file is fsynced: a written reply means the bytes reached the
 //! operating system, so they survive a daemon kill but not a power loss.
-
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
-
-use alic_stats::fault::{inject, FaultSite};
-use alic_stats::policy::{PolicySite, RetryPolicy};
 
 /// FNV-1a over `bytes`.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -74,72 +69,6 @@ pub fn parse_line(raw: &[u8]) -> Option<(usize, &str)> {
     (index > 0).then_some((index, entry))
 }
 
-/// Appends `line` to the journal at `path`, whose verified length is `at`
-/// bytes, and returns the new length. Anything past `at` (the remains of
-/// an append that failed and could not be truncated) fails the read-back,
-/// and is truncated before the retry.
-///
-/// # Errors
-///
-/// The last I/O error once [`RetryPolicy::LEDGER`]'s attempts are spent.
-/// The journal is then truncated back to `at` whenever the file allows it.
-pub fn append(path: &Path, at: u64, line: &str) -> std::io::Result<u64> {
-    RetryPolicy::LEDGER.run(PolicySite::LedgerWrite, |_| append_once(path, at, line))?;
-    Ok(at + line.len() as u64)
-}
-
-fn append_once(path: &Path, at: u64, line: &str) -> std::io::Result<()> {
-    if inject(FaultSite::WriteIo) {
-        return Err(std::io::Error::other(
-            "chaos: injected transient journal append failure",
-        ));
-    }
-    if inject(FaultSite::Enospc) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::StorageFull,
-            "chaos: injected out-of-space journal append (ENOSPC)",
-        ));
-    }
-    if inject(FaultSite::FdLimit) {
-        return Err(std::io::Error::other(
-            "chaos: injected file-descriptor exhaustion (EMFILE)",
-        ));
-    }
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    write_line(&mut file, at, line).inspect_err(|_| {
-        let _ = file.set_len(at);
-    })
-}
-
-/// Writes `line` at offset `at` and reads it back.
-fn write_line(file: &mut File, at: u64, line: &str) -> std::io::Result<()> {
-    file.seek(SeekFrom::Start(at))?;
-    // A torn append lands only a prefix of the line and reports success;
-    // the read-back below is what catches it.
-    let payload = if inject(FaultSite::TornWrite) {
-        &line.as_bytes()[..line.len() / 2]
-    } else {
-        line.as_bytes()
-    };
-    file.write_all(payload)?;
-    file.seek(SeekFrom::Start(at))?;
-    // One byte past the line too: nothing may follow it.
-    let mut on_disk = Vec::with_capacity(line.len() + 1);
-    file.take(line.len() as u64 + 1).read_to_end(&mut on_disk)?;
-    if on_disk != line.as_bytes() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "journal append failed read-back verification",
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,24 +100,5 @@ mod tests {
             let forged = format!("{body} {:016x}\n", fnv64(body.as_bytes()));
             assert_eq!(parse_line(forged.as_bytes()), None, "{forged:?}");
         }
-    }
-
-    #[test]
-    fn append_cuts_off_a_stale_tail() {
-        let _guard = alic_stats::fault::exclusive_clean();
-        let dir = std::env::temp_dir().join(format!("alic-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s000000.log");
-        let first = line(1, "[[1],2]");
-        let at = append(&path, 0, &first).unwrap();
-        // The remains of an append that could not be truncated, longer
-        // than the next line: the read-back sees them, the retry cuts them.
-        std::fs::write(&path, format!("{first}{}", "9".repeat(64))).unwrap();
-        let second = line(2, "[[3],1]");
-        let len = append(&path, at, &second).unwrap();
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk, format!("{first}{second}"));
-        assert_eq!(len, on_disk.len() as u64);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

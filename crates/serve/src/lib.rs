@@ -12,16 +12,18 @@
 //!   observation is applied to the surrogate, then committed as one
 //!   checksummed, read-back-verified line appended to the session's
 //!   [`journal`] (a failure at either step rolls it back). The compacted
-//!   checkpoint goes through the campaign ledger's
-//!   [`write_verified`](alic_core::runner::ledger::write_verified) (atomic
-//!   rename, bounded retry with exponential backoff, read-back
-//!   verification) when a session is created, on `checkpoint`, and on
-//!   drain, quit, shutdown or EOF. So a SIGKILLed daemon restarts and
-//!   resumes every session with **bit-identical** surrogate state
-//!   (checkpoint plus journal is an event log replayed through the
-//!   deterministic fit/update paths, not serialized model internals).
-//!   Nothing is fsynced: the bytes survive a killed daemon, not a power
-//!   loss;
+//!   checkpoint is rewritten whole when a session is created, on
+//!   `checkpoint`, and on drain, quit, shutdown or EOF. Every one of these
+//!   writes goes through [`alic_core::store`], the one storage layer the
+//!   campaign ledger uses too (atomic rename or verified append, bounded
+//!   retry with exponential backoff, read-back verification; damaged files
+//!   set aside to `.corrupt`, `.corrupt.1`, …; stray tmp files swept on
+//!   open). So a SIGKILLed daemon restarts and resumes every session with
+//!   **bit-identical** surrogate state (checkpoint plus journal is an event
+//!   log replayed through the deterministic fit/update paths, not
+//!   serialized model internals); `tests/crash_states.rs` checks that
+//!   against every process-crash state of a recorded workload. Nothing is
+//!   fsynced: the bytes survive a killed daemon, not a power loss;
 //! * read-only requests (`suggest`, `best`) are pure functions of durable
 //!   state, so their replies are byte-identical before and after a restart;
 //! * every request runs under a deadline with panic isolation
@@ -49,7 +51,7 @@
 //! The `alic_stats::fault` chaos plane reaches into the daemon end to end:
 //! the connection layer has injection sites for dropped connections
 //! mid-line, short reads, and torn replies (see [`chaos`]), on top of the
-//! ledger-level write faults the checkpoints inherit.
+//! storage-layer write faults the checkpoints and journals inherit.
 //!
 //! See the crate's `README.md` "Serving" section for the protocol
 //! reference, the session lifecycle, and the checkpoint directory layout.

@@ -50,11 +50,13 @@ use crate::rng::SmallRng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultSite {
-    /// `write_atomic` temporary-file write fails with a transient I/O error.
+    /// A storage-layer write (`alic_core::store::replace` or `append`)
+    /// fails with a transient I/O error.
     WriteIo = 0,
-    /// `write_atomic` tears the write: only a prefix of the payload lands.
+    /// A storage-layer write tears: only a prefix of the payload lands, and
+    /// the write reports success.
     TornWrite = 1,
-    /// `write_atomic` fails to rename the temporary file into place.
+    /// `alic_core::store::replace` fails to rename its tmp file into place.
     RenameFail = 2,
     /// A campaign work unit panics mid-execution.
     UnitPanic = 3,
@@ -71,13 +73,15 @@ pub enum FaultSite {
     ShortRead = 8,
     /// A serve reply tears: only a prefix is written, then the socket errors.
     TornReply = 9,
-    /// A ledger write fails with out-of-space (`ENOSPC`): the disk is full.
+    /// A storage-layer write (`alic_core::store::replace` or `append`)
+    /// fails with out-of-space (`ENOSPC`): the disk is full.
     Enospc = 10,
     /// A request stalls: the instrumented site sleeps long enough to trip its
     /// deadline, and to outlast the serve engine's stuck-request grace.
     Stall = 11,
-    /// File-descriptor exhaustion: opening or writing a file fails with
-    /// `EMFILE`-style errors.
+    /// File-descriptor exhaustion: a storage-layer write
+    /// (`alic_core::store::replace` or `append`), or the serve `sessions`
+    /// scan, fails with `EMFILE`-style errors.
     FdLimit = 12,
 }
 

@@ -41,7 +41,8 @@ const POLICY_STREAM: u64 = 0x706f_6c69_6379_0000; // "policy"
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum PolicySite {
-    /// Ledger atomic writes (`write_atomic` / `write_verified`).
+    /// Storage-layer writes (`alic_core::store::replace` and `append`):
+    /// every durable write, the serve health probe included.
     LedgerWrite = 0,
     /// Serve engine load-shedding `retry-after-ms` hints.
     ServeHint = 1,
@@ -105,7 +106,8 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Ledger atomic writes: 5 attempts, 1 ms → 16 ms, ±25% jitter.
+    /// Storage-layer writes (`alic_core::store`): 5 attempts, 1 ms → 16 ms,
+    /// ±25% jitter.
     pub const LEDGER: RetryPolicy = RetryPolicy {
         attempts: 5,
         base: Duration::from_millis(1),
