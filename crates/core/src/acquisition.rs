@@ -16,6 +16,7 @@
 use rand::Rng as _;
 use serde::{Deserialize, Serialize};
 
+use alic_model::traits::rank_scores;
 use alic_model::ActiveSurrogate;
 use alic_stats::rng::Rng as StatsRng;
 use alic_stats::sampling::sample_indices;
@@ -61,10 +62,17 @@ impl Acquisition {
     /// the whole decision space; ALC draws its reference set from it as row
     /// views, without copying any features.
     ///
+    /// Ties favour the earliest candidate. The learner lists fresh (unseen)
+    /// candidates before revisit candidates, which makes ties resolve
+    /// towards exploration. ALC ranks through
+    /// [`ActiveSurrogate::alc_rank`] with `k = 1`, so a model may skip
+    /// scoring candidates that cannot win.
+    ///
     /// # Errors
     ///
-    /// Propagates surrogate-model errors. Returns `Ok(None)` when
-    /// `candidates` is empty.
+    /// Propagates surrogate-model errors, including
+    /// [`alic_model::ModelError::Numerical`] for a non-finite score.
+    /// Returns `Ok(None)` when `candidates` is empty.
     pub fn select<M: ActiveSurrogate + ?Sized>(
         &self,
         model: &M,
@@ -75,29 +83,22 @@ impl Acquisition {
         if candidates.is_empty() {
             return Ok(None);
         }
-        let scores: Vec<f64> = match self {
+        let best = match self {
             Acquisition::Alc { reference_size } => {
                 let reference: Vec<&[f64]> = if pool.is_empty() {
                     Vec::new()
                 } else {
                     pool.gather(sample_indices(rng, pool.len(), *reference_size))
                 };
-                model.alc_scores(candidates, &reference)?
+                model.alc_rank(candidates, &reference, 1)?
             }
-            Acquisition::Alm => model.alm_scores(candidates)?,
-            Acquisition::Random => (0..candidates.len()).map(|_| rng.gen::<f64>()).collect(),
+            Acquisition::Alm => rank_scores(&model.alm_scores(candidates)?, 1)?,
+            Acquisition::Random => {
+                let scores: Vec<f64> = (0..candidates.len()).map(|_| rng.gen::<f64>()).collect();
+                rank_scores(&scores, 1)?
+            }
         };
-        // Pick the first maximum so that ties favour the earliest candidate.
-        // The learner lists fresh (unseen) candidates before revisit
-        // candidates, which makes ties resolve towards exploration.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &score) in scores.iter().enumerate() {
-            debug_assert!(score.is_finite(), "acquisition scores must be finite");
-            if best.is_none_or(|(_, b)| score > b) {
-                best = Some((i, score));
-            }
-        }
-        Ok(best.map(|(i, _)| i))
+        Ok(best.first().copied())
     }
 }
 
@@ -209,6 +210,52 @@ mod tests {
                 .select(&model, &candidates, &FeatureMatrix::new(1), &mut rng)
                 .unwrap();
             assert_eq!(choice, Some(0), "{acquisition} must break ties earliest");
+        }
+    }
+
+    /// A model whose predictive variance is NaN everywhere, so both ALM
+    /// and the default ALC score every candidate NaN.
+    #[derive(Debug)]
+    struct NanVariance;
+
+    impl SurrogateModel for NanVariance {
+        fn fit(&mut self, _xs: &[&[f64]], _ys: &[f64]) -> alic_model::Result<()> {
+            Ok(())
+        }
+        fn update(&mut self, _x: &[f64], _y: f64) -> alic_model::Result<()> {
+            Ok(())
+        }
+        fn predict(&self, _x: &[f64]) -> alic_model::Result<alic_model::Prediction> {
+            Ok(alic_model::Prediction {
+                mean: 0.0,
+                variance: f64::NAN,
+            })
+        }
+        fn observation_count(&self) -> usize {
+            0
+        }
+        fn dimension(&self) -> Option<usize> {
+            Some(1)
+        }
+    }
+
+    impl ActiveSurrogate for NanVariance {}
+
+    #[test]
+    fn a_non_finite_score_is_refused_not_selected() {
+        let candidates: Vec<&[f64]> = vec![&[0.1], &[0.5]];
+        let mut rng = seeded_rng(5);
+        for acquisition in [Acquisition::Alm, Acquisition::default_alc()] {
+            let result = acquisition.select(&NanVariance, &candidates, &grid(10), &mut rng);
+            assert!(
+                matches!(
+                    result,
+                    Err(crate::CoreError::Model(alic_model::ModelError::Numerical(
+                        _
+                    )))
+                ),
+                "{acquisition}: {result:?}"
+            );
         }
     }
 

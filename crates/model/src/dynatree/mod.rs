@@ -18,7 +18,7 @@
 //!
 //! # Performance
 //!
-//! The particle-learning step is built around three ideas:
+//! The particle-learning step is built around four ideas:
 //!
 //! * **Structurally shared arenas.** Trees live in a slot pool of
 //!   arena-backed [`ParticleTree`]s ([`tree`] module) and particles hold
@@ -30,11 +30,14 @@
 //! * **Deterministic parallel updates.** Each particle's stochastic move is
 //!   decided with an RNG stream derived from
 //!   `(model seed, observation index, particle index)`
-//!   ([`SmallRng::substream`]), so the weight pass, the per-arena insert pass
-//!   and the per-particle move decisions all run on the rayon pool with
+//!   ([`SmallRng::substream`]), so the per-particle move decisions and the
+//!   application of the divergent moves run on the rayon pool with
 //!   by-index write-back — `fit` and `update` are bit-identical across
-//!   thread counts. Only systematic resampling (one draw from the master
-//!   stream) and the copy-on-write slot assignment are serial passes.
+//!   thread counts. The weight pass and the per-arena insert pass run
+//!   serially (a traversal or an insert costs less than handing it to a
+//!   thread), as do systematic resampling (one draw from the master
+//!   stream), the copy-on-write slot assignment and the interning of
+//!   grown leaves' paths.
 //! * **Persistent flat-node and leaf-moment caches.** Every arena keeps its
 //!   dense traversal array and per-leaf derived quantities (predictive
 //!   moments, log marginal likelihood, log-density constants backed by a
@@ -51,24 +54,42 @@
 //!   ([`scan::scan_left_direct`]); the two are bit-identical by
 //!   construction (property-tested).
 //!
+//! # Persistent root paths and the batch kernels
+//!
+//! A node's root path is the sequence of `(split, side)` steps from the
+//! root down to it. Copy-on-write particles keep their ancestors' nodes,
+//! so the trees of a particle set lie on far fewer distinct paths than
+//! they have nodes. The model hash-conses every path into one
+//! `PathTable` and every tree stores each node's path id (a column kept
+//! fresh like the flat and moment caches): a grow's two children are
+//! interned in a serial pass after the parallel moves, in particle order;
+//! a prune and a copy leave the ids as they are. `fit` resets the table,
+//! a restore rebuilds it by walking the live trees (it is never
+//! serialized, so snapshots do not change), and the same walk compacts it
+//! once it holds twice the entries it had after the last walk, since
+//! retired trees and pruned subtrees leave dead entries behind.
+//!
 //! The batch entry points ([`predict_batch`](SurrogateModel::predict_batch),
 //! [`alm_scores`](ActiveSurrogate::alm_scores),
-//! [`alc_scores`](ActiveSurrogate::alc_scores)) share one **split-mask
-//! kernel** ([`SplitForest`]). Copy-on-write particles keep their
-//! ancestors' splits, so the unique trees of a call hold far fewer
-//! distinct `(dimension, threshold)` splits than internal nodes. Each call
-//! interns those splits once; each 64-row block (candidates chunked
-//! directly by index, references one chunk at a time) is compared once per
-//! *distinct* split into a u64 `<=` mask; and each unique tree routes the
-//! block with `reach & mask` / `reach & !mask` word operations alone,
-//! visiting each leaf once per block with the word of lanes that land
-//! there. The ALC reference tables are built serially into one buffer
-//! over the whole forest, the candidate blocks run in parallel. The kernel
-//! makes exactly the `<=` comparisons a per-row [`find_leaf_flat`] walk
-//! makes, and every lane accumulates its unique trees' terms in
-//! first-seen particle order, the order of a per-row loop — so results
-//! are bit-identical to the single-point methods regardless of the
-//! thread count.
+//! [`alc_scores`](ActiveSurrogate::alc_scores),
+//! [`alc_rank`](ActiveSurrogate::alc_rank)) share one routing mechanism.
+//! Each 64-row block computes one `<=` mask per split of the table and
+//! one AND per path (`PathTable::route`), which yields the word of rows
+//! that reach every path; each unique tree then reads its leaves' lane
+//! words through their path ids. Routing makes exactly the `<=` tests a
+//! per-row [`find_leaf_flat`] walk makes, and every lane accumulates one
+//! term per unique tree in first-seen particle order, the order of a
+//! per-row loop — so results are bit-identical to the single-point
+//! methods regardless of the thread count, and path ids never reach a
+//! result. The ALC reference counts (the popcount of a path's reach) are
+//! gathered serially; the candidate blocks run in parallel.
+//!
+//! [`alc_rank`](ActiveSurrogate::alc_rank) keeps one candidate of
+//! hundreds, so it scores in three steps: a bound per candidate from sums
+//! taken once per distinct leaf path, a cut that keeps only the
+//! candidates whose bound can reach the top `k`, and the exact score of
+//! those alone (see the method for the error argument). Its result equals
+//! a stable sort of `alc_scores`.
 
 pub mod scan;
 pub mod tree;
@@ -83,14 +104,14 @@ use rayon::prelude::*;
 
 use crate::leaf::{log_marginal_likelihood_of_sums, LeafPrior, LnGammaTable};
 use crate::snapshot::{self, Snapshot};
-use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
+use crate::traits::{rank_scores, ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
 use scan::{LeafColumns, ATTEMPT_BATCH};
 
-pub use tree::{
-    find_leaf_flat, FlatNode, MomentCtx, ParticleTree, QueryBlock, Split, SplitForest, FLAT_LEAF,
-};
+pub use tree::{find_leaf_flat, FlatNode, MomentCtx, ParticleTree, Split, FLAT_LEAF};
+
+use tree::{PathTable, Routing};
 
 /// Candidates per parallel scoring block: one reach word. Each block
 /// accumulates its scores independently (per-candidate work is ordered by
@@ -100,6 +121,15 @@ const SCORE_BLOCK: usize = tree::TRAVERSE_BLOCK;
 
 /// "No group" sentinel in the arena→group scratch map.
 const NO_GROUP: u32 = u32::MAX;
+
+/// The path table is rebuilt from the live trees once it holds twice the
+/// entries it had after its last rebuild, and never below this many.
+const PATHS_COMPACT_FLOOR: usize = 32;
+
+std::thread_local! {
+    /// Per-thread buffers of [`with_route`].
+    static ROUTING: std::cell::RefCell<Routing> = std::cell::RefCell::new(Routing::default());
+}
 
 /// Configuration of the dynamic-tree model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,6 +230,11 @@ pub struct DynaTree {
     /// Monotone upper bound on any tree depth across the particle set;
     /// sizes `split_prior`.
     depth_bound: usize,
+    /// Hash-consed root paths of every tree; each tree's nodes carry their
+    /// ids. Never serialized: restore rebuilds it from the trees.
+    paths: PathTable,
+    /// Entry count of `paths` right after its last rebuild.
+    paths_compacted: usize,
     scratch: UpdateScratch,
 }
 
@@ -221,6 +256,8 @@ impl DynaTree {
             particles: Vec::new(),
             rng: seeded_stream(config.seed, 0xD14A),
             dimension: None,
+            paths: PathTable::default(),
+            paths_compacted: 0,
             scratch: UpdateScratch::default(),
         }
     }
@@ -264,9 +301,11 @@ impl DynaTree {
         self.arena_refs.iter().filter(|&&r| r > 0).count()
     }
 
-    /// Recomputes every live tree's cached flat traversal and leaf moments
-    /// from scratch and compares them bitwise against the maintained
-    /// caches. Exercised by the root-level property tests.
+    /// Recomputes every live tree's cached flat traversal, leaf moments and
+    /// root-path ids from scratch and compares them against the maintained
+    /// caches: the first two bitwise, each path id by the steps it spells
+    /// in the maintained table against those of a freshly rebuilt table.
+    /// Exercised by the root-level property tests.
     ///
     /// # Errors
     ///
@@ -277,9 +316,12 @@ impl DynaTree {
             prior: &self.prior,
             table: &self.table,
         };
+        let mut fresh = PathTable::default();
+        let mut seen = std::collections::HashMap::new();
         for (slot, (tree, &refs)) in self.arenas.iter().zip(&self.arena_refs).enumerate() {
             if refs > 0 {
                 tree.validate_caches(&self.xs, &ctx)
+                    .and_then(|()| tree.validate_paths(&self.paths, &mut fresh, &mut seen))
                     .map_err(|e| format!("arena {slot}: {e}"))?;
             }
         }
@@ -378,9 +420,12 @@ impl DynaTree {
             table,
             split_prior: Vec::new(),
             depth_bound,
+            paths: PathTable::default(),
+            paths_compacted: 0,
             scratch: UpdateScratch::default(),
         };
         model.ensure_split_prior(model.depth_bound + 2);
+        model.rebuild_paths();
         Ok(model)
     }
 
@@ -415,14 +460,102 @@ impl DynaTree {
         groups
     }
 
-    /// The split forest of the unique trees behind `groups`, in group
-    /// order: tree `t` of the forest is the arena of `groups[t]`.
-    fn split_forest(&self, groups: &[(u32, u32)]) -> SplitForest {
-        SplitForest::new(
-            groups
-                .iter()
-                .map(|&(slot, _)| self.arenas[slot as usize].flat_nodes()),
-        )
+    /// Rebuilds the path table from the live trees alone, walking them in
+    /// first-seen particle order, and reassigns every live node's id.
+    /// Retired slots keep stale ids; they are only ever overwritten.
+    fn rebuild_paths(&mut self) {
+        self.paths.clear();
+        for (slot, _) in self.arena_groups() {
+            self.arenas[slot as usize].assign_paths(&mut self.paths);
+        }
+        self.paths_compacted = self.paths.entry_count();
+    }
+
+    /// Routes every [`SCORE_BLOCK`]-row block of `rows` through the path
+    /// table on the pool and maps `f(rows, reach)` over them, in block
+    /// order.
+    fn map_blocks<U, F>(&self, rows: &[&[f64]], f: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(&[&[f64]], &[u64]) -> U + Sync,
+    {
+        (0..rows.len().div_ceil(SCORE_BLOCK))
+            .into_par_iter()
+            .map(|b| {
+                let lo = b * SCORE_BLOCK;
+                let block = &rows[lo..(lo + SCORE_BLOCK).min(rows.len())];
+                with_route(&self.paths, block, |reach| f(block, reach))
+            })
+            .collect()
+    }
+
+    /// The ALC terms of the unique trees behind `groups`, trees in group
+    /// order: `(path, k·table[leaf])` for every leaf whose term is non-zero,
+    /// where `k` is the tree's multiplicity and `table[leaf]` is the leaf's
+    /// variance added once per reference row that lands there, divided by
+    /// `n_eff + 1`.
+    ///
+    /// Observing a candidate shrinks the predictive variance of its leaf by
+    /// roughly a factor 1/(n_eff + 1), so the expected reduction in
+    /// *average* variance over the reference set is (sum of the leaf's
+    /// reference variance) / (n_eff + 1), averaged over particles. Leaves
+    /// containing no reference mass contribute nothing — exactly like
+    /// Cohn's criterion, which integrates the reduction over the input
+    /// distribution.
+    ///
+    /// A leaf's reference count is the popcount of its path's reach,
+    /// summed over the reference chunks; the table is built serially, each
+    /// chunk routed once for every tree. Adding the variance that many
+    /// times is the sum a per-reference loop forms. Trees that share a
+    /// leaf's path mostly share its moments too (copies of one ancestor),
+    /// so that sum is formed once per path and reused while the variance
+    /// and `n_eff` bits repeat.
+    fn alc_terms(&self, groups: &[(u32, u32)], reference: &[&[f64]]) -> Vec<(u32, f64)> {
+        let mut counts = vec![0u32; self.paths.path_count()];
+        for chunk in reference.chunks(SCORE_BLOCK) {
+            with_route(&self.paths, chunk, |reach| {
+                for (count, &lanes) in counts.iter_mut().zip(reach) {
+                    *count += lanes.count_ones();
+                }
+            });
+        }
+        let mut last: Vec<Option<(u64, u64, f64)>> = vec![None; counts.len()];
+        let mut terms = Vec::new();
+        for &(slot, mult) in groups {
+            let tree = &self.arenas[slot as usize];
+            let (moments, paths) = (tree.leaf_moments(), tree.path_ids());
+            for leaf in tree.leaves() {
+                let path = paths[leaf] as usize;
+                let count = counts[path];
+                if count == 0 {
+                    continue;
+                }
+                let m = &moments[leaf];
+                let key = (m.variance.to_bits(), m.n_eff.to_bits());
+                let table = match last[path] {
+                    Some((variance, n_eff, table)) if (variance, n_eff) == key => table,
+                    _ => {
+                        let mut table = 0.0f64;
+                        for _ in 0..count {
+                            table += m.variance;
+                        }
+                        if table > 0.0 {
+                            table /= m.n_eff + 1.0;
+                        }
+                        last[path] = Some((key.0, key.1, table));
+                        table
+                    }
+                };
+                let term = mult as f64 * table;
+                // A zero term is skipped; adding it would leave a total
+                // unchanged, since a total that starts at +0.0 is never
+                // −0.0.
+                if term != 0.0 {
+                    terms.push((path as u32, term));
+                }
+            }
+        }
+        terms
     }
 
     /// The split prior `p_split(depth) = α (1 + depth)^(−β)`, clamped away
@@ -842,12 +975,21 @@ impl DynaTree {
                 })
                 .collect();
         }
+        // 9. Intern the children of every grown leaf into the shared path
+        //    table (serial, in particle order), and rebuild the table from
+        //    the live trees once dead entries could make up half of it.
         let mut depth_bound = self.depth_bound;
-        for (slot, tree, _, _) in mover_trees {
+        for (slot, mut tree, leaf, decision) in mover_trees {
+            if let Decision::Grow(_) = decision {
+                tree.assign_child_paths(leaf as usize, &mut self.paths);
+            }
             depth_bound = depth_bound.max(tree.depth_bound());
             self.arenas[slot as usize] = tree;
         }
         self.depth_bound = depth_bound;
+        if self.paths.entry_count() >= 2 * self.paths_compacted.max(PATHS_COMPACT_FLOOR) {
+            self.rebuild_paths();
+        }
 
         self.scratch = scratch;
     }
@@ -866,15 +1008,24 @@ fn clone_slot(arenas: &mut [ParticleTree], src: usize, dst: usize) {
     }
 }
 
-/// Stages one block of at most [`SCORE_BLOCK`] rows and compares it against
-/// every distinct split of `forest`: returns the block's full reach word
-/// and its split masks.
-fn stage_block(forest: &SplitForest, dim: usize, rows: &[&[f64]]) -> (u64, Vec<u64>) {
-    let mut staged = QueryBlock::default();
-    staged.fill(dim, rows);
-    let mut masks = Vec::new();
-    forest.block_masks(&staged, &mut masks);
-    (staged.full_mask(), masks)
+/// Routes one block of at most [`SCORE_BLOCK`] rows through `paths` in
+/// this thread's buffers and hands `f` the reach word of every path
+/// ([`PathTable::route`]).
+fn with_route<U>(paths: &PathTable, rows: &[&[f64]], f: impl FnOnce(&[u64]) -> U) -> U {
+    ROUTING.with(|cell| {
+        let routing = &mut *cell.borrow_mut();
+        paths.route(rows, routing);
+        f(routing.reach())
+    })
+}
+
+/// Adds each `(path, term)` to the lanes of `keep` that reach its path,
+/// in list order.
+#[inline]
+fn add_terms(terms: &[(u32, f64)], reach: &[u64], keep: u64, totals: &mut [f64]) {
+    for &(path, term) in terms {
+        for_each_lane(reach[path as usize] & keep, |i| totals[i] += term);
+    }
 }
 
 /// Calls `f(lane)` for every set bit of `lanes`, in ascending lane order.
@@ -947,6 +1098,8 @@ impl SurrogateModel for DynaTree {
         self.arena_free.clear();
         self.particles.clear();
         self.depth_bound = 0;
+        self.paths.clear();
+        self.paths_compacted = 0;
         if self.config.particles > 0 {
             let ctx = MomentCtx {
                 prior: &self.prior,
@@ -1000,52 +1153,45 @@ impl SurrogateModel for DynaTree {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        // The cached flat traversals and leaf moments make this a pure read:
-        // no flattening, no posterior computation. Candidate blocks are
-        // chunked directly by index; block `b` covers
-        // `inputs[b*SCORE_BLOCK..]`.
-        let groups = self.arena_groups();
-        let forest = self.split_forest(&groups);
+        // The cached leaf moments and path ids make this a pure read: no
+        // flattening, no posterior computation. A leaf's two weighted
+        // moment terms are formed once per call and added to each lane
+        // that reaches its path. Leaves are listed tree by tree, unique
+        // trees in first-seen particle order with multiplicity weights,
+        // and each lane reaches one leaf per tree, so every lane forms the
+        // sum `predict` forms, in the same order: results are
+        // bit-identical to the single-point method and independent of the
+        // thread count.
+        let mut leaves: Vec<(u32, f64, f64)> = Vec::new();
+        for (slot, mult) in self.arena_groups() {
+            let tree = &self.arenas[slot as usize];
+            let (moments, paths) = (tree.leaf_moments(), tree.path_ids());
+            let k = mult as f64;
+            leaves.extend(tree.leaves().map(|leaf| {
+                let m = &moments[leaf];
+                (paths[leaf], k * m.mean, k * (m.variance + m.mean * m.mean))
+            }));
+        }
         let n = self.particles.len() as f64;
-        let dim = inputs[0].len();
-        let scored: Vec<Vec<Prediction>> = (0..inputs.len().div_ceil(SCORE_BLOCK))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * SCORE_BLOCK;
-                let block = &inputs[lo..(lo + SCORE_BLOCK).min(inputs.len())];
-                // Accumulate over unique trees in first-seen particle order
-                // with multiplicity weights, exactly like `predict`, so
-                // results are bit-identical to the single-point method and
-                // independent of the thread count. A leaf's two weighted
-                // moment terms are formed once per (leaf, reach word) and
-                // added to each lane that lands there.
-                let mut mean_acc = vec![0.0f64; block.len()];
-                let mut second_moment = vec![0.0f64; block.len()];
-                let (reach, masks) = stage_block(&forest, dim, block);
-                let mut stack = Vec::new();
-                for (t, &(slot, mult)) in groups.iter().enumerate() {
-                    let moments = self.arenas[slot as usize].leaf_moments();
-                    let k = mult as f64;
-                    forest.for_each_leaf(t, &masks, reach, &mut stack, |leaf, lanes| {
-                        let m = &moments[leaf];
-                        let (mean, second) = (k * m.mean, k * (m.variance + m.mean * m.mean));
-                        for_each_lane(lanes, |i| {
-                            mean_acc[i] += mean;
-                            second_moment[i] += second;
-                        });
-                    });
-                }
-                mean_acc
-                    .iter()
-                    .zip(&second_moment)
-                    .map(|(&acc, &sm)| {
-                        let mean = acc / n;
-                        let variance = (sm / n - mean * mean).max(0.0);
-                        Prediction::new(mean, variance)
-                    })
-                    .collect()
-            })
-            .collect();
+        let scored: Vec<Vec<Prediction>> = self.map_blocks(inputs, |block, reach| {
+            let mut mean_acc = vec![0.0f64; block.len()];
+            let mut second_moment = vec![0.0f64; block.len()];
+            for &(path, mean, second) in &leaves {
+                for_each_lane(reach[path as usize], |i| {
+                    mean_acc[i] += mean;
+                    second_moment[i] += second;
+                });
+            }
+            mean_acc
+                .iter()
+                .zip(&second_moment)
+                .map(|(&acc, &sm)| {
+                    let mean = acc / n;
+                    let variance = (sm / n - mean * mean).max(0.0);
+                    Prediction::new(mean, variance)
+                })
+                .collect()
+        });
         Ok(scored.into_iter().flatten().collect())
     }
 
@@ -1100,21 +1246,27 @@ impl SurrogateModel for DynaTree {
     }
 }
 
+impl DynaTree {
+    /// Checks a scoring call's inputs: the model is fitted and every row
+    /// has its width.
+    fn check_scoring(&self, candidates: &[&[f64]], reference: &[&[f64]]) -> Result<()> {
+        if self.particles.is_empty() {
+            return Err(ModelError::NotFitted);
+        }
+        for row in candidates.iter().chain(reference) {
+            self.check_dimension(row)?;
+        }
+        Ok(())
+    }
+}
+
 impl ActiveSurrogate for DynaTree {
     fn alc_score(&self, candidate: &[f64], reference: &[&[f64]]) -> Result<f64> {
         Ok(self.alc_scores(&[candidate], reference)?[0])
     }
 
     fn alc_scores(&self, candidates: &[&[f64]], reference: &[&[f64]]) -> Result<Vec<f64>> {
-        if self.particles.is_empty() {
-            return Err(ModelError::NotFitted);
-        }
-        for c in candidates {
-            self.check_dimension(c)?;
-        }
-        for r in reference {
-            self.check_dimension(r)?;
-        }
+        self.check_scoring(candidates, reference)?;
         // With no reference set there is nothing to average over; fall back
         // to the ALM criterion so the scores still order candidates usefully.
         if reference.is_empty() {
@@ -1123,77 +1275,115 @@ impl ActiveSurrogate for DynaTree {
         if candidates.is_empty() {
             return Ok(Vec::new());
         }
-        // Pre-compute, per unique tree, each leaf's contribution to a
-        // candidate landing in it. Observing a candidate shrinks the
-        // predictive variance of its leaf by roughly a factor 1/(n_eff + 1),
-        // so the expected reduction in *average* variance over the reference
-        // set is (sum of the leaf's reference variance) / (n_eff + 1),
-        // averaged over particles. Leaves containing no reference mass
-        // contribute nothing — exactly like Cohn's criterion, which
-        // integrates the reduction over the input distribution. The
-        // reference traversals and the division are shared across all
+        // The reference routing and the division are shared across all
         // candidates (and all particles of a shared tree); the per-candidate
-        // work is one split-mask walk and one table add per unique tree.
-        let groups = self.arena_groups();
-        let forest = self.split_forest(&groups);
-        let dim = candidates[0].len();
-        // The tables of every tree share one buffer over the forest's node
-        // numbering. They are built serially, one reference chunk at a
-        // time: per-tree jobs are too small to pay for a hand-off, and each
-        // chunk is staged and compared once for all trees. A leaf adds its
-        // variance once per reference lane, in chunk order, as a
-        // per-reference loop would.
-        let mut add = vec![0.0f64; forest.node_count()];
-        let mut stack = Vec::new();
-        for chunk in reference.chunks(SCORE_BLOCK) {
-            let (reach, masks) = stage_block(&forest, dim, chunk);
-            for (t, &(slot, _)) in groups.iter().enumerate() {
-                let moments = self.arenas[slot as usize].leaf_moments();
-                let table = &mut add[forest.node_range(t)];
-                forest.for_each_leaf(t, &masks, reach, &mut stack, |leaf, lanes| {
-                    let variance = moments[leaf].variance;
-                    for _ in 0..lanes.count_ones() {
-                        table[leaf] += variance;
-                    }
-                });
-            }
-        }
-        for (t, &(slot, _)) in groups.iter().enumerate() {
-            let moments = self.arenas[slot as usize].leaf_moments();
-            for (leaf, affected) in add[forest.node_range(t)].iter_mut().enumerate() {
-                if *affected > 0.0 {
-                    *affected /= moments[leaf].n_eff + 1.0;
-                }
-            }
-        }
+        // work is one routed block and one add per unique tree. Terms are
+        // listed tree by tree in first-seen particle order, and each lane
+        // reaches one leaf per tree, so each lane's total is the same sum
+        // in the same order as a per-candidate loop.
+        let terms = self.alc_terms(&self.arena_groups(), reference);
         let denominator = reference.len() as f64 * self.particles.len() as f64;
-        let scored: Vec<Vec<f64>> = (0..candidates.len().div_ceil(SCORE_BLOCK))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * SCORE_BLOCK;
-                let block = &candidates[lo..(lo + SCORE_BLOCK).min(candidates.len())];
-                // Unique trees in first-seen particle order, like
-                // `predict_batch`: each lane's total is the same sum in the
-                // same order as a per-candidate loop. A zero term is
-                // skipped; adding it would leave a total unchanged, since a
-                // total that starts at +0.0 is never −0.0.
-                let mut totals = vec![0.0f64; block.len()];
-                let (reach, masks) = stage_block(&forest, dim, block);
-                let mut stack = Vec::new();
-                for (t, &(_, mult)) in groups.iter().enumerate() {
-                    let k = mult as f64;
-                    let table = &add[forest.node_range(t)];
-                    forest.for_each_leaf(t, &masks, reach, &mut stack, |leaf, lanes| {
-                        let term = k * table[leaf];
-                        if term != 0.0 {
-                            for_each_lane(lanes, |i| totals[i] += term);
-                        }
-                    });
-                }
-                totals.iter().map(|t| t / denominator).collect()
-            })
-            .collect();
+        let scored: Vec<Vec<f64>> = self.map_blocks(candidates, |block, reach| {
+            let mut totals = vec![0.0f64; block.len()];
+            add_terms(&terms, reach, u64::MAX, &mut totals);
+            totals.iter().map(|t| t / denominator).collect()
+        });
         Ok(scored.into_iter().flatten().collect())
+    }
+
+    /// Ranks through bounds taken once per distinct leaf path, then scores
+    /// exactly only the candidates whose bound can reach the top `k`.
+    ///
+    /// 1. `W_p`, the sum of the ALC terms of every tree with a leaf at path
+    ///    `p`, is formed once per call. A candidate's bound `A_c` is the
+    ///    sum of `W_p` over the distinct leaf paths its lane reaches: a
+    ///    candidate that reaches path `p` lands in the leaf at `p` of every
+    ///    tree that has one, so `A_c` and the exact score `S_c` sum the same
+    ///    non-negative terms, grouped and rounded differently, and
+    ///    `|A_c − S_c| ≤ γ·S_c` with `γ = (U + |R| + 8)·2⁻⁵²` for `U` unique
+    ///    trees and `|R|` reference rows.
+    /// 2. Every candidate with `A_c ≥ (1 − 4γ)·A_(k)`, `A_(k)` the `k`-th
+    ///    largest bound, is kept. A candidate of the exact top `k` has
+    ///    `A_c ≥ (1 − γ)/(1 + γ)·A_(k)`, so it is kept; one that is not
+    ///    kept scores below the `k`-th exact score by more than the
+    ///    division by the shared denominator can round away, so it cannot
+    ///    tie its way in either. When every bound is 0, all are kept.
+    /// 3. The kept candidates are scored with `alc_scores`' terms in its
+    ///    order, reusing each block's routing, and sorted.
+    ///
+    /// The result equals the default (a stable sort of `alc_scores`). A
+    /// negative or non-finite term, or an overflowing bound, which the
+    /// argument above does not cover, falls back to that default.
+    fn alc_rank(
+        &self,
+        candidates: &[&[f64]],
+        reference: &[&[f64]],
+        k: usize,
+    ) -> Result<Vec<usize>> {
+        self.check_scoring(candidates, reference)?;
+        if reference.is_empty() {
+            return rank_scores(&self.alm_scores(candidates)?, k);
+        }
+        let k = k.min(candidates.len());
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let groups = self.arena_groups();
+        let terms = self.alc_terms(&groups, reference);
+        let exact = || rank_scores(&self.alc_scores(candidates, reference)?, k);
+        let mut weight = vec![0.0f64; self.paths.path_count()];
+        for &(path, term) in &terms {
+            if !(term >= 0.0 && term.is_finite()) {
+                return exact();
+            }
+            weight[path as usize] += term;
+        }
+        let weights: Vec<(u32, f64)> = weight
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0.0)
+            .map(|(path, &w)| (path as u32, w))
+            .collect();
+
+        // 1. Bounds, one routed block at a time on the pool; each block
+        //    keeps its reach words for step 3.
+        let blocks: Vec<(Vec<f64>, Vec<u64>)> = self.map_blocks(candidates, |block, reach| {
+            let mut bounds = vec![0.0f64; block.len()];
+            add_terms(&weights, reach, u64::MAX, &mut bounds);
+            (bounds, reach.to_vec())
+        });
+        let mut bounds: Vec<f64> = blocks.iter().flat_map(|(b, _)| b.iter().copied()).collect();
+        if bounds.iter().any(|b| !b.is_finite()) {
+            return exact();
+        }
+
+        // 2. The cut.
+        let (_, &mut kth, _) = bounds.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+        let gamma = (groups.len() + reference.len() + 8) as f64 * f64::EPSILON;
+        let cut = (1.0 - 4.0 * gamma) * kth;
+
+        // 3. Exact scores of the kept candidates, in index order.
+        let denominator = reference.len() as f64 * self.particles.len() as f64;
+        let (mut kept, mut scores) = (Vec::new(), Vec::new());
+        for (b, (block_bounds, reach)) in blocks.iter().enumerate() {
+            let mut keep = 0u64;
+            for (i, &bound) in block_bounds.iter().enumerate() {
+                keep |= u64::from(bound >= cut) << i;
+            }
+            if keep == 0 {
+                continue;
+            }
+            let mut totals = [0.0f64; SCORE_BLOCK];
+            add_terms(&terms, reach, keep, &mut totals);
+            for_each_lane(keep, |i| {
+                kept.push(b * SCORE_BLOCK + i);
+                scores.push(totals[i] / denominator);
+            });
+        }
+        Ok(rank_scores(&scores, k)?
+            .into_iter()
+            .map(|i| kept[i])
+            .collect())
     }
 }
 
@@ -1434,7 +1624,7 @@ mod tests {
     }
 
     /// A seeded property loop (the same deterministic-cases scheme as the
-    /// workspace's `proptest!` shim): the split-mask kernels equal the
+    /// workspace's `proptest!` shim): the path-routing kernels equal the
     /// scalar oracles bit for bit.
     #[test]
     fn batch_kernels_equal_the_scalar_oracle_bitwise() {
@@ -1537,6 +1727,32 @@ mod tests {
         let total: u32 = model.arena_groups().iter().map(|&(_, mult)| mult).sum();
         assert_eq!(total as usize, 80);
         model.validate_caches().unwrap();
+    }
+
+    #[test]
+    fn path_ids_stay_valid_through_compactions() {
+        let mut model = fit_on(|x| (9.0 * x).sin(), 30, 47);
+        let mut compactions = 0;
+        for i in 0..120 {
+            let before = model.paths.entry_count();
+            let x = [(i as f64 * 0.377) % 1.0];
+            model
+                .update(&x, (9.0 * x[0]).sin() + 0.05 * (i % 3) as f64)
+                .unwrap();
+            if model.paths.entry_count() < before {
+                compactions += 1;
+                assert_eq!(model.paths.entry_count(), model.paths_compacted);
+            }
+            model.validate_caches().unwrap();
+        }
+        assert!(compactions > 0, "no compaction in 120 updates");
+        // Compaction never changes a score.
+        let reference: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
+        let candidates: Vec<Vec<f64>> = (0..70).map(|i| vec![i as f64 / 69.0]).collect();
+        let (candidates, reference) = (views(&candidates), views(&reference));
+        let before = model.alc_scores(&candidates, &reference).unwrap();
+        model.rebuild_paths();
+        assert_eq!(before, model.alc_scores(&candidates, &reference).unwrap());
     }
 
     #[test]

@@ -30,22 +30,33 @@
 //!
 //! # Caches
 //!
-//! Two derived views are cached *on the tree* and kept eagerly fresh by
-//! every mutating operation:
+//! Three derived views are cached *on the tree* and kept fresh:
 //!
-//! * `flat` — the dense [`FlatNode`] traversal array used by every scoring
-//!   path. Rebuilt only when a structural move (grow/prune) lands; inserts
-//!   do not touch the tree's shape, so steady-state scoring does zero
-//!   flattening work.
+//! * `flat` — the dense [`FlatNode`] traversal array of the single-point
+//!   paths ([`find_leaf_flat`]). Rebuilt only when a structural move
+//!   (grow/prune) lands; inserts do not touch the tree's shape, so
+//!   steady-state scoring does zero flattening work.
 //! * `moments` — one [`LeafMoments`] per node (valid for live leaves):
 //!   predictive mean/variance, log marginal likelihood and the cached
 //!   log-density constants. Refreshed per affected leaf on insert, grow and
 //!   prune.
+//! * `path` — one root-path id per node in the owning model's
+//!   `PathTable`, the index every batch kernel reads a leaf's lanes
+//!   through. An insert and a prune leave it unchanged (a pruned parent
+//!   keeps its path; freed slots are never read), a copy copies it, and a
+//!   grow leaves its two children for the model to intern
+//!   (`ParticleTree::assign_child_paths`), which needs the shared table
+//!   and so runs serially after a parallel batch of moves.
 //!
 //! Mutating methods take a [`MomentCtx`] (the shared prior plus the
-//! `ln Γ` table) so the caches never go stale; `validate_caches` recomputes
-//! both views from scratch and compares bitwise, which the root-level
-//! property tests exercise after arbitrary fit/update sequences.
+//! `ln Γ` table) so the first two never go stale; `validate_caches`
+//! recomputes both views from scratch and compares bitwise, and the
+//! model's `validate_caches` checks every path id against a freshly
+//! rebuilt table. The root-level property tests exercise both after
+//! arbitrary fit/update sequences.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use alic_data::io::{self, JsonValue};
 use alic_stats::FeatureMatrix;
@@ -69,10 +80,10 @@ const FREE_NODE: u32 = u32::MAX - 1;
 /// Linked-list terminator / "no node" sentinel.
 const NONE: u32 = u32::MAX;
 
-/// A compact, traversal-only copy of one tree node (24 bytes). Every scoring
-/// path reads these dense arrays (batch calls through a [`SplitForest`]);
-/// the tree keeps its own copy cached and structurally fresh, so batch
-/// calls never re-flatten.
+/// A compact, traversal-only copy of one tree node (24 bytes). The
+/// single-point paths (weighting, `predict`) walk these dense arrays with
+/// [`find_leaf_flat`]; the tree keeps its own copy cached and structurally
+/// fresh, so no call ever re-flattens.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatNode {
     /// Split dimension, or [`FLAT_LEAF`] when the node is a leaf.
@@ -106,227 +117,236 @@ pub fn find_leaf_flat(nodes: &[FlatNode], x: &[f64]) -> usize {
     }
 }
 
-/// Width of a scoring traversal block: one u64 reach word.
+/// Width of a scoring block: one u64 reach word.
 pub const TRAVERSE_BLOCK: usize = 64;
 
-/// Column-major staging of up to [`TRAVERSE_BLOCK`] query rows, the input
-/// of [`SplitForest::block_masks`]. Lanes past `len` are zero-padded; their
-/// comparison bits are garbage that the reach masks never select.
+/// Reusable buffers of [`PathTable::route`]; after a route, [`reach`]
+/// holds one reach word per path.
+///
+/// [`reach`]: Routing::reach
 #[derive(Debug, Clone, Default)]
-pub struct QueryBlock {
-    /// `cols[d * TRAVERSE_BLOCK + i]` is dimension `d` of query `i`.
-    cols: Vec<f64>,
-    len: usize,
+pub(crate) struct Routing {
+    reach: Vec<u64>,
+    /// One `<=` mask per split.
+    masks: Vec<u64>,
+    /// Word `r`: the lanes whose value exceeds exactly `r` thresholds of
+    /// the dimension being routed.
+    exceeding: Vec<u64>,
 }
 
-impl QueryBlock {
-    /// Refills the staging from `rows` (at most [`TRAVERSE_BLOCK`] of them),
-    /// keeping the allocation.
-    pub fn fill(&mut self, dim: usize, rows: &[&[f64]]) {
-        assert!(rows.len() <= TRAVERSE_BLOCK, "a block is at most one word");
-        self.len = rows.len();
-        self.cols.clear();
-        self.cols.resize(dim * TRAVERSE_BLOCK, 0.0);
-        for (i, row) in rows.iter().enumerate() {
-            for d in 0..dim {
-                self.cols[d * TRAVERSE_BLOCK + i] = row[d];
-            }
+impl Routing {
+    /// Bit `i` of word `p` is set iff row `i` of the last routed block
+    /// passes every step of path `p`.
+    #[inline]
+    pub(crate) fn reach(&self) -> &[u64] {
+        &self.reach
+    }
+}
+
+/// Multiplicative hashing for [`PathTable`]'s entry keys, which are ids
+/// the table assigns itself. Split keys carry threshold bits, which a
+/// restored snapshot supplies, so they keep the default keyed hasher.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
         }
     }
 
-    /// The 64-lane column of `dimension`.
-    fn column(&self, dimension: usize) -> &[f64] {
-        &self.cols[dimension * TRAVERSE_BLOCK..(dimension + 1) * TRAVERSE_BLOCK]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
 
-    /// Reach word with one bit per staged query.
-    pub fn full_mask(&self) -> u64 {
-        match self.len {
-            64 => u64::MAX,
-            n => (1u64 << n) - 1,
-        }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
     }
 }
 
-/// One node of a [`SplitForest`] tree (12 bytes): an internal node names
-/// its interned split, a leaf carries [`FLAT_LEAF`].
-#[derive(Debug, Clone, Copy)]
-struct MaskNode {
-    split: u32,
-    left: u32,
-    right: u32,
-}
-
-/// The trees of one scoring call with every internal node's
-/// `(dimension, threshold)` split interned into a forest-wide split id.
+/// The root paths of every tree of a [`super::DynaTree`], hash-consed into
+/// one table that persists from call to call.
 ///
-/// Copy-on-write particles keep their ancestors' splits, so a particle set
-/// holds far fewer distinct splits than internal nodes. The forest lets a
-/// scoring pass compare each *distinct* split once per 64-row block
-/// ([`block_masks`](SplitForest::block_masks)) and then route the block
-/// through every tree with word operations alone
-/// ([`for_each_leaf`](SplitForest::for_each_leaf)).
+/// A node's root path is the sequence of `(split, side)` steps from the
+/// root down to it. Entry `n` of the table is `(parent path, split id)`:
+/// the internal node at `parent path` that tests `split`. Its children are
+/// paths `2n + 1` (`x[dimension] <= threshold`) and `2n + 2` (`>`), and
+/// the root is path 0. An entry is interned only after its parent path
+/// exists, so parents always come before children and one in-order pass
+/// over the entries routes a block ([`route`](PathTable::route)).
 ///
-/// Node ids keep their [`FlatNode`] numbering within each tree, so a leaf
-/// id indexes the tree's [`ParticleTree::leaf_moments`], and
-/// `node_range(t).start + leaf` indexes a per-node buffer laid out over the
-/// whole forest.
-#[derive(Debug, Clone)]
-pub struct SplitForest {
-    nodes: Vec<MaskNode>,
-    /// Tree `t` owns `nodes[starts[t]..starts[t + 1]]`.
-    starts: Vec<usize>,
+/// Copy-on-write particles keep their ancestors' nodes, so the trees of a
+/// particle set share most of their paths: every tree stores one path id
+/// per node ([`ParticleTree::path_ids`]), and a scoring pass reads each
+/// leaf's lanes through its path instead of walking the tree. Splits are
+/// interned too: two nodes share a split id iff they test the same
+/// dimension against a threshold with the same bits.
+///
+/// Entries are never removed one by one. A prune or a retired tree leaves
+/// its entries behind, and each dead split still costs one mask per block
+/// until the model rebuilds the table from its live trees.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PathTable {
+    /// Entry `n`: `(parent path, split id)`.
+    entries: Vec<(u32, u32)>,
+    entry_of: HashMap<(u32, u32), u32, BuildHasherDefault<IdHasher>>,
     /// Split dimension per split id.
     split_dims: Vec<u32>,
     /// Split threshold per split id.
     split_thresholds: Vec<f64>,
+    /// `(dimension, threshold bits)` → split id.
+    split_of: HashMap<(u32, u64), u32>,
+    /// Per dimension, its splits' `(threshold, split id)` in ascending
+    /// threshold order (a NaN threshold, which no value passes, is left
+    /// out and keeps an empty mask).
+    by_dim: Vec<Vec<(f64, u32)>>,
 }
 
-impl SplitForest {
-    /// Interns the splits of `trees`, given as flat traversal arrays.
-    /// Two nodes share a split id iff they test the same dimension against
-    /// a threshold with the same bits.
-    pub fn new<'a>(trees: impl IntoIterator<Item = &'a [FlatNode]>) -> Self {
-        let trees: Vec<&[FlatNode]> = trees.into_iter().collect();
-        let total: usize = trees.iter().map(|t| t.len()).sum();
-        // Open addressing at load <= 1/2; a slot holds a split id.
-        let capacity = (2 * total).next_power_of_two().max(16);
-        let shift = 64 - capacity.trailing_zeros();
-        let mut slots = vec![u32::MAX; capacity];
-        let mut forest = SplitForest {
-            nodes: Vec::with_capacity(total),
-            starts: Vec::with_capacity(trees.len() + 1),
-            split_dims: Vec::new(),
-            split_thresholds: Vec::new(),
-        };
-        for tree in trees {
-            forest.starts.push(forest.nodes.len());
-            for node in tree {
-                if node.dimension == FLAT_LEAF {
-                    forest.nodes.push(MaskNode {
-                        split: FLAT_LEAF,
-                        left: 0,
-                        right: 0,
-                    });
-                    continue;
-                }
-                let bits = node.threshold.to_bits();
-                let key = bits ^ u64::from(node.dimension).rotate_right(16);
-                let mut h = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-                let split = loop {
-                    let id = slots[h];
-                    if id == u32::MAX {
-                        let id = forest.split_dims.len() as u32;
-                        slots[h] = id;
-                        forest.split_dims.push(node.dimension);
-                        forest.split_thresholds.push(node.threshold);
-                        break id;
-                    }
-                    let i = id as usize;
-                    if forest.split_dims[i] == node.dimension
-                        && forest.split_thresholds[i].to_bits() == bits
-                    {
-                        break id;
-                    }
-                    h = (h + 1) & (capacity - 1);
-                };
-                forest.nodes.push(MaskNode {
-                    split,
-                    left: node.left,
-                    right: node.right,
-                });
-            }
-        }
-        forest.starts.push(forest.nodes.len());
-        forest
+impl PathTable {
+    /// Number of path ids: the root plus two children per entry.
+    pub(crate) fn path_count(&self) -> usize {
+        2 * self.entries.len() + 1
     }
 
-    /// Number of distinct splits across the forest.
-    pub fn split_count(&self) -> usize {
+    /// Number of entries (internal-node paths).
+    pub(crate) fn entry_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Number of distinct splits.
+    pub(crate) fn split_count(&self) -> usize {
         self.split_dims.len()
     }
 
-    /// Total node count: the length of a per-node buffer over the forest.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    /// Empties the table, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.entry_of.clear();
+        self.split_dims.clear();
+        self.split_thresholds.clear();
+        self.split_of.clear();
+        self.by_dim.iter_mut().for_each(Vec::clear);
     }
 
-    /// The span of tree `tree` in a per-node buffer over the forest.
-    pub fn node_range(&self, tree: usize) -> std::ops::Range<usize> {
-        self.starts[tree]..self.starts[tree + 1]
+    /// The paths of the `<=` and `>` children of the node at `parent`
+    /// that tests `x[dimension] <= threshold`, interning the entry (and the
+    /// split) on first sight.
+    pub(crate) fn children(&mut self, parent: u32, dimension: u32, threshold: f64) -> (u32, u32) {
+        let next_split = self.split_dims.len() as u32;
+        let split = *self
+            .split_of
+            .entry((dimension, threshold.to_bits()))
+            .or_insert(next_split);
+        if split == next_split {
+            self.split_dims.push(dimension);
+            self.split_thresholds.push(threshold);
+            if !threshold.is_nan() {
+                let d = dimension as usize;
+                if self.by_dim.len() <= d {
+                    self.by_dim.resize_with(d + 1, Vec::new);
+                }
+                let sorted = &mut self.by_dim[d];
+                let at = sorted.partition_point(|&(t, _)| t < threshold);
+                sorted.insert(at, (threshold, split));
+            }
+        }
+        let next_entry = self.entries.len() as u32;
+        let n = *self.entry_of.entry((parent, split)).or_insert(next_entry);
+        if n == next_entry {
+            debug_assert!(
+                (parent as usize) < self.path_count(),
+                "parent interned first"
+            );
+            self.entries.push((parent, split));
+        }
+        (2 * n + 1, 2 * n + 2)
     }
 
-    /// Writes one `<=` mask per split id over the staged block into `masks`
-    /// (bit `i` of `masks[s]` = query `i` goes left at split `s`), through
-    /// the same IEEE `<=` as [`find_leaf_flat`]: SSE2-built on x86-64, the
-    /// scalar builder elsewhere.
-    pub fn block_masks(&self, block: &QueryBlock, masks: &mut Vec<u64>) {
+    /// Routes a block of at most [`TRAVERSE_BLOCK`] rows: computes one
+    /// `<=` mask per split (bit `i` set iff `row_i[dimension] <=
+    /// threshold`), then one reach word per path into
+    /// [`routing.reach()`](Routing::reach) with one AND per path.
+    ///
+    /// The masks come one dimension at a time from the dimension's sorted
+    /// thresholds: a value that exceeds exactly `r` of them (one binary
+    /// search) passes the `<=` test of every split from the `r`-th
+    /// threshold up, so a prefix OR over the per-`r` lane words yields
+    /// every split's mask. For non-NaN values `v <= t` is `!(t < v)`, and
+    /// a NaN value passes no test, so each bit is the comparison
+    /// [`find_leaf_flat`] makes. A tree's leaf at path `p` therefore
+    /// receives exactly the lanes of `reach[p]`: every lane lands in
+    /// exactly the leaf `find_leaf_flat` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` holds more than [`TRAVERSE_BLOCK`] rows or a row
+    /// is narrower than a split's dimension.
+    pub(crate) fn route(&self, rows: &[&[f64]], routing: &mut Routing) {
+        assert!(rows.len() <= TRAVERSE_BLOCK, "a block is at most one word");
+        let Routing {
+            reach,
+            masks,
+            exceeding,
+        } = routing;
         masks.clear();
         masks.resize(self.split_count(), 0);
-        for ((mask, &dimension), &threshold) in masks
-            .iter_mut()
-            .zip(&self.split_dims)
-            .zip(&self.split_thresholds)
-        {
-            let column = block.column(dimension as usize);
-            let word = std::slice::from_mut(mask);
-            #[cfg(target_arch = "x86_64")]
-            alic_stats::bitset::fill_mask_le_simd_into(column, threshold, word);
-            #[cfg(not(target_arch = "x86_64"))]
-            alic_stats::bitset::fill_mask_le_into(column, threshold, word);
+        for (dimension, sorted) in self.by_dim.iter().enumerate() {
+            if sorted.is_empty() {
+                continue;
+            }
+            exceeding.clear();
+            exceeding.resize(sorted.len() + 1, 0);
+            for (lane, row) in rows.iter().enumerate() {
+                let value = row[dimension];
+                if !value.is_nan() {
+                    exceeding[sorted.partition_point(|&(t, _)| t < value)] |= 1 << lane;
+                }
+            }
+            let mut lanes = 0u64;
+            for (&(_, split), &above) in sorted.iter().zip(exceeding.iter()) {
+                lanes |= above;
+                masks[split as usize] = lanes;
+            }
+        }
+        reach.clear();
+        reach.reserve(self.path_count());
+        reach.push(match rows.len() {
+            TRAVERSE_BLOCK => u64::MAX,
+            n => (1u64 << n) - 1,
+        });
+        for &(parent, split) in &self.entries {
+            let (lanes, mask) = (reach[parent as usize], masks[split as usize]);
+            reach.push(lanes & mask);
+            reach.push(lanes & !mask);
         }
     }
 
-    /// Routes the lanes of `reach` through tree `tree` using only the
-    /// block's split masks, invoking `on_leaf(leaf, lanes)` once per leaf
-    /// that any lane reaches, with `lanes` the non-zero word of the lanes
-    /// that land there.
+    /// The `(dimension, threshold bits, goes right)` steps from the root
+    /// to `path`, root first.
     ///
-    /// At an internal node the reach word splits into `reach & mask` (left)
-    /// and `reach & !mask` (right), where `mask` is the node's split mask
-    /// from [`block_masks`](SplitForest::block_masks): the bit a lane
-    /// contributes is the `x[dimension] <= threshold` comparison its
-    /// [`find_leaf_flat`] walk makes at that node, so every lane lands in
-    /// exactly the leaf `find_leaf_flat` returns. Each leaf is reported at
-    /// most once per walk and callers accumulate per lane or per leaf, so
-    /// the order leaves are visited in never reaches a result.
+    /// # Panics
     ///
-    /// `stack` is reusable scratch for the depth-first walk.
-    pub fn for_each_leaf(
-        &self,
-        tree: usize,
-        masks: &[u64],
-        reach: u64,
-        stack: &mut Vec<(u32, u64)>,
-        mut on_leaf: impl FnMut(usize, u64),
-    ) {
-        if reach == 0 {
-            return;
+    /// Panics if `path` is not below [`path_count`](PathTable::path_count).
+    pub(crate) fn steps(&self, mut path: u32) -> Vec<(u32, u64, bool)> {
+        let mut steps = Vec::new();
+        while path != 0 {
+            let n = (path - 1) / 2;
+            let (parent, split) = self.entries[n as usize];
+            let s = split as usize;
+            steps.push((
+                self.split_dims[s],
+                self.split_thresholds[s].to_bits(),
+                path.is_multiple_of(2),
+            ));
+            path = parent;
         }
-        let nodes = &self.nodes[self.node_range(tree)];
-        stack.clear();
-        let (mut index, mut reach) = (0u32, reach);
-        loop {
-            let node = nodes[index as usize];
-            if node.split == FLAT_LEAF {
-                on_leaf(index as usize, reach);
-                match stack.pop() {
-                    Some(next) => (index, reach) = next,
-                    None => return,
-                }
-                continue;
-            }
-            let mask = masks[node.split as usize];
-            let (left, right) = (reach & mask, reach & !mask);
-            if left == 0 {
-                index = node.right;
-            } else {
-                if right != 0 {
-                    stack.push((node.right, right));
-                }
-                (index, reach) = (node.left, left);
-            }
-        }
+        steps.reverse();
+        steps
     }
 }
 
@@ -429,6 +449,9 @@ pub struct ParticleTree {
     flat: Vec<FlatNode>,
     /// Cached per-node derived leaf quantities (fresh for live leaves).
     moments: Vec<LeafMoments>,
+    /// Root-path id per node in the owning model's [`PathTable`] (fresh
+    /// for live nodes once the model has interned a grow's children).
+    path: Vec<u32>,
 }
 
 impl Clone for ParticleTree {
@@ -450,6 +473,7 @@ impl Clone for ParticleTree {
             bounds: self.bounds.clone(),
             flat: self.flat.clone(),
             moments: self.moments.clone(),
+            path: self.path.clone(),
         }
     }
 
@@ -473,6 +497,7 @@ impl Clone for ParticleTree {
         self.bounds.clone_from(&source.bounds);
         self.flat.clone_from(&source.flat);
         self.moments.clone_from(&source.moments);
+        self.path.clone_from(&source.path);
     }
 }
 
@@ -538,6 +563,7 @@ impl ParticleTree {
             bounds,
             flat: Vec::new(),
             moments: vec![stats.moments(ctx.prior, ctx.table)],
+            path: vec![0],
         };
         tree.refresh_flat();
         tree
@@ -563,6 +589,7 @@ impl ParticleTree {
             bounds: Vec::new(),
             flat: Vec::new(),
             moments: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -577,6 +604,80 @@ impl ParticleTree {
     #[inline]
     pub fn leaf_moments(&self) -> &[LeafMoments] {
         &self.moments
+    }
+
+    /// The per-node root-path ids in the owning model's [`PathTable`]
+    /// (valid at live-node indices).
+    #[inline]
+    pub(crate) fn path_ids(&self) -> &[u32] {
+        &self.path
+    }
+
+    /// Interns the paths of the two children of internal node `node`: the
+    /// serial half of a grow, after the move itself ran on the pool.
+    pub(crate) fn assign_child_paths(&mut self, node: usize, table: &mut PathTable) {
+        let (left, right) = table.children(self.path[node], self.dim[node], self.threshold[node]);
+        self.path[self.left[node] as usize] = left;
+        self.path[self.right[node] as usize] = right;
+    }
+
+    /// Assigns every live node's path id by a walk from the root,
+    /// interning into `table`.
+    pub(crate) fn assign_paths(&mut self, table: &mut PathTable) {
+        let mut path = std::mem::take(&mut self.path);
+        self.walk_paths(table, &mut path);
+        self.path = path;
+    }
+
+    /// Writes every live node's path id into `out` (one entry per node,
+    /// [`NONE`] for free slots), parents before children.
+    fn walk_paths(&self, table: &mut PathTable, out: &mut Vec<u32>) {
+        out.clear();
+        out.resize(self.dim.len(), NONE);
+        out[0] = 0;
+        let mut stack = vec![0usize];
+        while let Some(node) = stack.pop() {
+            if self.dim[node] < FREE_NODE {
+                let (left, right) = (self.left[node] as usize, self.right[node] as usize);
+                (out[left], out[right]) =
+                    table.children(out[node], self.dim[node], self.threshold[node]);
+                stack.extend([right, left]);
+            }
+        }
+    }
+
+    /// Checks every live node's path id against `fresh`, a table rebuilt
+    /// from scratch: the maintained id must spell the same steps as the
+    /// node's fresh id, and one fresh id must map to one maintained id
+    /// across every tree checked with the same `seen` map.
+    pub(crate) fn validate_paths(
+        &self,
+        table: &PathTable,
+        fresh: &mut PathTable,
+        seen: &mut HashMap<u32, u32>,
+    ) -> Result<(), String> {
+        let mut ids = Vec::new();
+        self.walk_paths(fresh, &mut ids);
+        for (node, &id) in ids.iter().enumerate() {
+            if id == NONE {
+                continue;
+            }
+            let kept = self.path[node];
+            if kept as usize >= table.path_count() {
+                return Err(format!("node {node}: path id {kept} is past the table"));
+            }
+            if table.steps(kept) != fresh.steps(id) {
+                return Err(format!(
+                    "node {node}: path {kept} spells {:?}, the node sits at {:?}",
+                    table.steps(kept),
+                    fresh.steps(id)
+                ));
+            }
+            if *seen.entry(id).or_insert(kept) != kept {
+                return Err(format!("node {node}: one root path has two ids"));
+            }
+        }
+        Ok(())
     }
 
     /// Writes a freshly computed traversal copy of this tree into `out`
@@ -792,6 +893,10 @@ impl ParticleTree {
     /// minimum size (the particle-update apply path: `propose_split` counts
     /// with the exact same comparisons).
     ///
+    /// Both children's path ids stay unassigned until the owning model
+    /// interns them, which needs the model's shared path table and so runs
+    /// serially after a parallel batch of moves.
+    ///
     /// # Panics
     ///
     /// Panics if `index` is not a live leaf.
@@ -973,6 +1078,7 @@ impl ParticleTree {
             self.tail[i] = tail;
             self.bounds[i * w..(i + 1) * w].copy_from_slice(bounds);
             self.moments[i] = moments;
+            self.path[i] = NONE;
             slot
         } else {
             self.dim.push(LEAF_NODE);
@@ -986,6 +1092,7 @@ impl ParticleTree {
             self.tail.push(tail);
             self.bounds.extend_from_slice(bounds);
             self.moments.push(moments);
+            self.path.push(NONE);
             (self.dim.len() - 1) as u32
         }
     }
@@ -1189,6 +1296,7 @@ impl ParticleTree {
             bounds,
             flat: Vec::new(),
             moments: Vec::new(),
+            path: vec![NONE; n],
         };
         tree.moments = (0..n)
             .map(|i| {
@@ -1602,27 +1710,37 @@ mod tests {
         assert!(third.grow(0, split(0.25), &xs, &ys, 1, &ctx));
         let right = third.find_leaf(&[0.9]);
         assert!(third.grow(right, split(0.5), &xs, &ys, 1, &ctx));
+        let mut paths = PathTable::default();
+        for tree in [&mut first, &mut second, &mut third] {
+            tree.assign_paths(&mut paths);
+        }
+        assert_eq!(paths.split_count(), 4, "shared splits intern once");
+        assert_eq!(paths.entry_count(), 6, "shared paths intern once");
+        assert_eq!(
+            first.path_ids()[..first.dim.len()],
+            second.path_ids()[..first.dim.len()],
+            "a copy keeps its ancestor's path ids"
+        );
         let trees = [&first, &second, &third];
-        let forest = SplitForest::new(trees.iter().map(|t| t.flat_nodes()));
-        assert_eq!(forest.split_count(), 4, "shared splits intern once");
         // Every eighth query sits exactly on a threshold.
         let queries: Vec<Vec<f64>> = (0..=130).map(|i| vec![i as f64 / 128.0]).collect();
         let views: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-        let (mut staged, mut masks, mut stack) = (QueryBlock::default(), Vec::new(), Vec::new());
+        let mut routing = Routing::default();
         for chunk in [1usize, 3, 63, 64].iter().flat_map(|&s| views.chunks(s)) {
-            staged.fill(1, chunk);
-            forest.block_masks(&staged, &mut masks);
+            paths.route(chunk, &mut routing);
+            let reach = routing.reach();
+            assert_eq!(reach.len(), paths.path_count());
             for (t, tree) in trees.iter().enumerate() {
                 let mut leaf_of = [usize::MAX; 64];
-                forest.for_each_leaf(t, &masks, staged.full_mask(), &mut stack, |leaf, lanes| {
-                    let mut bits = lanes;
+                for leaf in tree.leaves() {
+                    let mut bits = reach[tree.path_ids()[leaf] as usize];
                     while bits != 0 {
                         let lane = bits.trailing_zeros() as usize;
                         assert_eq!(leaf_of[lane], usize::MAX, "lane {lane} lands twice");
                         leaf_of[lane] = leaf;
                         bits &= bits - 1;
                     }
-                });
+                }
                 for (i, q) in chunk.iter().enumerate() {
                     assert_eq!(
                         leaf_of[i],

@@ -1,6 +1,6 @@
 //! Model traits: surrogate regression and active-learning scoring.
 
-use crate::Result;
+use crate::{ModelError, Result};
 
 /// A posterior-predictive summary at one input point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -224,6 +224,60 @@ pub trait ActiveSurrogate: SurrogateModel {
             })
             .collect())
     }
+
+    /// The first `min(k, candidates.len())` candidate indices, ordered by
+    /// descending [`alc_scores`](ActiveSurrogate::alc_scores), ties going
+    /// to the lower index: the learner's selection (`k = 1`) and a serve
+    /// `suggest` (`k` = its count) in one call.
+    ///
+    /// The default ranks `alc_scores` through [`rank_scores`].
+    /// `alc_scores` stays the exact oracle: an override must return what
+    /// the default returns, and may skip scoring candidates that cannot
+    /// reach the top `k` (the dynamic tree does).
+    ///
+    /// # Errors
+    ///
+    /// Propagates scoring errors, and returns [`ModelError::Numerical`]
+    /// when a score is not finite.
+    fn alc_rank(
+        &self,
+        candidates: &[&[f64]],
+        reference: &[&[f64]],
+        k: usize,
+    ) -> Result<Vec<usize>> {
+        rank_scores(&self.alc_scores(candidates, reference)?, k)
+    }
+}
+
+/// The first `min(k, scores.len())` indices of `scores`, ordered by
+/// descending score, ties going to the lower index.
+///
+/// # Errors
+///
+/// Returns [`ModelError::Numerical`] when a score is not finite: a NaN has
+/// no rank, and letting one through would either win a first-max scan or
+/// break the sort's total order.
+pub fn rank_scores(scores: &[f64], k: usize) -> Result<Vec<usize>> {
+    if let Some(i) = scores.iter().position(|s| !s.is_finite()) {
+        return Err(ModelError::Numerical(format!(
+            "acquisition score {i} is {}",
+            scores[i]
+        )));
+    }
+    let by_rank = |&a: &usize, &b: &usize| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .expect("finite scores are ordered")
+            .then(a.cmp(&b))
+    };
+    let k = k.min(scores.len());
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    if k > 0 && k < order.len() {
+        order.select_nth_unstable_by(k - 1, by_rank);
+    }
+    order.truncate(k);
+    order.sort_unstable_by(by_rank);
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -307,6 +361,74 @@ mod tests {
         let near_ref = model.alc_score(&[2.9], &reference).unwrap();
         let far_ref = model.alc_score(&[0.0], &reference).unwrap();
         assert!(near_ref > far_ref);
+    }
+
+    /// A model whose ALC scores are fixed, to drive `alc_rank`'s default.
+    #[derive(Debug)]
+    struct FixedScores(Vec<f64>);
+
+    impl SurrogateModel for FixedScores {
+        fn fit(&mut self, _xs: &[&[f64]], _ys: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn update(&mut self, _x: &[f64], _y: f64) -> Result<()> {
+            Ok(())
+        }
+        fn predict(&self, _x: &[f64]) -> Result<Prediction> {
+            Ok(Prediction::new(0.0, 1.0))
+        }
+        fn observation_count(&self) -> usize {
+            0
+        }
+        fn dimension(&self) -> Option<usize> {
+            Some(1)
+        }
+    }
+
+    impl ActiveSurrogate for FixedScores {
+        fn alc_scores(&self, _candidates: &[&[f64]], _reference: &[&[f64]]) -> Result<Vec<f64>> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn alc_rank_orders_by_descending_score_with_ties_to_the_lower_index() {
+        let model = FixedScores(vec![0.5, 2.0, -0.0, 2.0, 0.0, 1.0]);
+        let rows: Vec<&[f64]> = vec![&[0.0]; 6];
+        assert_eq!(model.alc_rank(&rows, &rows, 1).unwrap(), vec![1]);
+        assert_eq!(model.alc_rank(&rows, &rows, 3).unwrap(), vec![1, 3, 5]);
+        // −0 and +0 tie, so they keep their index order.
+        assert_eq!(
+            model.alc_rank(&rows, &rows, 10).unwrap(),
+            vec![1, 3, 5, 0, 2, 4]
+        );
+        assert_eq!(
+            model.alc_rank(&rows, &rows, 0).unwrap(),
+            Vec::<usize>::new()
+        );
+    }
+
+    #[test]
+    fn alc_rank_refuses_a_non_finite_score() {
+        let rows: Vec<&[f64]> = vec![&[0.0]; 3];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // A NaN first would win a first-max scan; anywhere else it
+            // breaks the sort's order. Both are refused, at every `k`.
+            for at in 0..3 {
+                let mut scores = vec![1.0, 3.0, 2.0];
+                scores[at] = bad;
+                let model = FixedScores(scores);
+                for k in [1, 3] {
+                    assert!(
+                        matches!(
+                            model.alc_rank(&rows, &rows, k),
+                            Err(ModelError::Numerical(_))
+                        ),
+                        "{bad} at {at}, k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -374,12 +374,14 @@ impl TuningSession {
     /// count)`, already-observed configurations are filtered out, and with
     /// a fitted model candidates are ranked by their ALC score against the
     /// most recent [`REFERENCE_WINDOW`] observations (ties break on draw
-    /// order). Identical log ⇒ identical reply — before or after a daemon
-    /// restart, which is the restart-resume guarantee for reads.
+    /// order) through [`ActiveSurrogate::alc_rank`]. Identical log ⇒
+    /// identical reply — before or after a daemon restart, which is the
+    /// restart-resume guarantee for reads.
     ///
     /// # Errors
     ///
-    /// Propagates model scoring errors.
+    /// Propagates model scoring errors, including
+    /// [`ModelError::Numerical`] for a non-finite score.
     pub fn suggest(&self, count: usize) -> alic_model::Result<Vec<Configuration>> {
         let mut rng = seeded_substream(self.seed, STREAM_SUGGEST, self.log.len() as u64);
         let pool = self
@@ -408,17 +410,10 @@ impl TuningSession {
             .map(|(c, _)| self.features(c))
             .collect();
         let ref_views: Vec<&[f64]> = ref_rows.iter().map(|r| r.as_slice()).collect();
-        let scores = model.alc_scores(&views, &ref_views)?;
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        Ok(order[..take]
-            .iter()
-            .map(|&i| candidates[i].clone())
+        Ok(model
+            .alc_rank(&views, &ref_views, take)?
+            .into_iter()
+            .map(|i| candidates[i].clone())
             .collect())
     }
 
@@ -811,6 +806,59 @@ mod tests {
         // New evidence may (and here does, by stream design) change the draw.
         let c = s.suggest(3).unwrap();
         assert_eq!(c, s.suggest(3).unwrap());
+    }
+
+    /// `suggest` as it ranked before `alc_rank`: every candidate scored
+    /// with `alc_scores`, then a stable sort by descending score.
+    fn sorted_suggest(s: &TuningSession, count: usize) -> Vec<Configuration> {
+        let mut rng = seeded_substream(s.seed, STREAM_SUGGEST, s.log.len() as u64);
+        let pool = s
+            .space
+            .sample_distinct(&mut rng, SUGGEST_POOL.max(4 * count));
+        let fresh: Vec<&Configuration> = pool.iter().filter(|c| !s.seen.contains_key(c)).collect();
+        let candidates: Vec<&Configuration> = if fresh.is_empty() {
+            pool.iter().collect()
+        } else {
+            fresh
+        };
+        let take = count.min(candidates.len());
+        let rows: Vec<Vec<f64>> = candidates.iter().map(|c| s.features(c)).collect();
+        let views: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let tail = s.log.len().saturating_sub(REFERENCE_WINDOW);
+        let ref_rows: Vec<Vec<f64>> = s.log[tail..].iter().map(|(c, _)| s.features(c)).collect();
+        let ref_views: Vec<&[f64]> = ref_rows.iter().map(|r| r.as_slice()).collect();
+        let model = s.model.as_ref().expect("fitted");
+        let scores = model.alc_scores(&views, &ref_views).unwrap();
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        order[..take]
+            .iter()
+            .map(|&i| candidates[i].clone())
+            .collect()
+    }
+
+    #[test]
+    fn ranked_suggestions_equal_the_sorted_replies() {
+        // `u1` spans 12 values and `t1` 7: 84 configurations, so a count of
+        // 30 draws the whole space (more than the pool) and 100 asks for
+        // more than the candidates left.
+        for spec in SurrogateSpec::all() {
+            let mut s = small_session(spec);
+            for i in 0..24u32 {
+                let cost = 3.0 + f64::from((i * 7) % 5) * 0.3 - f64::from(i % 3) * 0.2;
+                observe(&mut s, vec![1 + (i * 5) % 12, (i * 3) % 7], cost);
+                if i >= 3 && i % 4 == 3 {
+                    for count in [1, 3, 8, SUGGEST_POOL, 30, 100] {
+                        assert_eq!(
+                            s.suggest(count).unwrap(),
+                            sorted_suggest(&s, count),
+                            "{spec}: {} observations, suggest {count}",
+                            i + 1
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

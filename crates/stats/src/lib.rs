@@ -14,9 +14,6 @@
 //!   the backing store of the batch scoring pipeline,
 //! * [`matrix`] / [`cholesky`] — a small dense linear-algebra kernel used by
 //!   the Gaussian-process comparison models,
-//! * [`bitset`] — u64 `<=` mask words over contiguous columns (scalar and
-//!   SSE2 builders), the per-split lane masks of the dynamic tree's batch
-//!   scoring,
 //! * [`sampling`] — random subset selection used for candidate sets,
 //! * [`rng`] — deterministic, seedable random-number-generator helpers,
 //! * [`fault`] — the deterministic fault-injection plane behind the
@@ -39,7 +36,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bitset;
 pub mod cholesky;
 pub mod ci;
 pub mod error;

@@ -9,6 +9,10 @@
 //! 2. Learner runs must be bit-identical across worker-thread counts: the
 //!    parallel scoring paths write back by index and accumulate in a fixed
 //!    order, so 1 thread and 4 threads must produce the same run.
+//! 3. `alc_rank` must equal a stable sort of `alc_scores` (descending,
+//!    ties to the lower index) for every family and thread count, whether
+//!    it ranks through the default or, like the dynamic tree, scores only
+//!    the candidates that can reach the top `k`.
 
 use alic::core::prelude::*;
 use alic::data::dataset::{Dataset, DatasetConfig};
@@ -153,5 +157,57 @@ fn learner_runs_are_identical_across_thread_counts() {
         assert_eq!(serial.ledger, parallel.ledger, "{spec}: ledger diverged");
         assert_eq!(serial.visited, parallel.visited, "{spec}: visits diverged");
         assert_eq!(serial.iterations, parallel.iterations);
+    }
+}
+
+/// The stable-sort oracle of `alc_rank`: indices by descending score, ties
+/// in index order, cut to `k`.
+fn stable_rank(scores: &[f64], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+    order.truncate(k);
+    order
+}
+
+/// `alc_rank` equals a stable sort of `alc_scores` for every family, at
+/// `k` = 1, 3 and the full length, on candidate sets with duplicated rows
+/// (exact ties) and more than one 64-row block, with reference sets of
+/// one, several and more than one chunk (and none, the ALM fallback), at
+/// one worker thread and at three.
+#[test]
+fn alc_rank_is_a_stable_sort_of_alc_scores() {
+    for seed in 0..4u64 {
+        let (xs, ys) = training_data(20 + 3 * seed as usize, seed);
+        let mut queries: Vec<Vec<f64>> = (0..90)
+            .map(|i| {
+                let a = ((i * 37 + seed as usize) % 90) as f64 / 89.0;
+                vec![a, 1.0 - ((i * 11) % 17) as f64 / 16.0]
+            })
+            .collect();
+        // Duplicated candidates tie exactly; training rows sit on the
+        // trees' data.
+        queries.extend(queries[..25].to_vec());
+        queries.extend(xs[..10].to_vec());
+        let query_views: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        for spec in all_specs() {
+            let mut model = spec.build(seed);
+            model.fit(&alic::model::row_views(&xs), &ys).unwrap();
+            for references in [0usize, 1, 7, 70] {
+                let reference = &query_views[..references];
+                let scores = model.alc_scores(&query_views, reference).unwrap();
+                for k in [1, 3, query_views.len()] {
+                    let expected = stable_rank(&scores, k);
+                    for threads in [1, 3] {
+                        rayon::set_num_threads(threads);
+                        let ranked = model.alc_rank(&query_views, reference, k).unwrap();
+                        rayon::set_num_threads(0);
+                        assert_eq!(
+                            ranked, expected,
+                            "{spec}: seed {seed}, {references} references, k {k}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

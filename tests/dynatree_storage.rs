@@ -4,10 +4,12 @@
 //!
 //! 1. **Cache freshness.** Every tree keeps its dense flat-node traversal
 //!    array, its per-leaf moments (predictive moments, marginal likelihood,
-//!    density constants) and its per-leaf bounds eagerly maintained.
-//!    After *any* fit/update sequence — which exercises resampling,
-//!    copy-on-write cloning, structural sharing, grow and prune — every
-//!    cached view must equal a bitwise-fresh recomputation
+//!    density constants), its per-leaf bounds and its per-node root-path
+//!    ids maintained. After *any* fit/update sequence — which exercises
+//!    resampling, copy-on-write cloning, structural sharing, grow, prune
+//!    and path-table compaction — every cached view must equal a
+//!    bitwise-fresh recomputation, and every path id must spell the steps
+//!    of its node's root path in a freshly rebuilt table
 //!    (`DynaTree::validate_caches`).
 //! 2. **Thread-count bit-identity of training.** `fit` and `update` run
 //!    their weighting and move phases on the thread pool with
@@ -46,8 +48,9 @@ fn training_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 
 proptest! {
     /// Property 1 + 3: after an arbitrary fit/update sequence, the cached
-    /// flat nodes, leaf moments and leaf bounds of every live tree equal a
-    /// fresh recomputation, and the sharing bookkeeping stays consistent.
+    /// flat nodes, leaf moments, leaf bounds and path ids of every live
+    /// tree equal a fresh recomputation, and the sharing bookkeeping stays
+    /// consistent.
     #[test]
     fn caches_match_fresh_recomputation_after_any_training_sequence(
         n_fit in 6usize..40,
