@@ -19,47 +19,108 @@
 //! (`conndrop=`, `shortread=`, `tornreply=`) with per-site rates, budgets,
 //! and [`injections`](alic_stats::fault::injections) counters.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 use alic_stats::fault::{inject, FaultSite};
 
+use crate::protocol::MAX_LINE_BYTES;
+
+/// Most bytes of one line the reader keeps: one past the protocol's limit,
+/// so an oversized line still reaches the engine as oversized (and gets
+/// its `err parse` reply) while the rest of it is read and dropped.
+const KEEP_BYTES: usize = MAX_LINE_BYTES + 1;
+
 /// A line reader with the connection-level chaos sites wired in.
+///
+/// The line being read lives in the reader, so a read that stops early —
+/// an error such as `WouldBlock` from a reader that waits with a timeout —
+/// loses nothing: the next call carries on with the same line.
 #[derive(Debug)]
 pub struct ChaosLines<R> {
     inner: R,
+    /// The current line's first bytes, at most [`KEEP_BYTES`] of them.
+    line: Vec<u8>,
+    /// Every byte of the current line read so far, kept or dropped,
+    /// terminator excluded.
+    len: usize,
+    /// How many of those end the line as a run of `\r`.
+    trailing_cr: usize,
 }
 
 impl<R: BufRead> ChaosLines<R> {
     /// Wraps a buffered reader.
     pub fn new(inner: R) -> Self {
-        ChaosLines { inner }
+        ChaosLines {
+            inner,
+            line: Vec::new(),
+            len: 0,
+            trailing_cr: 0,
+        }
     }
 
     /// Reads the next line (without its terminator); `Ok(None)` is EOF —
-    /// real, or injected by a [`FaultSite::ConnDrop`].
+    /// real, or injected by a [`FaultSite::ConnDrop`]. A final line without
+    /// `\n` is still a line.
+    ///
+    /// A line longer than [`MAX_LINE_BYTES`] comes back cut to
+    /// [`MAX_LINE_BYTES`]` + 1` bytes; the rest is read and dropped, so a
+    /// peer that never sends `\n` cannot grow the buffer without bound.
     ///
     /// # Errors
     ///
-    /// Propagates underlying I/O errors. Invalid UTF-8 is replaced, not
+    /// Propagates underlying I/O errors other than `Interrupted`. The
+    /// line read so far stays buffered, so a caller may call again after
+    /// an error such as `WouldBlock`. Invalid UTF-8 is replaced, not
     /// fatal: the engine answers garbage with a structured error.
     pub fn next_line(&mut self) -> std::io::Result<Option<String>> {
-        let mut buf = Vec::new();
-        let n = self.inner.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(None);
+        loop {
+            let available = match self.inner.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                if self.len == 0 {
+                    return Ok(None);
+                }
+                break;
+            }
+            let newline = available.iter().position(|&b| b == b'\n');
+            let chunk = &available[..newline.unwrap_or(available.len())];
+            let room = KEEP_BYTES - self.line.len();
+            self.line.extend_from_slice(&chunk[..chunk.len().min(room)]);
+            let crs = chunk.iter().rev().take_while(|&&b| b == b'\r').count();
+            self.trailing_cr = if crs == chunk.len() {
+                self.trailing_cr + crs
+            } else {
+                crs
+            };
+            self.len += chunk.len();
+            let used = chunk.len() + usize::from(newline.is_some());
+            self.inner.consume(used);
+            if newline.is_some() {
+                break;
+            }
         }
+        // The line without its trailing `\r`s, as if it had been kept whole.
+        let len = std::mem::take(&mut self.len) - std::mem::take(&mut self.trailing_cr);
         if inject(FaultSite::ConnDrop) {
             // The peer vanished mid-request: the line never reaches the
             // engine and the connection is over.
+            self.line.clear();
             return Ok(None);
         }
-        while buf.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-            buf.pop();
-        }
-        if inject(FaultSite::ShortRead) {
-            buf.truncate(buf.len() / 2);
-        }
-        Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
+        let len = if inject(FaultSite::ShortRead) {
+            len / 2
+        } else {
+            len
+        };
+        // Up to `MAX_LINE_BYTES` this is exactly the first `len` bytes; past
+        // it, `KEEP_BYTES` of them, which the engine refuses just the same.
+        self.line.truncate(len);
+        let text = String::from_utf8_lossy(&self.line).into_owned();
+        self.line.clear();
+        Ok(Some(text))
     }
 }
 
@@ -91,6 +152,8 @@ pub fn write_reply<W: Write>(out: &mut W, reply: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
     use alic_stats::fault::{exclusive, exclusive_clean, injections, FaultPlan};
 
     #[test]
@@ -122,6 +185,81 @@ mod tests {
         write_reply(&mut out, "ok bye").unwrap();
         assert_eq!(out, b"ok bye\n");
         drop(guard);
+    }
+
+    #[test]
+    fn an_endless_line_is_cut_and_the_next_request_still_read() {
+        let _guard = exclusive_clean();
+        // 64 MiB that the reader must not hold, then a request it must.
+        let endless = std::io::repeat(b'x').take(64 << 20);
+        let input = endless.chain(&b"\r\nbest\n"[..]);
+        let mut reader = ChaosLines::new(std::io::BufReader::new(input));
+        let line = reader.next_line().unwrap().unwrap();
+        assert_eq!(line.len(), MAX_LINE_BYTES + 1);
+        assert!(reader.line.capacity() <= 2 * KEEP_BYTES);
+        assert_eq!(reader.next_line().unwrap().unwrap(), "best");
+        assert_eq!(reader.next_line().unwrap(), None);
+    }
+
+    #[test]
+    fn lines_at_the_limit_pass_whole_and_trailing_returns_go() {
+        let _guard = exclusive_clean();
+        let full = "y".repeat(MAX_LINE_BYTES);
+        let input = format!("{full}\r\r\n{full}z\r\n\nlast\r");
+        let mut reader = ChaosLines::new(input.as_bytes());
+        assert_eq!(reader.next_line().unwrap().unwrap(), full);
+        assert_eq!(
+            reader.next_line().unwrap().unwrap().len(),
+            MAX_LINE_BYTES + 1
+        );
+        assert_eq!(reader.next_line().unwrap().unwrap(), "");
+        // A final line without `\n` is a line; then EOF.
+        assert_eq!(reader.next_line().unwrap().unwrap(), "last");
+        assert_eq!(reader.next_line().unwrap(), None);
+    }
+
+    /// Hands out its chunks one per read and reports `WouldBlock` between
+    /// them, like a reader that gives up after a timeout.
+    struct Trickle(Vec<&'static [u8]>, bool);
+
+    impl std::io::Read for Trickle {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            unreachable!("read through BufRead only")
+        }
+    }
+
+    impl BufRead for Trickle {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.1 = !self.1;
+            match self.0.first() {
+                Some(_) if self.1 => Err(ErrorKind::WouldBlock.into()),
+                Some(chunk) => Ok(chunk),
+                None => Ok(&[]),
+            }
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.0[0] = &self.0[0][n..];
+            if self.0[0].is_empty() {
+                self.0.remove(0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_survives_reads_that_stop_early() {
+        let _guard = exclusive_clean();
+        let mut reader =
+            ChaosLines::new(Trickle(vec![b"obs", b"erve 3 1.5\r", b"\nbest\nx"], false));
+        let mut lines = Vec::new();
+        loop {
+            match reader.next_line() {
+                Ok(Some(line)) => lines.push(line),
+                Ok(None) => break,
+                Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+            }
+        }
+        assert_eq!(lines, ["observe 3 1.5", "best", "x"]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Transport loops: stdin/stdout and TCP.
 //!
-//! Both loops are thin shells over [`Engine::handle_line`]. The TCP mode
-//! accepts concurrent connections but serializes engine access through a
-//! single owner thread (requests queue on a channel in arrival order), so
-//! session state needs no locking and surrogate internals — which already
+//! Both loops are thin shells over [`Engine::handle_line`]. The stdio loop
+//! runs on the engine's own thread: it reads stdin itself, so a request
+//! costs the engine's work plus one pipe round trip. The TCP mode accepts
+//! concurrent connections but serializes engine access through a single
+//! owner thread (requests queue on a channel in arrival order), so session
+//! state needs no locking and surrogate internals — which already
 //! multiplex their fit/update work onto the rayon pool — stay
 //! single-owner. Connection I/O goes through the [`crate::chaos`] wrappers
 //! so the fault plane reaches the wire.
@@ -16,7 +18,7 @@
 //! acknowledged observation is already durable, so a drain has nothing to
 //! lose and the daemon exits 0; a nonzero exit means a transport error.
 
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, ErrorKind, Read, StdinLock};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -36,10 +38,51 @@ fn report(summary: &DrainSummary) {
     eprintln!("alic-serve: {}", summary.render());
 }
 
+/// Stdin whose reads give up after [`TERM_POLL`] without input: `fill_buf`
+/// then fails with `WouldBlock`, and [`ChaosLines`] keeps the line read so
+/// far for the next call.
+struct PolledStdin {
+    lock: StdinLock<'static>,
+    /// Bytes the lock has buffered and nobody has consumed yet. Only when
+    /// it is zero can a read block, so only then does `fill_buf` wait.
+    buffered: usize,
+}
+
+impl Read for PolledStdin {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(buf.len());
+        buf[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for PolledStdin {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.buffered == 0 && !crate::term::stdin_ready(TERM_POLL)? {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let bytes = self.lock.fill_buf()?;
+        self.buffered = bytes.len();
+        Ok(bytes)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.buffered -= n;
+        self.lock.consume(n);
+    }
+}
+
 /// Runs the daemon over stdin/stdout until EOF, `quit`, `shutdown`, or
 /// SIGTERM, then reports a [`DrainSummary`] on stderr (persisting the warm
 /// store on the way). SIGTERM additionally pins the engine in the draining
 /// state first, so nothing new is admitted while the process winds down.
+///
+/// The loop runs on the calling thread alone. Between requests it waits
+/// for stdin at most 25 ms at a time (`poll(2)`, which the signal also
+/// interrupts), so SIGTERM is noticed within that window whether the
+/// daemon is idle or a line is half read; the half line is dropped.
 ///
 /// # Errors
 ///
@@ -54,32 +97,20 @@ pub fn serve_stdio(mut engine: Engine) -> std::io::Result<()> {
         report(&engine.flush_all());
         return Ok(());
     }
-    // Stdin reads block (and std retries EINTR), so a signal cannot wake
-    // the read itself: a reader thread feeds lines over a channel and the
-    // main loop polls the term flag between receives.
-    let (line_tx, line_rx) = mpsc::channel::<std::io::Result<Option<String>>>();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let mut reader = ChaosLines::new(stdin.lock());
-        loop {
-            let item = reader.next_line();
-            let done = !matches!(item, Ok(Some(_)));
-            if line_tx.send(item).is_err() || done {
-                break;
-            }
-        }
+    let mut lines = ChaosLines::new(PolledStdin {
+        lock: std::io::stdin().lock(),
+        buffered: 0,
     });
     loop {
         if term.load(Ordering::Acquire) {
             report(&engine.drain());
             return Ok(());
         }
-        let line = match line_rx.recv_timeout(TERM_POLL) {
-            Ok(Ok(Some(line))) => line,
-            Ok(Ok(None)) => break,
-            Ok(Err(e)) => return Err(e),
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        let line = match lines.next_line() {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
+            Err(e) => return Err(e),
         };
         let response = engine.handle_line(&mut conn, &line);
         if let Some(reply) = &response.reply {

@@ -342,18 +342,21 @@ impl Engine {
     /// action. Never panics: parsing is total and dispatch runs under
     /// `catch_unwind`.
     pub fn handle_line(&mut self, conn: &mut ConnState, line: &str) -> Response {
+        // Length first, so whether a line is refused depends on its length
+        // alone: the transports keep only the first `MAX_LINE_BYTES + 1`
+        // bytes of a longer line, which must be refused whatever they hold.
+        if line.len() > MAX_LINE_BYTES {
+            return Response::text(
+                ErrReply::new(code::PARSE, format!("line exceeds {MAX_LINE_BYTES} bytes")).render(),
+                Action::Continue,
+            );
+        }
         let trimmed = line.trim();
         if trimmed.is_empty() {
             return Response {
                 reply: None,
                 action: Action::Continue,
             };
-        }
-        if line.len() > MAX_LINE_BYTES {
-            return Response::text(
-                ErrReply::new(code::PARSE, format!("line exceeds {MAX_LINE_BYTES} bytes")).render(),
-                Action::Continue,
-            );
         }
         let request = match protocol::parse_request(trimmed) {
             Ok(request) => request,
@@ -1116,6 +1119,12 @@ mod tests {
         assert!(engine.handle_line(&mut conn, "   ").reply.is_none());
         let long = "x".repeat(MAX_LINE_BYTES + 1);
         assert!(err(&mut engine, &mut conn, &long).starts_with("err "));
+        let blank = " ".repeat(MAX_LINE_BYTES + 1);
+        assert!(err(&mut engine, &mut conn, &blank).starts_with("err parse "));
+        assert!(engine
+            .handle_line(&mut conn, &" ".repeat(MAX_LINE_BYTES))
+            .reply
+            .is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

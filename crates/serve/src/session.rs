@@ -226,18 +226,27 @@ impl TuningSession {
     /// normalized to `[0, 1]` (a pure function of the space, so live and
     /// replayed sessions featurize identically).
     pub fn features(&self, config: &Configuration) -> Vec<f64> {
-        config
-            .values()
-            .iter()
-            .zip(self.space.params())
-            .map(|(&v, p)| {
+        self.feature_rows(std::iter::once(config))
+    }
+
+    /// The [`features`](Self::features) of `configs`, one row each, in one
+    /// flat buffer of `configs.len() × dimension` values.
+    fn feature_rows<'c>(
+        &self,
+        configs: impl ExactSizeIterator<Item = &'c Configuration>,
+    ) -> Vec<f64> {
+        let params = self.space.params();
+        let mut flat = Vec::with_capacity(configs.len() * params.len());
+        for config in configs {
+            flat.extend(config.values().iter().zip(params).map(|(&v, p)| {
                 if p.max == p.min {
                     0.0
                 } else {
                     (v as f64 - p.min as f64) / (p.max as f64 - p.min as f64)
                 }
-            })
-            .collect()
+            }));
+        }
+        flat
     }
 
     /// Appends one observation to the log **without** touching the model.
@@ -316,14 +325,9 @@ impl TuningSession {
             return self.rebuild();
         }
         let (config, cost) = self.log.last().expect("apply_last follows a record");
-        let x = {
-            let config = config.clone();
-            let cost = *cost;
-            let x = self.features(&config);
-            (x, cost)
-        };
+        let (x, cost) = (self.features(config), *cost);
         let model = self.model.as_mut().expect("checked above");
-        model.update(&x.0, x.1)
+        model.update(&x, cost)
     }
 
     /// Rebuilds the surrogate by replaying the log through the exact
@@ -402,14 +406,12 @@ impl TuningSession {
             None => return Ok(candidates[..take].iter().map(|c| (*c).clone()).collect()),
             Some(m) => m,
         };
-        let rows: Vec<Vec<f64>> = candidates.iter().map(|c| self.features(c)).collect();
-        let views: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let dim = self.space.dimension();
+        let rows = self.feature_rows(candidates.iter().copied());
+        let views: Vec<&[f64]> = rows.chunks_exact(dim).collect();
         let tail = self.log.len().saturating_sub(REFERENCE_WINDOW);
-        let ref_rows: Vec<Vec<f64>> = self.log[tail..]
-            .iter()
-            .map(|(c, _)| self.features(c))
-            .collect();
-        let ref_views: Vec<&[f64]> = ref_rows.iter().map(|r| r.as_slice()).collect();
+        let ref_rows = self.feature_rows(self.log[tail..].iter().map(|(c, _)| c));
+        let ref_views: Vec<&[f64]> = ref_rows.chunks_exact(dim).collect();
         Ok(model
             .alc_rank(&views, &ref_views, take)?
             .into_iter()

@@ -242,24 +242,27 @@ impl ParameterSpace {
     /// The paper profiles 10,000 distinct randomly selected configurations
     /// per kernel (§4.5). Distinctness is enforced by rejection, which is
     /// cheap because the spaces are many orders of magnitude larger than the
-    /// requested sample.
+    /// requested sample. Each draw fills one reused buffer and is looked up
+    /// among the accepted ones, so only an accepted draw allocates.
     pub fn sample_distinct<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         count: usize,
     ) -> Vec<Configuration> {
-        let mut seen = std::collections::HashSet::with_capacity(count);
-        let mut out = Vec::with_capacity(count);
         // Bound the loop to avoid spinning forever on tiny spaces.
         let card = self.cardinality();
         let target = (count as u64).min(card) as usize;
+        let mut seen = Drawn::with_capacity(target);
+        let mut out = Vec::with_capacity(target);
+        let mut values = Vec::with_capacity(self.dimension());
         let mut attempts = 0u64;
         let max_attempts = (target as u64).saturating_mul(1000).max(10_000);
         while out.len() < target && attempts < max_attempts {
             attempts += 1;
-            let config = self.sample(rng);
-            if seen.insert(config.clone()) {
-                out.push(config);
+            values.clear();
+            values.extend(self.params.iter().map(|p| rng.gen_range(p.min..=p.max)));
+            if seen.insert(&out, &values) {
+                out.push(Configuration::new(values.clone()));
             }
         }
         // For pathological small spaces, fall back to enumeration.
@@ -268,7 +271,7 @@ impl ParameterSpace {
                 if out.len() >= target {
                     break;
                 }
-                if seen.insert(config.clone()) {
+                if seen.insert(&out, config.values()) {
                     out.push(config);
                 }
             }
@@ -306,6 +309,50 @@ impl ParameterSpace {
             }
         }
         out
+    }
+}
+
+/// The set of configurations [`ParameterSpace::sample_distinct`] has
+/// accepted: an open-addressing table of indices into its output, so a
+/// lookup hashes the drawn values in place instead of cloning them. The
+/// keys are the generator's own draws, never outside input, so an unkeyed
+/// multiplicative hash cannot be steered into collisions.
+struct Drawn {
+    /// `0` for an empty slot, else the output index plus one.
+    slots: Vec<usize>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick the first slot.
+    shift: u32,
+}
+
+impl Drawn {
+    /// A table for up to `count` configurations, at most half full.
+    fn with_capacity(count: usize) -> Self {
+        let len = (2 * count).next_power_of_two().max(2);
+        Drawn {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// Records `values` as the next output, `out.len()`, unless `out`
+    /// already holds it; returns whether it was new.
+    fn insert(&mut self, out: &[Configuration], values: &[u32]) -> bool {
+        let mut hash = 0u64;
+        for &v in values {
+            hash = (hash.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    self.slots[slot] = out.len() + 1;
+                    return true;
+                }
+                taken if out[taken - 1].values() == values => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
     }
 }
 
@@ -347,6 +394,7 @@ impl Iterator for Enumerate<'_> {
 mod tests {
     use super::*;
     use alic_stats::rng::seeded_rng;
+    use rand::RngCore;
     use std::collections::HashSet;
 
     fn small_space() -> ParameterSpace {
@@ -437,6 +485,89 @@ mod tests {
         assert_eq!(configs.len(), 500);
         let unique: HashSet<_> = configs.iter().collect();
         assert_eq!(unique.len(), 500);
+    }
+
+    /// The rejection sampler as it was first written, with a
+    /// `HashSet<Configuration>`: `sample_distinct` must draw the same
+    /// configurations in the same order.
+    fn sample_distinct_oracle<R: Rng + ?Sized>(
+        space: &ParameterSpace,
+        rng: &mut R,
+        count: usize,
+    ) -> Vec<Configuration> {
+        let mut seen = HashSet::with_capacity(count);
+        let mut out = Vec::with_capacity(count);
+        let card = space.cardinality();
+        let target = (count as u64).min(card) as usize;
+        let mut attempts = 0u64;
+        let max_attempts = (target as u64).saturating_mul(1000).max(10_000);
+        while out.len() < target && attempts < max_attempts {
+            attempts += 1;
+            let config = space.sample(rng);
+            if seen.insert(config.clone()) {
+                out.push(config);
+            }
+        }
+        if out.len() < target {
+            for config in space.enumerate() {
+                if out.len() >= target {
+                    break;
+                }
+                if seen.insert(config.clone()) {
+                    out.push(config);
+                }
+            }
+        }
+        out
+    }
+
+    /// A generator stuck on one value: every draw repeats the first, so
+    /// the sampler must finish by enumeration.
+    struct Stuck;
+
+    impl RngCore for Stuck {
+        fn next_u32(&mut self) -> u32 {
+            0
+        }
+    }
+
+    #[test]
+    fn distinct_sampling_matches_the_hash_set_sampler() {
+        let spaces = [
+            crate::spapt::spapt_kernel(crate::spapt::SpaptKernel::Mvt)
+                .space()
+                .clone(),
+            ParameterSpace::new(vec![
+                ParamSpec::unroll("a"),
+                ParamSpec::unroll("b"),
+                ParamSpec::unroll("c"),
+            ])
+            .unwrap(),
+            small_space(),
+        ];
+        for space in &spaces {
+            for seed in [0, 1, 7, 0xdead_beef] {
+                for count in [0, 1, 64, 10_000] {
+                    let mut a = seeded_rng(seed);
+                    let mut b = seeded_rng(seed);
+                    assert_eq!(
+                        space.sample_distinct(&mut a, count),
+                        sample_distinct_oracle(space, &mut b, count),
+                        "seed {seed}, count {count}, space {space:?}"
+                    );
+                    // Both consumed the stream identically, too.
+                    assert_eq!(a.next_u64(), b.next_u64());
+                }
+            }
+        }
+        for count in [1, 5, 9, 100] {
+            let got = small_space().sample_distinct(&mut Stuck, count);
+            assert_eq!(
+                got,
+                sample_distinct_oracle(&small_space(), &mut Stuck, count)
+            );
+            assert_eq!(got.len(), count.min(9));
+        }
     }
 
     #[test]
