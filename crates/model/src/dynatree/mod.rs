@@ -27,17 +27,21 @@
 //!   run **once per unique tree**, and a duplicate only pays for a copy (a
 //!   handful of `memcpy`s into a recycled slot) when its first divergent
 //!   grow/prune move lands. Stay moves — the common case — keep sharing.
-//! * **Deterministic parallel updates.** Each particle's stochastic move is
-//!   decided with an RNG stream derived from
+//! * **Deterministic parallel updates, one job per tree.** Each particle's
+//!   stochastic move is decided with an RNG stream derived from
 //!   `(model seed, observation index, particle index)`
-//!   ([`SmallRng::substream`]), so the per-particle move decisions and the
-//!   application of the divergent moves run on the rayon pool with
-//!   by-index write-back — `fit` and `update` are bit-identical across
-//!   thread counts. The weight pass and the per-arena insert pass run
-//!   serially (a traversal or an insert costs less than handing it to a
-//!   thread), as do systematic resampling (one draw from the master
-//!   stream), the copy-on-write slot assignment and the interning of
-//!   grown leaves' paths.
+//!   ([`SmallRng::substream`]), so no decision depends on which thread
+//!   makes it and `fit` and `update` are bit-identical across thread
+//!   counts. The work on a tree runs in one pool job, so its cache lines
+//!   stay on one core: a first map takes each surviving tree, inserts the
+//!   observation, gathers the receiving leaf, forms the prune odds and
+//!   decides every sharer's move; a second map takes each tree with
+//!   movers, clones it into every diverging sharer's recycled slot,
+//!   applies that sharer's move, and then applies the last owner's move
+//!   in place. Only bookkeeping runs serially: the weight pass over the
+//!   unique trees, systematic resampling (one draw from the master
+//!   stream), the copy-on-write slot assignment between the two maps, and
+//!   the interning of grown leaves' paths.
 //! * **Persistent flat-node and leaf-moment caches.** Every arena keeps its
 //!   dense traversal array and per-leaf derived quantities (predictive
 //!   moments, log marginal likelihood, log-density constants backed by a
@@ -129,6 +133,8 @@ const PATHS_COMPACT_FLOOR: usize = 32;
 std::thread_local! {
     /// Per-thread buffers of [`with_route`].
     static ROUTING: std::cell::RefCell<Routing> = std::cell::RefCell::new(Routing::default());
+    /// Per-thread columns of the leaf an update's tree job gathers.
+    static GATHER: std::cell::RefCell<LeafColumns> = std::cell::RefCell::new(LeafColumns::default());
 }
 
 /// Configuration of the dynamic-tree model.
@@ -173,9 +179,10 @@ enum Decision {
 }
 
 /// Reusable per-update workspace: after the first few updates no buffer here
-/// is ever reallocated, which keeps the particle-learning step
-/// allocation-free on the common path (the thread-pool shim's internal
-/// per-call staging aside).
+/// is ever reallocated. What an update still allocates is a handful of
+/// short lists: the per-tree weights, the job lists handed to the pool
+/// (they borrow the trees, so they live for one update) and the shim's
+/// per-call staging.
 #[derive(Debug, Clone, Default)]
 struct UpdateScratch {
     /// Per-particle log predictive densities of the new observation.
@@ -192,11 +199,29 @@ struct UpdateScratch {
     group_leaf: Vec<u32>,
     /// Staging for the resampled particle→slot assignment.
     new_particles: Vec<u32>,
-    /// Per-group gathered leaf columns for split proposals.
-    gather: Vec<LeafColumns>,
-    /// Movers staged for the parallel apply pass:
-    /// `(particle, slot, leaf, decision)`.
-    movers: Vec<(u32, u32, u32, Decision)>,
+    /// Arena slot → next free position of its run in `members`.
+    member_cursor: Vec<u32>,
+    /// Particle indices by arena slot, slots ascending and particles
+    /// ascending within a slot: each live slot's run lists the sharers its
+    /// tree job decides for.
+    members: Vec<u32>,
+    /// The move decided for each entry of `members`.
+    member_moves: Vec<Decision>,
+    /// The move decided for each particle.
+    decisions: Vec<Decision>,
+    /// Movers in particle order: `(own slot, leaf, decision)`.
+    movers: Vec<(u32, u32, Decision)>,
+}
+
+/// The read-only inputs every pool job of one update shares.
+struct UpdateEnv<'a> {
+    config: &'a DynaTreeConfig,
+    ctx: MomentCtx<'a>,
+    split_prior: &'a [(f64, f64)],
+    xs: &'a FeatureMatrix,
+    ys: &'a [f64],
+    /// Index of the observation being added.
+    point: usize,
 }
 
 /// Particle-learning dynamic-tree regressor.
@@ -671,100 +696,6 @@ impl DynaTree {
         best
     }
 
-    /// Decides one particle's stay/grow/prune move around the leaf that
-    /// received the new observation. Pure read of the (possibly shared)
-    /// tree plus the particle's own RNG stream; the chosen move is applied
-    /// later, after copy-on-write slot assignment.
-    #[allow(clippy::too_many_arguments)]
-    fn decide_move(
-        config: &DynaTreeConfig,
-        ctx: &MomentCtx<'_>,
-        split_prior: &[(f64, f64)],
-        tree: &ParticleTree,
-        leaf: usize,
-        gather: &LeafColumns,
-        xs: &FeatureMatrix,
-        ys: &[f64],
-        dim: usize,
-        rng: &mut SmallRng,
-    ) -> Decision {
-        let depth = tree.depth_of(leaf);
-        let leaf_lml = tree.leaf_moments()[leaf].lml;
-
-        // Log-odds of the candidate moves relative to "stay" (whose log-odds
-        // are zero by construction). At most three moves exist, so the
-        // candidate list lives on the stack.
-        let mut moves = [(Decision::Stay, 0.0); 3];
-        let mut n_moves = 1;
-
-        let stats = tree.leaf_stats(leaf);
-        let (len, totals) = (stats.count(), stats.sum_and_sum_sq());
-        let bounds = tree.leaf_bounds(leaf);
-        // Sole-owner leaves stream the point list straight into the fused
-        // scalar kernel (the gather is skipped for them — see phase 5);
-        // shared leaves scan the gathered columns. Both paths visit points
-        // in list order, so the proposals are bit-identical either way.
-        let proposal = if gather.is_empty() {
-            Self::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                scan::scan_left_direct(
-                    tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
-                    d,
-                    t,
-                    live,
-                )
-            })
-        } else {
-            debug_assert_eq!(gather.len(), len, "gather out of sync with leaf");
-            Self::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                scan::scan_left(gather, d, t, live)
-            })
-        };
-        if let Some((split, children_lml)) = proposal {
-            let (ln_p_here, ln_q_here) = split_prior[depth];
-            let (_, ln_q_child) = split_prior[depth + 1];
-            let log_odds = children_lml - leaf_lml + ln_p_here + 2.0 * ln_q_child - ln_q_here;
-            moves[n_moves] = (Decision::Grow(split), log_odds);
-            n_moves += 1;
-        }
-
-        if let Some(sibling) = tree.leaf_sibling(leaf) {
-            let sibling_lml = tree.leaf_moments()[sibling].lml;
-            let mut merged = *tree.leaf_stats(leaf);
-            merged.merge(tree.leaf_stats(sibling));
-            let merged_lml = merged.log_marginal_likelihood_with(ctx.prior, ctx.table);
-            let parent_depth = depth.saturating_sub(1);
-            let (ln_p_parent, ln_q_parent) = split_prior[parent_depth];
-            let (_, ln_q_here) = split_prior[depth];
-            let log_odds =
-                merged_lml + ln_q_parent - (leaf_lml + sibling_lml + ln_p_parent + 2.0 * ln_q_here);
-            moves[n_moves] = (Decision::Prune, log_odds);
-            n_moves += 1;
-        }
-
-        // Sample a move with probability proportional to exp(log-odds).
-        let moves = &moves[..n_moves];
-        let max = moves
-            .iter()
-            .map(|(_, w)| *w)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut weights = [0.0f64; 3];
-        for (w, (_, log_odds)) in weights.iter_mut().zip(moves) {
-            *w = (log_odds - max).exp();
-        }
-        let weights = &weights[..n_moves];
-        let total: f64 = weights.iter().sum();
-        let mut pick = rng.gen_range_f64(0.0, total);
-        let mut chosen = Decision::Stay;
-        for (&(kind, _), &w) in moves.iter().zip(weights) {
-            if pick < w {
-                chosen = kind;
-                break;
-            }
-            pick -= w;
-        }
-        chosen
-    }
-
     fn update_inner(&mut self, x: &[f64], y: f64) {
         let index = self.ys.len();
         self.xs.push_row(x);
@@ -772,12 +703,10 @@ impl DynaTree {
         self.table.ensure(self.ys.len());
         // Decide needs priors at `depth + 1` for every current leaf depth.
         self.ensure_split_prior(self.depth_bound + 2);
-        let dim = self.xs.dim();
         let mut scratch = std::mem::take(&mut self.scratch);
 
         // 1. Group particles by unique arena (first-seen order). Everything
-        //    that depends only on the tree — weighting, insertion, leaf
-        //    gathering — runs once per group below.
+        //    that depends only on the tree runs once per group below.
         scratch.arena_group.clear();
         scratch.arena_group.resize(self.arenas.len(), NO_GROUP);
         scratch.unique.clear();
@@ -791,7 +720,6 @@ impl DynaTree {
         // 2. Weight pass: one flat traversal + cached-density evaluation per
         //    unique tree, then broadcast to the particles. Serial: a
         //    traversal costs less than handing it to another thread.
-        let groups = scratch.unique.len();
         let weighted: Vec<(u32, f64)> = scratch
             .unique
             .iter()
@@ -838,88 +766,85 @@ impl DynaTree {
             }
         }
 
-        // 5. Insert the observation and gather the receiving leaf once per
-        //    *surviving* unique tree. Inserting is O(1) per tree; the
-        //    column gather is one walk of the leaf's point list, after
-        //    which every sharer's proposal scan reads contiguous columns.
-        //    This pass runs serially in place — staging trees onto the
-        //    thread pool costs more than the work itself.
-        scratch.gather.resize_with(groups, LeafColumns::default);
-        let ctx = MomentCtx {
-            prior: &self.prior,
-            table: &self.table,
+        // 5. List each surviving tree's sharers: a counting sort of the
+        //    particles by slot, particle order within a slot.
+        scratch.member_cursor.clear();
+        let mut offset = 0;
+        for &refs in &self.arena_refs {
+            scratch.member_cursor.push(offset);
+            offset += refs;
+        }
+        scratch.members.clear();
+        scratch.members.resize(self.particles.len(), 0);
+        for (i, &slot) in self.particles.iter().enumerate() {
+            let cursor = &mut scratch.member_cursor[slot as usize];
+            scratch.members[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        scratch.member_moves.clear();
+        scratch
+            .member_moves
+            .resize(self.particles.len(), Decision::Stay);
+
+        let env = UpdateEnv {
+            config: &self.config,
+            ctx: MomentCtx {
+                prior: &self.prior,
+                table: &self.table,
+            },
+            split_prior: &self.split_prior,
+            xs: &self.xs,
+            ys: &self.ys,
+            point: index,
         };
-        let min_leaf = self.config.min_leaf;
-        for g in 0..groups {
-            let slot = scratch.unique[g] as usize;
-            if self.arena_refs[slot] == 0 {
-                continue;
-            }
-            let tree = &mut self.arenas[slot];
-            let leaf = scratch.group_leaf[g] as usize;
-            tree.insert_at(leaf, index, x, y, &ctx);
-            // The column copy pays off only when several sharers will scan
-            // it; a sole owner streams the list directly into the fused
-            // kernel, and an unsplittable leaf never reaches the scan.
-            let gather = &mut scratch.gather[g];
-            let count = tree.leaf_stats(leaf).count();
-            if self.arena_refs[slot] > 1 && count >= 2 * min_leaf {
-                let (xs, ys) = (&self.xs, &self.ys);
-                gather.fill(
-                    dim,
-                    count,
-                    tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
-                );
-            } else {
-                gather.clear();
-            }
+        let leaf_of = |slot: usize| scratch.group_leaf[scratch.arena_group[slot] as usize];
+
+        // 6. One pool job per surviving tree: insert the observation, then
+        //    decide every sharer's move on its own
+        //    `(seed, observation, particle)` stream, written back through
+        //    the sharer's entry of `member_moves`.
+        {
+            let mut members = &scratch.members[..];
+            let mut moves = &mut scratch.member_moves[..];
+            let jobs: Vec<(&mut ParticleTree, u32, &[u32], &mut [Decision])> = self
+                .arenas
+                .iter_mut()
+                .zip(&self.arena_refs)
+                .enumerate()
+                .filter(|&(_, (_, &refs))| refs > 0)
+                .map(|(slot, (tree, &refs))| {
+                    let (sharers, rest) = members.split_at(refs as usize);
+                    members = rest;
+                    let (sharer_moves, rest) =
+                        std::mem::take(&mut moves).split_at_mut(refs as usize);
+                    moves = rest;
+                    (tree, leaf_of(slot), sharers, sharer_moves)
+                })
+                .collect();
+            jobs.into_par_iter()
+                .for_each(|(tree, leaf, sharers, moves)| {
+                    env.decide_tree(tree, leaf as usize, sharers, moves)
+                });
         }
 
-        // 6. Decide every particle's move in parallel on its own
-        //    `(seed, observation, particle)` RNG stream.
-        let decisions: Vec<Decision> = {
-            let arenas = &self.arenas;
-            let particles = &self.particles;
-            let arena_group = &scratch.arena_group;
-            let group_leaf = &scratch.group_leaf;
-            let gather = &scratch.gather;
-            let config = &self.config;
-            let split_prior = &self.split_prior;
-            let xs = &self.xs;
-            let ys = &self.ys;
-            (0..particles.len())
-                .into_par_iter()
-                .map(|i| {
-                    let slot = particles[i] as usize;
-                    let g = arena_group[slot] as usize;
-                    let mut rng = SmallRng::substream(config.seed, index as u64, i as u64);
-                    Self::decide_move(
-                        config,
-                        &ctx,
-                        split_prior,
-                        &arenas[slot],
-                        group_leaf[g] as usize,
-                        &gather[g],
-                        xs,
-                        ys,
-                        dim,
-                        &mut rng,
-                    )
-                })
-                .collect()
-        };
-
-        // 7. Copy-on-write slot assignment (serial): a mover that still
-        //    shares its arena clones it into a recycled slot; the last owner
-        //    mutates in place. Stayers keep sharing.
+        // 7. Copy-on-write slot assignment (serial bookkeeping, particle
+        //    order): a mover that still shares its arena claims a recycled
+        //    slot; the last owner keeps its slot and moves in place.
+        //    Stayers keep sharing.
+        scratch.decisions.clear();
+        scratch
+            .decisions
+            .resize(self.particles.len(), Decision::Stay);
+        for (&i, &decision) in scratch.members.iter().zip(&scratch.member_moves) {
+            scratch.decisions[i as usize] = decision;
+        }
         scratch.movers.clear();
-        for (i, &decision) in decisions.iter().enumerate() {
+        for (i, &decision) in scratch.decisions.iter().enumerate() {
             if decision == Decision::Stay {
                 continue;
             }
             let slot = self.particles[i] as usize;
-            let leaf = scratch.group_leaf[scratch.arena_group[slot] as usize];
-            let dst = if self.arena_refs[slot] > 1 {
+            let own = if self.arena_refs[slot] > 1 {
                 self.arena_refs[slot] -= 1;
                 let dst = match self.arena_free.pop() {
                     Some(free) => free as usize,
@@ -929,62 +854,85 @@ impl DynaTree {
                         self.arenas.len() - 1
                     }
                 };
-                clone_slot(&mut self.arenas, slot, dst);
                 self.arena_refs[dst] = 1;
                 self.particles[i] = dst as u32;
                 dst
             } else {
                 slot
             };
-            scratch.movers.push((i as u32, dst as u32, leaf, decision));
+            scratch.movers.push((own as u32, leaf_of(slot), decision));
         }
 
-        // 8. Apply the divergent moves in parallel: every mover owns its
-        //    arena exclusively now, so the trees are moved out, mutated and
-        //    written back by slot.
-        let mut mover_trees: Vec<(u32, ParticleTree, u32, Decision)> = scratch
-            .movers
-            .iter()
-            .map(|&(_, slot, leaf, decision)| {
-                (
-                    slot,
-                    std::mem::replace(&mut self.arenas[slot as usize], ParticleTree::placeholder()),
-                    leaf,
-                    decision,
-                )
-            })
-            .collect();
+        // 8. One pool job per source tree with movers: clone it into each
+        //    diverging sharer's slot and apply that sharer's move, then
+        //    apply the last owner's move in place — after the clones, which
+        //    copy the tree as the insert left it. A source's sharers are its
+        //    run of `members`; the fill in step 5 left each slot's cursor at
+        //    the end of its run.
         {
-            let xs = &self.xs;
-            let ys = &self.ys;
-            mover_trees = mover_trees
-                .into_par_iter()
-                .map(|(slot, mut tree, leaf, decision)| {
-                    match decision {
-                        Decision::Stay => unreachable!("stayers are filtered out"),
-                        Decision::Grow(split) => {
-                            // The proposal verified both children meet
-                            // `min_leaf` with these exact comparisons.
-                            tree.grow_unchecked(leaf as usize, split, xs, ys, &ctx);
-                        }
-                        Decision::Prune => {
-                            tree.prune(leaf as usize, &ctx);
-                        }
+            let mut slots: Vec<Option<&mut ParticleTree>> =
+                self.arenas.iter_mut().map(Some).collect();
+            let mut claim = |slot: usize| slots[slot].take().expect("a slot joins at most one job");
+            let mut clones: Vec<(&mut ParticleTree, Decision)> = Vec::new();
+            let mut sources = Vec::new();
+            let mut start = 0;
+            for (source, &end) in scratch.member_cursor.iter().enumerate() {
+                let run = start as usize..end as usize;
+                start = end;
+                let first = clones.len();
+                let mut in_place = None;
+                for (&i, &decision) in scratch.members[run.clone()]
+                    .iter()
+                    .zip(&scratch.member_moves[run])
+                {
+                    if decision == Decision::Stay {
+                        continue;
                     }
-                    (slot, tree, leaf, decision)
+                    match self.particles[i as usize] as usize {
+                        own if own == source => in_place = Some(decision),
+                        own => clones.push((claim(own), decision)),
+                    }
+                }
+                if clones.len() > first || in_place.is_some() {
+                    sources.push((
+                        claim(source),
+                        leaf_of(source),
+                        clones.len() - first,
+                        in_place,
+                    ));
+                }
+            }
+            let mut rest = &mut clones[..];
+            let jobs: Vec<_> = sources
+                .into_iter()
+                .map(|(source, leaf, count, in_place)| {
+                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(count);
+                    rest = tail;
+                    (source, leaf as usize, mine, in_place)
                 })
                 .collect();
+            jobs.into_par_iter()
+                .for_each(|(source, leaf, clones, in_place)| {
+                    for (tree, decision) in clones.iter_mut() {
+                        tree.clone_from(source);
+                        env.apply_move(tree, leaf, *decision);
+                    }
+                    if let Some(decision) = in_place {
+                        env.apply_move(source, leaf, decision);
+                    }
+                });
         }
+
         // 9. Intern the children of every grown leaf into the shared path
         //    table (serial, in particle order), and rebuild the table from
         //    the live trees once dead entries could make up half of it.
         let mut depth_bound = self.depth_bound;
-        for (slot, mut tree, leaf, decision) in mover_trees {
+        for &(own, leaf, decision) in &scratch.movers {
+            let tree = &mut self.arenas[own as usize];
             if let Decision::Grow(_) = decision {
                 tree.assign_child_paths(leaf as usize, &mut self.paths);
             }
             depth_bound = depth_bound.max(tree.depth_bound());
-            self.arenas[slot as usize] = tree;
         }
         self.depth_bound = depth_bound;
         if self.paths.entry_count() >= 2 * self.paths_compacted.max(PATHS_COMPACT_FLOOR) {
@@ -995,16 +943,159 @@ impl DynaTree {
     }
 }
 
-/// Clones the arena in `src` into `dst` (disjoint slots of the same pool),
-/// reusing `dst`'s allocations.
-fn clone_slot(arenas: &mut [ParticleTree], src: usize, dst: usize) {
-    debug_assert_ne!(src, dst);
-    if src < dst {
-        let (a, b) = arenas.split_at_mut(dst);
-        b[0].clone_from(&a[src]);
-    } else {
-        let (a, b) = arenas.split_at_mut(src);
-        a[dst].clone_from(&b[0]);
+impl UpdateEnv<'_> {
+    /// One surviving tree's part of an update: inserts the observation into
+    /// `leaf`, then decides the move of each particle in `sharers` into the
+    /// matching entry of `moves`. The leaf is gathered into this thread's
+    /// columns only when several sharers will scan it and it can split.
+    fn decide_tree(
+        &self,
+        tree: &mut ParticleTree,
+        leaf: usize,
+        sharers: &[u32],
+        moves: &mut [Decision],
+    ) {
+        let (xs, ys) = (self.xs, self.ys);
+        tree.insert_at(
+            leaf,
+            self.point,
+            xs.row(self.point),
+            ys[self.point],
+            &self.ctx,
+        );
+        let tree = &*tree;
+        let prune = self.prune_log_odds(tree, leaf);
+        GATHER.with(|cell| {
+            let gather = &mut *cell.borrow_mut();
+            let count = tree.leaf_stats(leaf).count();
+            if sharers.len() > 1 && count >= 2 * self.config.min_leaf {
+                gather.fill(
+                    xs.dim(),
+                    count,
+                    tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
+                );
+            } else {
+                gather.clear();
+            }
+            for (&particle, decision) in sharers.iter().zip(moves) {
+                let mut rng =
+                    SmallRng::substream(self.config.seed, self.point as u64, u64::from(particle));
+                *decision = self.decide_move(tree, leaf, prune, gather, &mut rng);
+            }
+        });
+    }
+
+    /// Decides one sharer's stay/grow/prune move around the leaf that
+    /// received the new observation, on the sharer's own RNG stream. Reads
+    /// the tree; `prune` is the prune move's log-odds, which depend on the
+    /// tree alone ([`prune_log_odds`](Self::prune_log_odds)), and `gather` holds the
+    /// leaf's columns when several sharers scan it, else nothing.
+    fn decide_move(
+        &self,
+        tree: &ParticleTree,
+        leaf: usize,
+        prune: Option<f64>,
+        gather: &LeafColumns,
+        rng: &mut SmallRng,
+    ) -> Decision {
+        let (config, ctx, xs, ys) = (self.config, &self.ctx, self.xs, self.ys);
+        let depth = tree.depth_of(leaf);
+        let leaf_lml = tree.leaf_moments()[leaf].lml;
+
+        // Log-odds of the candidate moves relative to "stay" (whose log-odds
+        // are zero by construction). At most three moves exist, so the
+        // candidate list lives on the stack.
+        let mut moves = [(Decision::Stay, 0.0); 3];
+        let mut n_moves = 1;
+
+        let stats = tree.leaf_stats(leaf);
+        let (len, totals) = (stats.count(), stats.sum_and_sum_sq());
+        let bounds = tree.leaf_bounds(leaf);
+        let dim = xs.dim();
+        // Sole-owner leaves stream the point list straight into the fused
+        // scalar kernel (the gather is skipped for them); shared leaves
+        // scan the gathered columns. Both paths visit points in list order,
+        // so the proposals are bit-identical either way.
+        let proposal = if gather.is_empty() {
+            DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
+                scan::scan_left_direct(
+                    tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
+                    d,
+                    t,
+                    live,
+                )
+            })
+        } else {
+            debug_assert_eq!(gather.len(), len, "gather out of sync with leaf");
+            DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
+                scan::scan_left(gather, d, t, live)
+            })
+        };
+        if let Some((split, children_lml)) = proposal {
+            let (ln_p_here, ln_q_here) = self.split_prior[depth];
+            let (_, ln_q_child) = self.split_prior[depth + 1];
+            let log_odds = children_lml - leaf_lml + ln_p_here + 2.0 * ln_q_child - ln_q_here;
+            moves[n_moves] = (Decision::Grow(split), log_odds);
+            n_moves += 1;
+        }
+        if let Some(log_odds) = prune {
+            moves[n_moves] = (Decision::Prune, log_odds);
+            n_moves += 1;
+        }
+
+        // Sample a move with probability proportional to exp(log-odds).
+        let moves = &moves[..n_moves];
+        let max = moves
+            .iter()
+            .map(|(_, w)| *w)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut weights = [0.0f64; 3];
+        for (w, (_, log_odds)) in weights.iter_mut().zip(moves) {
+            *w = (log_odds - max).exp();
+        }
+        let weights = &weights[..n_moves];
+        let total: f64 = weights.iter().sum();
+        let mut pick = rng.gen_range_f64(0.0, total);
+        let mut chosen = Decision::Stay;
+        for (&(kind, _), &w) in moves.iter().zip(weights) {
+            if pick < w {
+                chosen = kind;
+                break;
+            }
+            pick -= w;
+        }
+        chosen
+    }
+
+    /// Log-odds of collapsing `leaf` into its parent relative to staying,
+    /// or `None` when its sibling is not a leaf.
+    fn prune_log_odds(&self, tree: &ParticleTree, leaf: usize) -> Option<f64> {
+        let sibling = tree.leaf_sibling(leaf)?;
+        let depth = tree.depth_of(leaf);
+        let leaf_lml = tree.leaf_moments()[leaf].lml;
+        let sibling_lml = tree.leaf_moments()[sibling].lml;
+        let mut merged = *tree.leaf_stats(leaf);
+        merged.merge(tree.leaf_stats(sibling));
+        let merged_lml = merged.log_marginal_likelihood_with(self.ctx.prior, self.ctx.table);
+        let parent_depth = depth.saturating_sub(1);
+        let (ln_p_parent, ln_q_parent) = self.split_prior[parent_depth];
+        let (_, ln_q_here) = self.split_prior[depth];
+        Some(merged_lml + ln_q_parent - (leaf_lml + sibling_lml + ln_p_parent + 2.0 * ln_q_here))
+    }
+
+    /// Applies a grow or a prune of `leaf` to a tree its particle owns.
+    fn apply_move(&self, tree: &mut ParticleTree, leaf: usize, decision: Decision) {
+        match decision {
+            Decision::Stay => unreachable!("stayers are filtered out"),
+            Decision::Grow(split) => {
+                // The proposal verified both children meet `min_leaf` with
+                // these exact comparisons.
+                tree.grow_unchecked(leaf, split, self.xs, self.ys, &self.ctx);
+            }
+            Decision::Prune => {
+                tree.prune(leaf, &self.ctx);
+            }
+        }
     }
 }
 
@@ -1879,6 +1970,326 @@ mod tests {
         model.update(&[0.5], 0.5).unwrap();
         assert_eq!(model.observation_count(), 26);
         assert_eq!(model.dimension(), Some(1));
+    }
+
+    /// The update as it ran before the per-tree jobs, kept as the oracle of
+    /// `update_inner`: a serial insert-and-gather pass per unique tree, a
+    /// decide map per particle (each recomputing the prune odds), a serial
+    /// clone pass, an apply map over the movers and a serial intern pass.
+    mod reference {
+        use super::super::*;
+
+        /// Clones the arena in `src` into `dst` (disjoint slots of the
+        /// same pool), reusing `dst`'s allocations.
+        fn clone_slot(arenas: &mut [ParticleTree], src: usize, dst: usize) {
+            if src < dst {
+                let (a, b) = arenas.split_at_mut(dst);
+                b[0].clone_from(&a[src]);
+            } else {
+                let (a, b) = arenas.split_at_mut(src);
+                a[dst].clone_from(&b[0]);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn decide_move(
+            config: &DynaTreeConfig,
+            ctx: &MomentCtx<'_>,
+            split_prior: &[(f64, f64)],
+            tree: &ParticleTree,
+            leaf: usize,
+            gather: &LeafColumns,
+            xs: &FeatureMatrix,
+            ys: &[f64],
+            dim: usize,
+            rng: &mut SmallRng,
+        ) -> Decision {
+            let depth = tree.depth_of(leaf);
+            let leaf_lml = tree.leaf_moments()[leaf].lml;
+            let mut moves = [(Decision::Stay, 0.0); 3];
+            let mut n_moves = 1;
+            let stats = tree.leaf_stats(leaf);
+            let (len, totals) = (stats.count(), stats.sum_and_sum_sq());
+            let bounds = tree.leaf_bounds(leaf);
+            let proposal = if gather.is_empty() {
+                DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
+                    scan::scan_left_direct(
+                        tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
+                        d,
+                        t,
+                        live,
+                    )
+                })
+            } else {
+                DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
+                    scan::scan_left(gather, d, t, live)
+                })
+            };
+            if let Some((split, children_lml)) = proposal {
+                let (ln_p_here, ln_q_here) = split_prior[depth];
+                let (_, ln_q_child) = split_prior[depth + 1];
+                let log_odds = children_lml - leaf_lml + ln_p_here + 2.0 * ln_q_child - ln_q_here;
+                moves[n_moves] = (Decision::Grow(split), log_odds);
+                n_moves += 1;
+            }
+            if let Some(sibling) = tree.leaf_sibling(leaf) {
+                let sibling_lml = tree.leaf_moments()[sibling].lml;
+                let mut merged = *tree.leaf_stats(leaf);
+                merged.merge(tree.leaf_stats(sibling));
+                let merged_lml = merged.log_marginal_likelihood_with(ctx.prior, ctx.table);
+                let parent_depth = depth.saturating_sub(1);
+                let (ln_p_parent, ln_q_parent) = split_prior[parent_depth];
+                let (_, ln_q_here) = split_prior[depth];
+                let log_odds = merged_lml + ln_q_parent
+                    - (leaf_lml + sibling_lml + ln_p_parent + 2.0 * ln_q_here);
+                moves[n_moves] = (Decision::Prune, log_odds);
+                n_moves += 1;
+            }
+            let moves = &moves[..n_moves];
+            let max = moves
+                .iter()
+                .map(|(_, w)| *w)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut weights = [0.0f64; 3];
+            for (w, (_, log_odds)) in weights.iter_mut().zip(moves) {
+                *w = (log_odds - max).exp();
+            }
+            let weights = &weights[..n_moves];
+            let total: f64 = weights.iter().sum();
+            let mut pick = rng.gen_range_f64(0.0, total);
+            let mut chosen = Decision::Stay;
+            for (&(kind, _), &w) in moves.iter().zip(weights) {
+                if pick < w {
+                    chosen = kind;
+                    break;
+                }
+                pick -= w;
+            }
+            chosen
+        }
+
+        /// Adds `(x, y)` to `model` the old way.
+        pub(super) fn update(model: &mut DynaTree, x: &[f64], y: f64) {
+            let index = model.ys.len();
+            model.xs.push_row(x);
+            model.ys.push(y);
+            model.table.ensure(model.ys.len());
+            model.ensure_split_prior(model.depth_bound + 2);
+            let dim = model.xs.dim();
+
+            // 1. Group particles by unique arena, first-seen order.
+            let mut arena_group = vec![NO_GROUP; model.arenas.len()];
+            let mut unique = Vec::new();
+            for &slot in &model.particles {
+                if arena_group[slot as usize] == NO_GROUP {
+                    arena_group[slot as usize] = unique.len() as u32;
+                    unique.push(slot);
+                }
+            }
+
+            // 2. Weight pass.
+            let weighted: Vec<(u32, f64)> = unique
+                .iter()
+                .map(|&slot| {
+                    let tree = &model.arenas[slot as usize];
+                    let leaf = find_leaf_flat(tree.flat_nodes(), x);
+                    (leaf as u32, tree.leaf_moments()[leaf].log_density(y))
+                })
+                .collect();
+            let group_leaf: Vec<u32> = weighted.iter().map(|&(l, _)| l).collect();
+            let log_weights: Vec<f64> = model
+                .particles
+                .iter()
+                .map(|&slot| weighted[arena_group[slot as usize] as usize].1)
+                .collect();
+
+            // 3. Systematic resampling.
+            let (mut weights, mut indices) = (Vec::new(), Vec::new());
+            systematic_resample(&mut model.rng, &log_weights, &mut weights, &mut indices);
+
+            // 4. Remap and recount.
+            model.particles = indices.iter().map(|&i| model.particles[i]).collect();
+            model.arena_refs = vec![0; model.arenas.len()];
+            for &slot in &model.particles {
+                model.arena_refs[slot as usize] += 1;
+            }
+            model.arena_free = (0..model.arena_refs.len() as u32)
+                .filter(|&slot| model.arena_refs[slot as usize] == 0)
+                .collect();
+
+            // 5. Serial insert and gather per surviving unique tree.
+            let mut gather = vec![LeafColumns::default(); unique.len()];
+            let ctx = MomentCtx {
+                prior: &model.prior,
+                table: &model.table,
+            };
+            for (g, &slot) in unique.iter().enumerate() {
+                let slot = slot as usize;
+                if model.arena_refs[slot] == 0 {
+                    continue;
+                }
+                let tree = &mut model.arenas[slot];
+                let leaf = group_leaf[g] as usize;
+                tree.insert_at(leaf, index, x, y, &ctx);
+                let count = tree.leaf_stats(leaf).count();
+                if model.arena_refs[slot] > 1 && count >= 2 * model.config.min_leaf {
+                    let (xs, ys) = (&model.xs, &model.ys);
+                    gather[g].fill(
+                        dim,
+                        count,
+                        tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
+                    );
+                }
+            }
+
+            // 6. Decide every particle's move in parallel.
+            let decisions: Vec<Decision> = (0..model.particles.len())
+                .into_par_iter()
+                .map(|i| {
+                    let slot = model.particles[i] as usize;
+                    let g = arena_group[slot] as usize;
+                    let mut rng = SmallRng::substream(model.config.seed, index as u64, i as u64);
+                    decide_move(
+                        &model.config,
+                        &ctx,
+                        &model.split_prior,
+                        &model.arenas[slot],
+                        group_leaf[g] as usize,
+                        &gather[g],
+                        &model.xs,
+                        &model.ys,
+                        dim,
+                        &mut rng,
+                    )
+                })
+                .collect();
+
+            // 7. Serial copy-on-write slot assignment with the clones.
+            let mut movers = Vec::new();
+            for (i, &decision) in decisions.iter().enumerate() {
+                if decision == Decision::Stay {
+                    continue;
+                }
+                let slot = model.particles[i] as usize;
+                let leaf = group_leaf[arena_group[slot] as usize];
+                let dst = if model.arena_refs[slot] > 1 {
+                    model.arena_refs[slot] -= 1;
+                    let dst = match model.arena_free.pop() {
+                        Some(free) => free as usize,
+                        None => {
+                            model.arenas.push(ParticleTree::placeholder());
+                            model.arena_refs.push(0);
+                            model.arenas.len() - 1
+                        }
+                    };
+                    clone_slot(&mut model.arenas, slot, dst);
+                    model.arena_refs[dst] = 1;
+                    model.particles[i] = dst as u32;
+                    dst
+                } else {
+                    slot
+                };
+                movers.push((dst as u32, leaf, decision));
+            }
+
+            // 8. Apply the moves in parallel on trees moved out of their
+            //    slots.
+            let mover_trees: Vec<(u32, ParticleTree, u32, Decision)> = movers
+                .iter()
+                .map(|&(slot, leaf, decision)| {
+                    let tree = std::mem::replace(
+                        &mut model.arenas[slot as usize],
+                        ParticleTree::placeholder(),
+                    );
+                    (slot, tree, leaf, decision)
+                })
+                .collect();
+            let ctx = MomentCtx {
+                prior: &model.prior,
+                table: &model.table,
+            };
+            let (xs, ys) = (&model.xs, &model.ys);
+            let mover_trees: Vec<(u32, ParticleTree, u32, Decision)> = mover_trees
+                .into_par_iter()
+                .map(|(slot, mut tree, leaf, decision)| {
+                    match decision {
+                        Decision::Stay => unreachable!("stayers are filtered out"),
+                        Decision::Grow(split) => {
+                            tree.grow_unchecked(leaf as usize, split, xs, ys, &ctx)
+                        }
+                        Decision::Prune => {
+                            tree.prune(leaf as usize, &ctx);
+                        }
+                    }
+                    (slot, tree, leaf, decision)
+                })
+                .collect();
+
+            // 9. Serial intern in particle order, then compaction.
+            let mut depth_bound = model.depth_bound;
+            for (slot, mut tree, leaf, decision) in mover_trees {
+                if let Decision::Grow(_) = decision {
+                    tree.assign_child_paths(leaf as usize, &mut model.paths);
+                }
+                depth_bound = depth_bound.max(tree.depth_bound());
+                model.arenas[slot as usize] = tree;
+            }
+            model.depth_bound = depth_bound;
+            if model.paths.entry_count() >= 2 * model.paths_compacted.max(PATHS_COMPACT_FLOOR) {
+                model.rebuild_paths();
+            }
+        }
+    }
+
+    /// A seeded property loop over random configurations and update
+    /// streams (rows repeat): after every update the model's snapshot
+    /// equals the reference update's byte for byte, at 1 and 3 threads.
+    /// `grow_attempts` reaches past [`ATTEMPT_BATCH`], so proposal batches
+    /// split.
+    #[test]
+    fn per_tree_jobs_equal_the_reference_update_bytewise() {
+        let json = |model: &DynaTree| model.snapshot().unwrap().to_json_string().unwrap();
+        for case in 0..16u64 {
+            let mut rng = SmallRng::substream(0x7EE5, case, 0);
+            let config = DynaTreeConfig {
+                particles: 1 + rng.gen_index(64),
+                min_leaf: 1 + rng.gen_index(3),
+                grow_attempts: rng.gen_index(10),
+                seed: case,
+                ..Default::default()
+            };
+            let dim = 1 + rng.gen_index(4);
+            let mut rows: Vec<Vec<f64>> = Vec::new();
+            let mut ys = Vec::new();
+            for _ in 0..20 + rng.gen_index(30) {
+                let row = if !rows.is_empty() && rng.gen_index(4) == 0 {
+                    rows[rng.gen_index(rows.len())].clone()
+                } else {
+                    (0..dim).map(|_| rng.gen_range_f64(0.0, 1.0)).collect()
+                };
+                let step = if row[0] > 0.5 { 2.0 } else { 0.0 };
+                ys.push(step + row.iter().sum::<f64>() + rng.gen_range_f64(-0.2, 0.2));
+                rows.push(row);
+            }
+            let mut start = DynaTree::new(config);
+            start.fit(&[&rows[0]], &ys[..1]).unwrap();
+            let mut oracle = start.clone();
+            let mut runs = [start.clone(), start];
+            for (i, (row, &y)) in rows.iter().zip(&ys).enumerate().skip(1) {
+                reference::update(&mut oracle, row, y);
+                let expected = json(&oracle);
+                for (model, threads) in runs.iter_mut().zip([1, 3]) {
+                    rayon::set_num_threads(threads);
+                    model.update(row, y).unwrap();
+                    rayon::set_num_threads(0);
+                    assert!(
+                        json(model) == expected,
+                        "case {case} ({config:?}, {dim}-D), update {i}, {threads} threads"
+                    );
+                }
+            }
+            runs[0].validate_caches().unwrap();
+        }
     }
 
     #[test]

@@ -801,6 +801,7 @@ impl ParticleTree {
     }
 
     /// Total number of points stored across live leaves.
+    #[cfg(test)]
     pub fn point_count(&self) -> usize {
         (0..self.dim.len())
             .filter(|&i| self.dim[i] == LEAF_NODE)
@@ -849,9 +850,10 @@ impl ParticleTree {
         self.moments[leaf] = self.stats[leaf].moments(ctx.prior, ctx.table);
     }
 
-    /// Log posterior-predictive density of `y` at the leaf containing `x`
-    /// (the particle weight used during resampling), evaluated from the
-    /// cached flat traversal and leaf moments.
+    /// Log posterior-predictive density of `y` at the leaf containing `x`,
+    /// evaluated from the cached flat traversal and leaf moments. The model
+    /// weights its particles with the same two reads inline.
+    #[cfg(test)]
     pub fn log_weight(&self, x: &[f64], y: f64) -> f64 {
         self.moments[self.find_leaf(x)].log_density(y)
     }

@@ -168,7 +168,9 @@ impl LeafStats {
         (mean, variance)
     }
 
-    /// Log marginal likelihood of the targets in this leaf under `prior`.
+    /// Log marginal likelihood of the targets in this leaf under `prior`:
+    /// the direct form, the tests' oracle of the table-based ones.
+    #[cfg(test)]
     pub fn log_marginal_likelihood(&self, prior: &LeafPrior) -> f64 {
         let n = self.count() as f64;
         if n == 0.0 {
@@ -181,7 +183,9 @@ impl LeafStats {
             - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
     }
 
-    /// Log posterior-predictive density of a single new target `y`.
+    /// Log posterior-predictive density of a single new target `y`: the
+    /// direct form, the tests' oracle of [`LeafMoments::log_density`].
+    #[cfg(test)]
     pub fn log_predictive_density(&self, prior: &LeafPrior, y: f64) -> f64 {
         let (mean, scale_sq, df) = self.posterior_predictive(prior);
         let z = (y - mean) * (y - mean) / (df * scale_sq);
@@ -196,11 +200,14 @@ impl LeafStats {
         self.stats.merge(&other.stats);
     }
 
-    /// [`log_marginal_likelihood`](LeafStats::log_marginal_likelihood) with
-    /// the `ln Γ` evaluations served from a precomputed [`LnGammaTable`].
+    /// Log marginal likelihood of the targets in this leaf under `prior`,
+    /// with the `ln Γ` evaluations served from a precomputed
+    /// [`LnGammaTable`].
     ///
-    /// Bit-identical to the direct computation: the table stores values of
-    /// the exact same `ln_gamma` at the exact same arguments.
+    /// Bit-identical to the direct computation (a unit test keeps it as the
+    /// oracle): the table stores values of the exact same `ln_gamma` at the
+    /// exact same arguments, and the same `a₀ ln b₀` product, so `table`
+    /// must be built from `prior`.
     ///
     /// # Panics
     ///
@@ -215,8 +222,7 @@ impl LeafStats {
         // `ln κ₀` and `ln κₙ` come from the table too: `κₙ = κ₀ + n` is the
         // same expression the table rows are built from, so the values are
         // bit-identical to computing the logarithms here.
-        table.ln_gamma_shape(self.count()) - table.ln_gamma_shape(0)
-            + prior.shape * prior.scale.ln()
+        table.ln_gamma_shape(self.count()) - table.ln_gamma_shape(0) + table.shape_ln_scale
             - post.shape * post.scale.ln()
             + 0.5 * (table.ln_kappa(0) - table.ln_kappa(self.count()))
             - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
@@ -247,7 +253,7 @@ impl LeafStats {
         let lml = if n == 0 {
             0.0
         } else {
-            table.ln_gamma_shape(n) - table.ln_gamma_shape(0) + prior.shape * prior.scale.ln()
+            table.ln_gamma_shape(n) - table.ln_gamma_shape(0) + table.shape_ln_scale
                 - post.shape * post.scale.ln()
                 + 0.5 * (table.ln_kappa(0) - table.ln_kappa(n))
                 - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
@@ -323,6 +329,9 @@ impl LeafMoments {
 pub struct LnGammaTable {
     shape: f64,
     kappa: f64,
+    /// `a₀ ln b₀`, the prior's term of every log marginal likelihood,
+    /// formed once.
+    shape_ln_scale: f64,
     /// `base[n] = ln Γ(shape + n/2)`.
     base: Vec<f64>,
     /// `half[n] = ln Γ(shape + n/2 + ½)`.
@@ -333,12 +342,14 @@ pub struct LnGammaTable {
 }
 
 impl LnGammaTable {
-    /// Creates a table for the given prior's shape and `κ₀`, covering
-    /// count 0.
+    /// Creates a table for the given prior's shape, scale and `κ₀`,
+    /// covering count 0. Every method that reads the table alongside a
+    /// prior expects this prior.
     pub fn new(prior: &LeafPrior) -> Self {
         let mut table = LnGammaTable {
             shape: prior.shape,
             kappa: prior.kappa,
+            shape_ln_scale: prior.shape * prior.scale.ln(),
             base: Vec::new(),
             half: Vec::new(),
             ln_kappa: Vec::new(),
@@ -414,7 +425,7 @@ pub fn log_marginal_likelihood_of_sums(
     let scale_n = prior.scale
         + 0.5 * sum_sq_dev
         + 0.5 * prior.kappa * n * (mean - prior.mean) * (mean - prior.mean) / kappa_n;
-    table.ln_gamma_shape(count) - table.ln_gamma_shape(0) + prior.shape * prior.scale.ln()
+    table.ln_gamma_shape(count) - table.ln_gamma_shape(0) + table.shape_ln_scale
         - shape_n * scale_n.ln()
         + 0.5 * (table.ln_kappa(0) - table.ln_kappa(count))
         - 0.5 * n * (2.0 * std::f64::consts::PI).ln()

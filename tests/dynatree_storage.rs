@@ -12,9 +12,9 @@
 //!    of its node's root path in a freshly rebuilt table
 //!    (`DynaTree::validate_caches`).
 //! 2. **Thread-count bit-identity of training.** `fit` and `update` run
-//!    their weighting and move phases on the thread pool with
-//!    per-`(seed, observation, particle)` RNG streams; a model trained on
-//!    1 worker thread must be bit-identical to one trained on 4.
+//!    their per-tree insert, decide, clone and move jobs on the thread
+//!    pool with per-`(seed, observation, particle)` RNG streams; a model
+//!    trained on 1 worker thread must be bit-identical to one trained on 4.
 //! 3. **Sharing accounting.** Structural sharing never loses or invents
 //!    particles: multiplicities over unique trees always sum to the
 //!    particle count, and the unique-tree count never exceeds it.
