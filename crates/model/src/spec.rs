@@ -109,9 +109,9 @@ impl SurrogateSpec {
     /// (currently only the dynamic tree); deterministic families ignore it,
     /// so experiment harnesses can pass a per-repetition seed unconditionally.
     ///
-    /// The box is `Send` so long-lived services (the serve daemon's engine
-    /// owner thread) can hold sessions across threads; every model family is
-    /// plain owned data.
+    /// The box is `Send` so long-lived services (the serve daemon's engine)
+    /// can hold sessions on any thread; every model family is plain owned
+    /// data.
     pub fn build(&self, seed: u64) -> Box<dyn ActiveSurrogate + Send> {
         match *self {
             SurrogateSpec::DynaTree(config) => {

@@ -58,6 +58,11 @@ impl<R: BufRead> ChaosLines<R> {
         }
     }
 
+    /// The wrapped reader.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
     /// Reads the next line (without its terminator); `Ok(None)` is EOF —
     /// real, or injected by a [`FaultSite::ConnDrop`]. A final line without
     /// `\n` is still a line.

@@ -1,233 +1,334 @@
-//! Transport loops: stdin/stdout and TCP.
+//! The transport loop: one loop on the engine's own thread serves stdio
+//! and TCP alike.
 //!
-//! Both loops are thin shells over [`Engine::handle_line`]. The stdio loop
-//! runs on the engine's own thread: it reads stdin itself, so a request
-//! costs the engine's work plus one pipe round trip. The TCP mode accepts
-//! concurrent connections but serializes engine access through a single
-//! owner thread (requests queue on a channel in arrival order), so session
-//! state needs no locking and surrogate internals — which already
-//! multiplex their fit/update work onto the rayon pool — stay
-//! single-owner. Connection I/O goes through the [`crate::chaos`] wrappers
-//! so the fault plane reaches the wire.
+//! The loop owns the [`Engine`] (so session state needs no locking) and a
+//! list of connections: stdin/stdout, or the clients of a TCP listener, at
+//! most `MAX_CONNECTIONS` at once. Each pass waits on every source with
+//! [`crate::term::wait`] for at most `TERM_POLL`, gives each ready
+//! connection exactly one read, and answers every complete line it
+//! delivered through [`Engine::handle_line`]. A line cut by the end of a
+//! read waits in its connection's [`ChaosLines`], so a client that stalls
+//! mid-line holds up no one; a TCP client that stops reading its replies
+//! is dropped after `WRITE_TIMEOUT`. All connection I/O goes through the
+//! [`crate::chaos`] wrappers, so the fault plane reaches the wire.
 //!
-//! Both transports treat SIGTERM as a drain request (see [`crate::term`]):
-//! the loop that owns the engine — the stdin loop, or the TCP owner
-//! thread — polls the flag between requests, so the request in flight
-//! finishes first. It then stops admitting input and the [`DrainSummary`]
-//! goes to stderr — the same report the `drain` verb returns inline. Every
-//! acknowledged observation is already durable, so a drain has nothing to
-//! lose and the daemon exits 0; a nonzero exit means a transport error.
+//! SIGTERM is a drain request (see [`crate::term`]), checked between
+//! requests and seen within `TERM_POLL` even while a line is half read
+//! (the half line is dropped). SIGTERM, `shutdown` and the end of the
+//! stdio connection leave through one exit path that reports the
+//! [`crate::engine::DrainSummary`] on stderr. Without `poll(2)` (non-Unix)
+//! the wait reports the open connection ready, or the listener when none
+//! is open, so reads block and TCP serves one connection at a time.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, StdinLock};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::chaos::{write_reply, ChaosLines};
-use crate::engine::{Action, ConnState, DrainSummary, Engine};
-use crate::protocol::PROTOCOL_VERSION;
+use crate::engine::{Action, ConnState, Engine};
+use crate::protocol::{code, ErrReply, PROTOCOL_VERSION};
+use crate::term::{wait, Watch};
 
-/// How often the engine-owning loops poll the SIGTERM flag between
-/// requests.
+/// The longest the loop waits for input before it checks SIGTERM again.
 const TERM_POLL: Duration = Duration::from_millis(25);
 
-/// Renders a drain summary to stderr, so both transports (and both exit
-/// paths: EOF and SIGTERM) report identically.
-fn report(summary: &DrainSummary) {
-    eprintln!("alic-serve: {}", summary.render());
+/// The most TCP connections open at once; the next client is told
+/// `err busy` and closed.
+const MAX_CONNECTIONS: usize = 64;
+
+/// How long one reply write to a TCP client may block before the client
+/// is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// A source that is read at most once per wait that found it ready; other
+/// reads fail with `WouldBlock`, and [`ChaosLines`] keeps the line so far.
+struct Polled {
+    inner: Box<dyn Read>,
+    ready: bool,
 }
 
-/// Stdin whose reads give up after [`TERM_POLL`] without input: `fill_buf`
-/// then fails with `WouldBlock`, and [`ChaosLines`] keeps the line read so
-/// far for the next call.
-struct PolledStdin {
-    lock: StdinLock<'static>,
-    /// Bytes the lock has buffered and nobody has consumed yet. Only when
-    /// it is zero can a read block, so only then does `fill_buf` wait.
-    buffered: usize,
-}
-
-impl Read for PolledStdin {
+impl Read for Polled {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(buf.len());
-        buf[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for PolledStdin {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.buffered == 0 && !crate::term::stdin_ready(TERM_POLL)? {
+        if !std::mem::take(&mut self.ready) {
             return Err(ErrorKind::WouldBlock.into());
         }
-        let bytes = self.lock.fill_buf()?;
-        self.buffered = bytes.len();
-        Ok(bytes)
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.buffered -= n;
-        self.lock.consume(n);
+        self.inner.read(buf)
     }
 }
 
-/// Runs the daemon over stdin/stdout until EOF, `quit`, `shutdown`, or
-/// SIGTERM, then reports a [`DrainSummary`] on stderr (persisting the warm
-/// store on the way). SIGTERM additionally pins the engine in the draining
-/// state first, so nothing new is admitted while the process winds down.
-///
-/// The loop runs on the calling thread alone. Between requests it waits
-/// for stdin at most 25 ms at a time (`poll(2)`, which the signal also
-/// interrupts), so SIGTERM is noticed within that window whether the
-/// daemon is idle or a line is half read; the half line is dropped.
-///
-/// # Errors
-///
-/// Propagates stdin read errors (write errors end the loop like EOF: the
-/// one client is gone).
-pub fn serve_stdio(mut engine: Engine) -> std::io::Result<()> {
-    let term = crate::term::install();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut conn = ConnState::new();
-    if write_reply(&mut out, &format!("ok {PROTOCOL_VERSION}")).is_err() {
-        report(&engine.flush_all());
-        return Ok(());
-    }
-    let mut lines = ChaosLines::new(PolledStdin {
-        lock: std::io::stdin().lock(),
-        buffered: 0,
-    });
-    loop {
-        if term.load(Ordering::Acquire) {
-            report(&engine.drain());
-            return Ok(());
-        }
-        let line = match lines.next_line() {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
-            Err(e) => return Err(e),
+/// One client: its request lines, its reply sink and its attachment.
+struct Conn {
+    lines: ChaosLines<BufReader<Polled>>,
+    out: Box<dyn Write>,
+    state: ConnState,
+    watch: Watch,
+}
+
+impl Conn {
+    /// Greets a new client; `None` when it is already gone.
+    fn open(watch: Watch, inner: Box<dyn Read>, mut out: Box<dyn Write>) -> Option<Conn> {
+        write_reply(&mut out, &format!("ok {PROTOCOL_VERSION}")).ok()?;
+        let input = Polled {
+            inner,
+            ready: false,
         };
-        let response = engine.handle_line(&mut conn, &line);
-        if let Some(reply) = &response.reply {
-            if write_reply(&mut out, reply).is_err() {
-                break;
+        Some(Conn {
+            lines: ChaosLines::new(BufReader::new(input)),
+            out,
+            state: ConnState::new(),
+            watch,
+        })
+    }
+
+    /// Reads once and answers every complete line read so far; EOF and I/O
+    /// errors close the connection, and SIGTERM shuts the daemon down.
+    fn take_turn(&mut self, engine: &mut Engine, term: &AtomicBool) -> Action {
+        self.lines.get_mut().get_mut().ready = true;
+        loop {
+            if term.load(Ordering::Acquire) {
+                return Action::ShutdownDaemon;
+            }
+            let line = match self.lines.next_line() {
+                Ok(Some(line)) => line,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Action::Continue,
+                Ok(None) | Err(_) => return Action::CloseConnection,
+            };
+            let response = engine.handle_line(&mut self.state, &line);
+            if let Some(reply) = &response.reply {
+                if write_reply(&mut self.out, reply).is_err() {
+                    return Action::CloseConnection;
+                }
+            }
+            if response.action != Action::Continue {
+                return response.action;
             }
         }
-        match response.action {
-            Action::Continue => {}
-            Action::CloseConnection | Action::ShutdownDaemon => break,
+    }
+}
+
+/// Accepts one client and greets it; `None` when it is gone, or when the
+/// daemon is `full` and has told it `err busy`.
+fn accept(listener: &TcpListener, full: bool) -> Option<Conn> {
+    let (stream, _) = listener.accept().ok()?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok()?;
+    // A reply leaves as one segment, at once: with Nagle's algorithm, a
+    // reply's second write would wait for the client's delayed ACK.
+    stream.set_nodelay(true).ok()?;
+    if full {
+        let busy = ErrReply::new(code::BUSY, "too many connections open; retry later");
+        let _ = write_reply(&mut &stream, &busy.render());
+        return None;
+    }
+    let input = Box::new(stream.try_clone().ok()?);
+    let watch = Watch::of(&stream);
+    Conn::open(watch, input, Box::new(BufWriter::new(stream)))
+}
+
+/// Serves `conns` and the clients of `listener`, at most `max_conns` of
+/// them at once, until `shutdown`, SIGTERM or, without a listener, the
+/// end of the last connection; then reports the drain summary.
+fn serve(
+    mut engine: Engine,
+    term: &AtomicBool,
+    listener: Option<&TcpListener>,
+    mut conns: Vec<Conn>,
+    max_conns: usize,
+) -> std::io::Result<()> {
+    let mut watches = Vec::with_capacity(max_conns + 1);
+    let mut exit = false;
+    while !exit && !term.load(Ordering::Acquire) && (listener.is_some() || !conns.is_empty()) {
+        watches.clear();
+        watches.extend(listener.map(Watch::of));
+        watches.extend(conns.iter().map(|conn| conn.watch));
+        wait(&mut watches, TERM_POLL)?;
+        let mut ready = watches.iter().map(Watch::ready);
+        let listener_ready = listener.is_some() && ready.next() == Some(true);
+        conns.retain_mut(|conn| {
+            if exit || ready.next() != Some(true) {
+                return true;
+            }
+            let action = conn.take_turn(&mut engine, term);
+            exit = action == Action::ShutdownDaemon;
+            action != Action::CloseConnection
+        });
+        if let Some(listener) = listener.filter(|_| listener_ready && !exit) {
+            conns.extend(accept(listener, conns.len() >= max_conns));
         }
     }
-    report(&engine.flush_all());
+    let summary = if term.load(Ordering::Acquire) {
+        engine.drain()
+    } else {
+        engine.flush_all()
+    };
+    eprintln!("alic-serve: {}", summary.render());
     Ok(())
 }
 
-enum EngineMsg {
-    Line {
-        conn: u64,
-        line: String,
-        reply: mpsc::Sender<(Option<String>, bool)>,
-    },
-    Close {
-        conn: u64,
-    },
-}
-
-/// Runs the daemon on a TCP listener; one thread per connection, one owner
-/// thread for the engine. `shutdown` reports the drain summary and exits
-/// the process (the accept loop holds no state worth unwinding); the owner
-/// thread polls SIGTERM between requests and drains the same way.
+/// Runs the daemon over stdin/stdout until EOF, `quit`, `shutdown` or
+/// SIGTERM, then reports a [`crate::engine::DrainSummary`] on stderr
+/// (persisting the warm store on the way). SIGTERM first pins the engine
+/// in the draining state, so nothing new is admitted while it winds down.
 ///
 /// # Errors
 ///
-/// Returns bind errors; per-connection errors only end that connection.
-pub fn serve_tcp(engine: Engine, addr: &str) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    let (tx, rx) = mpsc::channel::<EngineMsg>();
+/// Propagates a failure of the wait for input. A failed read or write ends
+/// the loop like EOF: the one client is gone.
+pub fn serve_stdio(engine: Engine) -> std::io::Result<()> {
     let term = crate::term::install();
-    std::thread::spawn(move || engine_owner(engine, rx, term));
-    let mut next_conn = 0u64;
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let conn = next_conn;
-        next_conn += 1;
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let _ = handle_connection(stream, conn, &tx);
-            let _ = tx.send(EngineMsg::Close { conn });
+    let stdin = std::io::stdin();
+    let watch = Watch::of(&stdin);
+    let conn = Conn::open(watch, Box::new(stdin), Box::new(std::io::stdout().lock()));
+    serve(engine, term, None, conn.into_iter().collect(), 1)
+}
+
+/// Runs the daemon on a TCP listener until `shutdown` or SIGTERM, then
+/// reports the drain summary on stderr like [`serve_stdio`]. A client past
+/// `MAX_CONNECTIONS` is refused with `err busy`.
+///
+/// # Errors
+///
+/// Returns bind errors and failures of the wait for input; a failed read
+/// or write only ends that connection.
+pub fn serve_tcp(engine: Engine, addr: &str) -> std::io::Result<()> {
+    let term = crate::term::install();
+    let listener = TcpListener::bind(addr)?;
+    serve(engine, term, Some(&listener), Vec::new(), MAX_CONNECTIONS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::{SocketAddr, TcpStream};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::time::Instant;
+
+    use alic_stats::fault::exclusive_clean;
+
+    use crate::engine::ServeConfig;
+
+    /// How long a client waits for any one reply.
+    const PATIENCE: Duration = Duration::from_secs(20);
+
+    struct Client {
+        reader: BufReader<TcpStream>,
+        writer: TcpStream,
+    }
+
+    impl Client {
+        /// Connects without reading the greeting.
+        fn raw(addr: SocketAddr) -> Client {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(PATIENCE)).unwrap();
+            Client {
+                reader: BufReader::new(stream.try_clone().unwrap()),
+                writer: stream,
+            }
+        }
+
+        /// Connects and checks the version greeting.
+        fn connect(addr: SocketAddr) -> Client {
+            let mut client = Client::raw(addr);
+            assert_eq!(client.read_line(), format!("ok {PROTOCOL_VERSION}"));
+            client
+        }
+
+        /// The next reply line, or `""` at EOF.
+        fn read_line(&mut self) -> String {
+            let mut line = String::new();
+            self.reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
+        }
+
+        fn expect(&mut self, request: &str, reply: &str) {
+            writeln!(self.writer, "{request}").unwrap();
+            assert_eq!(self.read_line(), reply, "reply to {request:?}");
+        }
+    }
+
+    /// Runs the loop on a second thread, over a fresh engine and an
+    /// ephemeral port with at most `max_conns` clients at once, while
+    /// `clients` talks to it; `clients` must end with a `shutdown`. Should
+    /// `clients` fail, the SIGTERM flag stops the loop.
+    fn with_daemon(name: &str, max_conns: usize, clients: impl FnOnce(SocketAddr)) {
+        // Connection I/O consults the process-wide fault plane; hold it
+        // clean so a concurrently running chaos test cannot fire here.
+        let _guard = exclusive_clean();
+        let dir =
+            std::env::temp_dir().join(format!("alic-serve-daemon-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let term = AtomicBool::new(false);
+        let (outcome, served) = std::thread::scope(|s| {
+            let server = s.spawn(|| serve(engine, &term, Some(&listener), Vec::new(), max_conns));
+            let outcome = catch_unwind(AssertUnwindSafe(|| clients(addr)));
+            term.store(outcome.is_err(), Ordering::Release);
+            (outcome, server.join().unwrap())
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        if let Err(panic) = outcome {
+            resume_unwind(panic);
+        }
+        served.unwrap();
+    }
+
+    #[test]
+    fn a_client_past_the_cap_is_told_busy_and_a_quit_frees_a_place() {
+        with_daemon("cap", 2, |addr| {
+            let mut a = Client::connect(addr);
+            let mut b = Client::connect(addr);
+            let mut refused = Client::raw(addr);
+            let busy = refused.read_line();
+            assert!(busy.starts_with("err busy "), "{busy}");
+            assert_eq!(refused.read_line(), "", "a refused client is closed");
+            drop(refused);
+            a.expect("quit", "ok bye");
+            assert_eq!(a.read_line(), "");
+            let mut c = Client::connect(addr);
+            c.expect("newsession mvt u:unroll:1:9", "ok session s000000 dim 1");
+            b.expect("attach s000000", "ok attached s000000 obs 0");
+            c.expect("shutdown", "ok shutdown");
         });
     }
-    Ok(())
-}
 
-fn engine_owner(mut engine: Engine, rx: mpsc::Receiver<EngineMsg>, term: &AtomicBool) {
-    let mut conns: std::collections::HashMap<u64, ConnState> = std::collections::HashMap::new();
-    loop {
-        if term.load(Ordering::Acquire) {
-            report(&engine.drain());
-            std::process::exit(0);
-        }
-        let msg = match rx.recv_timeout(TERM_POLL) {
-            Ok(msg) => msg,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        match msg {
-            EngineMsg::Close { conn } => {
-                conns.remove(&conn);
-            }
-            EngineMsg::Line { conn, line, reply } => {
-                let state = conns.entry(conn).or_default();
-                let response = engine.handle_line(state, &line);
-                let shutdown = response.action == Action::ShutdownDaemon;
-                let close = shutdown || response.action == Action::CloseConnection;
-                if close {
-                    conns.remove(&conn);
+    #[test]
+    fn a_client_that_never_reads_is_dropped_while_others_are_served() {
+        with_daemon("stall", MAX_CONNECTIONS, |addr| {
+            let mut a = Client::connect(addr);
+            let mut b = Client::connect(addr);
+            b.expect("newsession mvt u:unroll:1:9", "ok session s000000 dim 1");
+            b.expect("observe 4 1.5", "ok observed 1");
+            a.expect("attach s000000", "ok attached s000000 obs 1");
+            // A pipelines `best`s and reads none of the replies. They fill the
+            // socket buffers until the daemon's write to A blocks; it stops
+            // reading A then, so A's writes block too, until the write timeout
+            // cuts A off and its next write fails.
+            a.writer
+                .set_write_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            let requests = "best\n".repeat(1024);
+            let started = Instant::now();
+            let cut = loop {
+                match a.writer.write_all(requests.as_bytes()) {
+                    Ok(()) => {}
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                    Err(e) => break e,
                 }
-                let _ = reply.send((response.reply, close));
-                if shutdown {
-                    report(&engine.flush_all());
-                    std::process::exit(0);
-                }
-            }
-        }
+                assert!(started.elapsed() < PATIENCE, "A was never cut off");
+            };
+            assert!(
+                matches!(
+                    cut.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::BrokenPipe
+                ),
+                "{cut}"
+            );
+            // The loop goes on serving B.
+            b.expect("best", "ok best 4 1.5");
+            b.expect("shutdown", "ok shutdown");
+        });
     }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    conn: u64,
-    tx: &mpsc::Sender<EngineMsg>,
-) -> std::io::Result<()> {
-    let mut reader = ChaosLines::new(BufReader::new(stream.try_clone()?));
-    let mut out = stream;
-    write_reply(&mut out, &format!("ok {PROTOCOL_VERSION}"))?;
-    while let Some(line) = reader.next_line()? {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if tx
-            .send(EngineMsg::Line {
-                conn,
-                line,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            break;
-        }
-        let Ok((reply, close)) = reply_rx.recv() else {
-            break;
-        };
-        if let Some(reply) = reply {
-            write_reply(&mut out, &reply)?;
-        }
-        if close {
-            break;
-        }
-    }
-    Ok(())
 }

@@ -169,7 +169,7 @@ impl HealthState {
 }
 
 /// Result of draining or shutting down the engine — the one summary shared
-/// by the `drain` verb and both transports' shutdown paths. Sessions are
+/// by the `drain` verb and the transport loop's exit path. Sessions are
 /// durable whenever they are acknowledged, so there is nothing per-session
 /// to report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -231,11 +231,6 @@ impl ConnState {
     /// A fresh connection attached to nothing.
     pub fn new() -> Self {
         ConnState::default()
-    }
-
-    /// The attached session id, if any.
-    pub fn current(&self) -> Option<&str> {
-        self.current.as_deref()
     }
 }
 
@@ -325,7 +320,8 @@ impl Engine {
     }
 
     /// Number of currently resident live sessions.
-    pub fn live_sessions(&self) -> usize {
+    #[cfg(test)]
+    fn live_sessions(&self) -> usize {
         self.live.len()
     }
 
@@ -883,7 +879,7 @@ impl Engine {
     /// The shutdown/EOF/quit/drain path: compacts every live session that
     /// has a journal, harvests every fitted live surrogate into the warm
     /// store, persists the store, and reports one [`DrainSummary`] — the
-    /// drain verb and both transports render the same `drained <n>` line.
+    /// drain verb and the transport loop render the same `drained <n>` line.
     ///
     /// Every session was durable when its last reply went out, so a
     /// compaction that fails loses nothing: the checkpoint and journal it

@@ -40,13 +40,17 @@
 //!   with a retry-after hint while reads keep answering, and a successful
 //!   probe write promotes back to healthy ([`engine::HealthState`]);
 //! * `health` reports the ladder state plus fault/retry counters, `drain`
-//!   (or SIGTERM, in both transports) stops admission and reports one
+//!   (or SIGTERM, which the one transport loop of [`daemon`] checks between
+//!   requests over stdio and TCP alike) stops admission and reports one
 //!   [`engine::DrainSummary`];
 //! * a request that returns after more than its deadline times
 //!   [`engine::STUCK_GRACE`] is judged stuck: its session is detached like
 //!   the panic path and restored from its checkpoint on re-attach. The
 //!   judgement happens on return, so a request that never returns is not
-//!   detected. The daemon runs no timer threads.
+//!   detected. The daemon runs no timer threads;
+//! * TCP connections are bounded too: past a fixed cap a client is told
+//!   `err busy` and closed, and a client that stops reading its replies is
+//!   dropped after a write timeout instead of stalling the engine.
 //!
 //! The `alic_stats::fault` chaos plane reaches into the daemon end to end:
 //! the connection layer has injection sites for dropped connections

@@ -93,6 +93,9 @@ pub mod code {
     /// abandoned (re-attach restores the session from its checkpoint); the
     /// process and the session's durable state are unaffected.
     pub const INTERNAL: &str = "internal";
+    /// The daemon already has its maximum number of connections open; it
+    /// closes this one after the reply.
+    pub const BUSY: &str = "busy";
 }
 
 /// A structured protocol error: the `err <code> <msg>` reply.
