@@ -1972,323 +1972,88 @@ mod tests {
         assert_eq!(model.dimension(), Some(1));
     }
 
-    /// The update as it ran before the per-tree jobs, kept as the oracle of
-    /// `update_inner`: a serial insert-and-gather pass per unique tree, a
-    /// decide map per particle (each recomputing the prune odds), a serial
-    /// clone pass, an apply map over the movers and a serial intern pass.
-    mod reference {
-        use super::super::*;
-
-        /// Clones the arena in `src` into `dst` (disjoint slots of the
-        /// same pool), reusing `dst`'s allocations.
-        fn clone_slot(arenas: &mut [ParticleTree], src: usize, dst: usize) {
-            if src < dst {
-                let (a, b) = arenas.split_at_mut(dst);
-                b[0].clone_from(&a[src]);
-            } else {
-                let (a, b) = arenas.split_at_mut(src);
-                a[dst].clone_from(&b[0]);
-            }
+    /// FNV-1a over `bytes`.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
-
-        #[allow(clippy::too_many_arguments)]
-        fn decide_move(
-            config: &DynaTreeConfig,
-            ctx: &MomentCtx<'_>,
-            split_prior: &[(f64, f64)],
-            tree: &ParticleTree,
-            leaf: usize,
-            gather: &LeafColumns,
-            xs: &FeatureMatrix,
-            ys: &[f64],
-            dim: usize,
-            rng: &mut SmallRng,
-        ) -> Decision {
-            let depth = tree.depth_of(leaf);
-            let leaf_lml = tree.leaf_moments()[leaf].lml;
-            let mut moves = [(Decision::Stay, 0.0); 3];
-            let mut n_moves = 1;
-            let stats = tree.leaf_stats(leaf);
-            let (len, totals) = (stats.count(), stats.sum_and_sum_sq());
-            let bounds = tree.leaf_bounds(leaf);
-            let proposal = if gather.is_empty() {
-                DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                    scan::scan_left_direct(
-                        tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
-                        d,
-                        t,
-                        live,
-                    )
-                })
-            } else {
-                DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                    scan::scan_left(gather, d, t, live)
-                })
-            };
-            if let Some((split, children_lml)) = proposal {
-                let (ln_p_here, ln_q_here) = split_prior[depth];
-                let (_, ln_q_child) = split_prior[depth + 1];
-                let log_odds = children_lml - leaf_lml + ln_p_here + 2.0 * ln_q_child - ln_q_here;
-                moves[n_moves] = (Decision::Grow(split), log_odds);
-                n_moves += 1;
-            }
-            if let Some(sibling) = tree.leaf_sibling(leaf) {
-                let sibling_lml = tree.leaf_moments()[sibling].lml;
-                let mut merged = *tree.leaf_stats(leaf);
-                merged.merge(tree.leaf_stats(sibling));
-                let merged_lml = merged.log_marginal_likelihood_with(ctx.prior, ctx.table);
-                let parent_depth = depth.saturating_sub(1);
-                let (ln_p_parent, ln_q_parent) = split_prior[parent_depth];
-                let (_, ln_q_here) = split_prior[depth];
-                let log_odds = merged_lml + ln_q_parent
-                    - (leaf_lml + sibling_lml + ln_p_parent + 2.0 * ln_q_here);
-                moves[n_moves] = (Decision::Prune, log_odds);
-                n_moves += 1;
-            }
-            let moves = &moves[..n_moves];
-            let max = moves
-                .iter()
-                .map(|(_, w)| *w)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let mut weights = [0.0f64; 3];
-            for (w, (_, log_odds)) in weights.iter_mut().zip(moves) {
-                *w = (log_odds - max).exp();
-            }
-            let weights = &weights[..n_moves];
-            let total: f64 = weights.iter().sum();
-            let mut pick = rng.gen_range_f64(0.0, total);
-            let mut chosen = Decision::Stay;
-            for (&(kind, _), &w) in moves.iter().zip(weights) {
-                if pick < w {
-                    chosen = kind;
-                    break;
-                }
-                pick -= w;
-            }
-            chosen
-        }
-
-        /// Adds `(x, y)` to `model` the old way.
-        pub(super) fn update(model: &mut DynaTree, x: &[f64], y: f64) {
-            let index = model.ys.len();
-            model.xs.push_row(x);
-            model.ys.push(y);
-            model.table.ensure(model.ys.len());
-            model.ensure_split_prior(model.depth_bound + 2);
-            let dim = model.xs.dim();
-
-            // 1. Group particles by unique arena, first-seen order.
-            let mut arena_group = vec![NO_GROUP; model.arenas.len()];
-            let mut unique = Vec::new();
-            for &slot in &model.particles {
-                if arena_group[slot as usize] == NO_GROUP {
-                    arena_group[slot as usize] = unique.len() as u32;
-                    unique.push(slot);
-                }
-            }
-
-            // 2. Weight pass.
-            let weighted: Vec<(u32, f64)> = unique
-                .iter()
-                .map(|&slot| {
-                    let tree = &model.arenas[slot as usize];
-                    let leaf = find_leaf_flat(tree.flat_nodes(), x);
-                    (leaf as u32, tree.leaf_moments()[leaf].log_density(y))
-                })
-                .collect();
-            let group_leaf: Vec<u32> = weighted.iter().map(|&(l, _)| l).collect();
-            let log_weights: Vec<f64> = model
-                .particles
-                .iter()
-                .map(|&slot| weighted[arena_group[slot as usize] as usize].1)
-                .collect();
-
-            // 3. Systematic resampling.
-            let (mut weights, mut indices) = (Vec::new(), Vec::new());
-            systematic_resample(&mut model.rng, &log_weights, &mut weights, &mut indices);
-
-            // 4. Remap and recount.
-            model.particles = indices.iter().map(|&i| model.particles[i]).collect();
-            model.arena_refs = vec![0; model.arenas.len()];
-            for &slot in &model.particles {
-                model.arena_refs[slot as usize] += 1;
-            }
-            model.arena_free = (0..model.arena_refs.len() as u32)
-                .filter(|&slot| model.arena_refs[slot as usize] == 0)
-                .collect();
-
-            // 5. Serial insert and gather per surviving unique tree.
-            let mut gather = vec![LeafColumns::default(); unique.len()];
-            let ctx = MomentCtx {
-                prior: &model.prior,
-                table: &model.table,
-            };
-            for (g, &slot) in unique.iter().enumerate() {
-                let slot = slot as usize;
-                if model.arena_refs[slot] == 0 {
-                    continue;
-                }
-                let tree = &mut model.arenas[slot];
-                let leaf = group_leaf[g] as usize;
-                tree.insert_at(leaf, index, x, y, &ctx);
-                let count = tree.leaf_stats(leaf).count();
-                if model.arena_refs[slot] > 1 && count >= 2 * model.config.min_leaf {
-                    let (xs, ys) = (&model.xs, &model.ys);
-                    gather[g].fill(
-                        dim,
-                        count,
-                        tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
-                    );
-                }
-            }
-
-            // 6. Decide every particle's move in parallel.
-            let decisions: Vec<Decision> = (0..model.particles.len())
-                .into_par_iter()
-                .map(|i| {
-                    let slot = model.particles[i] as usize;
-                    let g = arena_group[slot] as usize;
-                    let mut rng = SmallRng::substream(model.config.seed, index as u64, i as u64);
-                    decide_move(
-                        &model.config,
-                        &ctx,
-                        &model.split_prior,
-                        &model.arenas[slot],
-                        group_leaf[g] as usize,
-                        &gather[g],
-                        &model.xs,
-                        &model.ys,
-                        dim,
-                        &mut rng,
-                    )
-                })
-                .collect();
-
-            // 7. Serial copy-on-write slot assignment with the clones.
-            let mut movers = Vec::new();
-            for (i, &decision) in decisions.iter().enumerate() {
-                if decision == Decision::Stay {
-                    continue;
-                }
-                let slot = model.particles[i] as usize;
-                let leaf = group_leaf[arena_group[slot] as usize];
-                let dst = if model.arena_refs[slot] > 1 {
-                    model.arena_refs[slot] -= 1;
-                    let dst = match model.arena_free.pop() {
-                        Some(free) => free as usize,
-                        None => {
-                            model.arenas.push(ParticleTree::placeholder());
-                            model.arena_refs.push(0);
-                            model.arenas.len() - 1
-                        }
-                    };
-                    clone_slot(&mut model.arenas, slot, dst);
-                    model.arena_refs[dst] = 1;
-                    model.particles[i] = dst as u32;
-                    dst
-                } else {
-                    slot
-                };
-                movers.push((dst as u32, leaf, decision));
-            }
-
-            // 8. Apply the moves in parallel on trees moved out of their
-            //    slots.
-            let mover_trees: Vec<(u32, ParticleTree, u32, Decision)> = movers
-                .iter()
-                .map(|&(slot, leaf, decision)| {
-                    let tree = std::mem::replace(
-                        &mut model.arenas[slot as usize],
-                        ParticleTree::placeholder(),
-                    );
-                    (slot, tree, leaf, decision)
-                })
-                .collect();
-            let ctx = MomentCtx {
-                prior: &model.prior,
-                table: &model.table,
-            };
-            let (xs, ys) = (&model.xs, &model.ys);
-            let mover_trees: Vec<(u32, ParticleTree, u32, Decision)> = mover_trees
-                .into_par_iter()
-                .map(|(slot, mut tree, leaf, decision)| {
-                    match decision {
-                        Decision::Stay => unreachable!("stayers are filtered out"),
-                        Decision::Grow(split) => {
-                            tree.grow_unchecked(leaf as usize, split, xs, ys, &ctx)
-                        }
-                        Decision::Prune => {
-                            tree.prune(leaf as usize, &ctx);
-                        }
-                    }
-                    (slot, tree, leaf, decision)
-                })
-                .collect();
-
-            // 9. Serial intern in particle order, then compaction.
-            let mut depth_bound = model.depth_bound;
-            for (slot, mut tree, leaf, decision) in mover_trees {
-                if let Decision::Grow(_) = decision {
-                    tree.assign_child_paths(leaf as usize, &mut model.paths);
-                }
-                depth_bound = depth_bound.max(tree.depth_bound());
-                model.arenas[slot as usize] = tree;
-            }
-            model.depth_bound = depth_bound;
-            if model.paths.entry_count() >= 2 * model.paths_compacted.max(PATHS_COMPACT_FLOOR) {
-                model.rebuild_paths();
-            }
-        }
+        hash
     }
 
-    /// A seeded property loop over random configurations and update
-    /// streams (rows repeat): after every update the model's snapshot
-    /// equals the reference update's byte for byte, at 1 and 3 threads.
-    /// `grow_attempts` reaches past [`ATTEMPT_BATCH`], so proposal batches
-    /// split.
-    #[test]
-    fn per_tree_jobs_equal_the_reference_update_bytewise() {
-        let json = |model: &DynaTree| model.snapshot().unwrap().to_json_string().unwrap();
-        for case in 0..16u64 {
-            let mut rng = SmallRng::substream(0x7EE5, case, 0);
-            let config = DynaTreeConfig {
-                particles: 1 + rng.gen_index(64),
-                min_leaf: 1 + rng.gen_index(3),
-                grow_attempts: rng.gen_index(10),
-                seed: case,
-                ..Default::default()
+    /// The snapshot digest after every update of seeded stream `case`, at
+    /// `threads` pool threads: `(update index, FNV-1a of the JSON)`.
+    /// Random configurations with repeated rows; `grow_attempts` reaches
+    /// past [`ATTEMPT_BATCH`], so proposal batches split.
+    fn update_digests(case: u64, threads: usize) -> Vec<(usize, u64)> {
+        let mut rng = SmallRng::substream(0x7EE5, case, 0);
+        let config = DynaTreeConfig {
+            particles: 1 + rng.gen_index(64),
+            min_leaf: 1 + rng.gen_index(3),
+            grow_attempts: rng.gen_index(10),
+            seed: case,
+            ..Default::default()
+        };
+        let dim = 1 + rng.gen_index(4);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut ys = Vec::new();
+        for _ in 0..20 + rng.gen_index(30) {
+            let row = if !rows.is_empty() && rng.gen_index(4) == 0 {
+                rows[rng.gen_index(rows.len())].clone()
+            } else {
+                (0..dim).map(|_| rng.gen_range_f64(0.0, 1.0)).collect()
             };
-            let dim = 1 + rng.gen_index(4);
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let mut ys = Vec::new();
-            for _ in 0..20 + rng.gen_index(30) {
-                let row = if !rows.is_empty() && rng.gen_index(4) == 0 {
-                    rows[rng.gen_index(rows.len())].clone()
-                } else {
-                    (0..dim).map(|_| rng.gen_range_f64(0.0, 1.0)).collect()
-                };
-                let step = if row[0] > 0.5 { 2.0 } else { 0.0 };
-                ys.push(step + row.iter().sum::<f64>() + rng.gen_range_f64(-0.2, 0.2));
-                rows.push(row);
+            let step = if row[0] > 0.5 { 2.0 } else { 0.0 };
+            ys.push(step + row.iter().sum::<f64>() + rng.gen_range_f64(-0.2, 0.2));
+            rows.push(row);
+        }
+        let mut model = DynaTree::new(config);
+        model.fit(&[&rows[0]], &ys[..1]).unwrap();
+        let mut digests = Vec::new();
+        for (i, (row, &y)) in rows.iter().zip(&ys).enumerate().skip(1) {
+            rayon::set_num_threads(threads);
+            model.update(row, y).unwrap();
+            rayon::set_num_threads(0);
+            let json = model.snapshot().unwrap().to_json_string().unwrap();
+            digests.push((i, fnv64(json.as_bytes())));
+        }
+        model.validate_caches().unwrap();
+        digests
+    }
+
+    /// Every update of the 16 seeded streams reproduces the snapshot
+    /// digests committed in `testdata/update_digests.txt`, at 1 and 3
+    /// threads. The digests were recorded from the update this storage
+    /// replaced (per-tree point lists), which the nine-step serial update
+    /// before it had been checked against byte for byte; each line reads
+    /// `<case> <update> <FNV-1a of the snapshot JSON>`.
+    #[test]
+    fn updates_reproduce_the_reference_digests_bytewise() {
+        let expected: Vec<(u64, usize, u64)> = include_str!("testdata/update_digests.txt")
+            .lines()
+            .map(|line| {
+                let mut fields = line.split(' ');
+                let mut next = || fields.next().expect("three fields");
+                let case = next().parse().unwrap();
+                let update = next().parse().unwrap();
+                let digest = u64::from_str_radix(next(), 16).unwrap();
+                (case, update, digest)
+            })
+            .collect();
+        assert_eq!(expected.len(), 548);
+        for threads in [1, 3] {
+            let got: Vec<(u64, usize, u64)> = (0..16u64)
+                .flat_map(|case| {
+                    update_digests(case, threads)
+                        .into_iter()
+                        .map(move |(update, digest)| (case, update, digest))
+                })
+                .collect();
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!(g, e, "case {}, update {}, {threads} threads", e.0, e.1);
             }
-            let mut start = DynaTree::new(config);
-            start.fit(&[&rows[0]], &ys[..1]).unwrap();
-            let mut oracle = start.clone();
-            let mut runs = [start.clone(), start];
-            for (i, (row, &y)) in rows.iter().zip(&ys).enumerate().skip(1) {
-                reference::update(&mut oracle, row, y);
-                let expected = json(&oracle);
-                for (model, threads) in runs.iter_mut().zip([1, 3]) {
-                    rayon::set_num_threads(threads);
-                    model.update(row, y).unwrap();
-                    rayon::set_num_threads(0);
-                    assert!(
-                        json(model) == expected,
-                        "case {case} ({config:?}, {dim}-D), update {i}, {threads} threads"
-                    );
-                }
-            }
-            runs[0].validate_caches().unwrap();
+            assert_eq!(got.len(), expected.len(), "{threads} threads");
         }
     }
 
