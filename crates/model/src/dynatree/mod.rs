@@ -18,45 +18,61 @@
 //!
 //! # Performance
 //!
-//! The particle-learning step is built around four ideas:
+//! The particle-learning step is built around five ideas:
 //!
-//! * **Structurally shared arenas.** Trees live in a slot pool of
-//!   arena-backed [`ParticleTree`]s ([`tree`] module) and particles hold
-//!   slot indices. Systematic-resampling duplicates *share* their ancestor's
-//!   arena: the per-update weighting, point insertion and leaf gathering
-//!   run **once per unique tree**, and a duplicate only pays for a copy (a
-//!   handful of `memcpy`s into a recycled slot) when its first divergent
-//!   grow/prune move lands. Stay moves — the common case — keep sharing.
-//! * **Deterministic parallel updates, one job per tree.** Each particle's
-//!   stochastic move is decided with an RNG stream derived from
+//! * **Structurally shared arenas and leaf records.** Trees live in a slot
+//!   pool of arena-backed [`ParticleTree`]s ([`tree`] module) and particles
+//!   hold slot indices. Systematic-resampling duplicates *share* their
+//!   ancestor's arena, so the weighting runs **once per unique tree**, and
+//!   a duplicate only pays for a copy when its first divergent grow/prune
+//!   move lands. Below the trees, each leaf's payload (its observation
+//!   ids, a row-major copy of their features with `y` and `y²`, its
+//!   statistics, bounds and moments) lives in a refcounted leaf record
+//!   (the `record` module) that every copy of the tree shares. A copy
+//!   therefore copies node columns and bumps one refcount per leaf: it
+//!   copies no observation data. Stay moves — the common case — keep
+//!   sharing both.
+//! * **One insert per distinct leaf.** Trees share a record only when they
+//!   are copies of one tree, so every holder has it at the same root path
+//!   and a new observation lands in it for all of them or for none. The
+//!   weight pass groups the unique trees by the record of their receiving
+//!   leaf (evaluating each record's predictive density once), and the
+//!   update inserts the observation once per group that has a surviving
+//!   tree.
+//! * **Deterministic parallel updates.** Each particle's stochastic move is
+//!   decided with an RNG stream derived from
 //!   `(model seed, observation index, particle index)`
 //!   ([`SmallRng::substream`]), so no decision depends on which thread
 //!   makes it and `fit` and `update` are bit-identical across thread
-//!   counts. The work on a tree runs in one pool job, so its cache lines
-//!   stay on one core: a first map takes each surviving tree, inserts the
-//!   observation, gathers the receiving leaf, forms the prune odds and
-//!   decides every sharer's move; a second map takes each tree with
-//!   movers, clones it into every diverging sharer's recycled slot,
-//!   applies that sharer's move, and then applies the last owner's move
-//!   in place. Only bookkeeping runs serially: the weight pass over the
-//!   unique trees, systematic resampling (one draw from the master
-//!   stream), the copy-on-write slot assignment between the two maps, and
-//!   the interning of grown leaves' paths.
+//!   counts. The decide map runs one pool job per receiving record whose
+//!   trees have at most `DECIDE_CHUNK` sharers: it inserts the observation
+//!   and then forms each tree's prune odds and decides every sharer's move
+//!   on the record's rows, so a record stays on one core while all its
+//!   scans run. A record with more sharers is inserted serially first and
+//!   its sharers are split into jobs of at most `DECIDE_CHUNK`, so that a
+//!   record most particles share still spreads over the threads. The move
+//!   map runs one job per mover: it builds the records of the move from the
+//!   parent records, and a diverging sharer first clones the source tree
+//!   into its recycled slot and rewires the copy. What stays serial is
+//!   bookkeeping: the weight pass over the unique trees, systematic
+//!   resampling (one draw from the master stream), the grouping by record,
+//!   the copy-on-write slot assignment, the record ids and refcounts, the
+//!   rewiring of trees that move in place (after the copies read them),
+//!   and the interning of grown leaves' paths.
 //! * **Persistent flat-node and leaf-moment caches.** Every arena keeps its
-//!   dense traversal array and per-leaf derived quantities (predictive
-//!   moments, log marginal likelihood, log-density constants backed by a
-//!   memoized `ln Γ` table) eagerly fresh, so weighting is a flat traversal
-//!   plus a few flops, move scoring reads cached likelihoods, and
-//!   steady-state `predict`/`predict_batch`/`alc_scores` calls do **zero**
-//!   flattening or posterior recomputation.
-//! * **Fused split scans.** Each update gathers a leaf that several
-//!   particles share once into column-major feature/target buffers; every
-//!   sharer's split-proposal batch then runs through one fused
-//!   mask-multiply pass over those columns ([`scan::scan_left`]), carrying
-//!   all attempts' accumulators at once. A sole owner skips the copy and
-//!   streams its point list through the same pass
-//!   ([`scan::scan_left_direct`]); the two are bit-identical by
-//!   construction (property-tested).
+//!   dense traversal array and every record its derived quantities
+//!   (predictive moments, log marginal likelihood, log-density constants
+//!   backed by a memoized `ln Γ` table) eagerly fresh, so weighting is a
+//!   flat traversal plus a few flops, move scoring reads cached
+//!   likelihoods, and steady-state `predict`/`predict_batch`/`alc_scores`
+//!   calls do **zero** flattening or posterior recomputation.
+//! * **Fused split scans.** Every sharer's split-proposal batch runs
+//!   through one fused mask-multiply pass over its leaf record's
+//!   contiguous rows ([`scan::scan_left`]), carrying all attempts'
+//!   accumulators at once. The rows are the record's own storage, so no
+//!   scan gathers or chases a list, and each attempt accumulates in point
+//!   order, bit-identical to an attempt-at-a-time stream
+//!   (property-tested).
 //!
 //! # Persistent root paths and the batch kernels
 //!
@@ -68,10 +84,12 @@
 //! fresh like the flat and moment caches): a grow's two children are
 //! interned in a serial pass after the parallel moves, in particle order;
 //! a prune and a copy leave the ids as they are. `fit` resets the table,
-//! a restore rebuilds it by walking the live trees (it is never
-//! serialized, so snapshots do not change), and the same walk compacts it
-//! once it holds twice the entries it had after the last walk, since
-//! retired trees and pruned subtrees leave dead entries behind.
+//! and a restore rebuilds it by walking the live trees (it is never
+//! serialized, so snapshots do not change). Retired trees and pruned
+//! subtrees leave dead entries behind, so once the table holds twice the
+//! entries it had after its last compaction, the update marks the entries
+//! the live trees' path columns use, keeps those in their order, and
+//! rewrites every live tree's ids through the renumbering.
 //!
 //! The batch entry points ([`predict_batch`](SurrogateModel::predict_batch),
 //! [`alm_scores`](ActiveSurrogate::alm_scores),
@@ -95,6 +113,7 @@
 //! those alone (see the method for the error argument). Its result equals
 //! a stable sort of `alc_scores`.
 
+mod record;
 pub mod scan;
 pub mod tree;
 
@@ -111,7 +130,8 @@ use crate::snapshot::{self, Snapshot};
 use crate::traits::{rank_scores, ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
-use scan::{LeafColumns, ATTEMPT_BATCH};
+use record::{LeafRecord, LeafRecords};
+use scan::ATTEMPT_BATCH;
 
 pub use tree::{find_leaf_flat, FlatNode, MomentCtx, ParticleTree, Split, FLAT_LEAF};
 
@@ -126,6 +146,11 @@ const SCORE_BLOCK: usize = tree::TRAVERSE_BLOCK;
 /// "No group" sentinel in the arena→group scratch map.
 const NO_GROUP: u32 = u32::MAX;
 
+/// Most sharers a decide job takes: a receiving record with at most this
+/// many sharers gets one job that inserts and decides, a larger one is
+/// inserted up front and its sharers split into jobs of at most this many.
+const DECIDE_CHUNK: usize = 16;
+
 /// The path table is rebuilt from the live trees once it holds twice the
 /// entries it had after its last rebuild, and never below this many.
 const PATHS_COMPACT_FLOOR: usize = 32;
@@ -133,8 +158,6 @@ const PATHS_COMPACT_FLOOR: usize = 32;
 std::thread_local! {
     /// Per-thread buffers of [`with_route`].
     static ROUTING: std::cell::RefCell<Routing> = std::cell::RefCell::new(Routing::default());
-    /// Per-thread columns of the leaf an update's tree job gathers.
-    static GATHER: std::cell::RefCell<LeafColumns> = std::cell::RefCell::new(LeafColumns::default());
 }
 
 /// Configuration of the dynamic-tree model.
@@ -178,11 +201,22 @@ enum Decision {
     Prune,
 }
 
+impl Decision {
+    /// Number of leaf records the move builds.
+    fn records_built(self) -> usize {
+        match self {
+            Decision::Stay => 0,
+            Decision::Grow(_) => 2,
+            Decision::Prune => 1,
+        }
+    }
+}
+
 /// Reusable per-update workspace: after the first few updates no buffer here
 /// is ever reallocated. What an update still allocates is a handful of
 /// short lists: the per-tree weights, the job lists handed to the pool
-/// (they borrow the trees, so they live for one update) and the shim's
-/// per-call staging.
+/// (they borrow the trees and records, so they live for one update) and
+/// the shim's per-call staging.
 #[derive(Debug, Clone, Default)]
 struct UpdateScratch {
     /// Per-particle log predictive densities of the new observation.
@@ -199,11 +233,29 @@ struct UpdateScratch {
     group_leaf: Vec<u32>,
     /// Staging for the resampled particle→slot assignment.
     new_particles: Vec<u32>,
-    /// Arena slot → next free position of its run in `members`.
+    /// Record id → index of its receiving group ([`NO_GROUP`] between
+    /// updates).
+    record_group: Vec<u32>,
+    /// Receiving group → record id, in first-seen order over `unique`.
+    receiving: Vec<u32>,
+    /// Receiving group → log predictive density of the observation.
+    group_weight: Vec<f64>,
+    /// `(slot, leaf, group)` of each unique tree, in `unique` order; only
+    /// the surviving ones once the particles are resampled.
+    tree_group: Vec<(u32, u32, u32)>,
+    /// Receiving group → end of its run in `holders`.
+    group_end: Vec<u32>,
+    /// `(slot, leaf, sharers)` of each surviving tree, grouped by
+    /// receiving record.
+    holders: Vec<(u32, u32, u32)>,
+    /// `(slot, leaf, sharers)` runs of at most [`DECIDE_CHUNK`] sharers,
+    /// cut from the trees of the groups too large for one decide job.
+    chunks: Vec<(u32, u32, u32)>,
+    /// Arena slot → next position of its run in `members` while they fill.
     member_cursor: Vec<u32>,
-    /// Particle indices by arena slot, slots ascending and particles
-    /// ascending within a slot: each live slot's run lists the sharers its
-    /// tree job decides for.
+    /// Particle indices, one run per surviving slot in `holders` order and
+    /// particles ascending within a run, so each group's sharers form one
+    /// contiguous range.
     members: Vec<u32>,
     /// The move decided for each entry of `members`.
     member_moves: Vec<Decision>,
@@ -211,6 +263,18 @@ struct UpdateScratch {
     decisions: Vec<Decision>,
     /// Movers in particle order: `(own slot, leaf, decision)`.
     movers: Vec<(u32, u32, Decision)>,
+    /// The receiving records of the small groups, moved out of the pool
+    /// while their jobs insert into them, with their ids.
+    taken: Vec<(u32, LeafRecord)>,
+    /// Claimed ids and records the moves build into.
+    shells: Vec<(u32, LeafRecord)>,
+    /// Slots that received a clone this update.
+    cloned: Vec<u32>,
+    /// In-place movers: `(slot, leaf, decision, first shell)`.
+    in_place: Vec<(u32, u32, Decision, u32)>,
+    /// Records an in-place move built (gained) or gave up (lost).
+    gained: Vec<u32>,
+    lost: Vec<u32>,
 }
 
 /// The read-only inputs every pool job of one update shares.
@@ -219,9 +283,10 @@ struct UpdateEnv<'a> {
     ctx: MomentCtx<'a>,
     split_prior: &'a [(f64, f64)],
     xs: &'a FeatureMatrix,
-    ys: &'a [f64],
     /// Index of the observation being added.
     point: usize,
+    /// Its target.
+    y: f64,
 }
 
 /// Particle-learning dynamic-tree regressor.
@@ -239,6 +304,8 @@ pub struct DynaTree {
     /// Arena slot pool. Slots with a zero refcount hold retired trees whose
     /// allocations are recycled by the next copy-on-write clone.
     arenas: Vec<ParticleTree>,
+    /// The leaf records the live trees' leaves hold.
+    records: LeafRecords,
     /// Number of particles currently sharing each slot.
     arena_refs: Vec<u32>,
     /// Zero-refcount slots, ascending; popped from the back.
@@ -276,6 +343,7 @@ impl DynaTree {
             xs: FeatureMatrix::new(1),
             ys: Vec::new(),
             arenas: Vec::new(),
+            records: LeafRecords::default(),
             arena_refs: Vec::new(),
             arena_free: Vec::new(),
             particles: Vec::new(),
@@ -326,10 +394,21 @@ impl DynaTree {
         self.arena_refs.iter().filter(|&&r| r > 0).count()
     }
 
-    /// Recomputes every live tree's cached flat traversal, leaf moments and
-    /// root-path ids from scratch and compares them against the maintained
-    /// caches: the first two bitwise, each path id by the steps it spells
-    /// in the maintained table against those of a freshly rebuilt table.
+    /// Recomputes every live tree's cached flat traversal and root-path ids,
+    /// and every leaf record, from scratch and compares them against the
+    /// maintained state: the flat nodes bitwise, each path id by the steps
+    /// it spells in the maintained table against those of a freshly
+    /// rebuilt table, and each record by these invariants:
+    ///
+    /// * it lists exactly the observations inside its leaf's region, each
+    ///   observation in one leaf per tree (the list order is pinned by the
+    ///   snapshot digests of the unit tests);
+    /// * its rows equal `xs`/`ys` at those ids, and its statistics, bounds
+    ///   and moments equal a fresh computation, bitwise;
+    /// * its refcount equals the number of live leaves that hold it, and
+    ///   no live tree holds a freed record;
+    /// * all its holders hold it at one root path.
+    ///
     /// Exercised by the root-level property tests.
     ///
     /// # Errors
@@ -343,14 +422,30 @@ impl DynaTree {
         };
         let mut fresh = PathTable::default();
         let mut seen = std::collections::HashMap::new();
+        let mut holders = vec![0u32; self.records.len()];
+        let mut record_path = vec![NO_GROUP; self.records.len()];
         for (slot, (tree, &refs)) in self.arenas.iter().zip(&self.arena_refs).enumerate() {
-            if refs > 0 {
-                tree.validate_caches(&self.xs, &ctx)
-                    .and_then(|()| tree.validate_paths(&self.paths, &mut fresh, &mut seen))
-                    .map_err(|e| format!("arena {slot}: {e}"))?;
+            if refs == 0 {
+                continue;
             }
+            tree.validate_caches()
+                .and_then(|()| tree.validate_paths(&self.paths, &mut fresh, &mut seen))
+                .and_then(|()| tree.validate_leaves(&self.records, &self.xs, &mut holders))
+                .and_then(|()| {
+                    for leaf in tree.leaves() {
+                        let (id, path) = (tree.record_ids()[leaf], tree.path_ids()[leaf]);
+                        let held_at = &mut record_path[id as usize];
+                        if *held_at == NO_GROUP {
+                            *held_at = path;
+                        } else if *held_at != path {
+                            return Err(format!("leaf {leaf}: record {id} sits at two root paths"));
+                        }
+                    }
+                    Ok(())
+                })
+                .map_err(|e| format!("arena {slot}: {e}"))?;
         }
-        Ok(())
+        self.records.validate(&holders, &self.xs, &self.ys, &ctx)
     }
 
     /// Rebuilds a model from a [`SurrogateModel::snapshot`] document. The
@@ -402,6 +497,8 @@ impl DynaTree {
             *refs += 1;
         }
         let mut arenas = Vec::with_capacity(arena_docs.len());
+        let mut records = LeafRecords::default();
+        records.clear(xs.dim());
         {
             let ctx = MomentCtx {
                 prior: &prior,
@@ -415,13 +512,13 @@ impl DynaTree {
                         "arena slot {slot} is live but stored as null"
                     )));
                 } else {
-                    let tree = ParticleTree::from_snapshot(tree_doc, &ctx, ys.len())?;
-                    if tree.n_dims() != xs.dim() {
-                        return Err(snapshot::err(format!(
-                            "arena slot {slot}: tree width disagrees with the training rows"
-                        )));
-                    }
-                    arenas.push(tree);
+                    arenas.push(ParticleTree::from_snapshot(
+                        tree_doc,
+                        &ctx,
+                        &xs,
+                        &ys,
+                        &mut records,
+                    )?);
                 }
             }
         }
@@ -437,6 +534,7 @@ impl DynaTree {
             xs,
             ys,
             arenas,
+            records,
             arena_refs,
             arena_free,
             particles,
@@ -486,12 +584,34 @@ impl DynaTree {
     }
 
     /// Rebuilds the path table from the live trees alone, walking them in
-    /// first-seen particle order, and reassigns every live node's id.
-    /// Retired slots keep stale ids; they are only ever overwritten.
+    /// first-seen particle order, and reassigns every live node's id: the
+    /// table of a restored model. Retired slots keep stale ids; they are
+    /// only ever overwritten.
     fn rebuild_paths(&mut self) {
         self.paths.clear();
         for (slot, _) in self.arena_groups() {
             self.arenas[slot as usize].assign_paths(&mut self.paths);
+        }
+        self.paths_compacted = self.paths.entry_count();
+    }
+
+    /// Drops the path-table entries no live tree uses, keeping the others
+    /// in their order, and rewrites every live tree's ids through the
+    /// renumbering ([`PathTable::retain`]). Leaves the same entries and
+    /// splits as [`rebuild_paths`](Self::rebuild_paths), without
+    /// re-interning a node. Retired slots keep stale ids.
+    fn compact_paths(&mut self) {
+        let mut live = vec![false; self.paths.entry_count()];
+        for (tree, &refs) in self.arenas.iter().zip(&self.arena_refs) {
+            if refs > 0 {
+                tree.mark_paths(&mut live);
+            }
+        }
+        let remap = self.paths.retain(&live);
+        for (tree, &refs) in self.arenas.iter_mut().zip(&self.arena_refs) {
+            if refs > 0 {
+                tree.remap_paths(&remap);
+            }
         }
         self.paths_compacted = self.paths.entry_count();
     }
@@ -531,10 +651,9 @@ impl DynaTree {
     /// A leaf's reference count is the popcount of its path's reach,
     /// summed over the reference chunks; the table is built serially, each
     /// chunk routed once for every tree. Adding the variance that many
-    /// times is the sum a per-reference loop forms. Trees that share a
-    /// leaf's path mostly share its moments too (copies of one ancestor),
-    /// so that sum is formed once per path and reused while the variance
-    /// and `n_eff` bits repeat.
+    /// times is the sum a per-reference loop forms. A leaf record sits at
+    /// one path and carries one set of moments, so that sum is formed once
+    /// per record and reused by every tree that holds it.
     fn alc_terms(&self, groups: &[(u32, u32)], reference: &[&[f64]]) -> Vec<(u32, f64)> {
         let mut counts = vec![0u32; self.paths.path_count()];
         for chunk in reference.chunks(SCORE_BLOCK) {
@@ -544,33 +663,29 @@ impl DynaTree {
                 }
             });
         }
-        let mut last: Vec<Option<(u64, u64, f64)>> = vec![None; counts.len()];
+        let mut tables: Vec<Option<f64>> = vec![None; self.records.len()];
         let mut terms = Vec::new();
         for &(slot, mult) in groups {
             let tree = &self.arenas[slot as usize];
-            let (moments, paths) = (tree.leaf_moments(), tree.path_ids());
+            let (records, paths) = (tree.record_ids(), tree.path_ids());
             for leaf in tree.leaves() {
                 let path = paths[leaf] as usize;
                 let count = counts[path];
                 if count == 0 {
                     continue;
                 }
-                let m = &moments[leaf];
-                let key = (m.variance.to_bits(), m.n_eff.to_bits());
-                let table = match last[path] {
-                    Some((variance, n_eff, table)) if (variance, n_eff) == key => table,
-                    _ => {
-                        let mut table = 0.0f64;
-                        for _ in 0..count {
-                            table += m.variance;
-                        }
-                        if table > 0.0 {
-                            table /= m.n_eff + 1.0;
-                        }
-                        last[path] = Some((key.0, key.1, table));
-                        table
+                let record = records[leaf];
+                let table = *tables[record as usize].get_or_insert_with(|| {
+                    let m = self.records[record].moments();
+                    let mut table = 0.0f64;
+                    for _ in 0..count {
+                        table += m.variance;
                     }
-                };
+                    if table > 0.0 {
+                        table /= m.n_eff + 1.0;
+                    }
+                    table
+                });
                 let term = mult as f64 * table;
                 // A zero term is skipped; adding it would leave a total
                 // unchanged, since a total that starts at +0.0 is never
@@ -605,12 +720,11 @@ impl DynaTree {
     /// returning the split and the children's combined log marginal
     /// likelihood. Reads the leaf's maintained bounds, its statistics'
     /// totals and the particle's own RNG stream; the points themselves come
-    /// from the per-group column gather, which lists them in point-list
-    /// order — the same sequence a direct walk of the tree would yield.
+    /// from the leaf record's rows, in list order.
     ///
     /// All attempts of a batch (up to [`ATTEMPT_BATCH`]) are handed to one
-    /// scan call: each attempt's left-side `(n, Σy, Σy²)` comes back
-    /// bit-identical whether the gathered or the streamed kernel ran. The
+    /// scan call, which returns each attempt's left-side `(n, Σy, Σy²)`
+    /// summed in point order. The
     /// right side is `totals − left`, and the children's likelihoods come
     /// from [`log_marginal_likelihood_of_sums`], compared in attempt order
     /// so results match an attempt-at-a-time evaluation.
@@ -717,26 +831,41 @@ impl DynaTree {
             }
         }
 
-        // 2. Weight pass: one flat traversal + cached-density evaluation per
-        //    unique tree, then broadcast to the particles. Serial: a
-        //    traversal costs less than handing it to another thread.
-        let weighted: Vec<(u32, f64)> = scratch
-            .unique
-            .iter()
-            .map(|&slot| {
-                let tree = &self.arenas[slot as usize];
-                let leaf = find_leaf_flat(tree.flat_nodes(), x);
-                (leaf as u32, tree.leaf_moments()[leaf].log_density(y))
-            })
-            .collect();
+        // 2. Weight pass: one flat traversal per unique tree, then one
+        //    cached-density evaluation per distinct receiving record (trees
+        //    that hold one record share its moments), broadcast to the
+        //    particles. The records are grouped here, in first-seen order,
+        //    for the insert below. Serial: a traversal costs less than
+        //    handing it to another thread.
+        scratch.record_group.resize(self.records.len(), NO_GROUP);
+        scratch.receiving.clear();
+        scratch.group_weight.clear();
         scratch.group_leaf.clear();
+        scratch.tree_group.clear();
+        for &slot in &scratch.unique {
+            let tree = &self.arenas[slot as usize];
+            let leaf = find_leaf_flat(tree.flat_nodes(), x);
+            let record = tree.record_ids()[leaf];
+            let group = &mut scratch.record_group[record as usize];
+            if *group == NO_GROUP {
+                *group = scratch.receiving.len() as u32;
+                scratch.receiving.push(record);
+                let moments = self.records[record].moments();
+                scratch.group_weight.push(moments.log_density(y));
+            }
+            scratch.group_leaf.push(leaf as u32);
+            scratch.tree_group.push((slot, leaf as u32, *group));
+        }
+        for &record in &scratch.receiving {
+            scratch.record_group[record as usize] = NO_GROUP;
+        }
         scratch.log_weights.clear();
-        scratch.group_leaf.extend(weighted.iter().map(|&(l, _)| l));
-        scratch.log_weights.extend(
-            self.particles
-                .iter()
-                .map(|&slot| weighted[scratch.arena_group[slot as usize] as usize].1),
-        );
+        scratch
+            .log_weights
+            .extend(self.particles.iter().map(|&slot| {
+                let (_, _, group) = scratch.tree_group[scratch.arena_group[slot as usize] as usize];
+                scratch.group_weight[group as usize]
+            }));
 
         // 3. Systematic resampling on the master stream (serial; one draw).
         systematic_resample(
@@ -748,7 +877,9 @@ impl DynaTree {
 
         // 4. Remap particles to their ancestors' slots and recount arena
         //    references. Duplicates share their ancestor's arena — no clone
-        //    happens here.
+        //    happens here. A tree no particle holds any more gives up its
+        //    records, so that only live trees hold the records the insert
+        //    below writes to.
         scratch.new_particles.clear();
         scratch
             .new_particles
@@ -765,14 +896,43 @@ impl DynaTree {
                 self.arena_free.push(slot as u32);
             }
         }
+        for &slot in &scratch.unique {
+            if self.arena_refs[slot as usize] == 0 {
+                let tree = &self.arenas[slot as usize];
+                for leaf in tree.leaves() {
+                    self.records.release(tree.record_ids()[leaf]);
+                }
+            }
+        }
 
-        // 5. List each surviving tree's sharers: a counting sort of the
-        //    particles by slot, particle order within a slot.
-        scratch.member_cursor.clear();
+        // 5. Lay out each receiving record's surviving trees and each
+        //    tree's sharers contiguously: a counting sort of the surviving
+        //    trees by record, then of the particles by slot in that slot
+        //    order, particle order within a slot.
+        let survived = |&(slot, _, _): &(u32, u32, u32)| self.arena_refs[slot as usize] > 0;
+        scratch.tree_group.retain(survived);
+        scratch.group_end.clear();
+        scratch.group_end.resize(scratch.receiving.len(), 0);
+        for &(_, _, group) in &scratch.tree_group {
+            scratch.group_end[group as usize] += 1;
+        }
         let mut offset = 0;
-        for &refs in &self.arena_refs {
-            scratch.member_cursor.push(offset);
-            offset += refs;
+        for end in &mut scratch.group_end {
+            (*end, offset) = (offset, offset + *end);
+        }
+        scratch.holders.clear();
+        scratch.holders.resize(scratch.tree_group.len(), (0, 0, 0));
+        for &(slot, leaf, group) in &scratch.tree_group {
+            let at = &mut scratch.group_end[group as usize];
+            scratch.holders[*at as usize] = (slot, leaf, self.arena_refs[slot as usize]);
+            *at += 1;
+        }
+        scratch.member_cursor.clear();
+        scratch.member_cursor.resize(self.arenas.len(), 0);
+        let mut offset = 0;
+        for &(slot, _, sharers) in &scratch.holders {
+            scratch.member_cursor[slot as usize] = offset;
+            offset += sharers;
         }
         scratch.members.clear();
         scratch.members.resize(self.particles.len(), 0);
@@ -794,37 +954,90 @@ impl DynaTree {
             },
             split_prior: &self.split_prior,
             xs: &self.xs,
-            ys: &self.ys,
             point: index,
+            y,
         };
         let leaf_of = |slot: usize| scratch.group_leaf[scratch.arena_group[slot] as usize];
 
-        // 6. One pool job per surviving tree: insert the observation, then
-        //    decide every sharer's move on its own
-        //    `(seed, observation, particle)` stream, written back through
-        //    the sharer's entry of `member_moves`.
+        // 6. Insert the observation once per receiving record and decide
+        //    every sharer's move on its own `(seed, observation, particle)`
+        //    stream, written back through the sharer's entry of
+        //    `member_moves`. A group of at most `DECIDE_CHUNK` sharers is one
+        //    pool job, which inserts into its record (moved out of the pool
+        //    meanwhile) and then scans it for every sharer, so the record
+        //    stays on one core. A larger group is inserted here, serially,
+        //    and its trees' sharers are cut into jobs of at most
+        //    `DECIDE_CHUNK`, so that a record most particles share still
+        //    spreads over the threads. No job reads another's record: a
+        //    record that receives the point is never a sibling's.
+        scratch.chunks.clear();
+        let mut start = 0;
+        for (&record, &end) in scratch.receiving.iter().zip(&scratch.group_end) {
+            let trees = &scratch.holders[start as usize..end as usize];
+            start = end;
+            match trees.iter().map(|&(_, _, n)| n as usize).sum::<usize>() {
+                // Only retired trees held the record: it is free by now.
+                0 => continue,
+                sharers if sharers <= DECIDE_CHUNK => {
+                    scratch.taken.push((record, self.records.take(record)));
+                    continue;
+                }
+                _ => {}
+            }
+            self.records.insert(record, index, x, y, &env.ctx);
+            for &(slot, leaf, sharers) in trees {
+                let mut first = 0;
+                while first < sharers {
+                    let chunk = (sharers - first).min(DECIDE_CHUNK as u32);
+                    scratch.chunks.push((slot, leaf, chunk));
+                    first += chunk;
+                }
+            }
+        }
         {
+            let (arenas, records) = (&self.arenas, &self.records);
+            let mut taken = scratch.taken.iter_mut().map(|(_, record)| record);
+            let (mut holders, mut chunks) = (&scratch.holders[..], &scratch.chunks[..]);
+            let mut specs = Vec::new();
+            let mut start = 0;
+            for &end in &scratch.group_end {
+                let (trees, rest) = holders.split_at((end - start) as usize);
+                (start, holders) = (end, rest);
+                let sharers = trees.iter().map(|&(_, _, n)| n as usize).sum::<usize>();
+                if sharers == 0 {
+                    continue;
+                }
+                if sharers <= DECIDE_CHUNK {
+                    specs.push((taken.next(), trees, sharers));
+                    continue;
+                }
+                let mut left = sharers;
+                while left > 0 {
+                    let (chunk, rest) = chunks.split_at(1);
+                    chunks = rest;
+                    left -= chunk[0].2 as usize;
+                    specs.push((None, chunk, chunk[0].2 as usize));
+                }
+            }
             let mut members = &scratch.members[..];
             let mut moves = &mut scratch.member_moves[..];
-            let jobs: Vec<(&mut ParticleTree, u32, &[u32], &mut [Decision])> = self
-                .arenas
-                .iter_mut()
-                .zip(&self.arena_refs)
-                .enumerate()
-                .filter(|&(_, (_, &refs))| refs > 0)
-                .map(|(slot, (tree, &refs))| {
-                    let (sharers, rest) = members.split_at(refs as usize);
+            let jobs: Vec<_> = specs
+                .into_iter()
+                .map(|(record, trees, sharers)| {
+                    let (particles, rest) = members.split_at(sharers);
                     members = rest;
-                    let (sharer_moves, rest) =
-                        std::mem::take(&mut moves).split_at_mut(refs as usize);
+                    let (decided, rest) = std::mem::take(&mut moves).split_at_mut(sharers);
                     moves = rest;
-                    (tree, leaf_of(slot), sharers, sharer_moves)
+                    (record, trees, particles, decided)
                 })
                 .collect();
             jobs.into_par_iter()
-                .for_each(|(tree, leaf, sharers, moves)| {
-                    env.decide_tree(tree, leaf as usize, sharers, moves)
+                .for_each(|(record, trees, particles, decided)| {
+                    env.decide_job(arenas, records, record, trees, particles, decided)
                 });
+        }
+        for (record, taken) in scratch.taken.drain(..) {
+            self.records.put(record, taken);
         }
 
         // 7. Copy-on-write slot assignment (serial bookkeeping, particle
@@ -863,24 +1076,26 @@ impl DynaTree {
             scratch.movers.push((own as u32, leaf_of(slot), decision));
         }
 
-        // 8. One pool job per source tree with movers: clone it into each
-        //    diverging sharer's slot and apply that sharer's move, then
-        //    apply the last owner's move in place — after the clones, which
-        //    copy the tree as the insert left it. A source's sharers are its
-        //    run of `members`; the fill in step 5 left each slot's cursor at
-        //    the end of its run.
+        // 8. One pool job per mover, each building its move's records into
+        //    ids claimed here, from the parent records in the pool. A mover
+        //    that diverges from its sharers first clones the source tree
+        //    into its recycled slot and rewires the copy in its job; the
+        //    last owner's tree is rewired after the map, serially, because
+        //    the clones read it as it stood. The refcounts follow serially
+        //    too: a clone holds its leaves' records once more, an in-place
+        //    move trades the records it gave up for the ones it built.
+        scratch.cloned.clear();
+        scratch.in_place.clear();
+        scratch.gained.clear();
+        scratch.lost.clear();
         {
             let mut slots: Vec<Option<&mut ParticleTree>> =
                 self.arenas.iter_mut().map(Some).collect();
-            let mut claim = |slot: usize| slots[slot].take().expect("a slot joins at most one job");
-            let mut clones: Vec<(&mut ParticleTree, Decision)> = Vec::new();
-            let mut sources = Vec::new();
+            let mut specs = Vec::new();
             let mut start = 0;
-            for (source, &end) in scratch.member_cursor.iter().enumerate() {
-                let run = start as usize..end as usize;
-                start = end;
-                let first = clones.len();
-                let mut in_place = None;
+            for &(source, leaf, sharers) in &scratch.holders {
+                let (source, run) = (source as usize, start..start + sharers as usize);
+                start = run.end;
                 for (&i, &decision) in scratch.members[run.clone()]
                     .iter()
                     .zip(&scratch.member_moves[run])
@@ -888,44 +1103,87 @@ impl DynaTree {
                     if decision == Decision::Stay {
                         continue;
                     }
-                    match self.particles[i as usize] as usize {
-                        own if own == source => in_place = Some(decision),
-                        own => clones.push((claim(own), decision)),
+                    let first = scratch.shells.len();
+                    for _ in 0..decision.records_built() {
+                        scratch.shells.push(self.records.claim());
+                    }
+                    let own = self.particles[i as usize] as usize;
+                    if own == source {
+                        let tree = slots[source].as_deref().expect("a source is never claimed");
+                        let ids = tree.record_ids();
+                        match decision {
+                            Decision::Grow(_) => scratch.lost.push(ids[leaf as usize]),
+                            _ => {
+                                let parent = tree.parent_of(leaf as usize).expect("a pruned leaf");
+                                let (left, right) = tree.children_of(parent);
+                                scratch.lost.extend([ids[left], ids[right]]);
+                            }
+                        }
+                        scratch
+                            .gained
+                            .extend(scratch.shells[first..].iter().map(|&(id, _)| id));
+                        scratch
+                            .in_place
+                            .push((source as u32, leaf, decision, first as u32));
+                        specs.push((None, source, leaf, decision));
+                    } else {
+                        let copy = slots[own].take().expect("a slot is cloned into once");
+                        scratch.cloned.push(own as u32);
+                        specs.push((Some(copy), source, leaf, decision));
                     }
                 }
-                if clones.len() > first || in_place.is_some() {
-                    sources.push((
-                        claim(source),
-                        leaf_of(source),
-                        clones.len() - first,
-                        in_place,
-                    ));
-                }
             }
-            let mut rest = &mut clones[..];
-            let jobs: Vec<_> = sources
+            let sources: Vec<Option<&ParticleTree>> = slots
                 .into_iter()
-                .map(|(source, leaf, count, in_place)| {
-                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(count);
-                    rest = tail;
-                    (source, leaf as usize, mine, in_place)
+                .map(|slot| slot.map(|tree| &*tree))
+                .collect();
+            let records = &self.records;
+            let mut shells = &mut scratch.shells[..];
+            let jobs: Vec<_> = specs
+                .into_iter()
+                .map(|(copy, source, leaf, decision)| {
+                    let built = decision.records_built();
+                    let (mine, rest) = std::mem::take(&mut shells).split_at_mut(built);
+                    shells = rest;
+                    let source = sources[source].expect("a source is never claimed");
+                    (copy, source, leaf as usize, decision, mine)
                 })
                 .collect();
             jobs.into_par_iter()
-                .for_each(|(source, leaf, clones, in_place)| {
-                    for (tree, decision) in clones.iter_mut() {
+                .for_each(|(copy, source, leaf, decision, built)| {
+                    env.build_move(records, source, leaf, decision, built);
+                    if let Some(tree) = copy {
                         tree.clone_from(source);
-                        env.apply_move(tree, leaf, *decision);
-                    }
-                    if let Some(decision) = in_place {
-                        env.apply_move(source, leaf, decision);
+                        rewire(records, tree, leaf, decision, built);
                     }
                 });
         }
+        for &(source, leaf, decision, first) in &scratch.in_place {
+            let built = &scratch.shells[first as usize..][..decision.records_built()];
+            let tree = &mut self.arenas[source as usize];
+            rewire(&self.records, tree, leaf as usize, decision, built);
+        }
+        for (id, record) in scratch.shells.drain(..) {
+            self.records.put(id, record);
+        }
+        // Every retain before any release, so no record still held passes
+        // through zero onto the free list.
+        for &slot in &scratch.cloned {
+            let tree = &self.arenas[slot as usize];
+            for leaf in tree.leaves() {
+                self.records.retain(tree.record_ids()[leaf]);
+            }
+        }
+        for &id in &scratch.gained {
+            self.records.retain(id);
+        }
+        for &id in &scratch.lost {
+            self.records.release(id);
+        }
 
         // 9. Intern the children of every grown leaf into the shared path
-        //    table (serial, in particle order), and rebuild the table from
-        //    the live trees once dead entries could make up half of it.
+        //    table (serial, in particle order), and compact the table once
+        //    dead entries could make up half of it.
         let mut depth_bound = self.depth_bound;
         for &(own, leaf, decision) in &scratch.movers {
             let tree = &mut self.arenas[own as usize];
@@ -936,7 +1194,7 @@ impl DynaTree {
         }
         self.depth_bound = depth_bound;
         if self.paths.entry_count() >= 2 * self.paths_compacted.max(PATHS_COMPACT_FLOOR) {
-            self.rebuild_paths();
+            self.compact_paths();
         }
 
         self.scratch = scratch;
@@ -944,63 +1202,59 @@ impl DynaTree {
 }
 
 impl UpdateEnv<'_> {
-    /// One surviving tree's part of an update: inserts the observation into
-    /// `leaf`, then decides the move of each particle in `sharers` into the
-    /// matching entry of `moves`. The leaf is gathered into this thread's
-    /// columns only when several sharers will scan it and it can split.
-    fn decide_tree(
+    /// One decide job: inserts the observation into `record` when the job
+    /// owns its group's receiving record (moved out of `records`), then,
+    /// for each `(slot, leaf, sharers)` of `trees` — a tree of `arenas`
+    /// whose receiving leaf is `leaf` — forms the prune odds once and
+    /// decides the moves of its next `sharers` particles of `particles`
+    /// into the matching entries of `moves`.
+    fn decide_job(
         &self,
-        tree: &mut ParticleTree,
-        leaf: usize,
-        sharers: &[u32],
+        arenas: &[ParticleTree],
+        records: &LeafRecords,
+        mut record: Option<&mut LeafRecord>,
+        trees: &[(u32, u32, u32)],
+        particles: &[u32],
         moves: &mut [Decision],
     ) {
-        let (xs, ys) = (self.xs, self.ys);
-        tree.insert_at(
-            leaf,
-            self.point,
-            xs.row(self.point),
-            ys[self.point],
-            &self.ctx,
-        );
-        let tree = &*tree;
-        let prune = self.prune_log_odds(tree, leaf);
-        GATHER.with(|cell| {
-            let gather = &mut *cell.borrow_mut();
-            let count = tree.leaf_stats(leaf).count();
-            if sharers.len() > 1 && count >= 2 * self.config.min_leaf {
-                gather.fill(
-                    xs.dim(),
-                    count,
-                    tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
-                );
-            } else {
-                gather.clear();
-            }
-            for (&particle, decision) in sharers.iter().zip(moves) {
+        let point = self.point;
+        if let Some(record) = record.as_deref_mut() {
+            record.insert(point, self.xs.row(point), self.y, &self.ctx);
+        }
+        let mut at = 0;
+        for &(slot, leaf, sharers) in trees {
+            let (tree, leaf) = (&arenas[slot as usize], leaf as usize);
+            let record = match &record {
+                Some(record) => &**record,
+                None => &records[tree.record_ids()[leaf]],
+            };
+            let prune = self.prune_log_odds(tree, leaf, record, records);
+            let run = at..at + sharers as usize;
+            at = run.end;
+            for (&particle, decision) in particles[run.clone()].iter().zip(&mut moves[run]) {
                 let mut rng =
-                    SmallRng::substream(self.config.seed, self.point as u64, u64::from(particle));
-                *decision = self.decide_move(tree, leaf, prune, gather, &mut rng);
+                    SmallRng::substream(self.config.seed, point as u64, u64::from(particle));
+                *decision = self.decide_move(tree, leaf, record, prune, &mut rng);
             }
-        });
+        }
     }
 
     /// Decides one sharer's stay/grow/prune move around the leaf that
     /// received the new observation, on the sharer's own RNG stream. Reads
-    /// the tree; `prune` is the prune move's log-odds, which depend on the
-    /// tree alone ([`prune_log_odds`](Self::prune_log_odds)), and `gather` holds the
-    /// leaf's columns when several sharers scan it, else nothing.
+    /// the tree and the leaf's record; `prune` is the prune move's
+    /// log-odds, which depend on the tree alone
+    /// ([`prune_log_odds`](Self::prune_log_odds)).
     fn decide_move(
         &self,
         tree: &ParticleTree,
         leaf: usize,
+        record: &LeafRecord,
         prune: Option<f64>,
-        gather: &LeafColumns,
         rng: &mut SmallRng,
     ) -> Decision {
-        let (config, ctx, xs, ys) = (self.config, &self.ctx, self.xs, self.ys);
+        let (config, ctx) = (self.config, &self.ctx);
         let depth = tree.depth_of(leaf);
-        let leaf_lml = tree.leaf_moments()[leaf].lml;
+        let leaf_lml = record.moments().lml;
 
         // Log-odds of the candidate moves relative to "stay" (whose log-odds
         // are zero by construction). At most three moves exist, so the
@@ -1008,29 +1262,19 @@ impl UpdateEnv<'_> {
         let mut moves = [(Decision::Stay, 0.0); 3];
         let mut n_moves = 1;
 
-        let stats = tree.leaf_stats(leaf);
+        let stats = record.stats();
         let (len, totals) = (stats.count(), stats.sum_and_sum_sq());
-        let bounds = tree.leaf_bounds(leaf);
-        let dim = xs.dim();
-        // Sole-owner leaves stream the point list straight into the fused
-        // scalar kernel (the gather is skipped for them); shared leaves
-        // scan the gathered columns. Both paths visit points in list order,
-        // so the proposals are bit-identical either way.
-        let proposal = if gather.is_empty() {
-            DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                scan::scan_left_direct(
-                    tree.leaf_points(leaf).map(|p| (xs.row(p), ys[p])),
-                    d,
-                    t,
-                    live,
-                )
-            })
-        } else {
-            debug_assert_eq!(gather.len(), len, "gather out of sync with leaf");
-            DynaTree::propose_split(config, ctx, len, totals, bounds, dim, rng, |d, t, live| {
-                scan::scan_left(gather, d, t, live)
-            })
-        };
+        let dim = self.xs.dim();
+        let proposal = DynaTree::propose_split(
+            config,
+            ctx,
+            len,
+            totals,
+            record.bounds(),
+            dim,
+            rng,
+            |d, t, live| scan::scan_left(record.rows(), d, t, live),
+        );
         if let Some((split, children_lml)) = proposal {
             let (ln_p_here, ln_q_here) = self.split_prior[depth];
             let (_, ln_q_child) = self.split_prior[depth + 1];
@@ -1067,15 +1311,22 @@ impl UpdateEnv<'_> {
         chosen
     }
 
-    /// Log-odds of collapsing `leaf` into its parent relative to staying,
-    /// or `None` when its sibling is not a leaf.
-    fn prune_log_odds(&self, tree: &ParticleTree, leaf: usize) -> Option<f64> {
-        let sibling = tree.leaf_sibling(leaf)?;
+    /// Log-odds of collapsing `leaf`, which holds `record`, into its parent
+    /// relative to staying, or `None` when its sibling is not a leaf. The
+    /// sibling's record is read from `records`.
+    fn prune_log_odds(
+        &self,
+        tree: &ParticleTree,
+        leaf: usize,
+        record: &LeafRecord,
+        records: &LeafRecords,
+    ) -> Option<f64> {
+        let sibling = &records[tree.record_ids()[tree.leaf_sibling(leaf)?]];
         let depth = tree.depth_of(leaf);
-        let leaf_lml = tree.leaf_moments()[leaf].lml;
-        let sibling_lml = tree.leaf_moments()[sibling].lml;
-        let mut merged = *tree.leaf_stats(leaf);
-        merged.merge(tree.leaf_stats(sibling));
+        let leaf_lml = record.moments().lml;
+        let sibling_lml = sibling.moments().lml;
+        let mut merged = *record.stats();
+        merged.merge(sibling.stats());
         let merged_lml = merged.log_marginal_likelihood_with(self.ctx.prior, self.ctx.table);
         let parent_depth = depth.saturating_sub(1);
         let (ln_p_parent, ln_q_parent) = self.split_prior[parent_depth];
@@ -1083,19 +1334,60 @@ impl UpdateEnv<'_> {
         Some(merged_lml + ln_q_parent - (leaf_lml + sibling_lml + ln_p_parent + 2.0 * ln_q_here))
     }
 
-    /// Applies a grow or a prune of `leaf` to a tree its particle owns.
-    fn apply_move(&self, tree: &mut ParticleTree, leaf: usize, decision: Decision) {
-        match decision {
-            Decision::Stay => unreachable!("stayers are filtered out"),
-            Decision::Grow(split) => {
+    /// Builds the records a grow or a prune of `leaf` in `tree` leaves
+    /// behind into `built` (claimed ids with their records,
+    /// [`Decision::records_built`] of them), from the parent records in
+    /// `records`.
+    fn build_move(
+        &self,
+        records: &LeafRecords,
+        tree: &ParticleTree,
+        leaf: usize,
+        decision: Decision,
+        built: &mut [(u32, LeafRecord)],
+    ) {
+        let ids = tree.record_ids();
+        match (decision, built) {
+            (Decision::Grow(split), [(_, left), (_, right)]) => {
                 // The proposal verified both children meet `min_leaf` with
                 // these exact comparisons.
-                tree.grow_unchecked(leaf, split, self.xs, self.ys, &self.ctx);
+                records[ids[leaf]].split_into(split, left, right, &self.ctx);
             }
-            Decision::Prune => {
-                tree.prune(leaf, &self.ctx);
+            (Decision::Prune, [(_, merged)]) => {
+                let parent = tree.parent_of(leaf).expect("a pruned leaf has a parent");
+                let (left, right) = tree.children_of(parent);
+                LeafRecord::merge_into(
+                    &records[ids[left]],
+                    &records[ids[right]],
+                    merged,
+                    &self.ctx,
+                );
             }
+            _ => unreachable!("a move comes with the records it builds"),
         }
+    }
+}
+
+/// Rewires `tree`'s nodes for a grow or a prune of `leaf` to the records
+/// [`UpdateEnv::build_move`] built, whose ids `built` lists; the parent
+/// records the nodes keep past statistics and bounds from are read from
+/// `records`.
+fn rewire(
+    records: &LeafRecords,
+    tree: &mut ParticleTree,
+    leaf: usize,
+    decision: Decision,
+    built: &[(u32, LeafRecord)],
+) {
+    match (decision, built) {
+        (Decision::Grow(split), [(left, _), (right, _)]) => {
+            let parent = &records[tree.record_ids()[leaf]];
+            tree.grow(leaf, split, parent, (*left, *right));
+        }
+        (Decision::Prune, [(merged, _)]) => {
+            tree.prune(leaf, *merged, records);
+        }
+        _ => unreachable!("a move comes with the records it builds"),
     }
 }
 
@@ -1185,6 +1477,7 @@ impl SurrogateModel for DynaTree {
         self.xs.push_row(xs[0]);
         self.ys.push(ys[0]);
         self.arenas.clear();
+        self.records.clear(dim);
         self.arena_refs.clear();
         self.arena_free.clear();
         self.particles.clear();
@@ -1196,8 +1489,12 @@ impl SurrogateModel for DynaTree {
                 prior: &self.prior,
                 table: &self.table,
             };
-            self.arenas
-                .push(ParticleTree::new_root(&[0], &self.xs, &self.ys, &ctx));
+            let (id, mut root) = self.records.claim();
+            root.reset(dim);
+            root.insert(0, self.xs.row(0), self.ys[0], &ctx);
+            self.records.put(id, root);
+            self.records.retain(id);
+            self.arenas.push(ParticleTree::new_root(id, dim));
             self.arena_refs.push(self.config.particles as u32);
             self.particles = vec![0; self.config.particles];
         }
@@ -1223,7 +1520,8 @@ impl SurrogateModel for DynaTree {
         let mut second_moment = 0.0;
         for &(slot, mult) in &self.arena_groups() {
             let tree = &self.arenas[slot as usize];
-            let m = &tree.leaf_moments()[find_leaf_flat(tree.flat_nodes(), x)];
+            let leaf = find_leaf_flat(tree.flat_nodes(), x);
+            let m = self.records[tree.record_ids()[leaf]].moments();
             let k = mult as f64;
             mean_acc += k * m.mean;
             second_moment += k * (m.variance + m.mean * m.mean);
@@ -1244,7 +1542,7 @@ impl SurrogateModel for DynaTree {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        // The cached leaf moments and path ids make this a pure read: no
+        // The cached record moments and path ids make this a pure read: no
         // flattening, no posterior computation. A leaf's two weighted
         // moment terms are formed once per call and added to each lane
         // that reaches its path. Leaves are listed tree by tree, unique
@@ -1256,10 +1554,10 @@ impl SurrogateModel for DynaTree {
         let mut leaves: Vec<(u32, f64, f64)> = Vec::new();
         for (slot, mult) in self.arena_groups() {
             let tree = &self.arenas[slot as usize];
-            let (moments, paths) = (tree.leaf_moments(), tree.path_ids());
+            let (records, paths) = (tree.record_ids(), tree.path_ids());
             let k = mult as f64;
             leaves.extend(tree.leaves().map(|leaf| {
-                let m = &moments[leaf];
+                let m = self.records[records[leaf]].moments();
                 (paths[leaf], k * m.mean, k * (m.variance + m.mean * m.mean))
             }));
         }
@@ -1300,7 +1598,7 @@ impl SurrogateModel for DynaTree {
             arenas.push(if refs == 0 {
                 JsonValue::Null
             } else {
-                tree.to_snapshot()?
+                tree.to_snapshot(&self.records, self.ys.len())?
             });
         }
         let mut fields = snapshot::header("dynatree");
@@ -1646,15 +1944,15 @@ mod tests {
             .iter()
             .map(|&(slot, _)| {
                 let tree = &model.arenas[slot as usize];
-                let moments = tree.leaf_moments();
+                let moments = |leaf: usize| model.records[tree.record_ids()[leaf]].moments();
                 let mut add = vec![0.0f64; tree.flat_nodes().len()];
                 for r in reference {
                     let leaf = find_leaf_flat(tree.flat_nodes(), r);
-                    add[leaf] += moments[leaf].variance;
+                    add[leaf] += moments(leaf).variance;
                 }
                 for (leaf, affected) in add.iter_mut().enumerate() {
                     if *affected > 0.0 {
-                        *affected /= moments[leaf].n_eff + 1.0;
+                        *affected /= moments(leaf).n_eff + 1.0;
                     }
                 }
                 add
@@ -1683,7 +1981,8 @@ mod tests {
                 let (mut mean_acc, mut second_moment) = (0.0f64, 0.0f64);
                 for &(slot, mult) in &groups {
                     let tree = &model.arenas[slot as usize];
-                    let m = &tree.leaf_moments()[find_leaf_flat(tree.flat_nodes(), x)];
+                    let leaf = find_leaf_flat(tree.flat_nodes(), x);
+                    let m = model.records[tree.record_ids()[leaf]].moments();
                     let k = mult as f64;
                     mean_acc += k * m.mean;
                     second_moment += k * (m.variance + m.mean * m.mean);

@@ -1,59 +1,61 @@
-//! Arena-backed storage for a single particle's tree.
+//! Arena-backed node storage for a single particle's tree.
 //!
 //! Each particle of the dynamic-tree model carries one regression tree. The
-//! tree partitions the input space into axis-aligned hyper-rectangles; every
-//! leaf holds the indices of the training observations that fall inside it
-//! plus their sufficient statistics ([`LeafStats`]).
+//! tree partitions the input space into axis-aligned hyper-rectangles;
+//! every leaf refers to one leaf record (the sibling `record` module) that
+//! holds the training observations inside it and their sufficient
+//! statistics.
 //!
 //! The three structural moves of Taddy et al. (Figure 4 of the paper) are
-//! implemented here: **stay** (no change), **grow** (split the leaf that
+//! applied here: **stay** (no change), **grow** (split the leaf that
 //! received the new observation) and **prune** (collapse the leaf's parent
-//! back into a leaf).
+//! back into a leaf). The model builds the records a move leaves behind;
+//! the tree only rewires its nodes to them.
 //!
 //! # Storage layout
 //!
-//! [`ParticleTree`] is a struct-of-arrays arena:
+//! [`ParticleTree`] is a struct-of-arrays arena of nodes and nothing else:
+//! parallel `u32`/`f64` columns (`dim`, `threshold`, `left`/`right`,
+//! `parent`, `depth`) indexed by node id, plus one leaf-record id per live
+//! leaf. A leaf is marked by `dim == LEAF_NODE`, a slot freed by a prune
+//! (and reusable by a later grow) by `dim == FREE_NODE`. No per-node heap
+//! allocation exists anywhere, and no column grows with the number of
+//! observations: a leaf's points (ids in list order, row-major features,
+//! `y` and `y²`), statistics, bounds and moments live in its record, which
+//! the model's pool shares between every arena that holds the leaf.
 //!
-//! * **Nodes** are parallel `u32`/`f64` columns (`dim`, `threshold`,
-//!   `left`/`right`, `parent`, `depth`, `stats`) indexed by node id. A leaf
-//!   is marked by `dim == LEAF_NODE`, a slot freed by a prune (and reusable
-//!   by a later grow) by `dim == FREE_NODE`. No per-node heap allocation
-//!   exists anywhere.
-//! * **Points** live in one flat intrusive linked list: `next[p]` is the
-//!   next observation index in the same leaf as observation `p`, and every
-//!   node carries a `head`/`tail` pair. Inserting an observation is O(1),
-//!   growing relinks the list in place, pruning concatenates two lists in
-//!   O(1) — no per-leaf `Vec<usize>` is ever allocated or copied.
+//! Cloning a tree is therefore a handful of `memcpy`s of node columns plus
+//! one refcount per leaf, which is what makes the copy-on-write particle
+//! resampling in [`super`] cheap.
 //!
-//! Cloning a tree is therefore a handful of `memcpy`s, which is what makes
-//! the copy-on-write particle resampling in [`super`] cheap.
+//! Two more columns exist only so that snapshots keep their format: the
+//! statistics and bounds an internal or freed node held when it stopped
+//! being a leaf (a freed node's statistics empty). A grow copies them from
+//! the leaf's record, a prune from the freed children's records, and only
+//! a snapshot reads them.
 //!
 //! # Caches
 //!
-//! Three derived views are cached *on the tree* and kept fresh:
+//! Two derived views are cached *on the tree* and kept fresh:
 //!
 //! * `flat` — the dense [`FlatNode`] traversal array of the single-point
-//!   paths ([`find_leaf_flat`]). Rebuilt only when a structural move
-//!   (grow/prune) lands; inserts do not touch the tree's shape, so
-//!   steady-state scoring does zero flattening work.
-//! * `moments` — one [`LeafMoments`] per node (valid for live leaves):
-//!   predictive mean/variance, log marginal likelihood and the cached
-//!   log-density constants. Refreshed per affected leaf on insert, grow and
-//!   prune.
+//!   paths ([`find_leaf_flat`]). Maintained incrementally by grow and
+//!   prune; an insert touches only a record, so steady-state scoring does
+//!   zero flattening work.
 //! * `path` — one root-path id per node in the owning model's
 //!   `PathTable`, the index every batch kernel reads a leaf's lanes
-//!   through. An insert and a prune leave it unchanged (a pruned parent
-//!   keeps its path; freed slots are never read), a copy copies it, and a
-//!   grow leaves its two children for the model to intern
+//!   through. A prune leaves it unchanged (a pruned parent keeps its path;
+//!   freed slots are never read), a copy copies it, a grow leaves its two
+//!   children for the model to intern
 //!   (`ParticleTree::assign_child_paths`), which needs the shared table
-//!   and so runs serially after a parallel batch of moves.
+//!   and so runs serially after a parallel batch of moves, and a table
+//!   compaction rewrites it through a renumbering.
 //!
-//! Mutating methods take a [`MomentCtx`] (the shared prior plus the
-//! `ln Γ` table) so the first two never go stale; `validate_caches`
-//! recomputes both views from scratch and compares bitwise, and the
-//! model's `validate_caches` checks every path id against a freshly
-//! rebuilt table. The root-level property tests exercise both after
-//! arbitrary fit/update sequences.
+//! `validate_caches` recomputes the flat view from scratch and compares it
+//! bitwise, and the model's `validate_caches` checks every path id against
+//! a freshly rebuilt table and every record against the training rows. The
+//! root-level property tests exercise both after arbitrary fit/update
+//! sequences.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -61,7 +63,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use alic_data::io::{self, JsonValue};
 use alic_stats::FeatureMatrix;
 
-use crate::leaf::{LeafMoments, LeafPrior, LeafStats, LnGammaTable};
+use super::record::{LeafRecord, LeafRecords};
+use crate::leaf::{LeafPrior, LeafStats, LnGammaTable};
 use crate::snapshot;
 
 /// A proposed axis-aligned split.
@@ -189,7 +192,7 @@ impl Hasher for IdHasher {
 ///
 /// Entries are never removed one by one. A prune or a retired tree leaves
 /// its entries behind, and each dead split still costs one mask per block
-/// until the model rebuilds the table from its live trees.
+/// until the model compacts the table ([`retain`](PathTable::retain)).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PathTable {
     /// Entry `n`: `(parent path, split id)`.
@@ -326,6 +329,69 @@ impl PathTable {
         }
     }
 
+    /// Drops every entry `live` leaves unmarked and every split no kept
+    /// entry tests, keeping the rest in their order, so parents still come
+    /// before children and each dimension's thresholds stay sorted.
+    /// Returns the new id of every old path ([`NONE`] for a dropped one),
+    /// through which the trees rewrite theirs.
+    ///
+    /// `live` must be closed under parents: a kept entry's parent path must
+    /// be the root or the child of a kept entry. Marking the entry of every
+    /// live node's path ([`ParticleTree::mark_paths`]) gives exactly that,
+    /// since a live node's parent is live.
+    pub(crate) fn retain(&mut self, live: &[bool]) -> Vec<u32> {
+        let mut entry_ids = vec![NONE; self.entries.len()];
+        let mut split_ids = vec![NONE; self.split_dims.len()];
+        let mut kept = 0;
+        for (n, &(_, split)) in self.entries.iter().enumerate() {
+            if live[n] {
+                entry_ids[n] = kept;
+                kept += 1;
+                split_ids[split as usize] = 0;
+            }
+        }
+        let mut splits = 0;
+        for (old, id) in split_ids.iter_mut().enumerate() {
+            if *id != NONE {
+                *id = splits as u32;
+                self.split_dims[splits] = self.split_dims[old];
+                self.split_thresholds[splits] = self.split_thresholds[old];
+                splits += 1;
+            }
+        }
+        self.split_dims.truncate(splits);
+        self.split_thresholds.truncate(splits);
+        let renumber = |id: &mut u32| {
+            *id = split_ids[*id as usize];
+            *id != NONE
+        };
+        self.split_of.retain(|_, id| renumber(id));
+        for sorted in &mut self.by_dim {
+            sorted.retain_mut(|(_, id)| renumber(id));
+        }
+        let path_of = |path: u32| match path {
+            0 => 0,
+            path => match entry_ids[(path as usize - 1) / 2] {
+                NONE => NONE,
+                entry => 2 * entry + 2 - path % 2,
+            },
+        };
+        self.entry_of.clear();
+        let mut write = 0;
+        for (n, &kept) in entry_ids.iter().enumerate() {
+            if kept != NONE {
+                let (parent, split) = self.entries[n];
+                let entry = (path_of(parent), split_ids[split as usize]);
+                debug_assert!(entry.0 != NONE, "a kept entry's parent is kept");
+                self.entries[write] = entry;
+                self.entry_of.insert(entry, write as u32);
+                write += 1;
+            }
+        }
+        self.entries.truncate(write);
+        (0..2 * entry_ids.len() as u32 + 1).map(path_of).collect()
+    }
+
     /// The `(dimension, threshold bits, goes right)` steps from the root
     /// to `path`, root first.
     ///
@@ -350,58 +416,8 @@ impl PathTable {
     }
 }
 
-std::thread_local! {
-    /// Per-thread target buffers for the grow move's two-pass child
-    /// statistics.
-    static GROW_TARGETS: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// Leaf statistics of a buffered target slice via a two-pass sum: the mean
-/// from `Σy`, then `m2 = Σ(y − mean)²` — the numerically robust batch
-/// counterpart of the online update, with no per-point division.
-fn stats_of_targets(ys: &[f64]) -> LeafStats {
-    if ys.is_empty() {
-        return LeafStats::new();
-    }
-    let mut sum = 0.0;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &y in ys {
-        sum += y;
-        min = min.min(y);
-        max = max.max(y);
-    }
-    let mean = sum / ys.len() as f64;
-    let mut m2 = 0.0;
-    for &y in ys {
-        let d = y - mean;
-        m2 += d * d;
-    }
-    LeafStats::from_parts(ys.len(), mean, m2, min, max)
-}
-
-/// Fresh `[∞, −∞]` per-dimension bound pairs.
-fn empty_bounds(n_dims: usize) -> Vec<f64> {
-    let mut b = Vec::with_capacity(2 * n_dims);
-    for _ in 0..n_dims {
-        b.push(f64::INFINITY);
-        b.push(f64::NEG_INFINITY);
-    }
-    b
-}
-
-/// Expands interleaved `[lo, hi]` pairs with one feature row.
-#[inline]
-fn expand_bounds(bounds: &mut [f64], row: &[f64]) {
-    for (pair, &v) in bounds.chunks_exact_mut(2).zip(row) {
-        pair[0] = pair[0].min(v);
-        pair[1] = pair[1].max(v);
-    }
-}
-
-/// The shared inputs every cache refresh needs: the model's leaf prior and
-/// its memoized `ln Γ` table (which must cover the tree's largest leaf
+/// The shared inputs every leaf-moment refresh needs: the model's leaf
+/// prior and its memoized `ln Γ` table (which must cover the largest leaf
 /// count).
 #[derive(Debug, Clone, Copy)]
 pub struct MomentCtx<'a> {
@@ -410,6 +426,15 @@ pub struct MomentCtx<'a> {
     /// `ln Γ` memo table, extended once per update by the model.
     pub table: &'a LnGammaTable,
 }
+
+/// The flat encoding of a leaf and of a free slot, which a traversal never
+/// reaches.
+const FLAT_LEAF_NODE: FlatNode = FlatNode {
+    dimension: FLAT_LEAF,
+    left: 0,
+    right: 0,
+    threshold: 0.0,
+};
 
 /// One particle's regression tree in arena storage. See the [module
 /// documentation](self) for the layout.
@@ -423,32 +448,25 @@ pub struct ParticleTree {
     /// Parent node id ([`NONE`] for the root).
     parent: Vec<u32>,
     depth: Vec<u32>,
-    stats: Vec<LeafStats>,
-    /// First observation index in the node's point list ([`NONE`] if empty).
-    head: Vec<u32>,
-    /// Last observation index in the node's point list.
-    tail: Vec<u32>,
-    /// Intrusive per-observation "next point in the same leaf" links.
-    next: Vec<u32>,
+    /// Leaf-record id per live leaf ([`NONE`] elsewhere).
+    record: Vec<u32>,
+    /// Per internal or free node, the statistics it held when it stopped
+    /// being a leaf (empty for a freed one); read only by snapshots.
+    past_stats: Vec<LeafStats>,
+    /// Per internal or free node, the `[lo, hi]` pairs it held when it
+    /// stopped being a leaf, `2 * n_dims` values per node; read only by
+    /// snapshots.
+    past_bounds: Vec<f64>,
     /// Node slots freed by prunes, reusable by grows (LIFO).
     free: Vec<u32>,
     /// Monotone upper bound on any node depth this tree has ever reached
     /// (prunes do not lower it). Lets the model size its per-depth
     /// split-prior table without scanning nodes.
     depth_bound: u32,
-    /// Feature dimensionality (width of the `bounds` rows).
+    /// Feature dimensionality (width of a `past_bounds` row).
     n_dims: usize,
-    /// Per-node, per-dimension `[lo, hi]` pairs over the node's points:
-    /// `bounds[node*2*n_dims + 2*d]` is the minimum of feature `d`,
-    /// `…+ 2*d + 1` the maximum. Maintained exactly: inserts expand, grows
-    /// recompute during their partition walk, prunes take the children's
-    /// union — so a leaf's bounds always equal a fresh scan of its points,
-    /// and split proposals read min/max without touching the points at all.
-    bounds: Vec<f64>,
     /// Cached dense traversal array (always structurally fresh).
     flat: Vec<FlatNode>,
-    /// Cached per-node derived leaf quantities (fresh for live leaves).
-    moments: Vec<LeafMoments>,
     /// Root-path id per node in the owning model's [`PathTable`] (fresh
     /// for live nodes once the model has interned a grow's children).
     path: Vec<u32>,
@@ -456,30 +474,16 @@ pub struct ParticleTree {
 
 impl Clone for ParticleTree {
     fn clone(&self) -> Self {
-        ParticleTree {
-            dim: self.dim.clone(),
-            threshold: self.threshold.clone(),
-            left: self.left.clone(),
-            right: self.right.clone(),
-            parent: self.parent.clone(),
-            depth: self.depth.clone(),
-            stats: self.stats.clone(),
-            head: self.head.clone(),
-            tail: self.tail.clone(),
-            next: self.next.clone(),
-            free: self.free.clone(),
-            depth_bound: self.depth_bound,
-            n_dims: self.n_dims,
-            bounds: self.bounds.clone(),
-            flat: self.flat.clone(),
-            moments: self.moments.clone(),
-            path: self.path.clone(),
-        }
+        let mut tree = ParticleTree::placeholder();
+        tree.clone_from(self);
+        tree
     }
 
     /// Copy-assignment that reuses the destination's allocations — the
     /// copy-on-write resampler clones diverging particles into recycled
     /// arena slots through this, so steady-state updates allocate nothing.
+    /// Only node columns are copied; the caller retains the records the
+    /// copy's leaves now also hold.
     fn clone_from(&mut self, source: &Self) {
         self.dim.clone_from(&source.dim);
         self.threshold.clone_from(&source.threshold);
@@ -487,86 +491,36 @@ impl Clone for ParticleTree {
         self.right.clone_from(&source.right);
         self.parent.clone_from(&source.parent);
         self.depth.clone_from(&source.depth);
-        self.stats.clone_from(&source.stats);
-        self.head.clone_from(&source.head);
-        self.tail.clone_from(&source.tail);
-        self.next.clone_from(&source.next);
+        self.record.clone_from(&source.record);
+        self.past_stats.clone_from(&source.past_stats);
+        self.past_bounds.clone_from(&source.past_bounds);
         self.free.clone_from(&source.free);
         self.depth_bound = source.depth_bound;
         self.n_dims = source.n_dims;
-        self.bounds.clone_from(&source.bounds);
         self.flat.clone_from(&source.flat);
-        self.moments.clone_from(&source.moments);
         self.path.clone_from(&source.path);
     }
 }
 
-/// Iterator over the observation indices stored in one leaf, in insertion
-/// order.
-#[derive(Debug, Clone)]
-pub struct LeafPoints<'a> {
-    next: &'a [u32],
-    cursor: u32,
-}
-
-impl Iterator for LeafPoints<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.cursor == NONE {
-            return None;
-        }
-        let point = self.cursor as usize;
-        self.cursor = self.next[point];
-        Some(point)
-    }
-}
-
 impl ParticleTree {
-    /// Creates a tree consisting of a single root leaf containing `points`.
-    pub fn new_root(points: &[usize], xs: &FeatureMatrix, ys: &[f64], ctx: &MomentCtx<'_>) -> Self {
-        let n_dims = xs.dim();
-        let mut stats = LeafStats::new();
-        let mut bounds = empty_bounds(n_dims);
-        for &i in points {
-            stats.push(ys[i]);
-            expand_bounds(&mut bounds, xs.row(i));
-        }
-        let max_point = points.iter().copied().max().map_or(0, |m| m + 1);
-        let mut next = vec![NONE; max_point];
-        let mut head = NONE;
-        let mut tail = NONE;
-        for &p in points {
-            let p = p as u32;
-            if head == NONE {
-                head = p;
-            } else {
-                next[tail as usize] = p;
-            }
-            tail = p;
-        }
-        let mut tree = ParticleTree {
+    /// A tree consisting of a single root leaf that holds `record`.
+    pub(crate) fn new_root(record: u32, n_dims: usize) -> Self {
+        ParticleTree {
             dim: vec![LEAF_NODE],
             threshold: vec![0.0],
             left: vec![NONE],
             right: vec![NONE],
             parent: vec![NONE],
             depth: vec![0],
-            stats: vec![stats],
-            head: vec![head],
-            tail: vec![tail],
-            next,
+            record: vec![record],
+            past_stats: vec![LeafStats::new()],
+            past_bounds: vec![0.0; 2 * n_dims],
             free: Vec::new(),
             depth_bound: 0,
             n_dims,
-            bounds,
-            flat: Vec::new(),
-            moments: vec![stats.moments(ctx.prior, ctx.table)],
+            flat: vec![FLAT_LEAF_NODE],
             path: vec![0],
-        };
-        tree.refresh_flat();
-        tree
+        }
     }
 
     /// A node-less placeholder used to move a tree out of its slot without
@@ -579,16 +533,13 @@ impl ParticleTree {
             right: Vec::new(),
             parent: Vec::new(),
             depth: Vec::new(),
-            stats: Vec::new(),
-            head: Vec::new(),
-            tail: Vec::new(),
-            next: Vec::new(),
+            record: Vec::new(),
+            past_stats: Vec::new(),
+            past_bounds: Vec::new(),
             free: Vec::new(),
             depth_bound: 0,
             n_dims: 0,
-            bounds: Vec::new(),
             flat: Vec::new(),
-            moments: Vec::new(),
             path: Vec::new(),
         }
     }
@@ -600,17 +551,18 @@ impl ParticleTree {
         &self.flat
     }
 
-    /// The cached per-node derived quantities (valid at live-leaf indices).
-    #[inline]
-    pub fn leaf_moments(&self) -> &[LeafMoments] {
-        &self.moments
-    }
-
     /// The per-node root-path ids in the owning model's [`PathTable`]
     /// (valid at live-node indices).
     #[inline]
     pub(crate) fn path_ids(&self) -> &[u32] {
         &self.path
+    }
+
+    /// The per-node leaf-record ids in the owning model's pool (valid at
+    /// live-leaf indices).
+    #[inline]
+    pub(crate) fn record_ids(&self) -> &[u32] {
+        &self.record
     }
 
     /// Interns the paths of the two children of internal node `node`: the
@@ -627,6 +579,28 @@ impl ParticleTree {
         let mut path = std::mem::take(&mut self.path);
         self.walk_paths(table, &mut path);
         self.path = path;
+    }
+
+    /// Marks in `live` the table entry behind every live non-root node's
+    /// path, for [`PathTable::retain`].
+    pub(crate) fn mark_paths(&self, live: &mut [bool]) {
+        for (&dim, &path) in self.dim.iter().zip(&self.path) {
+            if dim != FREE_NODE && path != 0 {
+                live[(path as usize - 1) / 2] = true;
+            }
+        }
+    }
+
+    /// Rewrites every live node's path id through `remap`, the result of
+    /// [`PathTable::retain`]; free slots get [`NONE`].
+    pub(crate) fn remap_paths(&mut self, remap: &[u32]) {
+        for (&dim, path) in self.dim.iter().zip(&mut self.path) {
+            *path = if dim == FREE_NODE {
+                NONE
+            } else {
+                remap[*path as usize]
+            };
+        }
     }
 
     /// Writes every live node's path id into `out` (one entry per node,
@@ -680,12 +654,48 @@ impl ParticleTree {
         Ok(())
     }
 
+    /// Checks every live leaf's record against the leaf's region: each of
+    /// its observations routes to the leaf, and every observation of `xs`
+    /// sits in exactly one leaf. Counts one holder per live leaf into
+    /// `holders` (indexed by record id).
+    pub(crate) fn validate_leaves(
+        &self,
+        records: &LeafRecords,
+        xs: &FeatureMatrix,
+        holders: &mut [u32],
+    ) -> Result<(), String> {
+        let mut seen = vec![false; xs.len()];
+        for leaf in self.leaves() {
+            let id = self.record[leaf];
+            let Some(held) = holders.get_mut(id as usize) else {
+                return Err(format!("leaf {leaf}: record {id} is past the pool"));
+            };
+            *held += 1;
+            for &p in records[id].ids() {
+                let p = p as usize;
+                if p >= seen.len() || std::mem::replace(&mut seen[p], true) {
+                    return Err(format!(
+                        "leaf {leaf}: observation {p} listed twice or unknown"
+                    ));
+                }
+                if self.find_leaf(xs.row(p)) != leaf {
+                    return Err(format!(
+                        "leaf {leaf}: observation {p} lies outside its region"
+                    ));
+                }
+            }
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(p) => Err(format!("observation {p} sits in no leaf")),
+            None => Ok(()),
+        }
+    }
+
     /// Writes a freshly computed traversal copy of this tree into `out`
-    /// (cleared first). Node indices are preserved, so flat leaf indices can
-    /// be used with [`ParticleTree::leaf_stats`]. The cached
+    /// (cleared first). Node indices are preserved. The cached
     /// [`flat_nodes`](ParticleTree::flat_nodes) view is maintained with
     /// exactly this computation.
-    pub fn flatten_into(&self, out: &mut Vec<FlatNode>) {
+    pub(crate) fn flatten_into(&self, out: &mut Vec<FlatNode>) {
         out.clear();
         out.extend((0..self.dim.len()).map(|i| {
             if self.dim[i] < FREE_NODE {
@@ -696,84 +706,42 @@ impl ParticleTree {
                     threshold: self.threshold[i],
                 }
             } else {
-                FlatNode {
-                    dimension: FLAT_LEAF,
-                    left: 0,
-                    right: 0,
-                    threshold: 0.0,
-                }
+                FLAT_LEAF_NODE
             }
         }));
     }
 
-    fn refresh_flat(&mut self) {
-        let mut flat = std::mem::take(&mut self.flat);
-        self.flatten_into(&mut flat);
-        self.flat = flat;
-    }
-
     /// Index of the leaf whose hyper-rectangle contains `x`.
     #[inline]
-    pub fn find_leaf(&self, x: &[f64]) -> usize {
+    pub(crate) fn find_leaf(&self, x: &[f64]) -> usize {
         find_leaf_flat(&self.flat, x)
     }
 
-    /// Leaf statistics of node `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a live leaf.
-    pub fn leaf_stats(&self, index: usize) -> &LeafStats {
-        assert!(self.dim[index] == LEAF_NODE, "node {index} is not a leaf");
-        &self.stats[index]
-    }
-
-    /// Observation indices stored in leaf `index`, in insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a live leaf.
-    pub fn leaf_points(&self, index: usize) -> LeafPoints<'_> {
-        assert!(self.dim[index] == LEAF_NODE, "node {index} is not a leaf");
-        LeafPoints {
-            next: &self.next,
-            cursor: self.head[index],
-        }
-    }
-
     /// Depth of node `index` (the root has depth 0).
-    pub fn depth_of(&self, index: usize) -> usize {
+    pub(crate) fn depth_of(&self, index: usize) -> usize {
         self.depth[index] as usize
     }
 
     /// Monotone upper bound on any depth this tree has ever reached.
-    pub fn depth_bound(&self) -> usize {
+    pub(crate) fn depth_bound(&self) -> usize {
         self.depth_bound as usize
     }
 
-    /// Feature dimensionality the tree's splits and bounds range over.
-    pub(crate) fn n_dims(&self) -> usize {
-        self.n_dims
-    }
-
-    /// Per-dimension `[lo, hi]` pairs over the points of leaf `index`
-    /// (interleaved: `[lo₀, hi₀, lo₁, hi₁, …]`). Exactly equal to a fresh
-    /// scan of the leaf's points.
-    #[inline]
-    pub fn leaf_bounds(&self, index: usize) -> &[f64] {
-        &self.bounds[index * 2 * self.n_dims..(index + 1) * 2 * self.n_dims]
-    }
-
     /// Parent of node `index`.
-    pub fn parent_of(&self, index: usize) -> Option<usize> {
+    pub(crate) fn parent_of(&self, index: usize) -> Option<usize> {
         match self.parent[index] {
             NONE => None,
             p => Some(p as usize),
         }
     }
 
+    /// The `<=` and `>` children of internal node `index`.
+    pub(crate) fn children_of(&self, index: usize) -> (usize, usize) {
+        (self.left[index] as usize, self.right[index] as usize)
+    }
+
     /// The sibling of leaf `index`, if the sibling is itself a leaf.
-    pub fn leaf_sibling(&self, index: usize) -> Option<usize> {
+    pub(crate) fn leaf_sibling(&self, index: usize) -> Option<usize> {
         let parent = self.parent_of(index)?;
         if self.dim[parent] >= FREE_NODE {
             return None;
@@ -787,113 +755,20 @@ impl ParticleTree {
     }
 
     /// Number of live leaves.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         self.dim.iter().filter(|&&d| d == LEAF_NODE).count()
     }
 
-    /// Maximum depth over live leaves.
-    pub fn max_depth(&self) -> usize {
-        (0..self.dim.len())
-            .filter(|&i| self.dim[i] == LEAF_NODE)
-            .map(|i| self.depth[i] as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total number of points stored across live leaves.
-    #[cfg(test)]
-    pub fn point_count(&self) -> usize {
-        (0..self.dim.len())
-            .filter(|&i| self.dim[i] == LEAF_NODE)
-            .map(|i| self.stats[i].count())
-            .sum()
-    }
-
     /// Iterates over the indices of all live leaves.
-    pub fn leaves(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.dim.len()).filter(|&i| self.dim[i] == LEAF_NODE)
     }
 
-    /// Adds observation `point` at `x` (with target `y`) to the leaf
-    /// containing `x` and returns that leaf's index.
-    pub fn insert(&mut self, x: &[f64], point: usize, y: f64, ctx: &MomentCtx<'_>) -> usize {
-        let leaf = self.find_leaf(x);
-        self.insert_at(leaf, point, x, y, ctx);
-        leaf
-    }
-
-    /// Adds observation `point` at `x` (with target `y`) to `leaf` directly —
-    /// used when the caller already knows the leaf from the weighting
-    /// traversal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is not a live leaf.
-    pub fn insert_at(&mut self, leaf: usize, point: usize, x: &[f64], y: f64, ctx: &MomentCtx<'_>) {
-        assert!(self.dim[leaf] == LEAF_NODE, "node {leaf} is not a leaf");
-        if point >= self.next.len() {
-            self.next.resize(point + 1, NONE);
-        }
-        let p = point as u32;
-        self.next[point] = NONE;
-        if self.head[leaf] == NONE {
-            self.head[leaf] = p;
-        } else {
-            self.next[self.tail[leaf] as usize] = p;
-        }
-        self.tail[leaf] = p;
-        self.stats[leaf].push(y);
-        expand_bounds(
-            &mut self.bounds[leaf * 2 * self.n_dims..(leaf + 1) * 2 * self.n_dims],
-            x,
-        );
-        self.moments[leaf] = self.stats[leaf].moments(ctx.prior, ctx.table);
-    }
-
-    /// Log posterior-predictive density of `y` at the leaf containing `x`,
-    /// evaluated from the cached flat traversal and leaf moments. The model
-    /// weights its particles with the same two reads inline.
-    #[cfg(test)]
-    pub fn log_weight(&self, x: &[f64], y: f64) -> f64 {
-        self.moments[self.find_leaf(x)].log_density(y)
-    }
-
-    /// Splits leaf `index` with `split`, distributing its points by the
-    /// feature matrix `xs`. Returns `false` (and leaves the tree unchanged)
-    /// if either child would receive fewer than `min_leaf` points.
-    pub fn grow(
-        &mut self,
-        index: usize,
-        split: Split,
-        xs: &FeatureMatrix,
-        ys: &[f64],
-        min_leaf: usize,
-        ctx: &MomentCtx<'_>,
-    ) -> bool {
-        if self.dim[index] != LEAF_NODE {
-            return false;
-        }
-        // Count the partition without touching the links, so a rejected
-        // split leaves the list intact.
-        let mut left_count = 0usize;
-        let mut total = 0usize;
-        for p in self.leaf_points(index) {
-            total += 1;
-            if xs.get(p, split.dimension) <= split.threshold {
-                left_count += 1;
-            }
-        }
-        if left_count < min_leaf || total - left_count < min_leaf {
-            return false;
-        }
-        self.grow_unchecked(index, split, xs, ys, ctx);
-        true
-    }
-
-    /// [`grow`](ParticleTree::grow) without the child-size pre-pass, for
-    /// callers whose split proposal already verified both children meet the
-    /// minimum size (the particle-update apply path: `propose_split` counts
-    /// with the exact same comparisons).
+    /// Splits leaf `index` with `split` into two leaves holding `children`
+    /// (`<=` side first), the records
+    /// [`LeafRecord::split_into`]
+    /// built from `parent`, the leaf's record. The split node keeps
+    /// `parent`'s statistics and bounds as its past ones.
     ///
     /// Both children's path ids stay unassigned until the owning model
     /// interns them, which needs the model's shared path table and so runs
@@ -902,80 +777,31 @@ impl ParticleTree {
     /// # Panics
     ///
     /// Panics if `index` is not a live leaf.
-    pub fn grow_unchecked(
+    pub(crate) fn grow(
         &mut self,
         index: usize,
         split: Split,
-        xs: &FeatureMatrix,
-        ys: &[f64],
-        ctx: &MomentCtx<'_>,
+        parent: &LeafRecord,
+        children: (u32, u32),
     ) {
         assert!(self.dim[index] == LEAF_NODE, "node {index} is not a leaf");
-        // Relink the list into two chains, buffering each side's targets so
-        // the child statistics come from a numerically robust two-pass sum
-        // (mean first, then Σ(y − mean)²) without a per-point division, and
-        // accumulating the children's exact per-dimension bounds.
         let depth = self.depth[index] + 1;
         self.depth_bound = self.depth_bound.max(depth);
-        let n_dims = self.n_dims;
-        let mut left_bounds = empty_bounds(n_dims);
-        let mut right_bounds = empty_bounds(n_dims);
-        let (mut lh, mut lt, mut rh, mut rt) = (NONE, NONE, NONE, NONE);
-        let (left_stats, right_stats) = GROW_TARGETS.with(|cell| {
-            let (left_ys, right_ys) = &mut *cell.borrow_mut();
-            left_ys.clear();
-            right_ys.clear();
-            let mut cursor = self.head[index];
-            while cursor != NONE {
-                let p = cursor as usize;
-                cursor = self.next[p];
-                let row = xs.row(p);
-                if row[split.dimension] <= split.threshold {
-                    left_ys.push(ys[p]);
-                    expand_bounds(&mut left_bounds, row);
-                    if lh == NONE {
-                        lh = p as u32;
-                    } else {
-                        self.next[lt as usize] = p as u32;
-                    }
-                    lt = p as u32;
-                } else {
-                    right_ys.push(ys[p]);
-                    expand_bounds(&mut right_bounds, row);
-                    if rh == NONE {
-                        rh = p as u32;
-                    } else {
-                        self.next[rt as usize] = p as u32;
-                    }
-                    rt = p as u32;
-                }
-                // `p` is now the tail of its chain; appending the next point
-                // to the same chain overwrites this link.
-                self.next[p] = NONE;
-            }
-            (stats_of_targets(left_ys), stats_of_targets(right_ys))
-        });
-        let left = self.allocate(depth, index as u32, left_stats, &left_bounds, lh, lt, ctx);
-        let right = self.allocate(depth, index as u32, right_stats, &right_bounds, rh, rt, ctx);
+        let w = 2 * self.n_dims;
+        self.past_stats[index] = *parent.stats();
+        self.past_bounds[index * w..(index + 1) * w].copy_from_slice(parent.bounds());
+        let left = self.allocate(depth, index as u32, children.0);
+        let right = self.allocate(depth, index as u32, children.1);
         self.dim[index] = split.dimension as u32;
         self.threshold[index] = split.threshold;
         self.left[index] = left;
         self.right[index] = right;
-        self.head[index] = NONE;
-        self.tail[index] = NONE;
+        self.record[index] = NONE;
         // Incremental flat-cache maintenance: a grow changes exactly the
         // split node and (re)uses two leaf slots — every other entry of the
         // dense traversal array is untouched, so rebuilding it would do
         // O(nodes) redundant work per move.
-        self.flat.resize(
-            self.dim.len(),
-            FlatNode {
-                dimension: FLAT_LEAF,
-                left: 0,
-                right: 0,
-                threshold: 0.0,
-            },
-        );
+        self.flat.resize(self.dim.len(), FLAT_LEAF_NODE);
         self.flat[index] = FlatNode {
             dimension: split.dimension as u32,
             left,
@@ -983,90 +809,49 @@ impl ParticleTree {
             threshold: split.threshold,
         };
         for child in [left, right] {
-            self.flat[child as usize] = FlatNode {
-                dimension: FLAT_LEAF,
-                left: 0,
-                right: 0,
-                threshold: 0.0,
-            };
+            self.flat[child as usize] = FLAT_LEAF_NODE;
         }
     }
 
-    /// Collapses the parent of leaf `index` back into a leaf containing the
-    /// union of its two children's points (left list first, then right).
-    /// Returns `false` if `index` is the root or its sibling is not a leaf.
-    pub fn prune(&mut self, index: usize, ctx: &MomentCtx<'_>) -> bool {
+    /// Collapses the parent of leaf `index` back into a leaf holding
+    /// `merged`, the record
+    /// [`LeafRecord::merge_into`]
+    /// built from its two children's records in `records`. The freed
+    /// children keep their records' bounds, and empty statistics, as their
+    /// past ones. Returns `false` (and leaves the tree unchanged) if
+    /// `index` is the root or its sibling is not a leaf.
+    pub(crate) fn prune(&mut self, index: usize, merged: u32, records: &LeafRecords) -> bool {
         let Some(parent) = self.parent_of(index) else {
             return false;
         };
         let Some(sibling) = self.leaf_sibling(index) else {
             return false;
         };
-        let (left, right) = (self.left[parent] as usize, self.right[parent] as usize);
-        // Concatenate the two point lists in left-then-right order and merge
-        // the sufficient statistics in O(1).
-        let (head, tail) = if self.head[left] == NONE {
-            (self.head[right], self.tail[right])
-        } else if self.head[right] == NONE {
-            (self.head[left], self.tail[left])
-        } else {
-            self.next[self.tail[left] as usize] = self.head[right];
-            (self.head[left], self.tail[right])
-        };
-        let mut stats = self.stats[left];
-        stats.merge(&self.stats[right]);
-        // The merged leaf's bounds are the union of the children's (exact:
-        // every point is in one of the two children).
         let w = 2 * self.n_dims;
-        for d in 0..self.n_dims {
-            let lo = self.bounds[left * w + 2 * d].min(self.bounds[right * w + 2 * d]);
-            let hi = self.bounds[left * w + 2 * d + 1].max(self.bounds[right * w + 2 * d + 1]);
-            self.bounds[parent * w + 2 * d] = lo;
-            self.bounds[parent * w + 2 * d + 1] = hi;
-        }
         for child in [index, sibling] {
+            let record = &records[self.record[child]];
+            self.past_bounds[child * w..(child + 1) * w].copy_from_slice(record.bounds());
+            self.past_stats[child] = LeafStats::new();
             self.dim[child] = FREE_NODE;
-            self.head[child] = NONE;
-            self.tail[child] = NONE;
-            self.stats[child] = LeafStats::new();
+            self.record[child] = NONE;
             self.free.push(child as u32);
         }
         self.dim[parent] = LEAF_NODE;
         self.left[parent] = NONE;
         self.right[parent] = NONE;
-        self.head[parent] = head;
-        self.tail[parent] = tail;
-        self.stats[parent] = stats;
-        self.moments[parent] = stats.moments(ctx.prior, ctx.table);
+        self.record[parent] = merged;
         // Incremental flat-cache maintenance: the parent becomes a leaf and
         // the two freed children revert to the (never-traversed) leaf
         // encoding free slots share.
         for node in [parent, index, sibling] {
-            self.flat[node] = FlatNode {
-                dimension: FLAT_LEAF,
-                left: 0,
-                right: 0,
-                threshold: 0.0,
-            };
+            self.flat[node] = FLAT_LEAF_NODE;
         }
         true
     }
 
-    /// Allocates a leaf node (reusing a freed slot when available) and
-    /// returns its id.
-    #[allow(clippy::too_many_arguments)]
-    fn allocate(
-        &mut self,
-        depth: u32,
-        parent: u32,
-        stats: LeafStats,
-        bounds: &[f64],
-        head: u32,
-        tail: u32,
-        ctx: &MomentCtx<'_>,
-    ) -> u32 {
-        let moments = stats.moments(ctx.prior, ctx.table);
-        let w = 2 * self.n_dims;
+    /// Allocates a leaf node holding `record` (reusing a freed slot when
+    /// available) and returns its id.
+    fn allocate(&mut self, depth: u32, parent: u32, record: u32) -> u32 {
         if let Some(slot) = self.free.pop() {
             let i = slot as usize;
             self.dim[i] = LEAF_NODE;
@@ -1075,11 +860,7 @@ impl ParticleTree {
             self.right[i] = NONE;
             self.parent[i] = parent;
             self.depth[i] = depth;
-            self.stats[i] = stats;
-            self.head[i] = head;
-            self.tail[i] = tail;
-            self.bounds[i * w..(i + 1) * w].copy_from_slice(bounds);
-            self.moments[i] = moments;
+            self.record[i] = record;
             self.path[i] = NONE;
             slot
         } else {
@@ -1089,25 +870,22 @@ impl ParticleTree {
             self.right.push(NONE);
             self.parent.push(parent);
             self.depth.push(depth);
-            self.stats.push(stats);
-            self.head.push(head);
-            self.tail.push(tail);
-            self.bounds.extend_from_slice(bounds);
-            self.moments.push(moments);
+            self.record.push(record);
+            self.past_stats.push(LeafStats::new());
+            self.past_bounds
+                .resize(self.past_bounds.len() + 2 * self.n_dims, 0.0);
             self.path.push(NONE);
             (self.dim.len() - 1) as u32
         }
     }
 
-    /// Recomputes every derived view — the flat traversal array, the leaf
-    /// moments and the per-leaf bounds — from scratch and compares them
-    /// bitwise against the maintained caches. Used by the root-level
-    /// property tests.
+    /// Recomputes the flat traversal array from scratch and compares it
+    /// bitwise against the maintained cache.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first divergence found.
-    pub fn validate_caches(&self, xs: &FeatureMatrix, ctx: &MomentCtx<'_>) -> Result<(), String> {
+    /// Returns a description of the divergence.
+    pub(crate) fn validate_caches(&self) -> Result<(), String> {
         let mut fresh = Vec::new();
         self.flatten_into(&mut fresh);
         if fresh != self.flat {
@@ -1116,51 +894,51 @@ impl ParticleTree {
                 self.flat, fresh
             ));
         }
-        for leaf in self.leaves() {
-            let expect = self.stats[leaf].moments(ctx.prior, ctx.table);
-            if expect != self.moments[leaf] {
-                return Err(format!(
-                    "cached moments of leaf {leaf} diverged: cached {:?} vs fresh {expect:?}",
-                    self.moments[leaf]
-                ));
-            }
-        }
-        // The linked lists must agree with the statistics counts, and the
-        // incrementally maintained bounds with a fresh scan of the points.
-        for leaf in self.leaves() {
-            let listed = self.leaf_points(leaf).count();
-            if listed != self.stats[leaf].count() {
-                return Err(format!(
-                    "leaf {leaf} lists {listed} points but counts {}",
-                    self.stats[leaf].count()
-                ));
-            }
-            let mut fresh = empty_bounds(self.n_dims);
-            for p in self.leaf_points(leaf) {
-                expand_bounds(&mut fresh, xs.row(p));
-            }
-            if fresh != self.leaf_bounds(leaf) {
-                return Err(format!(
-                    "cached bounds of leaf {leaf} diverged: cached {:?} vs fresh {fresh:?}",
-                    self.leaf_bounds(leaf)
-                ));
-            }
-        }
         Ok(())
     }
 
-    /// Serializes the arena columns into a snapshot object (hex-packed via
-    /// [`crate::snapshot`]). The cached flat traversal and per-node moments
-    /// are derived views recomputed on restore, so only the defining columns
-    /// are stored.
-    pub(crate) fn to_snapshot(&self) -> crate::Result<JsonValue> {
+    /// Serializes the tree into a snapshot object (hex-packed via
+    /// [`crate::snapshot`]). A leaf's statistics, bounds and point list
+    /// come from its record in `records`: the list as `head`/`tail` per
+    /// node plus one `next` link per observation of the `n_points`, the
+    /// layout of the per-tree linked lists this format was written from.
+    /// The cached flat traversal, the moments and the rows are derived
+    /// views recomputed on restore, so only the defining columns are
+    /// stored.
+    pub(crate) fn to_snapshot(
+        &self,
+        records: &LeafRecords,
+        n_points: usize,
+    ) -> crate::Result<JsonValue> {
         let n = self.dim.len();
+        let w = 2 * self.n_dims;
+        let mut head = vec![NONE; n];
+        let mut tail = vec![NONE; n];
+        let mut next = vec![NONE; n_points];
         let mut stat_count = Vec::with_capacity(n);
         let mut stat_mean = Vec::with_capacity(n);
         let mut stat_m2 = Vec::with_capacity(n);
         let mut stat_min = Vec::with_capacity(n);
         let mut stat_max = Vec::with_capacity(n);
-        for stats in &self.stats {
+        let mut bounds = Vec::with_capacity(n * w);
+        for node in 0..n {
+            let (stats, node_bounds) = if self.dim[node] == LEAF_NODE {
+                let record = &records[self.record[node]];
+                let ids = record.ids();
+                if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
+                    head[node] = first;
+                    tail[node] = last;
+                }
+                for link in ids.windows(2) {
+                    next[link[0] as usize] = link[1];
+                }
+                (record.stats(), record.bounds())
+            } else {
+                (
+                    &self.past_stats[node],
+                    &self.past_bounds[node * w..(node + 1) * w],
+                )
+            };
             let (count, mean, m2, min, max) = stats.parts();
             stat_count
                 .push(u32::try_from(count).map_err(|_| snapshot::err("leaf count exceeds u32"))?);
@@ -1168,6 +946,7 @@ impl ParticleTree {
             stat_m2.push(m2);
             stat_min.push(min);
             stat_max.push(max);
+            bounds.extend_from_slice(node_bounds);
         }
         Ok(io::object([
             ("dim", io::hex_u32s(self.dim.iter().copied())),
@@ -1181,24 +960,32 @@ impl ParticleTree {
             ("stat_m2", io::hex_f64s(stat_m2)),
             ("stat_min", io::hex_f64s(stat_min)),
             ("stat_max", io::hex_f64s(stat_max)),
-            ("head", io::hex_u32s(self.head.iter().copied())),
-            ("tail", io::hex_u32s(self.tail.iter().copied())),
-            ("next", io::hex_u32s(self.next.iter().copied())),
+            ("head", io::hex_u32s(head)),
+            ("tail", io::hex_u32s(tail)),
+            ("next", io::hex_u32s(next)),
             ("free", io::hex_u32s(self.free.iter().copied())),
             ("depth_bound", io::int(u64::from(self.depth_bound))?),
             ("n_dims", io::int(self.n_dims as u64)?),
-            ("bounds", io::hex_f64s(self.bounds.iter().copied())),
+            ("bounds", io::hex_f64s(bounds)),
         ]))
     }
 
     /// Rebuilds a tree from [`to_snapshot`](ParticleTree::to_snapshot)
-    /// columns, recomputing the flat traversal and the live-leaf moments.
-    /// `ctx.table` must cover `max_count` observations; live leaves claiming
-    /// more are rejected before the moment refresh could panic.
+    /// columns, with one new record in `records` per live leaf: its point
+    /// list walked from `head` through `next`, its rows copied from
+    /// `xs`/`ys`, and its statistics and bounds as stored. `ctx.table` must
+    /// cover `ys.len()` observations.
+    ///
+    /// The lists must be what `to_snapshot` writes, so that a restored
+    /// tree serializes to the same bytes: one `next` link per observation,
+    /// every observation in exactly one leaf, each leaf's list as long as
+    /// its count and ending at its `tail`, and no list on any other node.
     pub(crate) fn from_snapshot(
         doc: &JsonValue,
         ctx: &MomentCtx<'_>,
-        max_count: usize,
+        xs: &FeatureMatrix,
+        ys: &[f64],
+        records: &mut LeafRecords,
     ) -> crate::Result<Self> {
         let dim = io::field_hex_u32s(doc, "dim")?;
         let n = dim.len();
@@ -1242,11 +1029,22 @@ impl ParticleTree {
                 )));
             }
         }
-        if bounds.len() != n * 2 * n_dims {
+        if n_dims != xs.dim() {
+            return Err(snapshot::err("tree width disagrees with the training rows"));
+        }
+        let w = 2 * n_dims;
+        if bounds.len() != n * w {
             return Err(snapshot::err(format!(
                 "field bounds: expected {} entries, got {}",
-                n * 2 * n_dims,
+                n * w,
                 bounds.len()
+            )));
+        }
+        if next.len() != ys.len() {
+            return Err(snapshot::err(format!(
+                "field next: expected {} entries, got {}",
+                ys.len(),
+                next.len()
             )));
         }
         let stats: Vec<LeafStats> = (0..n)
@@ -1271,14 +1069,44 @@ impl ParticleTree {
                     )));
                 }
             }
-            if dim[i] == LEAF_NODE && stats[i].count() > max_count {
-                return Err(snapshot::err(format!(
-                    "leaf {i}: count exceeds the training set"
-                )));
-            }
         }
         if free.iter().any(|&slot| slot as usize >= n) {
             return Err(snapshot::err("field free: slot out of range"));
+        }
+        let mut record = vec![NONE; n];
+        let mut listed = vec![false; next.len()];
+        let mut ids = Vec::new();
+        for i in 0..n {
+            let node_bounds = &bounds[i * w..(i + 1) * w];
+            if dim[i] != LEAF_NODE {
+                if head[i] != NONE || tail[i] != NONE {
+                    return Err(snapshot::err(format!(
+                        "node {i}: a point list on a node that is not a leaf"
+                    )));
+                }
+                continue;
+            }
+            ids.clear();
+            let mut cursor = head[i];
+            for _ in 0..stats[i].count() {
+                let p = cursor as usize;
+                if p >= next.len() || std::mem::replace(&mut listed[p], true) {
+                    return Err(snapshot::err(format!(
+                        "leaf {i}: point list disagrees with its count"
+                    )));
+                }
+                ids.push(cursor);
+                cursor = next[p];
+            }
+            if cursor != NONE || tail[i] != ids.last().copied().unwrap_or(NONE) {
+                return Err(snapshot::err(format!(
+                    "leaf {i}: point list disagrees with its count"
+                )));
+            }
+            record[i] = records.restore(&ids, xs, ys, stats[i], node_bounds, ctx);
+        }
+        if listed.contains(&false) {
+            return Err(snapshot::err("field next: an observation sits in no leaf"));
         }
         let mut tree = ParticleTree {
             dim,
@@ -1287,29 +1115,19 @@ impl ParticleTree {
             right,
             parent,
             depth,
-            stats,
-            head,
-            tail,
-            next,
+            record,
+            past_stats: stats,
+            past_bounds: bounds,
             free,
             depth_bound: u32::try_from(depth_bound)
                 .map_err(|_| snapshot::err("field depth_bound: exceeds u32"))?,
             n_dims,
-            bounds,
             flat: Vec::new(),
-            moments: Vec::new(),
             path: vec![NONE; n],
         };
-        tree.moments = (0..n)
-            .map(|i| {
-                if tree.dim[i] == LEAF_NODE {
-                    tree.stats[i].moments(ctx.prior, ctx.table)
-                } else {
-                    LeafMoments::default()
-                }
-            })
-            .collect();
-        tree.refresh_flat();
+        let mut flat = Vec::new();
+        tree.flatten_into(&mut flat);
+        tree.flat = flat;
         Ok(tree)
     }
 }
@@ -1318,241 +1136,262 @@ impl ParticleTree {
 mod tests {
     use super::*;
 
-    fn ctx_parts() -> (LeafPrior, LnGammaTable) {
-        let prior = LeafPrior::weakly_informative(1.5, 0.25);
-        let mut table = LnGammaTable::new(&prior);
-        table.ensure(64);
-        (prior, table)
+    /// One-dimensional training rows over a record pool, with the model's
+    /// two halves of every move (build the records, then rewire the nodes)
+    /// done together and checked.
+    struct Forest {
+        prior: LeafPrior,
+        table: LnGammaTable,
+        xs: FeatureMatrix,
+        ys: Vec<f64>,
+        records: LeafRecords,
     }
 
-    fn line_data(n: usize) -> (FeatureMatrix, Vec<f64>) {
-        let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
-        let ys: Vec<f64> = rows
-            .iter()
-            .map(|x| if x[0] <= 0.5 { 1.0 } else { 2.0 })
-            .collect();
-        (FeatureMatrix::from_rows(&rows).unwrap(), ys)
-    }
+    impl Forest {
+        /// `n` evenly spaced points on [0, 1] with a step at 0.5.
+        fn line(n: usize) -> Self {
+            let prior = LeafPrior::weakly_informative(1.5, 0.25);
+            let mut table = LnGammaTable::new(&prior);
+            table.ensure(64);
+            let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
+            let ys = rows
+                .iter()
+                .map(|x| if x[0] <= 0.5 { 1.0 } else { 2.0 })
+                .collect();
+            let mut records = LeafRecords::default();
+            records.clear(1);
+            Forest {
+                prior,
+                table,
+                xs: FeatureMatrix::from_rows(&rows).unwrap(),
+                ys,
+                records,
+            }
+        }
 
-    fn root(n: usize, xs: &FeatureMatrix, ys: &[f64], ctx: &MomentCtx<'_>) -> ParticleTree {
-        let points: Vec<usize> = (0..n).collect();
-        ParticleTree::new_root(&points, xs, ys, ctx)
+        /// A root leaf holding every point.
+        fn root(&mut self) -> ParticleTree {
+            let Forest {
+                prior,
+                table,
+                xs,
+                ys,
+                records,
+            } = self;
+            let ctx = MomentCtx { prior, table };
+            let (id, mut record) = records.claim();
+            record.reset(1);
+            for (p, &y) in ys.iter().enumerate() {
+                record.insert(p, xs.row(p), y, &ctx);
+            }
+            records.put(id, record);
+            records.retain(id);
+            ParticleTree::new_root(id, 1)
+        }
+
+        /// A copy of `tree` that also holds its records.
+        fn copy(&mut self, tree: &ParticleTree) -> ParticleTree {
+            let mut copy = ParticleTree::placeholder();
+            copy.clone_from(tree);
+            for leaf in copy.leaves() {
+                self.records.retain(copy.record_ids()[leaf]);
+            }
+            copy
+        }
+
+        /// Puts a move's records back, each held once.
+        fn commit(&mut self, built: Vec<(u32, LeafRecord)>) -> Vec<u32> {
+            built
+                .into_iter()
+                .map(|(id, record)| {
+                    self.records.put(id, record);
+                    self.records.retain(id);
+                    id
+                })
+                .collect()
+        }
+
+        /// Splits `leaf` at `threshold` unless a side would be empty.
+        fn grow(&mut self, tree: &mut ParticleTree, leaf: usize, threshold: f64) -> bool {
+            let ((l, mut left), (r, mut right)) = (self.records.claim(), self.records.claim());
+            let ctx = MomentCtx {
+                prior: &self.prior,
+                table: &self.table,
+            };
+            let split = Split {
+                dimension: 0,
+                threshold,
+            };
+            let parent = tree.record_ids()[leaf];
+            self.records[parent].split_into(split, &mut left, &mut right, &ctx);
+            let empty = left.ids().is_empty() || right.ids().is_empty();
+            let ids = self.commit(vec![(l, left), (r, right)]);
+            if empty {
+                ids.into_iter().for_each(|id| self.records.release(id));
+                return false;
+            }
+            tree.grow(leaf, split, &self.records[parent], (l, r));
+            self.records.release(parent);
+            true
+        }
+
+        /// Prunes the parent of `leaf`, if its sibling is a leaf.
+        fn prune(&mut self, tree: &mut ParticleTree, leaf: usize) -> bool {
+            let Some(parent) = tree.parent_of(leaf) else {
+                return false;
+            };
+            if tree.leaf_sibling(leaf).is_none() {
+                return false;
+            }
+            let (id, mut merged) = self.records.claim();
+            let ctx = MomentCtx {
+                prior: &self.prior,
+                table: &self.table,
+            };
+            let (left, right) = tree.children_of(parent);
+            let ids = tree.record_ids();
+            let (l, r) = (ids[left], ids[right]);
+            LeafRecord::merge_into(&self.records[l], &self.records[r], &mut merged, &ctx);
+            self.commit(vec![(id, merged)]);
+            assert!(tree.prune(leaf, id, &self.records));
+            self.records.release(l);
+            self.records.release(r);
+            true
+        }
+
+        /// Adds an observation to the training rows and to its leaf.
+        fn insert(&mut self, tree: &ParticleTree, x: f64, y: f64) -> usize {
+            self.xs.push_row(&[x]);
+            self.ys.push(y);
+            let ctx = MomentCtx {
+                prior: &self.prior,
+                table: &self.table,
+            };
+            let leaf = tree.find_leaf(&[x]);
+            let id = tree.record_ids()[leaf];
+            let mut record = self.records.take(id);
+            record.insert(self.ys.len() - 1, &[x], y, &ctx);
+            self.records.put(id, record);
+            leaf
+        }
+
+        fn record(&self, tree: &ParticleTree, leaf: usize) -> &LeafRecord {
+            &self.records[tree.record_ids()[leaf]]
+        }
+
+        fn points(&self, tree: &ParticleTree, leaf: usize) -> Vec<usize> {
+            let ids = self.record(tree, leaf).ids();
+            ids.iter().map(|&p| p as usize).collect()
+        }
+
+        fn point_count(&self, tree: &ParticleTree) -> usize {
+            tree.leaves().map(|l| self.points(tree, l).len()).sum()
+        }
+
+        /// Every cache, record and refcount of `trees` and the pool.
+        fn validate(&self, trees: &[&ParticleTree]) {
+            let ctx = MomentCtx {
+                prior: &self.prior,
+                table: &self.table,
+            };
+            let mut holders = vec![0; self.records.len()];
+            for tree in trees {
+                tree.validate_caches().unwrap();
+                tree.validate_leaves(&self.records, &self.xs, &mut holders)
+                    .unwrap();
+            }
+            self.records
+                .validate(&holders, &self.xs, &self.ys, &ctx)
+                .unwrap();
+        }
     }
 
     #[test]
     fn root_leaf_holds_all_points() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(10);
-        let tree = root(10, &xs, &ys, &ctx);
+        let mut forest = Forest::line(10);
+        let tree = forest.root();
         assert_eq!(tree.leaf_count(), 1);
-        assert_eq!(tree.point_count(), 10);
-        assert_eq!(tree.max_depth(), 0);
+        assert_eq!(forest.point_count(&tree), 10);
+        assert_eq!(tree.depth_bound(), 0);
         assert_eq!(tree.find_leaf(&[0.3]), 0);
-        assert_eq!(
-            tree.leaf_points(0).collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
+        assert_eq!(forest.points(&tree, 0), (0..10).collect::<Vec<_>>());
+        forest.validate(&[&tree]);
     }
 
     #[test]
     fn grow_splits_points_by_threshold() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(10);
-        let mut tree = root(10, &xs, &ys, &ctx);
-        let ok = tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
-        assert!(ok);
+        let mut forest = Forest::line(10);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
         assert_eq!(tree.leaf_count(), 2);
-        assert_eq!(tree.point_count(), 10);
+        assert_eq!(forest.point_count(&tree), 10);
         let left = tree.find_leaf(&[0.1]);
         let right = tree.find_leaf(&[0.9]);
         assert_ne!(left, right);
-        assert!((tree.leaf_stats(left).mean() - 1.0).abs() < 1e-12);
-        assert!((tree.leaf_stats(right).mean() - 2.0).abs() < 1e-12);
+        assert!((forest.record(&tree, left).stats().mean() - 1.0).abs() < 1e-12);
+        assert!((forest.record(&tree, right).stats().mean() - 2.0).abs() < 1e-12);
         assert_eq!(tree.depth_of(left), 1);
-        tree.validate_caches(&xs, &ctx).unwrap();
-    }
-
-    #[test]
-    fn grow_rejects_undersized_children_and_keeps_the_list_intact() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(10);
-        let mut tree = root(10, &xs, &ys, &ctx);
-        let ok = tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: -1.0,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
-        assert!(!ok, "all points on one side must be rejected");
-        assert_eq!(tree.leaf_count(), 1);
-        assert_eq!(
-            tree.leaf_points(0).collect::<Vec<_>>(),
-            (0..10).collect::<Vec<_>>()
-        );
-        tree.validate_caches(&xs, &ctx).unwrap();
+        // The split node keeps the statistics it held as a leaf.
+        assert_eq!(tree.past_stats[0].count(), 10);
+        forest.validate(&[&tree]);
     }
 
     #[test]
     fn prune_restores_the_parent_leaf() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(10);
-        let mut tree = root(10, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        let mut forest = Forest::line(10);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
         let leaf = tree.find_leaf(&[0.1]);
-        assert!(tree.prune(leaf, &ctx));
+        assert!(forest.prune(&mut tree, leaf));
         assert_eq!(tree.leaf_count(), 1);
-        assert_eq!(tree.point_count(), 10);
-        // The merged statistics equal an O(1) merge of the children.
-        assert_eq!(tree.leaf_stats(0).count(), 10);
+        assert_eq!(forest.point_count(&tree), 10);
+        // The merged statistics equal an O(1) merge of the children, and
+        // the list is the left child's followed by the right child's.
+        assert_eq!(forest.record(&tree, 0).stats().count(), 10);
+        assert_eq!(forest.points(&tree, 0), (0..10).collect::<Vec<_>>());
         // Freed slots are reused by the next grow.
-        assert!(tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.3
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        ));
+        assert!(forest.grow(&mut tree, 0, 0.3));
         assert_eq!(tree.leaf_count(), 2);
         assert_eq!(tree.dim.len(), 3, "grow after prune reuses freed slots");
-        tree.validate_caches(&xs, &ctx).unwrap();
+        forest.validate(&[&tree]);
     }
 
     #[test]
     fn prune_of_root_is_rejected() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(4);
-        let mut tree = root(4, &xs, &ys, &ctx);
-        assert!(!tree.prune(0, &ctx));
+        let mut forest = Forest::line(4);
+        let mut tree = forest.root();
+        assert!(!forest.prune(&mut tree, 0));
+        assert!(!tree.prune(0, 0, &forest.records));
     }
 
     #[test]
     fn insert_updates_the_correct_leaf_and_its_moments() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (mut xs, mut ys) = line_data(10);
-        let mut tree = root(10, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
-        // The inserted observation joins the training set like a model
-        // update would, so cache validation can re-scan its features.
-        xs.push_row(&[0.9]);
-        ys.push(2.5);
+        let mut forest = Forest::line(10);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
         let target = tree.find_leaf(&[0.9]);
-        let before = tree.leaf_stats(target).count();
-        let leaf = tree.insert(&[0.9], 10, 2.5, &ctx);
+        let before = forest.record(&tree, target).stats().count();
+        let leaf = forest.insert(&tree, 0.9, 2.5);
         assert_eq!(leaf, target);
-        assert_eq!(tree.leaf_stats(leaf).count(), before + 1);
-        assert_eq!(tree.leaf_points(leaf).last(), Some(10));
-        let _ = &ys;
-        tree.validate_caches(&xs, &ctx).unwrap();
+        assert_eq!(forest.record(&tree, leaf).stats().count(), before + 1);
+        assert_eq!(forest.points(&tree, leaf).last(), Some(&10));
+        forest.validate(&[&tree]);
     }
 
     #[test]
     fn log_weight_is_higher_for_consistent_observations() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(20);
-        let mut tree = root(20, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
-        let consistent = tree.log_weight(&[0.2], 1.0);
-        let surprising = tree.log_weight(&[0.2], 5.0);
-        assert!(consistent > surprising);
+        let mut forest = Forest::line(20);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
+        let moments = forest.record(&tree, tree.find_leaf(&[0.2])).moments();
+        assert!(moments.log_density(1.0) > moments.log_density(5.0));
     }
 
     #[test]
     fn sibling_detection() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(12);
-        let mut tree = root(12, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        let mut forest = Forest::line(12);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
         let left = tree.find_leaf(&[0.0]);
         let right = tree.find_leaf(&[1.0]);
         assert_eq!(tree.leaf_sibling(left), Some(right));
@@ -1560,92 +1399,32 @@ mod tests {
         assert_eq!(tree.parent_of(left), Some(0));
         // After growing the left leaf again, the right leaf's sibling is an
         // internal node, so prune must not be offered there.
-        tree.grow(
-            left,
-            Split {
-                dimension: 0,
-                threshold: 0.25,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        assert!(forest.grow(&mut tree, left, 0.25));
         assert_eq!(tree.leaf_sibling(right), None);
     }
 
     #[test]
     fn leaves_iterator_matches_leaf_count() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(16);
-        let mut tree = root(16, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        let mut forest = Forest::line(16);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
         let l = tree.find_leaf(&[0.2]);
-        tree.grow(
-            l,
-            Split {
-                dimension: 0,
-                threshold: 0.25,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        assert!(forest.grow(&mut tree, l, 0.25));
         assert_eq!(tree.leaves().count(), tree.leaf_count());
         assert_eq!(tree.leaf_count(), 3);
     }
 
     #[test]
     fn cached_flat_traversal_matches_find_leaf_after_moves() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(16);
-        let mut tree = root(16, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        let mut forest = Forest::line(16);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
         let l = tree.find_leaf(&[0.2]);
-        tree.grow(
-            l,
-            Split {
-                dimension: 0,
-                threshold: 0.25,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
+        assert!(forest.grow(&mut tree, l, 0.25));
         // Pruning leaves a free slot behind, which the flattening must
         // encode harmlessly.
         let r = tree.find_leaf(&[0.05]);
-        tree.prune(r, &ctx);
+        assert!(forest.prune(&mut tree, r));
         let mut fresh = Vec::new();
         tree.flatten_into(&mut fresh);
         assert_eq!(fresh, tree.flat_nodes());
@@ -1656,62 +1435,44 @@ mod tests {
             assert_eq!(by_cache, by_fresh);
             assert!(tree.dim[by_cache] == LEAF_NODE);
         }
-        tree.validate_caches(&xs, &ctx).unwrap();
+        forest.validate(&[&tree]);
     }
 
     #[test]
     fn clone_from_reuses_storage_and_matches_clone() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(12);
-        let mut tree = root(12, &xs, &ys, &ctx);
-        tree.grow(
-            0,
-            Split {
-                dimension: 0,
-                threshold: 0.5,
-            },
-            &xs,
-            &ys,
-            1,
-            &ctx,
-        );
-        let mut target = ParticleTree::placeholder();
-        target.clone_from(&tree);
+        let mut forest = Forest::line(12);
+        let mut tree = forest.root();
+        assert!(forest.grow(&mut tree, 0, 0.5));
+        let target = forest.copy(&tree);
         assert_eq!(target, tree.clone());
-        target.validate_caches(&xs, &ctx).unwrap();
+        forest.validate(&[&tree, &target]);
+        // The copy shares its records: moving one tree leaves the other's
+        // leaves and their refcounts intact.
+        let mut target = target;
+        let leaf = target.find_leaf(&[0.9]);
+        assert!(forest.grow(&mut target, leaf, 0.75));
+        assert_eq!(tree.leaf_count(), 2);
+        forest.validate(&[&tree, &target]);
     }
 
     #[test]
     fn split_mask_walk_matches_serial_traversal() {
-        let (prior, table) = ctx_parts();
-        let ctx = MomentCtx {
-            prior: &prior,
-            table: &table,
-        };
-        let (xs, ys) = line_data(64);
-        let split = |threshold| Split {
-            dimension: 0,
-            threshold,
-        };
+        let mut forest = Forest::line(64);
         // An unbalanced three-level tree, so lanes finish at different
         // depths.
-        let mut first = root(64, &xs, &ys, &ctx);
+        let mut first = forest.root();
         for (leaf, threshold) in [(0usize, 0.5), (1, 0.25), (3, 0.125)] {
-            assert!(first.grow(leaf, split(threshold), &xs, &ys, 1, &ctx));
+            assert!(forest.grow(&mut first, leaf, threshold));
         }
         // A copy-on-write descendant keeps every ancestor split and adds
         // one; a third tree reuses two of those thresholds at other nodes.
-        let mut second = first.clone();
+        let mut second = forest.copy(&first);
         let right = second.find_leaf(&[0.9]);
-        assert!(second.grow(right, split(0.75), &xs, &ys, 1, &ctx));
-        let mut third = root(64, &xs, &ys, &ctx);
-        assert!(third.grow(0, split(0.25), &xs, &ys, 1, &ctx));
+        assert!(forest.grow(&mut second, right, 0.75));
+        let mut third = forest.root();
+        assert!(forest.grow(&mut third, 0, 0.25));
         let right = third.find_leaf(&[0.9]);
-        assert!(third.grow(right, split(0.5), &xs, &ys, 1, &ctx));
+        assert!(forest.grow(&mut third, right, 0.5));
         let mut paths = PathTable::default();
         for tree in [&mut first, &mut second, &mut third] {
             tree.assign_paths(&mut paths);
@@ -1723,7 +1484,12 @@ mod tests {
             second.path_ids()[..first.dim.len()],
             "a copy keeps its ancestor's path ids"
         );
-        let trees = [&first, &second, &third];
+        assert_routes_like_find_leaf(&paths, &[&first, &second, &third]);
+    }
+
+    /// Every lane of every routed block reaches exactly the leaf
+    /// `find_leaf_flat` returns, in each of `trees`.
+    fn assert_routes_like_find_leaf(paths: &PathTable, trees: &[&ParticleTree]) {
         // Every eighth query sits exactly on a threshold.
         let queries: Vec<Vec<f64>> = (0..=130).map(|i| vec![i as f64 / 128.0]).collect();
         let views: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
@@ -1754,5 +1520,43 @@ mod tests {
                 assert!(leaf_of[chunk.len()..].iter().all(|&l| l == usize::MAX));
             }
         }
+    }
+
+    #[test]
+    fn compaction_renumbers_live_paths_and_keeps_their_routes() {
+        let mut forest = Forest::line(64);
+        let mut first = forest.root();
+        for (leaf, threshold) in [(0usize, 0.5), (1, 0.25), (2, 0.75)] {
+            assert!(forest.grow(&mut first, leaf, threshold));
+        }
+        let mut second = forest.root();
+        for (leaf, threshold) in [(0usize, 0.3), (2, 0.6)] {
+            assert!(forest.grow(&mut second, leaf, threshold));
+        }
+        let mut paths = PathTable::default();
+        for tree in [&mut first, &mut second] {
+            tree.assign_paths(&mut paths);
+        }
+        // Prune `first` back to one split, so part of its subtree's
+        // entries and the 0.25 split die with it; `second` retires.
+        let leaf = first.find_leaf(&[0.1]);
+        assert!(forest.prune(&mut first, leaf));
+        let (entries, splits) = (paths.entry_count(), paths.split_count());
+        let mut live = vec![false; entries];
+        first.mark_paths(&mut live);
+        let remap = paths.retain(&live);
+        first.remap_paths(&remap);
+        assert_eq!(remap.len(), 2 * entries + 1);
+        assert!(paths.entry_count() < entries && paths.split_count() < splits);
+        // The renumbered table holds exactly what a fresh walk interns.
+        let mut fresh = PathTable::default();
+        let mut walked = first.clone();
+        walked.assign_paths(&mut fresh);
+        assert_eq!(paths.entry_count(), fresh.entry_count());
+        assert_eq!(paths.split_count(), fresh.split_count());
+        first
+            .validate_paths(&paths, &mut PathTable::default(), &mut HashMap::new())
+            .unwrap();
+        assert_routes_like_find_leaf(&paths, &[&first]);
     }
 }

@@ -1,20 +1,24 @@
 //! Invariants of the arena-backed dynamic-tree storage.
 //!
-//! Three properties guard the PR 5 storage rewrite:
+//! Three properties guard the arena and leaf-record storage:
 //!
-//! 1. **Cache freshness.** Every tree keeps its dense flat-node traversal
-//!    array, its per-leaf moments (predictive moments, marginal likelihood,
-//!    density constants), its per-leaf bounds and its per-node root-path
-//!    ids maintained. After *any* fit/update sequence — which exercises
-//!    resampling, copy-on-write cloning, structural sharing, grow, prune
-//!    and path-table compaction — every cached view must equal a
-//!    bitwise-fresh recomputation, and every path id must spell the steps
-//!    of its node's root path in a freshly rebuilt table
+//! 1. **Cache and record freshness.** Every tree keeps its dense flat-node
+//!    traversal array and its per-node root-path ids maintained, and every
+//!    leaf holds a shared leaf record: its observation ids, their rows,
+//!    statistics, bounds and moments. After *any* fit/update sequence —
+//!    which exercises resampling, copy-on-write cloning, structural
+//!    sharing, grow, prune and path-table compaction — every cached view
+//!    must equal a bitwise-fresh recomputation, every path id must spell
+//!    the steps of its node's root path in a freshly rebuilt table, and
+//!    every record must list exactly the observations in its leaf's
+//!    region, hold their rows bitwise, carry a refcount equal to the
+//!    number of live leaves that hold it, and sit at one root path in all
+//!    of them; no live tree may hold a freed record
 //!    (`DynaTree::validate_caches`).
 //! 2. **Thread-count bit-identity of training.** `fit` and `update` run
-//!    their per-tree insert, decide, clone and move jobs on the thread
-//!    pool with per-`(seed, observation, particle)` RNG streams; a model
-//!    trained on 1 worker thread must be bit-identical to one trained on 4.
+//!    their insert, decide, clone and move jobs on the thread pool with
+//!    per-`(seed, observation, particle)` RNG streams; a model trained on
+//!    1 worker thread must be bit-identical to one trained on 4.
 //! 3. **Sharing accounting.** Structural sharing never loses or invents
 //!    particles: multiplicities over unique trees always sum to the
 //!    particle count, and the unique-tree count never exceeds it.
@@ -48,9 +52,9 @@ fn training_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 
 proptest! {
     /// Property 1 + 3: after an arbitrary fit/update sequence, the cached
-    /// flat nodes, leaf moments, leaf bounds and path ids of every live
-    /// tree equal a fresh recomputation, and the sharing bookkeeping stays
-    /// consistent.
+    /// flat nodes and path ids of every live tree and every live leaf
+    /// record equal a fresh recomputation, the record refcounts match
+    /// their holders, and the sharing bookkeeping stays consistent.
     #[test]
     fn caches_match_fresh_recomputation_after_any_training_sequence(
         n_fit in 6usize..40,

@@ -1,19 +1,20 @@
-//! Bit-identity property tests for the split-scan kernels.
+//! Bit-identity property tests for the split-scan kernel.
 //!
 //! The dynamic tree's grow move ranks candidate splits by leaf marginal
 //! likelihoods computed from `(count, Σy, Σy²)` triples, and the committed
-//! goldens pin its output byte-for-byte — so the two scan kernels (the
-//! gathered-column `scan_left` and the no-copy `scan_left_direct` stream)
-//! must produce **bit-identical** triples, not merely close ones. These
-//! properties drive randomized leaf shapes through both kernels and assert:
+//! goldens pin its output byte-for-byte — so the fused scan over a leaf
+//! record's contiguous rows (`scan_left`) must produce triples
+//! **bit-identical** to a plain attempt-at-a-time stream over the same
+//! points in point order, not merely close ones. These properties drive
+//! randomized leaf shapes through both and assert:
 //!
-//! 1. the `(n, Σy, Σy²)` triples agree to the bit across kernels, and
+//! 1. the `(n, Σy, Σy²)` triples agree to the bit, and
 //! 2. therefore the grow move's likelihood scores and its selected split
 //!    (argmax with first-wins tie-breaking, exactly like `propose_split`)
 //!    agree to the bit as well — the property that keeps the committed
-//!    dynatree goldens invariant under the tree's per-leaf kernel choice.
+//!    dynatree goldens independent of how a leaf stores its points.
 
-use alic::model::dynatree::scan::{scan_left, scan_left_direct, LeafColumns, ATTEMPT_BATCH};
+use alic::model::dynatree::scan::{scan_left, LeafRows, ATTEMPT_BATCH};
 use alic::model::leaf::{log_marginal_likelihood_of_sums, LeafPrior, LnGammaTable};
 use proptest::prelude::*;
 
@@ -42,6 +43,27 @@ fn leaf_data(len: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         .collect();
     let ys: Vec<f64> = (0..len).map(|i| 4.0 * value(2, i, 0) - 2.0).collect();
     (xs, ys)
+}
+
+/// The oracle: each attempt on its own, one point at a time in point
+/// order, with the `mask * value` arithmetic of the fused kernel.
+fn stream_left(
+    xs: &[Vec<f64>],
+    ys: &[f64],
+    dims: &[usize; ATTEMPT_BATCH],
+    thresholds: &[f64; ATTEMPT_BATCH],
+    live: usize,
+) -> ([f64; 8], [f64; 8], [f64; 8]) {
+    let (mut n, mut s, mut q) = ([0.0f64; 8], [0.0f64; 8], [0.0f64; 8]);
+    for k in 0..live {
+        for (row, &y) in xs.iter().zip(ys) {
+            let mask = f64::from(row[dims[k]] <= thresholds[k]);
+            n[k] += mask;
+            s[k] += mask * y;
+            q[k] += mask * (y * y);
+        }
+    }
+    (n, s, q)
 }
 
 /// The grow move's score of one attempt: left-child likelihood from the
@@ -80,12 +102,9 @@ proptest! {
     ) {
         for len in std::iter::once(drawn_len).chain(FIXED_LEAF_SIZES) {
             let (xs, ys) = leaf_data(len, dim, seed);
-            let mut columns = LeafColumns::default();
-            columns.fill(
-                dim,
-                len,
-                xs.iter().map(Vec::as_slice).zip(ys.iter().copied()),
-            );
+            let features: Vec<f64> = xs.iter().flatten().copied().collect();
+            let ys_sq: Vec<f64> = ys.iter().map(|y| y * y).collect();
+            let rows = LeafRows { n_dims: dim, features: &features, ys: &ys, ys_sq: &ys_sq };
 
             // Attempt thresholds drawn from the data itself, so left sets
             // range from empty to full — including the exact-equality
@@ -97,13 +116,8 @@ proptest! {
                 thresholds[k] = xs[(seed as usize + k * 17) % len][dims[k]];
             }
 
-            let gathered = scan_left(&columns, &dims, &thresholds, live);
-            let direct = scan_left_direct(
-                xs.iter().map(Vec::as_slice).zip(ys.iter().copied()),
-                &dims,
-                &thresholds,
-                live,
-            );
+            let fused = scan_left(rows, &dims, &thresholds, live);
+            let streamed = stream_left(&xs, &ys, &dims, &thresholds, live);
 
             let prior = LeafPrior::weakly_informative(0.0, 1.0);
             let mut table = LnGammaTable::new(&prior);
@@ -125,25 +139,25 @@ proptest! {
 
             for k in 0..live {
                 prop_assert_eq!(
-                    direct.0[k].to_bits(), gathered.0[k].to_bits(),
-                    "direct: count diverged at attempt {} (len {})", k, len
+                    fused.0[k].to_bits(), streamed.0[k].to_bits(),
+                    "count diverged at attempt {} (len {})", k, len
                 );
                 prop_assert_eq!(
-                    direct.1[k].to_bits(), gathered.1[k].to_bits(),
-                    "direct: Σy diverged at attempt {} (len {})", k, len
+                    fused.1[k].to_bits(), streamed.1[k].to_bits(),
+                    "Σy diverged at attempt {} (len {})", k, len
                 );
                 prop_assert_eq!(
-                    direct.2[k].to_bits(), gathered.2[k].to_bits(),
-                    "direct: Σy² diverged at attempt {} (len {})", k, len
+                    fused.2[k].to_bits(), streamed.2[k].to_bits(),
+                    "Σy² diverged at attempt {} (len {})", k, len
                 );
                 prop_assert_eq!(
-                    score(&direct, k).to_bits(), score(&gathered, k).to_bits(),
-                    "direct: likelihood diverged at attempt {} (len {})", k, len
+                    score(&fused, k).to_bits(), score(&streamed, k).to_bits(),
+                    "likelihood diverged at attempt {} (len {})", k, len
                 );
             }
             prop_assert_eq!(
-                argmax(&direct), argmax(&gathered),
-                "direct: selected a different split (len {})", len
+                argmax(&fused), argmax(&streamed),
+                "selected a different split (len {})", len
             );
         }
     }
