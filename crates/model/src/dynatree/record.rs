@@ -21,66 +21,88 @@ use super::scan::LeafRows;
 use super::tree::{MomentCtx, Split};
 use crate::leaf::{LeafMoments, LeafStats};
 
-/// Fresh `[∞, −∞]` per-dimension bound pairs, appended to `out`.
-fn push_empty_bounds(out: &mut Vec<f64>, n_dims: usize) {
-    for _ in 0..n_dims {
-        out.push(f64::INFINITY);
-        out.push(f64::NEG_INFINITY);
-    }
-}
+/// Values per row of a record besides the point's features: `y`, `y²`
+/// and the observation id.
+const ROW_EXTRA: usize = 3;
 
-/// Leaf statistics of a target slice via a two-pass sum: the mean from
+/// Leaf statistics of the targets `ys` via a two-pass sum: the mean from
 /// `Σy`, then `m2 = Σ(y − mean)²` — the numerically robust batch
 /// counterpart of the online update, with no per-point division.
-fn stats_of_targets(ys: &[f64]) -> LeafStats {
-    if ys.is_empty() {
+fn stats_of_targets(ys: impl ExactSizeIterator<Item = f64> + Clone) -> LeafStats {
+    let count = ys.len();
+    if count == 0 {
         return LeafStats::new();
     }
     let mut sum = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
-    for &y in ys {
+    for y in ys.clone() {
         sum += y;
         min = min.min(y);
         max = max.max(y);
     }
-    let mean = sum / ys.len() as f64;
+    let mean = sum / count as f64;
     let mut m2 = 0.0;
-    for &y in ys {
+    for y in ys {
         let d = y - mean;
         m2 += d * d;
     }
-    LeafStats::from_parts(ys.len(), mean, m2, min, max)
+    LeafStats::from_parts(count, mean, m2, min, max)
+}
+
+/// Widens interleaved `[lo, hi]` pairs by one point's features.
+#[inline]
+fn expand_bounds(bounds: &mut [f64], features: &[f64]) {
+    for (pair, &v) in bounds.chunks_exact_mut(2).zip(features) {
+        pair[0] = pair[0].min(v);
+        pair[1] = pair[1].max(v);
+    }
 }
 
 /// One leaf's points and the quantities derived from them. See the
 /// [module documentation](self).
 ///
-/// Aligned to a cache line: the update builds and inserts into records that
-/// sit side by side in one buffer on different threads, and two of them
-/// must never share a line.
+/// All per-point data sits in one buffer, so that an insert writes at one
+/// tail and a grow or prune copies one stream. Aligned to a cache line:
+/// the update builds and inserts into records that sit side by side in one
+/// buffer on different threads, and two of them must never share a line.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[repr(align(64))]
 pub(crate) struct LeafRecord {
-    /// Observation ids in list order.
-    ids: Vec<u32>,
-    /// Row-major features of those observations.
-    features: Vec<f64>,
-    ys: Vec<f64>,
-    /// `y * y` per point.
-    ys_sq: Vec<f64>,
+    /// Feature width.
+    n_dims: usize,
+    /// The per-dimension `[lo, hi]` pairs over the points (`2 * n_dims`
+    /// values, exactly equal to a fresh scan of them), then one row per
+    /// point in list order: its features, `y`, `y²` and its observation id
+    /// (as the bits of an `f64`).
+    data: Vec<f64>,
     stats: LeafStats,
-    /// Interleaved per-dimension `[lo, hi]` pairs over the points, exactly
-    /// equal to a fresh scan of them.
-    bounds: Vec<f64>,
     /// Derived from `stats`; refreshed whenever they change.
     moments: LeafMoments,
 }
 
 impl LeafRecord {
+    /// Values per row.
+    fn stride(&self) -> usize {
+        self.n_dims + ROW_EXTRA
+    }
+
+    /// The rows, one per point.
+    fn points(&self) -> &[f64] {
+        &self.data[2 * self.n_dims..]
+    }
+
+    /// Number of points.
+    pub(crate) fn len(&self) -> usize {
+        self.points().len() / self.stride()
+    }
+
     /// Observation ids in list order.
-    pub(crate) fn ids(&self) -> &[u32] {
-        &self.ids
+    pub(crate) fn ids(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        let id = self.n_dims + 2;
+        self.points()
+            .chunks_exact(self.stride())
+            .map(move |row| row[id].to_bits() as u32)
     }
 
     /// The leaf's target statistics.
@@ -91,7 +113,7 @@ impl LeafRecord {
     /// Per-dimension `[lo, hi]` pairs over the points (interleaved:
     /// `[lo₀, hi₀, lo₁, hi₁, …]`).
     pub(crate) fn bounds(&self) -> &[f64] {
-        &self.bounds
+        &self.data[..2 * self.n_dims]
     }
 
     /// The cached derived quantities of `stats`.
@@ -102,51 +124,63 @@ impl LeafRecord {
     /// The points as contiguous rows, the input of a split scan.
     pub(crate) fn rows(&self) -> LeafRows<'_> {
         LeafRows {
-            n_dims: self.bounds.len() / 2,
-            features: &self.features,
-            ys: &self.ys,
-            ys_sq: &self.ys_sq,
+            n_dims: self.n_dims,
+            stride: self.stride(),
+            rows: self.points(),
         }
+    }
+
+    /// The targets in list order.
+    fn targets(&self) -> impl ExactSizeIterator<Item = f64> + Clone + '_ {
+        let y = self.n_dims;
+        self.points()
+            .chunks_exact(self.stride())
+            .map(move |row| row[y])
     }
 
     /// Empties the record for reuse at width `n_dims`, keeping its
-    /// allocations.
+    /// allocation.
     pub(crate) fn reset(&mut self, n_dims: usize) {
-        self.ids.clear();
-        self.features.clear();
-        self.ys.clear();
-        self.ys_sq.clear();
+        self.n_dims = n_dims;
+        self.data.clear();
+        for _ in 0..n_dims {
+            self.data.push(f64::INFINITY);
+            self.data.push(f64::NEG_INFINITY);
+        }
         self.stats = LeafStats::new();
-        self.bounds.clear();
-        push_empty_bounds(&mut self.bounds, n_dims);
         self.moments = LeafMoments::default();
     }
 
-    /// Appends one point's id, row and target, and widens the bounds.
-    /// Leaves the statistics alone.
+    /// Appends one point (observation `id` at `features` with target `y`)
+    /// and widens the bounds. Leaves the statistics alone.
     #[inline]
-    fn push_point(&mut self, id: u32, row: &[f64], y: f64, y_sq: f64) {
-        self.ids.push(id);
-        self.features.extend_from_slice(row);
-        self.ys.push(y);
-        self.ys_sq.push(y_sq);
-        for (pair, &v) in self.bounds.chunks_exact_mut(2).zip(row) {
-            pair[0] = pair[0].min(v);
-            pair[1] = pair[1].max(v);
-        }
+    fn push_point(&mut self, id: u32, features: &[f64], y: f64) {
+        expand_bounds(&mut self.data[..2 * self.n_dims], features);
+        self.data.extend_from_slice(features);
+        self.data
+            .extend_from_slice(&[y, y * y, f64::from_bits(u64::from(id))]);
     }
 
-    /// Adds observation `id` at `row` with target `y` at the end of the
-    /// list, with an online update of the statistics.
-    pub(crate) fn insert(&mut self, id: usize, row: &[f64], y: f64, ctx: &MomentCtx<'_>) {
-        self.push_point(id as u32, row, y, y * y);
+    /// Appends a row copied from a record of the same width and widens
+    /// the bounds.
+    #[inline]
+    fn push_row(&mut self, row: &[f64]) {
+        let n = self.n_dims;
+        expand_bounds(&mut self.data[..2 * n], &row[..n]);
+        self.data.extend_from_slice(row);
+    }
+
+    /// Adds observation `id` at `features` with target `y` at the end of
+    /// the list, with an online update of the statistics.
+    pub(crate) fn insert(&mut self, id: usize, features: &[f64], y: f64, ctx: &MomentCtx<'_>) {
+        self.push_point(id as u32, features, y);
         self.stats.push(y);
         self.moments = self.stats.moments(ctx.prior, ctx.table);
     }
 
     /// Writes the two children of a grow of this leaf with `split` into
     /// `left` and `right` (each emptied first): every point in list order
-    /// goes left when `row[dimension] <= threshold`, and each child's
+    /// goes left when `features[dimension] <= threshold`, and each child's
     /// statistics come from a two-pass sum over its targets.
     pub(crate) fn split_into(
         &self,
@@ -155,20 +189,18 @@ impl LeafRecord {
         right: &mut LeafRecord,
         ctx: &MomentCtx<'_>,
     ) {
-        let rows = self.rows();
-        left.reset(rows.n_dims);
-        right.reset(rows.n_dims);
-        let points = rows.features.chunks_exact(rows.n_dims).zip(&self.ids);
-        for (i, (row, &id)) in points.enumerate() {
+        left.reset(self.n_dims);
+        right.reset(self.n_dims);
+        for row in self.points().chunks_exact(self.stride()) {
             let side = if row[split.dimension] <= split.threshold {
                 &mut *left
             } else {
                 &mut *right
             };
-            side.push_point(id, row, self.ys[i], self.ys_sq[i]);
+            side.push_row(row);
         }
         for child in [left, right] {
-            child.stats = stats_of_targets(&child.ys);
+            child.stats = stats_of_targets(child.targets());
             child.moments = child.stats.moments(ctx.prior, ctx.table);
         }
     }
@@ -182,21 +214,20 @@ impl LeafRecord {
         out: &mut LeafRecord,
         ctx: &MomentCtx<'_>,
     ) {
-        out.reset(0);
-        for source in [left, right] {
-            out.ids.extend_from_slice(&source.ids);
-            out.features.extend_from_slice(&source.features);
-            out.ys.extend_from_slice(&source.ys);
-            out.ys_sq.extend_from_slice(&source.ys_sq);
+        out.n_dims = left.n_dims;
+        out.data.clear();
+        let pairs = left
+            .bounds()
+            .chunks_exact(2)
+            .zip(right.bounds().chunks_exact(2));
+        for (l, r) in pairs {
+            out.data
+                .extend_from_slice(&[l[0].min(r[0]), l[1].max(r[1])]);
         }
+        out.data.extend_from_slice(left.points());
+        out.data.extend_from_slice(right.points());
         out.stats = left.stats;
         out.stats.merge(&right.stats);
-        out.bounds.extend(
-            left.bounds
-                .chunks_exact(2)
-                .zip(right.bounds.chunks_exact(2))
-                .flat_map(|(l, r)| [l[0].min(r[0]), l[1].max(r[1])]),
-        );
         out.moments = out.stats.moments(ctx.prior, ctx.table);
     }
 
@@ -204,44 +235,41 @@ impl LeafRecord {
     /// and `ys` at its ids, its statistics count them, and its bounds and
     /// moments equal a fresh computation, all bitwise.
     fn validate(&self, xs: &FeatureMatrix, ys: &[f64], ctx: &MomentCtx<'_>) -> Result<(), String> {
-        let rows = self.rows();
-        let n = self.ids.len();
-        if rows.features.len() != n * rows.n_dims || self.ys.len() != n || self.ys_sq.len() != n {
-            return Err(format!("{n} ids but mismatched row columns"));
+        let n = self.n_dims;
+        if self.data.len() < 2 * n || !self.points().len().is_multiple_of(self.stride()) {
+            return Err(format!("{} values do not make whole rows", self.data.len()));
         }
-        if self.stats.count() != n {
-            return Err(format!("{n} ids but a count of {}", self.stats.count()));
+        if self.stats.count() != self.len() {
+            return Err(format!(
+                "{} rows but a count of {}",
+                self.len(),
+                self.stats.count()
+            ));
         }
-        let mut fresh = Vec::new();
-        push_empty_bounds(&mut fresh, rows.n_dims);
-        let points = rows
-            .features
-            .chunks_exact(rows.n_dims.max(1))
-            .zip(&self.ids);
-        for (i, (row, &id)) in points.enumerate() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut fresh = LeafRecord::default();
+        fresh.reset(n);
+        for (i, (row, id)) in self
+            .points()
+            .chunks_exact(self.stride())
+            .zip(self.ids())
+            .enumerate()
+        {
             let id = id as usize;
             if id >= ys.len() {
                 return Err(format!("id {id} is past the training set"));
             }
-            let same = |a: &[f64], b: &[f64]| {
-                a.iter()
-                    .map(|v| v.to_bits())
-                    .eq(b.iter().map(|v| v.to_bits()))
-            };
-            if !same(row, xs.row(id))
-                || !same(&[self.ys[i], self.ys_sq[i]], &[ys[id], ys[id] * ys[id]])
-            {
+            fresh.push_point(id as u32, xs.row(id), ys[id]);
+            let expect = &fresh.points()[i * self.stride()..];
+            if bits(row) != bits(&expect[..self.stride()]) {
                 return Err(format!("row {i} differs from observation {id}"));
             }
-            for (pair, &v) in fresh.chunks_exact_mut(2).zip(row) {
-                pair[0] = pair[0].min(v);
-                pair[1] = pair[1].max(v);
-            }
         }
-        if fresh != self.bounds {
+        if bits(fresh.bounds()) != bits(self.bounds()) {
             return Err(format!(
-                "bounds {:?} diverged from a fresh scan {fresh:?}",
-                self.bounds
+                "bounds {:?} diverged from a fresh scan {:?}",
+                self.bounds(),
+                fresh.bounds()
             ));
         }
         let expect = self.stats.moments(ctx.prior, ctx.table);
@@ -366,11 +394,10 @@ impl LeafRecords {
         let (id, mut record) = self.claim();
         record.reset(self.n_dims);
         for &p in ids {
-            let y = ys[p as usize];
-            record.push_point(p, xs.row(p as usize), y, y * y);
+            record.push_point(p, xs.row(p as usize), ys[p as usize]);
         }
         record.stats = stats;
-        record.bounds.copy_from_slice(bounds);
+        record.data[..bounds.len()].copy_from_slice(bounds);
         record.moments = stats.moments(ctx.prior, ctx.table);
         self.put(id, record);
         self.retain(id);
@@ -408,7 +435,7 @@ impl LeafRecords {
                 ));
             }
             if held > 0 {
-                if record.bounds.len() != 2 * self.n_dims {
+                if record.n_dims != self.n_dims {
                     return Err(format!("record {id}: bounds of the wrong width"));
                 }
                 record

@@ -16,21 +16,21 @@
 /// Split-proposal attempts evaluated per fused scan of a leaf.
 pub const ATTEMPT_BATCH: usize = 8;
 
-/// One leaf's points, in list order, as contiguous rows: row-major
-/// features (`n_dims` values per point) next to the targets and their
-/// squares. A leaf record keeps its points in exactly this layout, so a
-/// scan reads them in place.
+/// One leaf's points, in list order, as contiguous rows: each row holds a
+/// point's features (`n_dims` values), then its target `y`, then `y²`,
+/// then whatever else the owner keeps, `stride` values in all. A leaf
+/// record keeps its points in exactly this layout, so a scan reads them in
+/// place.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRows<'a> {
-    /// Features per point (the row width).
+    /// Features per point.
     pub n_dims: usize,
-    /// Row-major features: point `i` is `features[i * n_dims..(i + 1) * n_dims]`.
-    pub features: &'a [f64],
-    /// Targets, one per point.
-    pub ys: &'a [f64],
-    /// Squared targets, `y * y` per point: computed once when the point
-    /// joins the leaf, so no scan recomputes it per attempt.
-    pub ys_sq: &'a [f64],
+    /// Values per row, at least `n_dims + 2`.
+    pub stride: usize,
+    /// The rows, one per point: point `i` is
+    /// `rows[i * stride..(i + 1) * stride]`. `y²` is computed once when the
+    /// point joins the leaf, so no scan recomputes it per attempt.
+    pub rows: &'a [f64],
 }
 
 /// Runs the fused pass over `rows` for the first `live` attempts, returning
@@ -40,7 +40,8 @@ pub struct LeafRows<'a> {
 ///
 /// # Panics
 ///
-/// Panics if an attempt's dimension is not below `rows.n_dims`.
+/// Panics if an attempt's dimension is not below `rows.n_dims`, or a row
+/// is narrower than `n_dims + 2`.
 pub fn scan_left(
     rows: LeafRows<'_>,
     dims: &[usize; ATTEMPT_BATCH],
@@ -85,19 +86,16 @@ fn scan_fused<const K: usize>(
     let mut thr = [0.0f64; K];
     local_dims.copy_from_slice(&dims[..K]);
     thr.copy_from_slice(&thresholds[..K]);
+    let (y, y_sq) = (rows.n_dims, rows.n_dims + 1);
     assert!(
-        local_dims.iter().all(|&d| d < rows.n_dims),
-        "attempt dimension out of range"
+        y_sq < rows.stride && local_dims.iter().all(|&d| d < rows.n_dims),
+        "attempt dimension or row width out of range"
     );
     let mut nk = [0.0f64; K];
     let mut sk = [0.0f64; K];
     let mut qk = [0.0f64; K];
-    let points = rows
-        .features
-        .chunks_exact(rows.n_dims)
-        .zip(rows.ys)
-        .zip(rows.ys_sq);
-    for ((row, &y), &y_sq) in points {
+    for row in rows.rows.chunks_exact(rows.stride) {
+        let (y, y_sq) = (row[y], row[y_sq]);
         for k in 0..K {
             let mask = f64::from(row[local_dims[k]] <= thr[k]);
             nk[k] += mask;

@@ -671,7 +671,7 @@ impl ParticleTree {
                 return Err(format!("leaf {leaf}: record {id} is past the pool"));
             };
             *held += 1;
-            for &p in records[id].ids() {
+            for p in records[id].ids() {
                 let p = p as usize;
                 if p >= seen.len() || std::mem::replace(&mut seen[p], true) {
                     return Err(format!(
@@ -924,13 +924,13 @@ impl ParticleTree {
         for node in 0..n {
             let (stats, node_bounds) = if self.dim[node] == LEAF_NODE {
                 let record = &records[self.record[node]];
-                let ids = record.ids();
-                if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
-                    head[node] = first;
-                    tail[node] = last;
-                }
-                for link in ids.windows(2) {
-                    next[link[0] as usize] = link[1];
+                let mut ids = record.ids();
+                if let Some(first) = ids.next() {
+                    let last = ids.fold(first, |prev, id| {
+                        next[prev as usize] = id;
+                        id
+                    });
+                    (head[node], tail[node]) = (first, last);
                 }
                 (record.stats(), record.bounds())
             } else {
@@ -1224,7 +1224,7 @@ mod tests {
             };
             let parent = tree.record_ids()[leaf];
             self.records[parent].split_into(split, &mut left, &mut right, &ctx);
-            let empty = left.ids().is_empty() || right.ids().is_empty();
+            let empty = left.len() == 0 || right.len() == 0;
             let ids = self.commit(vec![(l, left), (r, right)]);
             if empty {
                 ids.into_iter().for_each(|id| self.records.release(id));
@@ -1281,7 +1281,7 @@ mod tests {
 
         fn points(&self, tree: &ParticleTree, leaf: usize) -> Vec<usize> {
             let ids = self.record(tree, leaf).ids();
-            ids.iter().map(|&p| p as usize).collect()
+            ids.map(|p| p as usize).collect()
         }
 
         fn point_count(&self, tree: &ParticleTree) -> usize {

@@ -102,9 +102,12 @@ proptest! {
     ) {
         for len in std::iter::once(drawn_len).chain(FIXED_LEAF_SIZES) {
             let (xs, ys) = leaf_data(len, dim, seed);
-            let features: Vec<f64> = xs.iter().flatten().copied().collect();
-            let ys_sq: Vec<f64> = ys.iter().map(|y| y * y).collect();
-            let rows = LeafRows { n_dims: dim, features: &features, ys: &ys, ys_sq: &ys_sq };
+            let flat: Vec<f64> = xs
+                .iter()
+                .zip(&ys)
+                .flat_map(|(x, &y)| x.iter().copied().chain([y, y * y]))
+                .collect();
+            let rows = LeafRows { n_dims: dim, stride: dim + 2, rows: &flat };
 
             // Attempt thresholds drawn from the data itself, so left sets
             // range from empty to full — including the exact-equality
