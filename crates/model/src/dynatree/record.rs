@@ -373,6 +373,7 @@ impl LeafRecords {
     #[inline]
     pub(crate) fn release(&mut self, id: u32) {
         let refs = &mut self.refs[id as usize];
+        debug_assert!(*refs > 0, "record {id} released more often than held");
         *refs -= 1;
         if *refs == 0 {
             self.free.push(id);
