@@ -107,15 +107,6 @@ impl CostLedger {
     pub fn quarantined(&self) -> u64 {
         self.quarantined
     }
-
-    /// Merges another ledger into this one. Counters saturate at `u64::MAX`.
-    pub fn merge(&mut self, other: &CostLedger) {
-        self.run_seconds += other.run_seconds;
-        self.compile_seconds += other.compile_seconds;
-        self.runs = self.runs.saturating_add(other.runs);
-        self.compilations = self.compilations.saturating_add(other.compilations);
-        self.quarantined = self.quarantined.saturating_add(other.quarantined);
-    }
 }
 
 #[cfg(test)]
@@ -140,19 +131,6 @@ mod tests {
         assert!((ledger.total_seconds() - 3.4).abs() < 1e-12);
         assert!((ledger.run_seconds() - 2.9).abs() < 1e-12);
         assert!((ledger.compile_seconds() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums_both_ledgers() {
-        let mut a = CostLedger::new();
-        a.record(&measurement(1.0, 0.2, true));
-        let mut b = CostLedger::new();
-        b.record(&measurement(2.0, 0.0, false));
-        b.record(&measurement(2.0, 0.3, true));
-        a.merge(&b);
-        assert_eq!(a.runs(), 3);
-        assert_eq!(a.compilations(), 2);
-        assert!((a.total_seconds() - 5.5).abs() < 1e-12);
     }
 
     #[test]
@@ -186,10 +164,6 @@ mod tests {
         assert_eq!(ledger.runs(), 1);
         assert!((ledger.total_seconds() - 1.5).abs() < 1e-12);
 
-        let mut other = CostLedger::new().with_quarantined(3);
-        other.merge(&ledger);
-        assert_eq!(other.quarantined(), 5);
-
         // Saturation, as for every other counter.
         let mut saturated = CostLedger::new().with_quarantined(u64::MAX);
         saturated.record_quarantined();
@@ -203,10 +177,5 @@ mod tests {
         ledger.record(&measurement(1.0, 0.5, true));
         assert_eq!(ledger.runs(), u64::MAX);
         assert_eq!(ledger.compilations(), u64::MAX);
-
-        let mut merged = CostLedger::from_parts(0.0, 0.0, u64::MAX, 5);
-        merged.merge(&ledger);
-        assert_eq!(merged.runs(), u64::MAX);
-        assert_eq!(merged.compilations(), u64::MAX);
     }
 }

@@ -23,18 +23,6 @@ impl CompletionCriteria {
         CompletionCriteria::default()
     }
 
-    /// Stop once the cumulative profiling cost exceeds `seconds`.
-    pub fn with_max_cost(mut self, seconds: f64) -> Self {
-        self.max_cost_seconds = Some(seconds);
-        self
-    }
-
-    /// Stop once the evaluated RMSE reaches `rmse` or better.
-    pub fn with_target_rmse(mut self, rmse: f64) -> Self {
-        self.target_rmse = Some(rmse);
-        self
-    }
-
     /// Whether the run should stop given the current cost and (optionally)
     /// the most recently evaluated RMSE.
     pub fn is_met(&self, cost_seconds: f64, latest_rmse: Option<f64>) -> bool {
@@ -64,14 +52,20 @@ mod tests {
 
     #[test]
     fn cost_budget_stops_the_run() {
-        let criteria = CompletionCriteria::none().with_max_cost(100.0);
+        let criteria = CompletionCriteria {
+            max_cost_seconds: Some(100.0),
+            ..CompletionCriteria::none()
+        };
         assert!(!criteria.is_met(99.9, None));
         assert!(criteria.is_met(100.0, None));
     }
 
     #[test]
     fn rmse_target_requires_an_evaluation() {
-        let criteria = CompletionCriteria::none().with_target_rmse(0.05);
+        let criteria = CompletionCriteria {
+            target_rmse: Some(0.05),
+            ..CompletionCriteria::none()
+        };
         assert!(!criteria.is_met(10.0, None));
         assert!(!criteria.is_met(10.0, Some(0.06)));
         assert!(criteria.is_met(10.0, Some(0.05)));
@@ -79,9 +73,10 @@ mod tests {
 
     #[test]
     fn either_criterion_suffices() {
-        let criteria = CompletionCriteria::none()
-            .with_max_cost(50.0)
-            .with_target_rmse(0.01);
+        let criteria = CompletionCriteria {
+            max_cost_seconds: Some(50.0),
+            target_rmse: Some(0.01),
+        };
         assert!(criteria.is_met(60.0, Some(1.0)));
         assert!(criteria.is_met(1.0, Some(0.005)));
         assert!(!criteria.is_met(1.0, Some(1.0)));

@@ -61,11 +61,6 @@ impl LearningCurve {
         self.points.is_empty()
     }
 
-    /// Number of evaluation points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
     /// RMSE of the last evaluation, if any.
     pub fn final_rmse(&self) -> Option<f64> {
         self.points.last().map(|p| p.rmse)
@@ -84,17 +79,9 @@ impl LearningCurve {
         self.points.last().map(|p| p.cost_seconds)
     }
 
-    /// First cost at which the RMSE dropped to `target` or below.
-    pub fn cost_to_reach(&self, target: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.rmse <= target)
-            .map(|p| p.cost_seconds)
-    }
-
     /// The RMSE in effect at cost `t` (the most recent evaluation at or
     /// before `t`); `None` if the curve has not started by `t`.
-    pub fn rmse_at_cost(&self, t: f64) -> Option<f64> {
+    fn rmse_at_cost(&self, t: f64) -> Option<f64> {
         self.points
             .iter()
             .take_while(|p| p.cost_seconds <= t)
@@ -220,12 +207,10 @@ mod tests {
     #[test]
     fn basic_accessors() {
         let c = curve(&[(1.0, 0.5), (2.0, 0.3), (3.0, 0.35)]);
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.points().len(), 3);
         assert_eq!(c.final_rmse(), Some(0.35));
         assert_eq!(c.best_rmse(), Some(0.3));
         assert_eq!(c.total_cost(), Some(3.0));
-        assert_eq!(c.cost_to_reach(0.3), Some(2.0));
-        assert_eq!(c.cost_to_reach(0.1), None);
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl<P> ChaosProfiler<P> {
             pending: None,
         }
     }
-
-    /// The wrapped profiler.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
 }
 
 impl<P: Profiler> Profiler for ChaosProfiler<P> {
@@ -155,6 +150,6 @@ mod tests {
         // Every logical observation heals to the exact fault-free stream:
         // the inner profiler's RNG never sees the retries.
         assert_eq!(healed, expected);
-        assert_eq!(chaotic.inner().runs(), 6);
+        assert_eq!(chaotic.inner.runs(), 6);
     }
 }

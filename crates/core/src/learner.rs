@@ -112,7 +112,7 @@ impl LearnerRun {
     }
 
     /// Total observations taken across all examples.
-    pub fn total_observations(&self) -> usize {
+    fn total_observations(&self) -> usize {
         self.visited.iter().map(|r| r.runtimes.count()).sum()
     }
 
@@ -171,11 +171,6 @@ impl<'a, P: Profiler> ActiveLearner<'a, P> {
     /// Creates a learner that will profile through `profiler`.
     pub fn new(config: LearnerConfig, profiler: &'a mut P) -> Self {
         ActiveLearner { config, profiler }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LearnerConfig {
-        &self.config
     }
 
     /// Runs Algorithm 1 with the given surrogate `model` over the training
@@ -407,7 +402,7 @@ impl<'a, P: Profiler> ActiveLearner<'a, P> {
 /// Goes through [`predict_batch`](alic_model::SurrogateModel::predict_batch),
 /// so models with a batched (and parallel) predictor — the dynamic tree in
 /// particular — evaluate the whole test set in one call.
-pub fn evaluate_rmse<M: ActiveSurrogate + ?Sized>(
+fn evaluate_rmse<M: ActiveSurrogate + ?Sized>(
     model: &M,
     test_features: &FeatureMatrix,
     test_targets: &[f64],
@@ -490,7 +485,7 @@ mod tests {
         let run = learner.run(&mut model, &dataset, &split).unwrap();
 
         assert_eq!(run.iterations, 60);
-        assert!(run.curve.len() >= 4);
+        assert!(run.curve.points().len() >= 4);
         let costs: Vec<f64> = run.curve.points().iter().map(|p| p.cost_seconds).collect();
         assert!(costs.windows(2).all(|w| w[1] >= w[0]));
         assert!(run.curve.final_rmse().unwrap().is_finite());
@@ -588,7 +583,10 @@ mod tests {
     fn cost_budget_stops_the_run_early() {
         let (mut profiler, dataset, split) = toy_setup(NoiseProfile::quiet());
         let config = LearnerConfig {
-            criteria: CompletionCriteria::none().with_max_cost(40.0),
+            criteria: CompletionCriteria {
+                max_cost_seconds: Some(40.0),
+                ..CompletionCriteria::none()
+            },
             max_iterations: 10_000,
             ..small_config(SamplingPlan::sequential(5))
         };

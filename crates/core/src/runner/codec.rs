@@ -30,7 +30,7 @@ use crate::curve::{AveragedCurve, CurvePoint, LearningCurve};
 use crate::experiment::{ComparisonOutcome, PlanResult};
 use crate::learner::{ExampleRecord, LearnerRun};
 use crate::plan::SamplingPlan;
-use crate::runner::{CampaignEntry, CampaignReport, UnitFailure, UnitRecord};
+use crate::runner::{CampaignReport, UnitFailure, UnitRecord};
 use crate::{CoreError, Result};
 
 /// Schema tag of one on-disk unit record.
@@ -69,7 +69,7 @@ fn bad(message: impl Into<String>) -> CoreError {
 /// # Errors
 ///
 /// Returns an error for observation counts above 2^53.
-pub fn plan_to_json(plan: &SamplingPlan) -> Result<JsonValue> {
+fn plan_to_json(plan: &SamplingPlan) -> Result<JsonValue> {
     Ok(match plan {
         SamplingPlan::Fixed { observations } => io::object([
             ("kind", string("fixed")),
@@ -87,7 +87,7 @@ pub fn plan_to_json(plan: &SamplingPlan) -> Result<JsonValue> {
 /// # Errors
 ///
 /// Returns an error for unknown kinds or zero observation counts.
-pub fn plan_from_json(value: &JsonValue) -> Result<SamplingPlan> {
+fn plan_from_json(value: &JsonValue) -> Result<SamplingPlan> {
     match io::field_str(value, "kind")? {
         "fixed" => {
             let observations = io::field_usize(value, "observations")?;
@@ -144,7 +144,7 @@ fn stats_from_json(value: &JsonValue) -> Result<OnlineStats> {
 ///
 /// Returns an error when a (saturating) counter exceeds 2^53 and could not
 /// be decoded back exactly.
-pub fn cost_ledger_to_json(ledger: &CostLedger) -> Result<JsonValue> {
+fn cost_ledger_to_json(ledger: &CostLedger) -> Result<JsonValue> {
     let mut fields = vec![
         ("run_seconds", num(ledger.run_seconds())),
         ("compile_seconds", num(ledger.compile_seconds())),
@@ -164,7 +164,7 @@ pub fn cost_ledger_to_json(ledger: &CostLedger) -> Result<JsonValue> {
 /// # Errors
 ///
 /// Returns an error on malformed input.
-pub fn cost_ledger_from_json(value: &JsonValue) -> Result<CostLedger> {
+fn cost_ledger_from_json(value: &JsonValue) -> Result<CostLedger> {
     let quarantined = match io::optional_field(value, "quarantined") {
         Some(v) => v.as_u64()?,
         None => 0,
@@ -234,7 +234,7 @@ fn curve_from_json(value: &JsonValue) -> Result<LearningCurve> {
 /// # Errors
 ///
 /// Returns an error when a counter exceeds 2^53.
-pub fn run_to_json(run: &LearnerRun) -> Result<JsonValue> {
+fn run_to_json(run: &LearnerRun) -> Result<JsonValue> {
     Ok(io::object([
         ("plan", plan_to_json(&run.plan)?),
         ("iterations", int(run.iterations as u64)?),
@@ -262,7 +262,7 @@ pub fn run_to_json(run: &LearnerRun) -> Result<JsonValue> {
 /// # Errors
 ///
 /// Returns an error on malformed input.
-pub fn run_from_json(value: &JsonValue) -> Result<LearnerRun> {
+fn run_from_json(value: &JsonValue) -> Result<LearnerRun> {
     let visited: Vec<ExampleRecord> = io::field_array(value, "visited")?
         .iter()
         .map(|record| {
@@ -288,7 +288,7 @@ pub fn run_from_json(value: &JsonValue) -> Result<LearnerRun> {
 /// # Errors
 ///
 /// Returns an error when a counter exceeds 2^53.
-pub fn unit_record_to_json(record: &UnitRecord) -> Result<JsonValue> {
+fn unit_record_to_json(record: &UnitRecord) -> Result<JsonValue> {
     Ok(io::object([
         ("schema", string(UNIT_SCHEMA)),
         ("index", int(record.index as u64)?),
@@ -316,7 +316,7 @@ pub fn unit_record_to_json_string(record: &UnitRecord) -> Result<String> {
 /// # Errors
 ///
 /// Returns an error on malformed input or a wrong schema tag.
-pub fn unit_record_from_json(value: &JsonValue) -> Result<UnitRecord> {
+fn unit_record_from_json(value: &JsonValue) -> Result<UnitRecord> {
     let schema = io::field_str(value, "schema")?;
     if schema != UNIT_SCHEMA {
         return Err(bad(format!(
@@ -388,7 +388,7 @@ fn plan_result_from_json(value: &JsonValue) -> Result<PlanResult> {
 /// # Errors
 ///
 /// Returns an error when a counter exceeds 2^53.
-pub fn outcome_to_json(outcome: &ComparisonOutcome) -> Result<JsonValue> {
+fn outcome_to_json(outcome: &ComparisonOutcome) -> Result<JsonValue> {
     Ok(io::object([
         ("kernel", string(&outcome.kernel)),
         ("plans", json_array(&outcome.plans, plan_result_to_json)?),
@@ -423,7 +423,7 @@ pub fn outcome_to_json_string(outcome: &ComparisonOutcome) -> Result<String> {
 /// # Errors
 ///
 /// Returns an error on malformed input.
-pub fn outcome_from_json(value: &JsonValue) -> Result<ComparisonOutcome> {
+fn outcome_from_json(value: &JsonValue) -> Result<ComparisonOutcome> {
     Ok(ComparisonOutcome {
         kernel: io::field_str(value, "kernel")?.to_string(),
         plans: io::field_array(value, "plans")?
@@ -461,16 +461,6 @@ fn unit_failure_to_json(failure: &UnitFailure) -> Result<JsonValue> {
         ("error", string(&failure.error)),
         ("attempts", int(failure.attempts as u64)?),
     ]))
-}
-
-fn unit_failure_from_json(value: &JsonValue) -> Result<UnitFailure> {
-    Ok(UnitFailure {
-        index: io::field_usize(value, "index")?,
-        kernel: io::field_str(value, "kernel")?.to_string(),
-        model: io::field_str(value, "model")?.to_string(),
-        error: io::field_str(value, "error")?.to_string(),
-        attempts: io::field_usize(value, "attempts")?,
-    })
 }
 
 /// Encodes a merged campaign report. The `failures` field is emitted only
@@ -518,54 +508,6 @@ pub fn report_to_json(report: &CampaignReport) -> Result<JsonValue> {
         ));
     }
     Ok(io::object(fields))
-}
-
-/// Decodes a merged campaign report.
-///
-/// # Errors
-///
-/// Returns an error on malformed input or a wrong schema tag.
-pub fn report_from_json(value: &JsonValue) -> Result<CampaignReport> {
-    let schema = io::field_str(value, "schema")?;
-    if schema != REPORT_SCHEMA {
-        return Err(bad(format!(
-            "unexpected report schema '{schema}' (expected '{REPORT_SCHEMA}')"
-        )));
-    }
-    let names = |field: &str| -> Result<Vec<String>> {
-        io::field_array(value, field)?
-            .iter()
-            .map(|v| v.as_str().map(str::to_string).map_err(CoreError::from))
-            .collect()
-    };
-    Ok(CampaignReport {
-        kernels: names("kernels")?,
-        models: names("models")?,
-        plans: io::field_array(value, "plans")?
-            .iter()
-            .map(plan_from_json)
-            .collect::<Result<_>>()?,
-        repetitions: io::field_usize(value, "repetitions")?,
-        seed: io::field_u64(value, "seed")?,
-        entries: io::field_array(value, "entries")?
-            .iter()
-            .map(|entry| {
-                Ok(CampaignEntry {
-                    model: io::field_str(entry, "model")?.to_string(),
-                    kernel: io::field_str(entry, "kernel")?.to_string(),
-                    outcome: outcome_from_json(entry.field("outcome")?)?,
-                })
-            })
-            .collect::<Result<_>>()?,
-        failures: match io::optional_field(value, "failures") {
-            Some(failures) => failures
-                .as_array()?
-                .iter()
-                .map(unit_failure_from_json)
-                .collect::<Result<_>>()?,
-            None => Vec::new(),
-        },
-    })
 }
 
 #[cfg(test)]
@@ -679,16 +621,11 @@ mod tests {
             let json = outcome_to_json_string(&entry.outcome).unwrap();
             assert_eq!(outcome_from_json_str(&json).unwrap(), entry.outcome);
         }
-        let json = report.to_json_string().unwrap();
-        let back = CampaignReport::from_json_str(&json).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json_string().unwrap(), json);
     }
 
     #[test]
     fn wrong_schema_tags_are_rejected() {
         let value = JsonValue::parse("{\"schema\":\"bogus/v9\"}").unwrap();
         assert!(unit_record_from_json(&value).is_err());
-        assert!(report_from_json(&value).is_err());
     }
 }

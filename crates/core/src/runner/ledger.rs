@@ -167,7 +167,7 @@ impl CampaignLedger {
     ///
     /// Returns an error when the record is missing, malformed, or indexed
     /// inconsistently with its file name.
-    pub fn load_unit(&self, index: usize) -> Result<UnitRecord> {
+    fn load_unit(&self, index: usize) -> Result<UnitRecord> {
         let path = self.unit_path(index);
         let text = fs::read_to_string(&path).map_err(|e| {
             CoreError::Campaign(format!("cannot read unit record {}: {e}", path.display()))
@@ -229,7 +229,7 @@ impl CampaignLedger {
     /// Removes stale `*.tmp-*` files (left by killed processes or failed
     /// renames) from the ledger root and the units directory, returning how
     /// many were swept. Quarantined `*.corrupt` files are kept.
-    pub fn sweep_stale_tmp(&self) -> Result<usize> {
+    fn sweep_stale_tmp(&self) -> Result<usize> {
         Ok(store::sweep(&self.dir)? + store::sweep(&self.dir.join(UNITS_DIR))?)
     }
 

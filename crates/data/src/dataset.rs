@@ -1,6 +1,5 @@
 //! Profiled datasets.
 
-use rand::Rng as _;
 use serde::{Deserialize, Serialize};
 
 use alic_sim::profiler::Profiler;
@@ -98,11 +97,6 @@ impl Dataset {
         }
     }
 
-    /// Kernel name this dataset was profiled from.
-    pub fn kernel(&self) -> &str {
-        &self.kernel
-    }
-
     /// The profiled points.
     pub fn points(&self) -> &[DataPoint] {
         &self.points
@@ -118,22 +112,11 @@ impl Dataset {
         self.points.is_empty()
     }
 
-    /// The feature normalizer fitted on this dataset (scaling and centring,
-    /// §4.5).
-    pub fn normalizer(&self) -> &Normalizer {
-        &self.normalizer
-    }
-
     /// Normalized feature vector of point `index`.
     pub fn features(&self, index: usize) -> Vec<f64> {
         self.normalizer
             .transform_row(&self.points[index].configuration.to_features())
             .expect("points have consistent dimensionality")
-    }
-
-    /// Normalized feature vectors of every point, in order.
-    pub fn all_features(&self) -> Vec<Vec<f64>> {
-        (0..self.len()).map(|i| self.features(i)).collect()
     }
 
     /// Normalized features of the given points, gathered into flat row-major
@@ -148,26 +131,11 @@ impl Dataset {
         matrix
     }
 
-    /// Normalized features of every point as a flat row-major matrix.
-    pub fn all_features_matrix(&self) -> FeatureMatrix {
-        let indices: Vec<usize> = (0..self.len()).collect();
-        self.features_matrix(&indices)
-    }
-
     /// Normalized feature vector for an arbitrary configuration.
     pub fn features_of(&self, configuration: &Configuration) -> Vec<f64> {
         self.normalizer
             .transform_row(&configuration.to_features())
             .expect("configuration dimensionality matches the dataset")
-    }
-
-    /// Total profiling cost (compile + runs) that generating this dataset
-    /// charged, in seconds.
-    pub fn generation_cost(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.compile_time + p.mean_runtime * p.observations as f64)
-            .sum()
     }
 
     /// Splits the dataset into `train_size` training points and the rest as
@@ -178,24 +146,6 @@ impl Dataset {
     /// Panics if `train_size > len()`.
     pub fn split(&self, train_size: usize, seed: u64) -> TrainTestSplit {
         TrainTestSplit::new(self.len(), train_size, seed)
-    }
-
-    /// The point with the lowest mean runtime (the tuning goal).
-    pub fn best_point(&self) -> Option<&DataPoint> {
-        self.points.iter().min_by(|a, b| {
-            a.mean_runtime
-                .partial_cmp(&b.mean_runtime)
-                .expect("finite runtimes")
-        })
-    }
-
-    /// Draws `count` indices uniformly at random (with `seed`), useful for
-    /// sub-sampling reference sets.
-    pub fn sample_indices(&self, count: usize, seed: u64) -> Vec<usize> {
-        let mut rng = seeded_stream(seed, 0x5a3e);
-        (0..count.min(self.len()))
-            .map(|_| rng.gen_range(0..self.len()))
-            .collect()
     }
 }
 
@@ -242,7 +192,7 @@ mod tests {
             .map(|p| p.configuration.clone())
             .collect();
         assert_eq!(unique.len(), 120);
-        assert_eq!(dataset.kernel(), "toy");
+        assert_eq!(dataset.kernel, "toy");
     }
 
     #[test]
@@ -258,7 +208,7 @@ mod tests {
     #[test]
     fn features_are_normalized() {
         let dataset = small_dataset();
-        let features = dataset.all_features();
+        let features: Vec<Vec<f64>> = (0..dataset.len()).map(|i| dataset.features(i)).collect();
         // Column means should be near zero after centring.
         for d in 0..2 {
             let column: Vec<f64> = features.iter().map(|f| f[d]).collect();
@@ -284,27 +234,9 @@ mod tests {
         for (row, &i) in matrix.rows().zip(&indices) {
             assert_eq!(row, dataset.features(i).as_slice());
         }
-        let all = dataset.all_features_matrix();
+        let all = dataset.features_matrix(&(0..dataset.len()).collect::<Vec<_>>());
         assert_eq!(all.len(), dataset.len());
         assert_eq!(all.row(5), dataset.features(5).as_slice());
-    }
-
-    #[test]
-    fn generation_cost_counts_compiles_and_runs() {
-        let dataset = small_dataset();
-        assert!(dataset.generation_cost() > 0.0);
-        // Roughly: 120 configurations × (compile ~0.5 s + 3 runs × ~1 s).
-        assert!(dataset.generation_cost() > 120.0 * 1.0);
-    }
-
-    #[test]
-    fn best_point_has_minimum_runtime() {
-        let dataset = small_dataset();
-        let best = dataset.best_point().unwrap();
-        assert!(dataset
-            .points()
-            .iter()
-            .all(|p| p.mean_runtime >= best.mean_runtime));
     }
 
     #[test]
@@ -323,13 +255,5 @@ mod tests {
         let a = make();
         let b = make();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sample_indices_are_in_range() {
-        let dataset = small_dataset();
-        for i in dataset.sample_indices(30, 2) {
-            assert!(i < dataset.len());
-        }
     }
 }

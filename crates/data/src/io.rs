@@ -25,7 +25,7 @@
 //!     columns concatenate one chunk per value). Hex keeps seeds above
 //!     2^53 exact and carries NaN and infinities, which JSON numbers
 //!     cannot;
-//!   - [`decode_hex_u64`], [`decode_hex_f64s`] and [`decode_hex_u32s`]
+//!   - [`field_hex_u64`], [`field_hex_f64s`] and [`decode_hex_u32s`]
 //!     accept exactly that form: the fixed number of lowercase hex digits
 //!     and nothing else (no sign, no other width), so every value they
 //!     accept re-encodes to the same bytes;
@@ -133,7 +133,7 @@ impl JsonValue {
     ///
     /// Returns a parse error when the value is not a non-negative integer
     /// representable exactly in `f64`.
-    pub fn as_usize(&self) -> Result<usize> {
+    fn as_usize(&self) -> Result<usize> {
         usize::try_from(self.as_u64()?).map_err(|_| parse_error("integer out of range"))
     }
 
@@ -591,7 +591,7 @@ pub fn hex_u32s(values: impl IntoIterator<Item = u32>) -> JsonValue {
 /// # Errors
 ///
 /// Returns a parse error unless `text` is exactly 16 lowercase hex digits.
-pub fn decode_hex_u64(text: &str) -> Result<u64> {
+fn decode_hex_u64(text: &str) -> Result<u64> {
     let value = if text.len() == 16 {
         hex_digits(text.as_bytes(), false)
     } else {
@@ -627,7 +627,7 @@ fn decode_column<T>(text: &str, width: usize, decode: impl Fn(u64) -> T) -> Resu
 ///
 /// Returns a parse error unless `text` is a whole number of 16-digit
 /// lowercase hex chunks.
-pub fn decode_hex_f64s(text: &str) -> Result<Vec<f64>> {
+fn decode_hex_f64s(text: &str) -> Result<Vec<f64>> {
     decode_column(text, 16, f64::from_bits)
 }
 

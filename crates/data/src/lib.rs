@@ -53,13 +53,6 @@ pub enum DataError {
     /// An integer to be written exceeds 2^53, so a JSON number (an `f64`)
     /// could not hold it exactly.
     InexactInteger(u64),
-    /// A split request was inconsistent with the dataset size.
-    InvalidSplit {
-        /// Requested training-set size.
-        requested: usize,
-        /// Number of points in the dataset.
-        available: usize,
-    },
 }
 
 impl std::fmt::Display for DataError {
@@ -75,13 +68,6 @@ impl std::fmt::Display for DataError {
             DataError::InexactInteger(n) => write!(
                 f,
                 "integer {n} exceeds 2^53 and cannot be stored exactly as a JSON number"
-            ),
-            DataError::InvalidSplit {
-                requested,
-                available,
-            } => write!(
-                f,
-                "cannot reserve {requested} training points from a dataset of {available}"
             ),
         }
     }

@@ -37,11 +37,6 @@ impl TrainTestSplit {
     pub fn test_indices(&self) -> &[usize] {
         &self.test
     }
-
-    /// Total number of indices covered by the split.
-    pub fn population(&self) -> usize {
-        self.train.len() + self.test.len()
-    }
 }
 
 #[cfg(test)]
@@ -55,7 +50,10 @@ mod tests {
         let split = TrainTestSplit::new(10_000, 7_500, 1);
         assert_eq!(split.train_indices().len(), 7_500);
         assert_eq!(split.test_indices().len(), 2_500);
-        assert_eq!(split.population(), 10_000);
+        assert_eq!(
+            split.train_indices().len() + split.test_indices().len(),
+            10_000
+        );
     }
 
     #[test]

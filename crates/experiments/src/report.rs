@@ -30,16 +30,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -120,7 +110,7 @@ pub fn format_sci(value: f64) -> String {
 }
 
 /// Directory under which experiment binaries drop their CSV output.
-pub fn output_dir() -> PathBuf {
+fn output_dir() -> PathBuf {
     std::env::var_os("ALIC_OUTPUT_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target").join("experiments"))
@@ -132,7 +122,7 @@ pub fn output_dir() -> PathBuf {
 /// # Errors
 ///
 /// Returns any underlying I/O error.
-pub fn write_output(name: &str, contents: &str) -> io::Result<PathBuf> {
+fn write_output(name: &str, contents: &str) -> io::Result<PathBuf> {
     write_output_to(&output_dir(), name, contents)
 }
 
@@ -143,7 +133,7 @@ pub fn write_output(name: &str, contents: &str) -> io::Result<PathBuf> {
 /// # Errors
 ///
 /// Returns any underlying I/O error.
-pub fn write_output_to(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
+fn write_output_to(dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(name);
     fs::write(&path, contents)?;
@@ -185,8 +175,7 @@ mod tests {
         let rendered = table.render();
         assert!(rendered.contains("benchmark"));
         assert!(rendered.lines().count() >= 4);
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]

@@ -100,15 +100,6 @@ pub struct Table2Result {
     pub rows: Vec<Table2Row>,
 }
 
-impl Table2Result {
-    /// Fraction of sampled configurations (across all kernels) whose
-    /// CI/mean ratio breaches `threshold` under the full-sample plan —
-    /// the "5% of examples broke the threshold" style statistic of §4.3.
-    pub fn row(&self, name: &str) -> Option<&Table2Row> {
-        self.rows.iter().find(|r| r.benchmark == name)
-    }
-}
-
 /// Runs Table 2 for all kernels at the given scale.
 ///
 /// Table 2 has no learner dimension (kernels are profiled directly), so its

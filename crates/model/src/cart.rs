@@ -73,13 +73,9 @@ impl RegressionTree {
         }
     }
 
-    /// Creates an unfitted tree with default configuration.
-    pub fn with_defaults() -> Self {
-        RegressionTree::new(CartConfig::default())
-    }
-
     /// Number of leaves in the fitted tree (zero before fitting).
-    pub fn leaf_count(&self) -> usize {
+    #[cfg(test)]
+    fn leaf_count(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| matches!(n, Node::Leaf { .. }))
@@ -87,7 +83,8 @@ impl RegressionTree {
     }
 
     /// Depth of the fitted tree (zero before fitting).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], index: usize) -> usize {
             match &nodes[index] {
                 Node::Leaf { .. } => 0,
@@ -514,7 +511,7 @@ mod tests {
     #[test]
     fn learns_a_step_function() {
         let (xs, ys) = step_data();
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         assert!((tree.predict(&[0.2]).unwrap().mean - 1.0).abs() < 0.1);
         assert!((tree.predict(&[0.8]).unwrap().mean - 3.0).abs() < 0.1);
@@ -525,7 +522,7 @@ mod tests {
     fn constant_target_yields_single_leaf() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let ys = vec![5.0; 20];
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         assert_eq!(tree.leaf_count(), 1);
         assert!((tree.predict(&[7.5]).unwrap().mean - 5.0).abs() < 0.05);
@@ -545,7 +542,7 @@ mod tests {
     #[test]
     fn update_shifts_leaf_predictions() {
         let (xs, ys) = step_data();
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         let before = tree.predict(&[0.2]).unwrap().mean;
         for _ in 0..200 {
@@ -558,14 +555,14 @@ mod tests {
 
     #[test]
     fn predict_before_fit_is_an_error() {
-        let tree = RegressionTree::with_defaults();
+        let tree = RegressionTree::new(CartConfig::default());
         assert_eq!(tree.predict(&[1.0]).unwrap_err(), ModelError::NotFitted);
     }
 
     #[test]
     fn dimension_mismatch_is_reported() {
         let (xs, ys) = step_data();
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         assert!(matches!(
             tree.predict(&[1.0, 2.0]),
@@ -589,7 +586,7 @@ mod tests {
                 ys.push(if a > 0.5 && b > 0.5 { 4.0 } else { 1.0 });
             }
         }
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         assert!(tree.predict(&[0.9, 0.9]).unwrap().mean > 3.0);
         assert!(tree.predict(&[0.1, 0.9]).unwrap().mean < 2.0);
@@ -609,7 +606,7 @@ mod tests {
                 ys.push(3.0 + ((i % 7) as f64 - 3.0) * 0.5);
             }
         }
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         let quiet = tree.predict(&[0.25]).unwrap().variance;
         let noisy = tree.predict(&[0.75]).unwrap().variance;
@@ -618,7 +615,7 @@ mod tests {
 
     fn fitted_snapshot() -> JsonValue {
         let (xs, ys) = step_data();
-        let mut tree = RegressionTree::with_defaults();
+        let mut tree = RegressionTree::new(CartConfig::default());
         tree.fit(&row_views(&xs), &ys).unwrap();
         assert!(tree.leaf_count() >= 2);
         tree.snapshot().unwrap()
@@ -648,7 +645,9 @@ mod tests {
 
     #[test]
     fn both_possible_snapshot_shapes_restore() {
-        let unfitted = RegressionTree::with_defaults().snapshot().unwrap();
+        let unfitted = RegressionTree::new(CartConfig::default())
+            .snapshot()
+            .unwrap();
         let restored = RegressionTree::from_snapshot(&unfitted).unwrap();
         assert_eq!(restored.snapshot().unwrap(), unfitted);
         let doc = fitted_snapshot();

@@ -355,25 +355,6 @@ impl DynaTree {
         }
     }
 
-    /// Creates an unfitted model with default configuration and the given
-    /// seed.
-    pub fn with_seed(seed: u64) -> Self {
-        DynaTree::new(DynaTreeConfig {
-            seed,
-            ..Default::default()
-        })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DynaTreeConfig {
-        &self.config
-    }
-
-    /// The shared leaf prior (derived from the initial training targets).
-    pub fn prior(&self) -> &LeafPrior {
-        &self.prior
-    }
-
     /// Average number of leaves across particles (a measure of model
     /// complexity).
     pub fn mean_leaf_count(&self) -> f64 {
@@ -2147,7 +2128,7 @@ mod tests {
 
     #[test]
     fn errors_before_fit_and_on_bad_input() {
-        let mut model = DynaTree::with_seed(0);
+        let mut model = DynaTree::new(DynaTreeConfig::default());
         assert_eq!(model.predict(&[0.0]).unwrap_err(), ModelError::NotFitted);
         assert_eq!(
             model.update(&[0.0], 1.0).unwrap_err(),

@@ -66,11 +66,6 @@ impl KnnRegressor {
         }
     }
 
-    /// Creates an unfitted regressor averaging `k` neighbours.
-    pub fn with_k(k: usize) -> Self {
-        KnnRegressor::new(KnnConfig { k })
-    }
-
     /// Rebuilds a regressor from a [`SurrogateModel::snapshot`] document.
     ///
     /// Only a state `fit`/`update` can reach restores: `k ≥ 1`, one finite
@@ -224,7 +219,7 @@ mod tests {
     fn nearest_neighbour_recovers_local_structure() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
-        let mut knn = KnnRegressor::with_k(3);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 3 });
         knn.fit(&row_views(&xs), &ys).unwrap();
         assert!((knn.predict(&[2.0]).unwrap().mean - 1.0).abs() < 1e-12);
         assert!((knn.predict(&[17.0]).unwrap().mean - 5.0).abs() < 1e-12);
@@ -234,7 +229,7 @@ mod tests {
     fn variance_reflects_neighbour_disagreement() {
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let ys = vec![1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 6.0, 2.0, 6.0, 2.0];
-        let mut knn = KnnRegressor::with_k(3);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 3 });
         knn.fit(&row_views(&xs), &ys).unwrap();
         let quiet = knn.predict(&[1.0]).unwrap().variance;
         let noisy = knn.predict(&[7.0]).unwrap().variance;
@@ -245,7 +240,7 @@ mod tests {
     fn update_adds_neighbours() {
         let xs = vec![vec![0.0], vec![10.0]];
         let ys = vec![0.0, 10.0];
-        let mut knn = KnnRegressor::with_k(1);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 1 });
         knn.fit(&row_views(&xs), &ys).unwrap();
         knn.update(&[5.0], 5.0).unwrap();
         assert!((knn.predict(&[5.1]).unwrap().mean - 5.0).abs() < 1e-12);
@@ -256,7 +251,7 @@ mod tests {
     fn k_larger_than_dataset_uses_all_points() {
         let xs = vec![vec![0.0], vec![1.0]];
         let ys = vec![2.0, 4.0];
-        let mut knn = KnnRegressor::with_k(10);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 10 });
         knn.fit(&row_views(&xs), &ys).unwrap();
         assert!((knn.predict(&[0.5]).unwrap().mean - 3.0).abs() < 1e-12);
     }
@@ -268,14 +263,14 @@ mod tests {
         // 1 (the stable-sort tie-break), never a later duplicate.
         let xs = vec![vec![1.0]; 5];
         let ys = vec![10.0, 20.0, 30.0, 40.0, 50.0];
-        let mut knn = KnnRegressor::with_k(2);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 2 });
         knn.fit(&row_views(&xs), &ys).unwrap();
         let p = knn.predict(&[1.0]).unwrap();
         assert!((p.mean - 15.0).abs() < 1e-12, "mean {} != 15", p.mean);
         // Symmetric neighbours at equal distance: index order decides.
         let xs = vec![vec![0.0], vec![2.0], vec![0.0], vec![2.0]];
         let ys = vec![1.0, 3.0, 5.0, 7.0];
-        let mut knn = KnnRegressor::with_k(2);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 2 });
         knn.fit(&row_views(&xs), &ys).unwrap();
         let p = knn.predict(&[1.0]).unwrap();
         assert!((p.mean - 2.0).abs() < 1e-12, "mean {} != 2", p.mean);
@@ -283,7 +278,7 @@ mod tests {
 
     fn fitted_snapshot() -> JsonValue {
         let xs = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0, 2.0]];
-        let mut knn = KnnRegressor::with_k(2);
+        let mut knn = KnnRegressor::new(KnnConfig { k: 2 });
         knn.fit(&row_views(&xs), &[0.5, -1.0, 3.0]).unwrap();
         knn.snapshot().unwrap()
     }
@@ -298,7 +293,7 @@ mod tests {
 
     #[test]
     fn both_possible_snapshot_shapes_restore() {
-        let unfitted = KnnRegressor::with_k(0).snapshot().unwrap();
+        let unfitted = KnnRegressor::new(KnnConfig { k: 0 }).snapshot().unwrap();
         let restored = KnnRegressor::from_snapshot(&unfitted).unwrap();
         assert_eq!(restored.snapshot().unwrap(), unfitted);
         let doc = fitted_snapshot();
@@ -354,7 +349,7 @@ mod tests {
 
     #[test]
     fn errors_before_fit() {
-        let knn = KnnRegressor::with_k(3);
+        let knn = KnnRegressor::new(KnnConfig { k: 3 });
         assert_eq!(knn.predict(&[0.0]).unwrap_err(), ModelError::NotFitted);
     }
 }

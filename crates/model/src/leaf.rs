@@ -147,7 +147,7 @@ impl LeafStats {
 
     /// Posterior-predictive distribution of a new target: a Student-t with
     /// the returned `(mean, scale², degrees of freedom)`.
-    pub fn posterior_predictive(&self, prior: &LeafPrior) -> (f64, f64, f64) {
+    fn posterior_predictive(&self, prior: &LeafPrior) -> (f64, f64, f64) {
         let post = self.posterior(prior);
         let df = 2.0 * post.shape;
         let scale_sq = post.scale * (post.kappa + 1.0) / (post.shape * post.kappa);
@@ -370,27 +370,22 @@ impl LnGammaTable {
         }
     }
 
-    /// Largest covered count.
-    pub fn max_count(&self) -> usize {
-        self.base.len().saturating_sub(1)
-    }
-
     /// `ln Γ(a₀ + count/2)` — the posterior shape for a leaf of `count`
     /// observations.
     #[inline]
-    pub fn ln_gamma_shape(&self, count: usize) -> f64 {
+    fn ln_gamma_shape(&self, count: usize) -> f64 {
         self.base[count]
     }
 
     /// `ln Γ(a₀ + count/2 + ½)`.
     #[inline]
-    pub fn ln_gamma_shape_plus_half(&self, count: usize) -> f64 {
+    fn ln_gamma_shape_plus_half(&self, count: usize) -> f64 {
         self.half[count]
     }
 
     /// `ln(κ₀ + count)` — the posterior `ln κₙ`.
     #[inline]
-    pub fn ln_kappa(&self, count: usize) -> f64 {
+    fn ln_kappa(&self, count: usize) -> f64 {
         self.ln_kappa[count]
     }
 }
@@ -603,11 +598,11 @@ mod tests {
     fn table_extends_lazily_and_reports_coverage() {
         let p = prior();
         let mut table = LnGammaTable::new(&p);
-        assert_eq!(table.max_count(), 0);
+        assert_eq!(table.base.len(), 1);
         table.ensure(10);
-        assert_eq!(table.max_count(), 10);
+        assert_eq!(table.base.len(), 11);
         table.ensure(3); // never shrinks
-        assert_eq!(table.max_count(), 10);
+        assert_eq!(table.base.len(), 11);
         assert_eq!(table.ln_gamma_shape(0), ln_gamma(p.shape));
         assert_eq!(table.ln_gamma_shape(4), ln_gamma(p.shape + 2.0));
     }

@@ -123,12 +123,6 @@ impl SurrogateSpec {
             SurrogateSpec::Mean => Box::new(ConstantMean::new()),
         }
     }
-
-    /// Whether materialized models depend on the seed passed to
-    /// [`SurrogateSpec::build`].
-    pub fn is_stochastic(&self) -> bool {
-        matches!(self, SurrogateSpec::DynaTree(_))
-    }
 }
 
 impl std::fmt::Display for SurrogateSpec {
@@ -189,9 +183,6 @@ mod tests {
 
     #[test]
     fn build_seeds_only_stochastic_families() {
-        let spec = SurrogateSpec::default();
-        assert!(spec.is_stochastic());
-        assert!(!SurrogateSpec::Mean.is_stochastic());
         let (xs, ys) = training_data();
         // A deterministic family must produce identical predictions for
         // different seeds.

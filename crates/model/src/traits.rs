@@ -19,11 +19,6 @@ impl Prediction {
             variance: variance.max(0.0),
         }
     }
-
-    /// Predictive standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
 }
 
 /// A regression model that predicts a scalar target with uncertainty and can
@@ -324,7 +319,6 @@ mod tests {
     fn prediction_clamps_negative_variance() {
         let p = Prediction::new(1.0, -0.5);
         assert_eq!(p.variance, 0.0);
-        assert_eq!(p.std_dev(), 0.0);
     }
 
     #[test]

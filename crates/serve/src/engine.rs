@@ -308,15 +308,10 @@ impl Engine {
     }
 
     /// Warm-store hit/miss/store counters (`None` when disabled).
-    pub fn warm_counters(&self) -> Option<(u64, u64, u64)> {
+    fn warm_counters(&self) -> Option<(u64, u64, u64)> {
         self.warm
             .as_ref()
             .map(|w| (w.hits(), w.misses(), w.stores()))
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Number of currently resident live sessions.

@@ -343,7 +343,7 @@ pub fn format_cost(cost: f64) -> String {
 /// # Errors
 ///
 /// Returns a `bad-space` [`ErrReply`] describing the first offending entry.
-pub fn parse_space(spec: &str, kernel: &str) -> Result<ParameterSpace, ErrReply> {
+fn parse_space(spec: &str, kernel: &str) -> Result<ParameterSpace, ErrReply> {
     let bad = |detail: String| ErrReply::new(code::BAD_SPACE, detail);
     if spec == "spapt" {
         let known = SpaptKernel::from_name(kernel).ok_or_else(|| {

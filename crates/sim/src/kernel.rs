@@ -120,7 +120,7 @@ mod tests {
         )
         .unwrap()
         .with_surface_seed(9)
-        .with_shape_override(0, EffectShape::Linear { slope: 0.2 })
+        .with_shape_override(0, EffectShape::Flat { level: 0.2 })
         .with_noise(NoiseProfile::moderate());
 
         assert_eq!(spec.name(), "toy");

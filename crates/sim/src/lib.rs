@@ -27,8 +27,7 @@
 //!   configuration it measured with that configuration's true mean and
 //!   noise level, so a run of repeated measurements (35 per configuration
 //!   in the paper's protocol) computes them once and then only draws
-//!   noise; [`profiler::SimulatedProfiler::scale_noise`] drops the kept
-//!   entry. Measurements are bit-identical to recomputing every time.
+//!   noise. Measurements are bit-identical to recomputing every time.
 //!
 //! All algorithms in the workspace interact with the simulator only through
 //! the [`profiler::Profiler`] trait, so swapping in a real compiler-and-run

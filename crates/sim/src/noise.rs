@@ -91,15 +91,6 @@ impl NoiseProfile {
             layout_jitter: self.layout_jitter * factor,
         }
     }
-
-    /// Ratio between the loud and quiet ends of the noise field.
-    pub fn dynamic_range(&self) -> f64 {
-        if self.sigma_quiet > 0.0 {
-            self.sigma_loud / self.sigma_quiet
-        } else {
-            1.0
-        }
-    }
 }
 
 impl Default for NoiseProfile {
@@ -141,16 +132,6 @@ impl NoiseModel {
         }
     }
 
-    /// The calibration profile in use.
-    pub fn profile(&self) -> &NoiseProfile {
-        &self.profile
-    }
-
-    /// Replaces the calibration profile (e.g. with a scaled one).
-    pub fn set_profile(&mut self, profile: NoiseProfile) {
-        self.profile = profile;
-    }
-
     fn normalized_positions(&self, config: &Configuration) -> Vec<f64> {
         config
             .values()
@@ -168,11 +149,6 @@ impl NoiseModel {
             .collect()
     }
 
-    /// The smooth noise-field value at `config`, in `[0, 1]`.
-    pub fn field(&self, config: &Configuration) -> f64 {
-        self.field_at(&self.normalized_positions(config))
-    }
-
     fn field_at(&self, t: &[f64]) -> f64 {
         let projection: f64 = t
             .iter()
@@ -181,11 +157,6 @@ impl NoiseModel {
             .sum::<f64>()
             + self.field_phase;
         0.5 * (1.0 + projection.cos())
-    }
-
-    /// Whether `config` lies inside a high-noise pocket.
-    pub fn in_pocket(&self, config: &Configuration) -> bool {
-        self.in_pocket_at(&self.normalized_positions(config))
     }
 
     fn in_pocket_at(&self, t: &[f64]) -> bool {
@@ -220,24 +191,13 @@ impl NoiseModel {
         sigma
     }
 
-    /// Draws one noisy runtime observation around `true_mean` at `config`.
-    ///
-    /// The result is clamped to stay strictly positive.
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        config: &Configuration,
-        true_mean: f64,
-    ) -> f64 {
-        self.sample_at(rng, self.sigma(config), true_mean)
-    }
-
     /// Draws one noisy runtime observation around `true_mean` with jitter
     /// standard deviation `sigma`, as returned by [`sigma`](Self::sigma).
     ///
-    /// Consumes exactly the random draws [`sample`](Self::sample) does, so a
-    /// caller that keeps a configuration's `sigma` across repeated runs gets
-    /// the same observations as one that recomputes it every time.
+    /// The result is clamped to stay strictly positive. The draws do not
+    /// depend on `sigma`, so a caller that keeps a configuration's `sigma`
+    /// across repeated runs gets the same observations as one that
+    /// recomputes it every time.
     pub fn sample_at<R: Rng + ?Sized>(&self, rng: &mut R, sigma: f64, true_mean: f64) -> f64 {
         // Box-Muller Gaussian.
         let gaussian = {
@@ -282,10 +242,10 @@ mod tests {
     fn quiet_profile_is_essentially_deterministic() {
         let space = space();
         let model = NoiseModel::new(&space, NoiseProfile::quiet(), 1);
-        let config = space.default_configuration();
+        let sigma = model.sigma(&space.default_configuration());
         let mut rng = seeded_rng(5);
         for _ in 0..50 {
-            let y = model.sample(&mut rng, &config, 1.0);
+            let y = model.sample_at(&mut rng, sigma, 1.0);
             assert!((y - 1.0).abs() < 1e-4);
         }
     }
@@ -296,10 +256,10 @@ mod tests {
         let mut profile = NoiseProfile::moderate();
         profile.outlier_probability = 0.0; // keep symmetric for this check
         let model = NoiseModel::new(&space, profile, 2);
-        let config = space.default_configuration();
+        let sigma = model.sigma(&space.default_configuration());
         let mut rng = seeded_rng(7);
         let samples: Vec<f64> = (0..5000)
-            .map(|_| model.sample(&mut rng, &config, 2.0))
+            .map(|_| model.sample_at(&mut rng, sigma, 2.0))
             .collect();
         let s = Summary::from_slice(&samples);
         assert!((s.mean - 2.0).abs() < 0.01, "mean drifted: {}", s.mean);
@@ -331,7 +291,7 @@ mod tests {
         let model = NoiseModel::new(&space, profile, 4);
         let mut rng = seeded_rng(13);
         let hits = (0..5000)
-            .filter(|_| model.in_pocket(&space.sample(&mut rng)))
+            .filter(|_| model.in_pocket_at(&model.normalized_positions(&space.sample(&mut rng))))
             .count();
         let frac = hits as f64 / 5000.0;
         assert!(
@@ -347,10 +307,10 @@ mod tests {
         profile.outlier_probability = 0.3;
         profile.outlier_scale = 0.5;
         let model = NoiseModel::new(&space, profile, 5);
-        let config = space.default_configuration();
+        let sigma = model.sigma(&space.default_configuration());
         let mut rng = seeded_rng(17);
         let samples: Vec<f64> = (0..4000)
-            .map(|_| model.sample(&mut rng, &config, 1.0))
+            .map(|_| model.sample_at(&mut rng, sigma, 1.0))
             .collect();
         let s = Summary::from_slice(&samples);
         assert!(
@@ -368,7 +328,8 @@ mod tests {
         assert!((double.sigma_quiet - 2.0 * base.sigma_quiet).abs() < 1e-15);
         assert!((double.sigma_loud - 2.0 * base.sigma_loud).abs() < 1e-15);
         assert!(double.outlier_probability <= 0.5);
-        assert!((base.dynamic_range() - double.dynamic_range()).abs() < 1e-9);
+        let range = |p: &NoiseProfile| p.sigma_loud / p.sigma_quiet;
+        assert!((range(&base) - range(&double)).abs() < 1e-9);
     }
 
     #[test]
@@ -378,10 +339,10 @@ mod tests {
         profile.sigma_quiet = 10.0;
         profile.sigma_loud = 10.0; // absurdly noisy
         let model = NoiseModel::new(&space, profile, 6);
-        let config = space.default_configuration();
+        let sigma = model.sigma(&space.default_configuration());
         let mut rng = seeded_rng(19);
         for _ in 0..500 {
-            assert!(model.sample(&mut rng, &config, 0.01) > 0.0);
+            assert!(model.sample_at(&mut rng, sigma, 0.01) > 0.0);
         }
     }
 
@@ -391,7 +352,6 @@ mod tests {
         let a = NoiseModel::new(&space, NoiseProfile::moderate(), 42);
         let b = NoiseModel::new(&space, NoiseProfile::moderate(), 42);
         let config = Configuration::new(vec![10, 20, 5]);
-        assert_eq!(a.field(&config), b.field(&config));
         assert_eq!(a.sigma(&config), b.sigma(&config));
     }
 

@@ -13,7 +13,7 @@ use alic_stats::rng::{seeded_stream, Rng as StatsRng};
 
 use crate::cost::CompileCostModel;
 use crate::kernel::KernelSpec;
-use crate::noise::{NoiseModel, NoiseProfile};
+use crate::noise::NoiseModel;
 use crate::space::{Configuration, ParameterSpace};
 use crate::surface::ResponseSurface;
 
@@ -30,13 +30,6 @@ pub struct Measurement {
     pub compile_time: f64,
     /// Whether this measurement triggered a (re)compilation.
     pub compiled: bool,
-}
-
-impl Measurement {
-    /// Total cost charged for this measurement (compile + run), in seconds.
-    pub fn cost(&self) -> f64 {
-        self.runtime + self.compile_time
-    }
 }
 
 /// Source of runtime observations for an iterative-compilation learner.
@@ -71,9 +64,8 @@ pub trait Profiler {
 /// configuration's true mean and noise standard deviation. A run of repeated
 /// measurements of one configuration — the 35 observations per point of the
 /// paper's protocol — computes that fixed state once and then only draws
-/// noise. [`scale_noise`](Self::scale_noise) drops the kept entry, because it
-/// changes the standard deviation. The memo never changes a measurement: the
-/// random draws and their order are the same as without it.
+/// noise. The memo never changes a measurement: the random draws and their
+/// order are the same as without it.
 ///
 /// # Examples
 ///
@@ -137,18 +129,6 @@ impl SimulatedProfiler {
         }
     }
 
-    /// The kernel specification backing this profiler.
-    pub fn spec(&self) -> &KernelSpec {
-        &self.spec
-    }
-
-    /// Rescales all noise magnitudes by `factor` (noise-robustness ablation).
-    pub fn scale_noise(&mut self, factor: f64) {
-        let scaled: NoiseProfile = self.spec.noise().scaled(factor);
-        self.noise.set_profile(scaled);
-        self.last = None;
-    }
-
     /// Number of runs executed so far.
     pub fn runs(&self) -> u64 {
         self.runs
@@ -157,16 +137,6 @@ impl SimulatedProfiler {
     /// Cumulative compile + run cost charged so far, in seconds.
     pub fn total_cost(&self) -> f64 {
         self.total_cost
-    }
-
-    /// Number of distinct configurations compiled so far.
-    pub fn distinct_compiled(&self) -> usize {
-        self.compiled.len()
-    }
-
-    /// Compile time that would be charged for `config` (without running it).
-    pub fn compile_time(&self, config: &Configuration) -> f64 {
-        self.cost.compile_time(self.spec.space(), config)
     }
 }
 
@@ -246,7 +216,7 @@ mod tests {
         let second = profiler.measure(&config);
         assert!(first.compiled && first.compile_time > 0.0);
         assert!(!second.compiled && second.compile_time == 0.0);
-        assert_eq!(profiler.distinct_compiled(), 1);
+        assert_eq!(profiler.compiled.len(), 1);
         assert_eq!(profiler.runs(), 2);
     }
 
@@ -287,7 +257,10 @@ mod tests {
         let m1 = profiler.measure(&a);
         let m2 = profiler.measure(&b);
         let m3 = profiler.measure(&a);
-        let expected = m1.cost() + m2.cost() + m3.cost();
+        let expected: f64 = [m1, m2, m3]
+            .iter()
+            .map(|m| m.runtime + m.compile_time)
+            .sum();
         assert!((profiler.total_cost() - expected).abs() < 1e-12);
     }
 
@@ -317,7 +290,7 @@ mod tests {
         // The reference recomputes every configuration's fixed state on every
         // run, from clones taken before the first measure.
         let surface = profiler.surface.clone();
-        let mut noise = profiler.noise.clone();
+        let noise = profiler.noise.clone();
         let cost = profiler.cost;
         let mut rng = profiler.rng.clone();
         let mut compiled = HashSet::new();
@@ -328,25 +301,17 @@ mod tests {
             .map(|v| Configuration::new(v.to_vec()))
             .collect();
         let mut script = seeded_stream(99, 1);
-        let mut pick = 0;
         for step in 0..600 {
-            if step == 300 {
-                // Rescale between two runs of the same configuration, so a
-                // stale noise level would show in the very next measurement.
-                profiler.scale_noise(3.0);
-                noise.set_profile(profiler.spec().noise().scaled(3.0));
-            } else {
-                pick = script.gen_range(0..configs.len());
-            }
-            let config = &configs[pick];
+            let config = &configs[script.gen_range(0..configs.len())];
             for _ in 0..script.gen_range(1..5) {
                 let newly_compiled = compiled.insert(config.clone());
                 let compile_time = if newly_compiled {
-                    cost.compile_time(profiler.spec().space(), config)
+                    cost.compile_time(profiler.spec.space(), config)
                 } else {
                     0.0
                 };
-                let runtime = noise.sample(&mut rng, config, surface.true_mean(config));
+                let runtime =
+                    noise.sample_at(&mut rng, noise.sigma(config), surface.true_mean(config));
                 runs += 1;
                 total_cost += runtime + compile_time;
 
@@ -358,17 +323,17 @@ mod tests {
             }
             assert_eq!(profiler.runs(), runs);
             assert_eq!(profiler.total_cost().to_bits(), total_cost.to_bits());
-            assert_eq!(profiler.distinct_compiled(), compiled.len());
+            assert_eq!(profiler.compiled.len(), compiled.len());
         }
-        assert_eq!(profiler.distinct_compiled(), configs.len());
+        assert_eq!(profiler.compiled.len(), configs.len());
     }
 
     #[test]
     fn noise_scaling_increases_variance() {
         let config = Configuration::new(vec![8, 22]);
         let sample_variance = |factor: f64| {
-            let mut profiler = SimulatedProfiler::new(toy_spec(NoiseProfile::moderate()), 13);
-            profiler.scale_noise(factor);
+            let noise = NoiseProfile::moderate().scaled(factor);
+            let mut profiler = SimulatedProfiler::new(toy_spec(noise), 13);
             let xs: Vec<f64> = (0..800)
                 .map(|_| profiler.measure(&config).runtime)
                 .collect();

@@ -227,8 +227,10 @@ impl ParameterSpace {
         Ok(())
     }
 
-    /// Draws one configuration uniformly at random.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Configuration {
+    /// Draws one configuration uniformly at random: the oracle of
+    /// [`sample_distinct`](Self::sample_distinct)'s draws.
+    #[cfg(test)]
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Configuration {
         Configuration::new(
             self.params
                 .iter()
@@ -289,26 +291,6 @@ impl ParameterSpace {
             space: self,
             next: Some(self.default_configuration()),
         }
-    }
-
-    /// Returns the neighbouring configurations of `config` (each parameter
-    /// moved one step up or down), used by local-search baselines.
-    pub fn neighbours(&self, config: &Configuration) -> Vec<Configuration> {
-        let mut out = Vec::new();
-        for (i, spec) in self.params.iter().enumerate() {
-            let v = config.values()[i];
-            if v > spec.min {
-                let mut values = config.values().to_vec();
-                values[i] = v - 1;
-                out.push(Configuration::new(values));
-            }
-            if v < spec.max {
-                let mut values = config.values().to_vec();
-                values[i] = v + 1;
-                out.push(Configuration::new(values));
-            }
-        }
-        out
     }
 }
 
@@ -587,20 +569,6 @@ mod tests {
         assert_eq!(unique.len(), 9);
         assert_eq!(all[0].values(), &[1, 0]);
         assert_eq!(all[8].values(), &[3, 2]);
-    }
-
-    #[test]
-    fn neighbours_respect_bounds() {
-        let space = small_space();
-        let corner = space.default_configuration();
-        let n = space.neighbours(&corner);
-        // Only upward moves exist at the minimum corner.
-        assert_eq!(n.len(), 2);
-        for c in &n {
-            assert!(space.validate(c).is_ok());
-        }
-        let middle = Configuration::new(vec![2, 1]);
-        assert_eq!(space.neighbours(&middle).len(), 4);
     }
 
     #[test]

@@ -283,11 +283,6 @@ pub fn spapt_kernel(kernel: SpaptKernel) -> KernelSpec {
     }
 }
 
-/// Builds all 11 simulated SPAPT kernels in Table 1 order.
-pub fn all_spapt_kernels() -> Vec<KernelSpec> {
-    SpaptKernel::all().into_iter().map(spapt_kernel).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn all_kernels_have_distinct_names_and_seeds() {
-        let kernels = all_spapt_kernels();
+        let kernels: Vec<KernelSpec> = SpaptKernel::all().into_iter().map(spapt_kernel).collect();
         assert_eq!(kernels.len(), 11);
         let names: std::collections::HashSet<_> = kernels.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 11);

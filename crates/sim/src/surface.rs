@@ -56,11 +56,6 @@ pub enum EffectShape {
         /// Penalty factor for moving away from the optimum.
         penalty: f64,
     },
-    /// Linear trend in the normalized position.
-    Linear {
-        /// Relative runtime change from `t = 0` to `t = 1`.
-        slope: f64,
-    },
 }
 
 impl EffectShape {
@@ -84,7 +79,6 @@ impl EffectShape {
                 let d = t - optimum;
                 penalty * d * d - depth
             }
-            EffectShape::Linear { slope } => slope * t,
         }
     }
 }
@@ -197,16 +191,6 @@ impl ResponseSurface {
                 penalty: importance * rng.gen_range(0.05..0.2),
             },
         }
-    }
-
-    /// Base runtime in seconds (the `-O2` reference point scale).
-    pub fn base_runtime(&self) -> f64 {
-        self.base_runtime
-    }
-
-    /// The per-parameter effect shapes.
-    pub fn shapes(&self) -> &[EffectShape] {
-        &self.shapes
     }
 
     /// Normalized position of `value` within parameter `index`'s range.
@@ -352,7 +336,6 @@ mod tests {
     #[test]
     fn effect_shapes_evaluate_reasonably() {
         assert_eq!(EffectShape::Flat { level: 0.02 }.evaluate(0.7), 0.02);
-        assert!((EffectShape::Linear { slope: 0.3 }.evaluate(0.5) - 0.15).abs() < 1e-12);
         let rp = EffectShape::RisingPlateau {
             threshold: 0.5,
             steepness: 10.0,

@@ -21,13 +21,13 @@
 //! [`append_row`](Cholesky::append_row) extends an `n × n` factorization to
 //! `(n+1) × (n+1)` in `O(n²)`: the new off-diagonal row is one forward
 //! substitution and the new diagonal is a Schur complement. The bordered
-//! (row-at-a-time) factorization used by [`decompose`](Cholesky::decompose)
-//! computes each row with **exactly the operations `append_row` performs**,
-//! so growing a factor one row at a time yields bit-identical results to a
-//! cold factorization of the final matrix — the property the incremental
-//! Gaussian process relies on.
+//! (row-at-a-time) factorization used by
+//! [`decompose_packed`](Cholesky::decompose_packed) computes each row with
+//! **exactly the operations `append_row` performs**, so growing a factor
+//! one row at a time yields bit-identical results to a cold factorization
+//! of the final matrix — the property the incremental Gaussian process
+//! relies on.
 
-use crate::matrix::Matrix;
 use crate::{Result, StatsError};
 
 /// Dot product over two equally long slices, accumulated left to right.
@@ -59,55 +59,31 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Decomposes a symmetric positive-definite matrix. Only the lower
-    /// triangle of the input is read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] for non-square input and
-    /// [`StatsError::NotPositiveDefinite`] when a non-positive pivot is
-    /// encountered.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # fn main() -> Result<(), alic_stats::StatsError> {
-    /// use alic_stats::{cholesky::Cholesky, Matrix};
-    /// let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]])?;
-    /// let chol = Cholesky::decompose(&a)?;
-    /// let x = chol.solve(&[2.0, 3.0])?;
-    /// // Verify A x = b.
-    /// let b = a.matvec(&x)?;
-    /// assert!((b[0] - 2.0).abs() < 1e-10 && (b[1] - 3.0).abs() < 1e-10);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn decompose(matrix: &Matrix) -> Result<Self> {
-        if matrix.rows() != matrix.cols() {
-            return Err(StatsError::DimensionMismatch {
-                expected: matrix.rows(),
-                actual: matrix.cols(),
-            });
-        }
-        let n = matrix.rows();
-        let mut data = Vec::with_capacity(row_offset(n));
-        for i in 0..n {
-            data.extend_from_slice(&matrix.row(i)[..=i]);
-        }
-        Self::decompose_packed(n, data)
-    }
-
     /// Decomposes a matrix given as its packed lower triangle (row `i` holds
     /// entries `(i, 0..=i)`), factorizing in place without a dense copy.
     ///
-    /// This is the entry point for callers that already maintain a packed
-    /// kernel-row cache (the Gaussian process).
+    /// The Gaussian process keeps its kernel-row cache in this form.
     ///
     /// # Errors
     ///
     /// Returns [`StatsError::DimensionMismatch`] when `data.len()` is not
     /// `n(n+1)/2` and [`StatsError::NotPositiveDefinite`] when a
     /// non-positive pivot is encountered.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # fn main() -> Result<(), alic_stats::StatsError> {
+    /// use alic_stats::cholesky::Cholesky;
+    /// // A = [[4, 2], [2, 3]], given as its lower triangle [4; 2, 3].
+    /// let chol = Cholesky::decompose_packed(2, vec![4.0, 2.0, 3.0])?;
+    /// let x = chol.solve(&[2.0, 3.0])?;
+    /// // Verify A x = b.
+    /// let b = [4.0 * x[0] + 2.0 * x[1], 2.0 * x[0] + 3.0 * x[1]];
+    /// assert!((b[0] - 2.0).abs() < 1e-10 && (b[1] - 3.0).abs() < 1e-10);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn decompose_packed(n: usize, mut data: Vec<f64>) -> Result<Self> {
         if data.len() != row_offset(n) {
             return Err(StatsError::DimensionMismatch {
@@ -166,9 +142,9 @@ impl Cholesky {
     ///
     /// Runs in `O(n²)` (one forward substitution plus a Schur complement)
     /// and produces the same factor, bit for bit, as a cold
-    /// [`decompose`](Cholesky::decompose) of the bordered matrix. On error
-    /// the existing factorization is left untouched, so callers can fall
-    /// back to a full refactorization with more jitter.
+    /// [`decompose_packed`](Cholesky::decompose_packed) of the bordered
+    /// matrix. On error the existing factorization is left untouched, so
+    /// callers can fall back to a full refactorization with more jitter.
     ///
     /// # Errors
     ///
@@ -204,24 +180,6 @@ impl Cholesky {
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
         &self.data[row_offset(i)..row_offset(i) + i + 1]
-    }
-
-    /// The lower-triangular factor `L` as a dense matrix (zeros above the
-    /// diagonal). Intended for inspection and tests; the solves below work
-    /// on the packed representation directly.
-    pub fn factor(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n, self.n);
-        for i in 0..self.n {
-            for (j, &v) in self.row(i).iter().enumerate() {
-                m.set(i, j, v);
-            }
-        }
-        m
-    }
-
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.n
     }
 
     /// Forward substitution `L z = b` over one right-hand side held in
@@ -262,16 +220,10 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solves only the forward-substitution half, `L z = b`.
-    ///
-    /// Needed by the Gaussian process to compute predictive variances
-    /// (`vᵀ v` with `v = L⁻¹ k*`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `b` has the wrong
-    /// length.
-    pub fn forward_substitute(&self, b: &[f64]) -> Result<Vec<f64>> {
+    /// Solves only the forward-substitution half, `L z = b`, for one
+    /// right-hand side: the oracle of the batched form.
+    #[cfg(test)]
+    fn forward_substitute(&self, b: &[f64]) -> Result<Vec<f64>> {
         if b.len() != self.n {
             return Err(StatsError::DimensionMismatch {
                 expected: self.n,
@@ -289,9 +241,8 @@ impl Cholesky {
     /// The factor is walked **once**: each factor row is applied to every
     /// right-hand side while it is hot in cache, which is what makes batched
     /// Gaussian-process prediction cheap. Each individual right-hand side
-    /// goes through exactly the arithmetic of
-    /// [`forward_substitute`](Cholesky::forward_substitute), so batched and
-    /// single-point results are bit-identical.
+    /// goes through exactly the arithmetic of a single forward substitution,
+    /// so batched and single-point results are bit-identical.
     ///
     /// # Errors
     ///
@@ -314,13 +265,6 @@ impl Cholesky {
         }
         Ok(())
     }
-
-    /// Reconstructs `A = L Lᵀ` (mainly useful for testing).
-    pub fn reconstruct(&self) -> Matrix {
-        let l = self.factor();
-        l.matmul(&l.transpose())
-            .expect("factor dimensions are consistent by construction")
-    }
 }
 
 #[cfg(test)]
@@ -328,36 +272,71 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn spd_example() -> Matrix {
-        Matrix::from_rows(&[
+    /// A classic SPD matrix with the exact factor
+    /// `[[2, 0, 0], [6, 1, 0], [-8, 5, 3]]`.
+    fn spd_example() -> Vec<Vec<f64>> {
+        vec![
             vec![4.0, 12.0, -16.0],
             vec![12.0, 37.0, -43.0],
             vec![-16.0, -43.0, 98.0],
-        ])
-        .unwrap()
+        ]
+    }
+
+    /// The packed lower triangle of a square matrix given by rows.
+    fn lower(a: &[Vec<f64>]) -> Vec<f64> {
+        a.iter()
+            .enumerate()
+            .flat_map(|(i, row)| row[..=i].to_vec())
+            .collect()
+    }
+
+    /// `B Bᵀ + shift · I` for a square `B` given by rows: a random SPD matrix.
+    fn gram_plus_shift(b: &[Vec<f64>], shift: f64) -> Vec<Vec<f64>> {
+        let n = b.len();
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| dot(&b[i], &b[j]) + if i == j { shift } else { 0.0 })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `L Lᵀ` from the packed factor, as rows.
+    fn reconstruct(chol: &Cholesky) -> Vec<Vec<f64>> {
+        let n = chol.n;
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let k = i.min(j);
+                        dot(&chol.row(i)[..=k], &chol.row(j)[..=k])
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn decomposes_known_spd_matrix() {
-        // Classic example with exact factor [[2,0,0],[6,1,0],[-8,5,3]].
-        let chol = Cholesky::decompose(&spd_example()).unwrap();
-        let l = chol.factor();
-        assert!((l.get(0, 0) - 2.0).abs() < 1e-12);
-        assert!((l.get(1, 0) - 6.0).abs() < 1e-12);
-        assert!((l.get(1, 1) - 1.0).abs() < 1e-12);
-        assert!((l.get(2, 0) + 8.0).abs() < 1e-12);
-        assert!((l.get(2, 1) - 5.0).abs() < 1e-12);
-        assert!((l.get(2, 2) - 3.0).abs() < 1e-12);
-        assert!((l.get(0, 1)).abs() == 0.0 && (l.get(1, 2)).abs() == 0.0);
+        let chol = Cholesky::decompose_packed(3, lower(&spd_example())).unwrap();
+        let expected = [2.0, 6.0, 1.0, -8.0, 5.0, 3.0];
+        for (got, want) in chol.packed().iter().zip(expected) {
+            assert!((got - want).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn decompose_packed_matches_dense_decompose() {
+        // The packed factor multiplies back to the dense matrix it came from.
         let a = spd_example();
-        let packed: Vec<f64> = (0..3).flat_map(|i| a.row(i)[..=i].to_vec()).collect();
-        let from_packed = Cholesky::decompose_packed(3, packed).unwrap();
-        let from_dense = Cholesky::decompose(&a).unwrap();
-        assert_eq!(from_packed, from_dense);
+        let chol = Cholesky::decompose_packed(3, lower(&a)).unwrap();
+        let back = reconstruct(&chol);
+        for i in 0..3 {
+            for j in 0..3 {
+                assert!((a[i][j] - back[i][j]).abs() < 1e-9);
+            }
+        }
         assert!(matches!(
             Cholesky::decompose_packed(3, vec![0.0; 5]),
             Err(StatsError::DimensionMismatch { .. })
@@ -367,37 +346,34 @@ mod tests {
     #[test]
     fn solve_satisfies_original_system() {
         let a = spd_example();
-        let chol = Cholesky::decompose(&a).unwrap();
+        let chol = Cholesky::decompose_packed(3, lower(&a)).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         let x = chol.solve(&b).unwrap();
-        let back = a.matvec(&x).unwrap();
-        for (bi, yi) in b.iter().zip(&back) {
-            assert!((bi - yi).abs() < 1e-9);
+        for (bi, row) in b.iter().zip(&a) {
+            assert!((bi - dot(row, &x)).abs() < 1e-9);
         }
     }
 
     #[test]
     fn rejects_non_positive_definite() {
-        let not_pd = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
         assert_eq!(
-            Cholesky::decompose(&not_pd).unwrap_err(),
+            Cholesky::decompose_packed(2, vec![1.0, 2.0, 1.0]).unwrap_err(),
             StatsError::NotPositiveDefinite
         );
     }
 
     #[test]
     fn rejects_non_square() {
-        let rect = Matrix::zeros(2, 3);
+        // Five entries are no lower triangle of a square matrix.
         assert!(matches!(
-            Cholesky::decompose(&rect),
+            Cholesky::decompose_packed(2, vec![0.0; 5]),
             Err(StatsError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
     fn forward_substitution_consistent_with_solve() {
-        let a = spd_example();
-        let chol = Cholesky::decompose(&a).unwrap();
+        let chol = Cholesky::decompose_packed(3, lower(&spd_example())).unwrap();
         let b = vec![0.5, -1.0, 2.0];
         let z = chol.forward_substitute(&b).unwrap();
         // ||z||^2 should equal bᵀ A⁻¹ b.
@@ -409,8 +385,7 @@ mod tests {
 
     #[test]
     fn batched_forward_substitution_is_bit_identical_to_single() {
-        let a = spd_example();
-        let chol = Cholesky::decompose(&a).unwrap();
+        let chol = Cholesky::decompose_packed(3, lower(&spd_example())).unwrap();
         let rhs_rows = [
             vec![1.0, 2.0, 3.0],
             vec![-0.5, 0.25, 4.0],
@@ -430,7 +405,7 @@ mod tests {
 
     #[test]
     fn append_row_rejects_bad_input_and_keeps_factor_intact() {
-        let mut chol = Cholesky::decompose(&spd_example()).unwrap();
+        let mut chol = Cholesky::decompose_packed(3, lower(&spd_example())).unwrap();
         let before = chol.clone();
         assert!(matches!(
             chol.append_row(&[1.0, 2.0]),
@@ -449,18 +424,13 @@ mod tests {
         #[test]
         fn reconstruction_roundtrips_random_spd(values in proptest::collection::vec(-2.0f64..2.0, 9)) {
             // Build SPD matrix as B Bᵀ + n I from a random 3x3 B.
-            let b = Matrix::from_rows(&[
-                values[0..3].to_vec(),
-                values[3..6].to_vec(),
-                values[6..9].to_vec(),
-            ]).unwrap();
-            let mut a = b.matmul(&b.transpose()).unwrap();
-            a.add_diagonal(3.0);
-            let chol = Cholesky::decompose(&a).unwrap();
-            let back = chol.reconstruct();
+            let b: Vec<Vec<f64>> = values.chunks(3).map(<[f64]>::to_vec).collect();
+            let a = gram_plus_shift(&b, 3.0);
+            let chol = Cholesky::decompose_packed(3, lower(&a)).unwrap();
+            let back = reconstruct(&chol);
             for i in 0..3 {
                 for j in 0..3 {
-                    prop_assert!((a.get(i, j) - back.get(i, j)).abs() < 1e-8);
+                    prop_assert!((a[i][j] - back[i][j]).abs() < 1e-8);
                 }
             }
         }
@@ -471,17 +441,13 @@ mod tests {
             split in 2usize..5,
         ) {
             // Random 6x6 SPD matrix A = B Bᵀ + 4 I.
-            let b = Matrix::from_fn(6, 6, |i, j| values[i * 6 + j]);
-            let mut a = b.matmul(&b.transpose()).unwrap();
-            a.add_diagonal(4.0);
-            let cold = Cholesky::decompose(&a).unwrap();
+            let b: Vec<Vec<f64>> = values.chunks(6).map(<[f64]>::to_vec).collect();
+            let a = gram_plus_shift(&b, 4.0);
+            let cold = Cholesky::decompose_packed(6, lower(&a)).unwrap();
             // Factorize the leading `split` block, then append the rest.
-            let mut incremental = Cholesky::decompose_packed(
-                split,
-                (0..split).flat_map(|i| a.row(i)[..=i].to_vec()).collect(),
-            ).unwrap();
-            for i in split..6 {
-                incremental.append_row(&a.row(i)[..=i]).unwrap();
+            let mut incremental = Cholesky::decompose_packed(split, lower(&a[..split])).unwrap();
+            for row in &a[split..] {
+                incremental.append_row(&row[..=incremental.n]).unwrap();
             }
             // Bit-identical, not merely close: the bordered factorization
             // performs the same operations in the same order.

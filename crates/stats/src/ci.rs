@@ -29,7 +29,7 @@ pub struct ConfidenceInterval {
 
 impl ConfidenceInterval {
     /// Half width of the interval.
-    pub fn half_width(&self) -> f64 {
+    fn half_width(&self) -> f64 {
         0.5 * (self.upper - self.lower)
     }
 
@@ -50,20 +50,6 @@ impl ConfidenceInterval {
             hw / self.mean.abs()
         }
     }
-
-    /// Whether the interval contains `value`.
-    pub fn contains(&self, value: f64) -> bool {
-        self.lower <= value && value <= self.upper
-    }
-
-    /// Whether this interval overlaps `other`.
-    ///
-    /// Used by raced-profile style early termination (Leather et al., LCTES
-    /// 2009, discussed in the paper's related work): configurations whose
-    /// interval no longer overlaps the incumbent best can be abandoned.
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lower <= other.upper && other.lower <= self.upper
-    }
 }
 
 /// Computes a two-sided Student-t confidence interval for the mean of
@@ -83,7 +69,7 @@ impl ConfidenceInterval {
 /// ```
 /// # fn main() -> Result<(), alic_stats::StatsError> {
 /// let ci = alic_stats::ci::confidence_interval(&[10.0, 10.5, 9.5, 10.2], 0.95)?;
-/// assert!(ci.contains(10.05));
+/// assert!(ci.lower <= 10.05 && 10.05 <= ci.upper);
 /// # Ok(())
 /// # }
 /// ```
@@ -105,7 +91,7 @@ pub fn confidence_interval(values: &[f64], level: f64) -> Result<ConfidenceInter
 ///
 /// Degenerate (zero-width) intervals are returned for samples of size zero
 /// or one.
-pub fn interval_from_summary(summary: &Summary, level: f64) -> ConfidenceInterval {
+fn interval_from_summary(summary: &Summary, level: f64) -> ConfidenceInterval {
     if summary.count < 2 {
         return ConfidenceInterval {
             mean: summary.mean,
@@ -136,7 +122,7 @@ mod tests {
     fn interval_contains_mean_and_is_symmetric() {
         let values = [2.1, 2.2, 2.0, 2.15, 2.05, 2.1];
         let ci = confidence_interval(&values, 0.95).unwrap();
-        assert!(ci.contains(ci.mean));
+        assert!(ci.lower <= ci.mean && ci.mean <= ci.upper);
         assert!((ci.upper - ci.mean - (ci.mean - ci.lower)).abs() < 1e-12);
         assert_eq!(ci.count, 6);
     }
@@ -195,15 +181,5 @@ mod tests {
     fn ratio_to_mean_handles_zero_mean() {
         let ci = confidence_interval(&[-1.0, 1.0], 0.95).unwrap();
         assert!(ci.ratio_to_mean().is_infinite());
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = confidence_interval(&[1.0, 1.1, 0.9], 0.95).unwrap();
-        let b = confidence_interval(&[1.05, 1.15, 0.95], 0.95).unwrap();
-        let c = confidence_interval(&[5.0, 5.1, 4.9], 0.95).unwrap();
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
     }
 }

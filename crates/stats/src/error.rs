@@ -33,23 +33,6 @@ pub fn rmse(predicted: &[f64], observed: &[f64]) -> Result<f64> {
     Ok((sum_sq / predicted.len() as f64).sqrt())
 }
 
-/// Mean Absolute Error between predictions and observations (used in the
-/// motivation study, Figure 1).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when the slices are empty and
-/// [`StatsError::LengthMismatch`] when they differ in length.
-pub fn mae(predicted: &[f64], observed: &[f64]) -> Result<f64> {
-    validate_pair(predicted, observed)?;
-    let sum_abs: f64 = predicted
-        .iter()
-        .zip(observed)
-        .map(|(p, o)| (p - o).abs())
-        .sum();
-    Ok(sum_abs / predicted.len() as f64)
-}
-
 /// Mean absolute deviation of a sample from its own mean.
 ///
 /// This is the statistic used in the Figure 1 motivation experiment, where
@@ -116,19 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn mae_is_never_larger_than_rmse() {
-        let pred = [1.0, 5.0, 2.0, 8.0];
-        let obs = [1.5, 4.0, 2.5, 6.0];
-        assert!(mae(&pred, &obs).unwrap() <= rmse(&pred, &obs).unwrap() + 1e-12);
-    }
-
-    #[test]
     fn errors_reject_mismatched_lengths() {
         assert_eq!(
             rmse(&[1.0], &[1.0, 2.0]),
             Err(StatsError::LengthMismatch { left: 1, right: 2 })
         );
-        assert_eq!(mae(&[], &[]), Err(StatsError::EmptyInput));
+        assert_eq!(rmse(&[], &[]), Err(StatsError::EmptyInput));
     }
 
     #[test]

@@ -194,8 +194,10 @@ impl FaultPlan {
     }
 
     /// Whether the `invocation`-th query at `site` rolls a fault under this
-    /// plan, *ignoring budgets* — the pure deterministic core of the plane.
-    pub fn would_inject(&self, site: FaultSite, invocation: u64) -> bool {
+    /// plan, *ignoring budgets* — the pure deterministic core of the plane,
+    /// and the oracle of [`inject`]'s rolls.
+    #[cfg(test)]
+    fn would_inject(&self, site: FaultSite, invocation: u64) -> bool {
         match self.sites[site.index()] {
             None => false,
             Some(spec) => {

@@ -8,10 +8,6 @@
 //! one flat row-major buffer, hands out `&[f64]` row views for free, and lets
 //! candidate sets be described as index gathers into the pool instead of
 //! fresh allocations.
-//!
-//! This differs from [`crate::Matrix`] on purpose: `Matrix` is a
-//! linear-algebra operand (multiplication, Cholesky), while `FeatureMatrix`
-//! is an append-only row store optimized for the surrogate hot path.
 
 use serde::{Deserialize, Serialize};
 
@@ -130,16 +126,6 @@ impl FeatureMatrix {
         &self.data[index * self.dim..(index + 1) * self.dim]
     }
 
-    /// Entry at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(col < self.dim, "column index out of bounds");
-        self.row(row)[col]
-    }
-
     /// Iterates over all rows in order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> {
         self.data.chunks_exact(self.dim)
@@ -166,11 +152,6 @@ impl FeatureMatrix {
         &self.data
     }
 
-    /// Removes all rows, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
     /// Shortens the matrix to at most `rows` rows, keeping the allocation.
     /// Has no effect when the matrix already holds `rows` rows or fewer.
     pub fn truncate(&mut self, rows: usize) {
@@ -191,7 +172,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.dim(), 3);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.get(1, 2), 6.0);
+        assert_eq!(m.row(1)[2], 6.0);
         assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
@@ -238,7 +219,7 @@ mod tests {
     #[test]
     fn clear_keeps_dimension() {
         let mut m = FeatureMatrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        m.clear();
+        m.truncate(0);
         assert!(m.is_empty());
         assert_eq!(m.dim(), 2);
         m.push_row(&[7.0, 8.0]);

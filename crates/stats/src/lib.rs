@@ -7,13 +7,15 @@
 //! * [`summary`] — batch and online (Welford) summary statistics,
 //! * [`ci`] — Student-t confidence intervals as used by the paper's
 //!   post-hoc sampling-plan validation (§4.3),
-//! * [`error`] — model-quality metrics (RMSE, MAE) and the geometric mean
-//!   used to aggregate speed-ups (Table 1),
+//! * [`error`] — model-quality metrics (RMSE, mean absolute deviation) and
+//!   the geometric mean used to aggregate speed-ups (Table 1),
 //! * [`normalize`] — feature scaling and centring (§4.5),
 //! * [`features`] — flat row-major feature storage with zero-copy row views,
 //!   the backing store of the batch scoring pipeline,
-//! * [`matrix`] / [`cholesky`] — a small dense linear-algebra kernel used by
-//!   the Gaussian-process comparison models,
+//! * [`cholesky`] — a packed Cholesky factor with incremental row append,
+//!   used by the Gaussian-process comparison model,
+//! * [`matrix`] — the squared Euclidean distance shared by the
+//!   Gaussian-process and k-NN models,
 //! * [`sampling`] — random subset selection used for candidate sets,
 //! * [`rng`] — deterministic, seedable random-number-generator helpers,
 //! * [`fault`] — the deterministic fault-injection plane behind the
@@ -50,9 +52,8 @@ pub mod special;
 pub mod summary;
 
 pub use ci::{confidence_interval, ConfidenceInterval};
-pub use error::{geometric_mean, mae, rmse};
+pub use error::{geometric_mean, rmse};
 pub use features::FeatureMatrix;
-pub use matrix::Matrix;
 pub use normalize::Normalizer;
 pub use summary::{OnlineStats, Summary};
 

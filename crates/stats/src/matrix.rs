@@ -1,231 +1,6 @@
-//! A small dense, row-major matrix type.
-//!
-//! Only the operations needed by the Gaussian-process comparison model are
-//! provided: construction, indexing, multiplication, transpose and
-//! symmetric-positive-definite solves via [`crate::cholesky`]. This keeps the
-//! workspace free of an external linear-algebra dependency.
-
-use serde::{Deserialize, Serialize};
+//! Vector distance helper shared by the Gaussian-process and k-NN models.
 
 use crate::{Result, StatsError};
-
-/// Dense row-major matrix of `f64`.
-///
-/// # Examples
-///
-/// ```
-/// use alic_stats::Matrix;
-/// let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-/// let b = Matrix::identity(2);
-/// let c = a.matmul(&b).unwrap();
-/// assert_eq!(c.get(1, 0), 3.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl Matrix {
-    /// Creates a `rows × cols` matrix filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
-    /// Builds a matrix from row vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInput`] when `rows` is empty and
-    /// [`StatsError::LengthMismatch`] when rows have inconsistent widths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        if rows.is_empty() || rows[0].is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            if row.len() != cols {
-                return Err(StatsError::LengthMismatch {
-                    left: cols,
-                    right: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Builds a square matrix by evaluating `f(i, j)` for every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                m.set(i, j, f(i, j));
-            }
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Returns the entry at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(
-            row < self.rows && col < self.cols,
-            "matrix index out of bounds"
-        );
-        self.data[row * self.cols + col]
-    }
-
-    /// Sets the entry at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        assert!(
-            row < self.rows && col < self.cols,
-            "matrix index out of bounds"
-        );
-        self.data[row * self.cols + col] = value;
-    }
-
-    /// Returns row `row` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds.
-    pub fn row(&self, row: usize) -> &[f64] {
-        assert!(row < self.rows, "row index out of bounds");
-        &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
-    }
-
-    /// Matrix–matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when the inner dimensions
-    /// disagree.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(StatsError::DimensionMismatch {
-                expected: self.cols,
-                actual: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * out.cols + j] += a * other.get(k, j);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(StatsError::DimensionMismatch {
-                expected: self.cols,
-                actual: v.len(),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
-    /// Adds `value` to every diagonal entry (used for jitter/nugget terms).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn add_diagonal(&mut self, value: f64) {
-        assert_eq!(
-            self.rows, self.cols,
-            "add_diagonal requires a square matrix"
-        );
-        for i in 0..self.rows {
-            self.data[i * self.cols + i] += value;
-        }
-    }
-
-    /// Whether the matrix is (approximately) symmetric.
-    pub fn is_symmetric(&self, tolerance: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tolerance {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-/// Dot product of two equally long vectors.
-///
-/// # Errors
-///
-/// Returns [`StatsError::LengthMismatch`] when the lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(StatsError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    Ok(a.iter().zip(b).map(|(x, y)| x * y).sum())
-}
 
 /// Squared Euclidean distance between two equally long vectors.
 ///
@@ -247,75 +22,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identity_is_multiplicative_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let i = Matrix::identity(3);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_dimensions() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 2);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(StatsError::DimensionMismatch {
-                expected: 3,
-                actual: 2
-            })
-        ));
-    }
-
-    #[test]
-    fn transpose_twice_is_identity_transform() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_rows(&[vec![1.0, -1.0], vec![2.0, 0.5]]).unwrap();
-        let v = vec![3.0, 4.0];
-        assert_eq!(a.matvec(&v).unwrap(), vec![-1.0, 8.0]);
-    }
-
-    #[test]
-    fn add_diagonal_adds_jitter() {
-        let mut a = Matrix::identity(3);
-        a.add_diagonal(0.5);
-        for i in 0..3 {
-            assert_eq!(a.get(i, i), 1.5);
-        }
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let ns = Matrix::from_rows(&[vec![2.0, 1.0], vec![0.0, 3.0]]).unwrap();
-        assert!(s.is_symmetric(1e-12));
-        assert!(!ns.is_symmetric(1e-12));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1e-12));
-    }
-
-    #[test]
     fn dot_and_distance() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]).unwrap(), 11.0);
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]).unwrap(), 25.0);
-        assert!(dot(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn get_panics_out_of_bounds() {
-        Matrix::zeros(2, 2).get(2, 0);
+        assert!(squared_distance(&[1.0], &[1.0, 2.0]).is_err());
     }
 }

@@ -64,27 +64,9 @@ impl Normalizer {
         Ok(Normalizer { means, scales })
     }
 
-    /// Identity normalizer for `width` features (no centring, no scaling).
-    pub fn identity(width: usize) -> Self {
-        Normalizer {
-            means: vec![0.0; width],
-            scales: vec![1.0; width],
-        }
-    }
-
     /// Number of features this normalizer was fitted on.
     pub fn width(&self) -> usize {
         self.means.len()
-    }
-
-    /// Per-feature means used for centring.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-feature scales used for scaling.
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
     }
 
     /// Normalizes a single feature vector.
@@ -100,16 +82,6 @@ impl Normalizer {
             .zip(self.means.iter().zip(&self.scales))
             .map(|(v, (m, s))| (v - m) / s)
             .collect())
-    }
-
-    /// Normalizes a whole row-major matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] for any row of the wrong
-    /// width.
-    pub fn transform(&self, rows: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        rows.iter().map(|r| self.transform_row(r)).collect()
     }
 
     fn check_width(&self, row: &[f64]) -> Result<()> {
@@ -141,7 +113,10 @@ mod tests {
     fn transformed_columns_have_zero_mean_unit_variance() {
         let rows = example_rows();
         let norm = Normalizer::fit(&rows).unwrap();
-        let z = norm.transform(&rows).unwrap();
+        let z: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| norm.transform_row(r).unwrap())
+            .collect();
         for j in 0..3 {
             let column: Vec<f64> = z.iter().map(|r| r[j]).collect();
             let s = Summary::from_slice(&column);
@@ -158,7 +133,10 @@ mod tests {
     fn constant_feature_is_centred_but_not_scaled() {
         let rows = vec![vec![7.0, 1.0], vec![7.0, 2.0], vec![7.0, 3.0]];
         let norm = Normalizer::fit(&rows).unwrap();
-        let z = norm.transform(&rows).unwrap();
+        let z: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| norm.transform_row(r).unwrap())
+            .collect();
         for row in &z {
             assert_eq!(row[0], 0.0);
         }
@@ -166,7 +144,8 @@ mod tests {
 
     #[test]
     fn identity_normalizer_is_a_no_op() {
-        let norm = Normalizer::identity(3);
+        // All-zero training rows fit zero means and unit scales.
+        let norm = Normalizer::fit(&[vec![0.0; 3], vec![0.0; 3]]).unwrap();
         let row = vec![4.0, -2.0, 0.5];
         assert_eq!(norm.transform_row(&row).unwrap(), row);
     }

@@ -19,9 +19,8 @@
 //!
 //! [`PolicySite`] labels the retrying call-sites, mirroring
 //! [`crate::fault::FaultSite`] for injection points: stable discriminants
-//! key the jitter substreams and the per-site sleep counters surfaced by
-//! [`sleeps`] / [`sleeps_at`] (the serve daemon's `health` verb reports the
-//! total).
+//! key the jitter substreams and the per-site sleep counters whose total
+//! [`sleeps`] returns (the serve daemon's `health` verb reports it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -44,14 +43,10 @@ pub enum PolicySite {
     /// Storage-layer writes (`alic_core::store::replace` and `append`):
     /// every durable write, the serve health probe included.
     LedgerWrite = 0,
-    /// Serve engine load-shedding `retry-after-ms` hints.
-    ServeHint = 1,
-    /// Serve engine health-probe writes (ladder promotion).
-    HealthProbe = 2,
 }
 
 /// Number of distinct policy sites.
-pub const POLICY_SITE_COUNT: usize = 3;
+pub const POLICY_SITE_COUNT: usize = 1;
 
 impl PolicySite {
     /// Stable index of this site (also its jitter substream label).
@@ -59,24 +54,13 @@ impl PolicySite {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Human-readable site name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicySite::LedgerWrite => "ledger-write",
-            PolicySite::ServeHint => "serve-hint",
-            PolicySite::HealthProbe => "health-probe",
-        }
-    }
 }
 
 /// Per-site invocation counters: each performed backoff sleep consumes one
 /// jitter-substream index, so serial re-runs reproduce the same schedule.
-static INVOCATIONS: [AtomicU64; POLICY_SITE_COUNT] =
-    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+static INVOCATIONS: [AtomicU64; POLICY_SITE_COUNT] = [AtomicU64::new(0)];
 /// Per-site counters of sleeps actually performed (observability).
-static SLEEPS: [AtomicU64; POLICY_SITE_COUNT] =
-    [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+static SLEEPS: [AtomicU64; POLICY_SITE_COUNT] = [AtomicU64::new(0)];
 
 /// Total backoff sleeps performed by all policies in this process.
 pub fn sleeps() -> u64 {
@@ -84,7 +68,8 @@ pub fn sleeps() -> u64 {
 }
 
 /// Backoff sleeps performed at one site.
-pub fn sleeps_at(site: PolicySite) -> u64 {
+#[cfg(test)]
+fn sleeps_at(site: PolicySite) -> u64 {
     SLEEPS[site.index()].load(Ordering::Relaxed)
 }
 
@@ -126,7 +111,7 @@ impl RetryPolicy {
 
     /// The un-jittered delay before attempt `attempt` (1-based); attempt 0
     /// (the first try) never sleeps.
-    pub fn delay(&self, attempt: u32) -> Duration {
+    fn delay(&self, attempt: u32) -> Duration {
         if attempt == 0 {
             return Duration::ZERO;
         }
@@ -138,7 +123,7 @@ impl RetryPolicy {
     /// The deterministic jittered delay for the `invocation`-th sleep at
     /// `site` before attempt `attempt` — a pure function of the fault-plan
     /// seed (0 when no plan is installed), the site, and the invocation.
-    pub fn jittered_delay(&self, site: PolicySite, attempt: u32, invocation: u64) -> Duration {
+    fn jittered_delay(&self, site: PolicySite, attempt: u32, invocation: u64) -> Duration {
         let raw = self.delay(attempt);
         if self.jitter <= 0.0 || raw.is_zero() {
             return raw;
@@ -243,7 +228,7 @@ mod tests {
         let p = RetryPolicy::SERVE_HINT;
         for attempt in 1..=6u32 {
             assert_eq!(
-                p.jittered_delay(PolicySite::ServeHint, attempt, 7),
+                p.jittered_delay(PolicySite::LedgerWrite, attempt, 7),
                 p.delay(attempt)
             );
         }

@@ -61,7 +61,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `a <= 0`, `b <= 0`, or `x` lies outside `[0, 1]`.
-pub fn betainc_regularized(a: f64, b: f64, x: f64) -> f64 {
+fn betainc_regularized(a: f64, b: f64, x: f64) -> f64 {
     assert!(
         a > 0.0 && b > 0.0,
         "betainc requires positive shape parameters"
@@ -140,7 +140,7 @@ fn beta_continued_fraction(a: f64, b: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `df <= 0`.
-pub fn student_t_cdf(t: f64, df: f64) -> f64 {
+fn student_t_cdf(t: f64, df: f64) -> f64 {
     assert!(df > 0.0, "degrees of freedom must be positive");
     if t.is_infinite() {
         return if t > 0.0 { 1.0 } else { 0.0 };
@@ -155,8 +155,8 @@ pub fn student_t_cdf(t: f64, df: f64) -> f64 {
 }
 
 /// Inverse CDF (quantile function) of Student's t distribution with `df`
-/// degrees of freedom, evaluated by monotone bisection on
-/// [`student_t_cdf`].
+/// degrees of freedom, evaluated by monotone bisection on the distribution
+/// function.
 ///
 /// # Panics
 ///

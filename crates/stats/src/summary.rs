@@ -7,8 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Result, StatsError};
-
 /// Batch summary statistics of a sample.
 ///
 /// # Examples
@@ -165,20 +163,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
     /// The raw second central moment accumulator (Welford's `M2`). Exposed,
     /// together with [`OnlineStats::from_parts`], so checkpointing codecs can
     /// capture and restore the accumulator state bit-exactly.
@@ -246,68 +230,6 @@ impl Extend<f64> for OnlineStats {
         for v in iter {
             self.push(v);
         }
-    }
-}
-
-/// Arithmetic mean of `values`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when `values` is empty.
-pub fn mean(values: &[f64]) -> Result<f64> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    Ok(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// Unbiased sample variance of `values`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when `values` is empty.
-pub fn variance(values: &[f64]) -> Result<f64> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    Ok(Summary::from_slice(values).variance)
-}
-
-/// Median of `values` (average of the two middle elements for even lengths).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when `values` is empty.
-pub fn median(values: &[f64]) -> Result<f64> {
-    quantile(values, 0.5)
-}
-
-/// Linear-interpolation quantile `q` (in `[0, 1]`) of `values`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] when `values` is empty and
-/// [`StatsError::InvalidConfidenceLevel`] when `q` is outside `[0, 1]`.
-pub fn quantile(values: &[f64], q: f64) -> Result<f64> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::InvalidConfidenceLevel);
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| {
-        a.partial_cmp(b)
-            .expect("non-finite value in quantile input")
-    });
-    let pos = q * (sorted.len() - 1) as f64;
-    let lower = pos.floor() as usize;
-    let upper = pos.ceil() as usize;
-    if lower == upper {
-        Ok(sorted[lower])
-    } else {
-        let frac = pos - lower as f64;
-        Ok(sorted[lower] * (1.0 - frac) + sorted[upper] * frac)
     }
 }
 
@@ -402,32 +324,5 @@ mod tests {
         restored.push(4.4);
         reference.push(4.4);
         assert_eq!(restored, reference);
-    }
-
-    #[test]
-    fn mean_and_variance_reject_empty_input() {
-        assert_eq!(mean(&[]), Err(StatsError::EmptyInput));
-        assert_eq!(variance(&[]), Err(StatsError::EmptyInput));
-    }
-
-    #[test]
-    fn median_of_odd_and_even_lengths() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
-    }
-
-    #[test]
-    fn quantile_bounds_are_min_and_max() {
-        let values = [5.0, 1.0, 9.0, 3.0];
-        assert_eq!(quantile(&values, 0.0).unwrap(), 1.0);
-        assert_eq!(quantile(&values, 1.0).unwrap(), 9.0);
-    }
-
-    #[test]
-    fn quantile_rejects_out_of_range() {
-        assert_eq!(
-            quantile(&[1.0], 1.5),
-            Err(StatsError::InvalidConfidenceLevel)
-        );
     }
 }
