@@ -35,9 +35,10 @@
 //!   request detaches the connection's live session (its on-disk
 //!   checkpoint is unaffected) and yields `err panic`, like
 //!   `heal_campaign` quarantines a panicking work unit.
-//! * **Deadlines**: requests check a per-request deadline at safe points
-//!   (never between a durable commit and its reply) and shed with
-//!   `err deadline`.
+//! * **Deadlines**: requests check a per-request deadline at safe points,
+//!   before anything commits (`newsession`, `observe`) or after pure reads
+//!   (`suggest`), and shed with `err deadline`. So within one process
+//!   `ok` means the request committed and `err` means nothing did.
 //! * **Bounded residency**: at most `max_live` sessions are resident;
 //!   attaching one more evicts the least-recently-used session. Every
 //!   resident session is already durable, so eviction never writes and
@@ -51,10 +52,6 @@
 //!   automatically. `Draining` is terminal: nothing new is admitted. The
 //!   `health` verb reports the state plus per-site injection and retry
 //!   counters; `drain` reports one [`DrainSummary`].
-//! * **Stuck requests**: a request that returns after more than
-//!   [`STUCK_GRACE`] times its deadline is detached exactly like the panic
-//!   path (`err stuck`). The check runs when the request returns, so a
-//!   request that never returns is never judged.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,10 +81,6 @@ pub const DEFAULT_MAX_LIVE: usize = 8;
 
 /// Default per-request deadline.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_millis(2_000);
-
-/// Stuck-request grace factor: a request that returns after more than
-/// `deadline × STUCK_GRACE` is judged stuck and its session detached.
-pub const STUCK_GRACE: f64 = 4.0;
 
 /// The largest session number: ids are `s` plus exactly six digits.
 const MAX_SESSION_ID: u64 = 999_999;
@@ -353,33 +346,7 @@ impl Engine {
             Ok(request) => request,
             Err(e) => return Response::text(e.render(), Action::Continue),
         };
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(conn, &request, started)));
-        let limit = self.config.deadline.mul_f64(STUCK_GRACE);
-        if !limit.is_zero() && started.elapsed() > limit {
-            // The request outlived its deadline by the grace factor. The
-            // engine is single-owner and Rust offers no safe cancellation,
-            // so completion is the only enforcement point: detach the
-            // session exactly like the panic path (durable state is
-            // untouched; any reply the late work computed is dropped, and
-            // at-least-once reconciliation on re-attach covers a mutation
-            // that did commit).
-            if let Some(id) = conn.current.take() {
-                self.live.remove(&id);
-            }
-            return Response::text(
-                ErrReply::new(
-                    code::STUCK,
-                    format!(
-                        "request exceeded {STUCK_GRACE}x its {}ms deadline; \
-                         session detached, re-attach to restore it",
-                        self.config.deadline.as_millis()
-                    ),
-                )
-                .render(),
-                Action::Continue,
-            );
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(conn, &request)));
         match outcome {
             Ok(Ok((reply, action))) => Response::text(reply, action),
             Ok(Err(e)) => Response::text(e.render(), Action::Continue),
@@ -410,17 +377,17 @@ impl Engine {
         &mut self,
         conn: &mut ConnState,
         request: &Request,
-        started: Instant,
     ) -> Result<(String, Action), ErrReply> {
+        let started = Instant::now();
         // The chaos plane's panic site fires before any mutation, so an
         // injected panic is always clean: reply `err panic`, retry, heal.
         if inject(FaultSite::UnitPanic) {
             panic!("chaos: injected request panic");
         }
-        // An injected stall sleeps past deadline × grace, so both the
-        // cooperative deadline checks and the stuck check observe it.
+        // An injected stall sleeps past the deadline, so every cooperative
+        // deadline check after it fires.
         if inject(FaultSite::Stall) {
-            std::thread::sleep(self.config.deadline.mul_f64(2.0 * STUCK_GRACE));
+            std::thread::sleep(self.config.deadline.mul_f64(2.0));
         }
         self.clock += 1;
         self.admit(request)?;
@@ -458,6 +425,11 @@ impl Engine {
                         code::INTERNAL,
                         format!("session ids exhausted (s{MAX_SESSION_ID} exists)"),
                     ));
+                }
+                // Last check before anything changes: past this point the
+                // request evicts, probes the warm store and uses up an id.
+                if over_deadline() {
+                    return Err(deadline_err());
                 }
                 self.make_room();
                 let id = format!("s{:06}", self.next_id);
@@ -1510,9 +1482,21 @@ mod tests {
         engine.config.deadline = Duration::ZERO;
         assert!(err(&mut engine, &mut conn, "observe 4 1.0").starts_with("err deadline"));
         assert!(err(&mut engine, &mut conn, "suggest").starts_with("err deadline"));
+        assert!(
+            err(&mut engine, &mut conn, "newsession mvt u:unroll:1:9").starts_with("err deadline")
+        );
         engine.config.deadline = DEFAULT_DEADLINE;
-        // The shed observe left no trace.
+        // The shed observe left no trace, and the shed newsession used up
+        // no id.
         assert!(err(&mut engine, &mut conn, "best").starts_with("err empty"));
+        assert_eq!(
+            ok(&mut engine, &mut conn, "sessions"),
+            "ok sessions s000000"
+        );
+        assert_eq!(
+            ok(&mut engine, &mut conn, "newsession mvt u:unroll:1:9"),
+            "ok session s000001 dim 1"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

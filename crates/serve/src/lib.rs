@@ -29,7 +29,8 @@
 //! * every request runs under a deadline with panic isolation
 //!   (`catch_unwind`, like `heal_campaign`) — one poisoned session is
 //!   detached and later restored from its checkpoint, never taking the
-//!   process down;
+//!   process down. A request sheds with `err deadline` only before it
+//!   commits, so an `err` reply always means nothing was committed;
 //! * malformed input always yields a structured `err <code> <msg>` reply;
 //! * the live-session table is bounded with LRU eviction; every resident
 //!   session already equals its checkpoint plus journal, so eviction never
@@ -43,11 +44,6 @@
 //!   (or SIGTERM, which the one transport loop of [`daemon`] checks between
 //!   requests over stdio and TCP alike) stops admission and reports one
 //!   [`engine::DrainSummary`];
-//! * a request that returns after more than its deadline times
-//!   [`engine::STUCK_GRACE`] is judged stuck: its session is detached like
-//!   the panic path and restored from its checkpoint on re-attach. The
-//!   judgement happens on return, so a request that never returns is not
-//!   detected. The daemon runs no timer threads;
 //! * TCP connections are bounded too: past a fixed cap a client is told
 //!   `err busy` and closed, and a client that stops reading its replies is
 //!   dropped after a write timeout instead of stalling the engine.
@@ -70,6 +66,6 @@ pub mod protocol;
 pub mod session;
 pub mod term;
 
-pub use engine::{Action, ConnState, DrainSummary, Engine, HealthState, Response, ServeConfig};
-pub use protocol::{ErrReply, Request, PROTOCOL_VERSION};
+pub use engine::{ConnState, Engine, HealthState, ServeConfig};
+pub use protocol::{ErrReply, PROTOCOL_VERSION};
 pub use session::TuningSession;

@@ -32,7 +32,7 @@ use alic_sim::space::{Configuration, ParamKind, ParamSpec, ParameterSpace};
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 
 /// Protocol identifier announced by the daemon when a connection opens.
-pub const PROTOCOL_VERSION: &str = "alic-serve/2";
+pub const PROTOCOL_VERSION: &str = "alic-serve/3";
 
 /// Longest request line the daemon accepts, in bytes.
 pub const MAX_LINE_BYTES: usize = 8192;
@@ -69,12 +69,8 @@ pub mod code {
     pub const DEGRADED: &str = "degraded";
     /// The daemon is draining: no new work is admitted.
     pub const DRAINING: &str = "draining";
-    /// The request exceeded its deadline.
+    /// The request exceeded its deadline before anything committed.
     pub const DEADLINE: &str = "deadline";
-    /// The request returned after more than its deadline times
-    /// [`crate::engine::STUCK_GRACE`]; the session was detached like the
-    /// panic path.
-    pub const STUCK: &str = "stuck";
     /// The request panicked; the session was detached (re-`attach` restores
     /// it from its last checkpoint).
     pub const PANIC: &str = "panic";

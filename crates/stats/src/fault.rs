@@ -77,7 +77,7 @@ pub enum FaultSite {
     /// fails with out-of-space (`ENOSPC`): the disk is full.
     Enospc = 10,
     /// A request stalls: the instrumented site sleeps long enough to trip its
-    /// deadline, and to outlast the serve engine's stuck-request grace.
+    /// deadline.
     Stall = 11,
     /// File-descriptor exhaustion: a storage-layer write
     /// (`alic_core::store::replace` or `append`), or the serve `sessions`

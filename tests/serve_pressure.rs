@@ -8,17 +8,21 @@
 //! final `drain` reports the session with its checkpoint byte-identical to
 //! the fault-free checkpoint. Replies under pressure are
 //! thus a prefix-consistent degradation of the fault-free run: the shed
-//! requests disappear, the settled ones are exactly the baseline's.
+//! requests disappear, the settled ones are exactly the baseline's. Every
+//! `err` on the way commits nothing: `attach` still reports the
+//! acknowledged observation count and `sessions` the same listing.
 //!
 //! The deterministic tests below pin the individual mechanisms: ladder
 //! transitions (healthy → shedding-writes → healthy), the exponential
-//! `retry-after-ms` hint and its reset, the stuck check's `err stuck`
-//! detach/re-attach cycle, and a drain whose compaction fails on a dead
-//! disk without losing an observation.
+//! `retry-after-ms` hint and its reset, a stall on each verb either
+//! shedding with `err deadline` before it commits or replying `ok`, and a
+//! drain whose compaction fails on a dead disk without losing an
+//! observation.
 //!
 //! Every test manipulates the process-global fault plane, so each takes
 //! the plane's exclusive guard.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -50,7 +54,7 @@ fn temp_dir(label: &str) -> PathBuf {
 }
 
 /// The pressure config: a short deadline so injected stalls overrun it
-/// and are judged stuck well within the test.
+/// well within the test.
 fn pressure_config(dir: &Path) -> ServeConfig {
     let mut config = ServeConfig::new(dir);
     config.deadline = Duration::from_millis(50);
@@ -106,7 +110,7 @@ fn baseline() -> &'static (Vec<String>, String) {
 /// journal append at rate 1.0, so with budget >= 5 the first commits exhaust
 /// `RetryPolicy::LEDGER`'s attempts and trip the ladder, while the tail of
 /// the budget is silently absorbed by the retries; occasional fd
-/// exhaustion; and a small stall budget (each stall sleeps 8x the
+/// exhaustion; and a small stall budget (each stall sleeps 2x the
 /// deadline, so rate and budget stay low to bound wall-clock).
 fn pressure_plan(seed: u64, enospc: u64, stall: u64) -> FaultPlan {
     FaultPlan::new(seed)
@@ -115,50 +119,46 @@ fn pressure_plan(seed: u64, enospc: u64, stall: u64) -> FaultPlan {
         .with_site(FaultSite::Stall, 0.05, Some(stall))
 }
 
-/// Settles one workload line to its final `ok` reply, reconciling the
-/// at-least-once window through `attach`'s observation count (an `observe`
-/// whose commit landed before its reply was shed is settled, not retried).
-/// Every structured `err` — degraded, deadline, stuck, io — is
-/// transient under a budgeted plan.
-fn settle(engine: &mut Engine, conn: &mut ConnState, line: &str, obs_done: &mut usize) -> String {
-    let attach = format!("attach {SID}");
-    let prefix = format!("ok attached {SID} obs ");
-    let is_observe = line.starts_with("observe ");
+/// The `sessions` listing, asked again through injected fd exhaustion
+/// (the one `err` the listing itself can draw).
+fn listing(engine: &mut Engine, conn: &mut ConnState) -> String {
     for _ in 0..MAX_TRIES {
-        let Some(reply) = engine.handle_line(conn, &attach).reply else {
-            continue;
-        };
-        let Some(rest) = reply.strip_prefix(prefix.as_str()) else {
-            continue; // structured err (degraded/stuck/...): retry
-        };
-        let durable: usize = rest.parse().unwrap();
-        if is_observe && durable == *obs_done + 1 {
-            *obs_done += 1;
-            return format!("ok observed {durable}");
+        let reply = engine.handle_line(conn, "sessions").reply.unwrap();
+        if !reply.starts_with("err io ") {
+            return reply;
         }
-        assert_eq!(
-            durable, *obs_done,
-            "durable log diverged from the acknowledged prefix"
-        );
-        let Some(reply) = engine.handle_line(conn, line).reply else {
-            continue;
-        };
+    }
+    panic!("`sessions` never answered under a budgeted plan")
+}
+
+/// Asserts that an `err` reply committed nothing: the session still holds
+/// exactly the acknowledged observations and is still the only one listed.
+fn assert_nothing_committed(engine: &mut Engine, conn: &mut ConnState, obs_done: usize) {
+    let reply = engine.handle_line(conn, &format!("attach {SID}")).reply;
+    assert_eq!(reply.unwrap(), format!("ok attached {SID} obs {obs_done}"));
+    assert_eq!(listing(engine, conn), format!("ok sessions {SID}"));
+}
+
+/// Settles one workload line to its final `ok` reply. Every structured
+/// `err` — degraded, deadline, io — is transient under a budgeted plan and
+/// commits nothing, so the line is simply sent again.
+fn settle(engine: &mut Engine, conn: &mut ConnState, line: &str, obs_done: &mut usize) -> String {
+    for _ in 0..MAX_TRIES {
+        let reply = engine.handle_line(conn, line).reply.unwrap();
         if reply.starts_with("ok ") {
-            if is_observe {
+            if line.starts_with("observe ") {
                 *obs_done += 1;
             }
             return reply;
         }
+        assert_nothing_committed(engine, conn, *obs_done);
     }
     panic!("{line:?} never settled under a budgeted plan")
 }
 
 /// Creates the workload's session, retrying through the pressure. A
-/// `newsession` shed by the ladder commits nothing (the checkpoint write
-/// failed before the id was consumed), but one judged stuck (`err stuck`
-/// after an injected stall) may well have committed — so the
-/// driver probes the `sessions` listing before re-creating, and attaches
-/// to `s000000` if the first attempt already landed.
+/// refused `newsession` uses up no id, so the listing stays empty and the
+/// retry mints `s000000`.
 fn create_session(engine: &mut Engine, conn: &mut ConnState) {
     for _ in 0..MAX_TRIES {
         let reply = engine.handle_line(conn, NEWSESSION).reply.unwrap();
@@ -166,20 +166,7 @@ fn create_session(engine: &mut Engine, conn: &mut ConnState) {
             assert!(reply.starts_with("ok session s000000 "), "{reply}");
             return;
         }
-        for _ in 0..MAX_TRIES {
-            let Some(listing) = engine.handle_line(conn, "sessions").reply else {
-                continue;
-            };
-            if listing == "ok sessions" {
-                break; // nothing committed: safe to re-create
-            }
-            if listing.starts_with("ok sessions s000000") {
-                let attach = engine.handle_line(conn, &format!("attach {SID}")).reply;
-                if attach.is_some_and(|r| r.starts_with("ok attached ")) {
-                    return;
-                }
-            }
-        }
+        assert_eq!(listing(engine, conn), "ok sessions", "after {reply}");
     }
     panic!("newsession never settled under a budgeted plan")
 }
@@ -245,8 +232,8 @@ proptest! {
 fn degraded_hints_back_off_and_reset_after_readmission() {
     let _guard = fault::exclusive_clean();
     let dir = temp_dir("ladder");
-    // Default config: the 2s deadline keeps the stuck check and
-    // cooperative shedding out of this test's way.
+    // Default config: the 2s deadline keeps cooperative shedding out of
+    // this test's way.
     let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
     let mut conn = ConnState::new();
     let reply = engine.handle_line(&mut conn, NEWSESSION).reply.unwrap();
@@ -318,13 +305,25 @@ fn degraded_hints_back_off_and_reset_after_readmission() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A stalled request is judged stuck when it returns: its session is
-/// detached like the panic path, and a re-attach restores it from the
-/// durable checkpoint.
+/// Every file under the serve directory's `sessions/`, by name.
+fn session_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir.join("sessions"))
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// A stall on each verb either sheds with `err deadline` before anything
+/// commits — the disk and the session stay as they were — or replies `ok`.
+/// Nothing judges a request after it returns.
 #[test]
-fn stuck_request_is_detached_and_reattach_restores() {
+fn a_stalled_request_sheds_before_committing_or_replies_ok() {
     let _guard = fault::exclusive_clean();
-    let dir = temp_dir("stuck");
+    let dir = temp_dir("stall");
     let mut config = pressure_config(&dir);
     config.deadline = Duration::from_millis(30);
     let mut engine = Engine::open(config).unwrap();
@@ -335,25 +334,34 @@ fn stuck_request_is_detached_and_reattach_restores() {
         assert!(reply.starts_with("ok observed "), "{reply}");
     }
 
-    // One stall: the request sleeps past its deadline times the grace
-    // factor, so it is judged stuck when it returns.
-    fault::install(FaultPlan::new(9).with_site(FaultSite::Stall, 1.0, Some(1)));
-    let reply = engine
-        .handle_line(&mut conn, &format!("attach {SID}"))
-        .reply
-        .unwrap();
-    assert!(reply.starts_with("err stuck "), "{reply}");
-    fault::deactivate();
+    for (line, sheds) in [
+        (NEWSESSION, true),
+        ("attach s000000", false),
+        ("observe 14,5 2.8", true),
+        ("suggest 2", true),
+        ("best", false),
+        ("checkpoint", false),
+    ] {
+        let before = session_files(&dir);
+        fault::install(FaultPlan::new(9).with_site(FaultSite::Stall, 1.0, Some(1)));
+        let reply = engine.handle_line(&mut conn, line).reply.unwrap();
+        assert_eq!(fault::injections(FaultSite::Stall), 1, "{line:?}");
+        fault::deactivate();
+        if sheds {
+            assert!(reply.starts_with("err deadline "), "{line:?} -> {reply}");
+            assert_eq!(session_files(&dir), before, "{line:?} changed the disk");
+        } else {
+            assert!(reply.starts_with("ok "), "{line:?} -> {reply}");
+        }
+        assert_nothing_committed(&mut engine, &mut conn, 2);
+    }
 
-    // The stuck session was detached exactly like the panic path...
-    let reply = engine.handle_line(&mut conn, "best").reply.unwrap();
-    assert!(reply.starts_with("err no-session "), "{reply}");
-    // ...and a re-attach restores it from its checkpoint, nothing lost.
-    let reply = engine
-        .handle_line(&mut conn, &format!("attach {SID}"))
-        .reply
-        .unwrap();
-    assert_eq!(reply, format!("ok attached {SID} obs 2"));
+    // The shed requests left the session attached and whole: the shed
+    // observe goes through on its retry, and the next session is s000001.
+    let reply = engine.handle_line(&mut conn, "observe 14,5 2.8").reply;
+    assert_eq!(reply.unwrap(), "ok observed 3");
+    let reply = engine.handle_line(&mut conn, NEWSESSION).reply.unwrap();
+    assert!(reply.starts_with("ok session s000001 "), "{reply}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
