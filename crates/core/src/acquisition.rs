@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use alic_model::traits::rank_scores;
 use alic_model::ActiveSurrogate;
+use alic_stats::features::FeatureMatrix;
 use alic_stats::rng::Rng as StatsRng;
 use alic_stats::sampling::sample_indices;
-use alic_stats::FeatureMatrix;
 
 use crate::Result;
 
@@ -225,8 +225,8 @@ mod tests {
         fn update(&mut self, _x: &[f64], _y: f64) -> alic_model::Result<()> {
             Ok(())
         }
-        fn predict(&self, _x: &[f64]) -> alic_model::Result<alic_model::Prediction> {
-            Ok(alic_model::Prediction {
+        fn predict(&self, _x: &[f64]) -> alic_model::Result<alic_model::traits::Prediction> {
+            Ok(alic_model::traits::Prediction {
                 mean: 0.0,
                 variance: f64::NAN,
             })

@@ -31,9 +31,9 @@ use alic_model::ActiveSurrogate;
 use alic_sim::profiler::{Measurement, Profiler};
 use alic_sim::Configuration;
 use alic_stats::error::rmse;
+use alic_stats::features::FeatureMatrix;
 use alic_stats::rng::{seeded_stream, Rng as StatsRng};
 use alic_stats::summary::OnlineStats;
-use alic_stats::FeatureMatrix;
 
 use crate::acquisition::Acquisition;
 use crate::cost::CostLedger;

@@ -67,29 +67,15 @@ pub mod runner;
 pub mod store;
 pub mod warmstore;
 
-/// The unified retry/timeout/backoff policy (re-exported from
-/// `alic_stats::policy`): every ledger and serve retry routes through it.
-pub use alic_stats::policy;
-
 /// Convenient re-exports of the types needed to drive the learner.
 pub mod prelude {
     pub use crate::acquisition::Acquisition;
-    pub use crate::cost::CostLedger;
     pub use crate::criteria::CompletionCriteria;
-    pub use crate::curve::{CurvePoint, LearningCurve};
-    pub use crate::experiment::{ComparisonConfig, ComparisonOutcome, PlanResult};
     pub use crate::learner::{ActiveLearner, LearnerConfig, LearnerRun};
     pub use crate::plan::SamplingPlan;
-    pub use crate::runner::{CampaignLedger, CampaignReport, CampaignSpec};
     pub use crate::CoreError;
     pub use alic_model::SurrogateSpec;
 }
-
-pub use acquisition::Acquisition;
-pub use cost::CostLedger;
-pub use curve::{CurvePoint, LearningCurve};
-pub use learner::{ActiveLearner, LearnerConfig, LearnerRun};
-pub use plan::SamplingPlan;
 
 /// Errors produced by the active-learning crate.
 #[derive(Debug)]

@@ -53,6 +53,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use alic_core::experiment::ComparisonConfig;
 //! use alic_core::prelude::*;
 //! use alic_core::runner::{self, CampaignSpec};
 //! use alic_data::dataset::DatasetConfig;

@@ -4,10 +4,10 @@ use serde::{Deserialize, Serialize};
 
 use alic_sim::profiler::Profiler;
 use alic_sim::space::Configuration;
+use alic_stats::features::FeatureMatrix;
 use alic_stats::normalize::Normalizer;
 use alic_stats::rng::seeded_stream;
 use alic_stats::summary::Summary;
-use alic_stats::FeatureMatrix;
 
 use crate::split::TrainTestSplit;
 

@@ -33,9 +33,7 @@ pub mod dataset;
 pub mod io;
 pub mod split;
 
-pub use dataset::{DataPoint, Dataset, DatasetConfig};
 pub use io::JsonValue;
-pub use split::TrainTestSplit;
 
 /// Errors produced by the data crate.
 #[derive(Debug)]

@@ -2,8 +2,8 @@
 //! random) and robustness to artificially scaled noise.
 
 use alic_experiments::ablation;
+use alic_experiments::options::RunOptions;
 use alic_experiments::report::{emit, format_sci, TextTable};
-use alic_experiments::RunOptions;
 use alic_sim::spapt::SpaptKernel;
 
 fn main() {

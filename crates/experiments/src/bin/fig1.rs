@@ -2,7 +2,7 @@
 //! the optimal number of samples, plus the optimal sample counts.
 
 use alic_experiments::report::{emit, format_sci, TextTable};
-use alic_experiments::{fig1, RunOptions};
+use alic_experiments::{fig1, options::RunOptions};
 
 fn main() {
     // Figure 1 is a dataset-level study: the surrogate model plays no role,

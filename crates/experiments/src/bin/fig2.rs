@@ -2,8 +2,8 @@
 //! observation per factor.
 
 use alic_experiments::fig2;
+use alic_experiments::options::RunOptions;
 use alic_experiments::report::{emit, TextTable};
-use alic_experiments::RunOptions;
 
 fn main() {
     // Figure 2 is a raw measurement sweep; options are validated for a

@@ -4,7 +4,7 @@
 
 use alic_experiments::fig5::Fig5Result;
 use alic_experiments::report::{emit, TextTable};
-use alic_experiments::{table1, RunOptions};
+use alic_experiments::{options::RunOptions, table1};
 
 fn main() {
     let options = RunOptions::from_args();

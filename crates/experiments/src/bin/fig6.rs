@@ -2,7 +2,7 @@
 //! plans on the six benchmarks the paper plots.
 
 use alic_experiments::report::{emit_text, format_sci, TextTable};
-use alic_experiments::{fig6, RunOptions};
+use alic_experiments::{fig6, options::RunOptions};
 
 fn main() {
     let options = RunOptions::from_args();

@@ -3,7 +3,7 @@
 //! per-benchmark speed-up with its geometric mean.
 
 use alic_experiments::report::{emit, format_sci, TextTable};
-use alic_experiments::{table1, RunOptions};
+use alic_experiments::{options::RunOptions, table1};
 
 fn main() {
     let options = RunOptions::from_args();

@@ -2,7 +2,7 @@
 //! mean ratio for the full-sample and 5-sample plans.
 
 use alic_experiments::report::{emit, format_sci, TextTable};
-use alic_experiments::{table2, RunOptions};
+use alic_experiments::{options::RunOptions, table2};
 
 fn main() {
     // Table 2 characterizes the kernels' noise, independent of any surrogate

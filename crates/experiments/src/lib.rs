@@ -23,7 +23,7 @@
 //! [`SurrogateSpec`](alic_model::SurrogateSpec) — see [`options`].
 //!
 //! All learner-driven binaries run on the zero-copy batched scoring pipeline
-//! (flat [`FeatureMatrix`](alic_stats::FeatureMatrix) pools, batch
+//! (flat [`FeatureMatrix`](alic_stats::features::FeatureMatrix) pools, batch
 //! `alc_scores`/`predict_batch`), the same path the `learner_paper` workload
 //! of the `perfbench/` benchmark times; results stay bit-identical for a
 //! fixed seed regardless of the worker-thread count.
@@ -43,6 +43,4 @@ pub mod scale;
 pub mod table1;
 pub mod table2;
 
-pub use campaign::CampaignOptions;
-pub use options::RunOptions;
 pub use scale::Scale;

@@ -121,8 +121,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use alic_data::io::{self, JsonValue};
+use alic_stats::features::FeatureMatrix;
 use alic_stats::rng::{seeded_stream, Rng as StatsRng, SmallRng};
-use alic_stats::FeatureMatrix;
 use rayon::prelude::*;
 
 use crate::leaf::{log_marginal_likelihood_of_sums, LeafPrior, LnGammaTable};
@@ -133,7 +133,7 @@ use crate::{validate_training_set, ModelError, Result};
 use record::{LeafRecord, LeafRecords};
 use scan::ATTEMPT_BATCH;
 
-pub use tree::{find_leaf_flat, FlatNode, MomentCtx, ParticleTree, Split, FLAT_LEAF};
+pub(crate) use tree::{find_leaf_flat, MomentCtx, ParticleTree, Split};
 
 use tree::{PathTable, Routing};
 
@@ -2023,7 +2023,7 @@ mod tests {
                 .arena_groups()
                 .iter()
                 .flat_map(|&(slot, _)| model.arenas[slot as usize].flat_nodes())
-                .filter(|node| node.dimension != FLAT_LEAF)
+                .filter(|node| node.dimension != tree::FLAT_LEAF)
                 .map(|node| (node.dimension as usize, node.threshold))
                 .collect();
             assert!(!splits.is_empty(), "case {case}: no tree grew");

@@ -15,7 +15,7 @@
 //! alone, so it lands in a shared record for every holder or for none of
 //! them, and the update inserts it once per distinct record.
 
-use alic_stats::FeatureMatrix;
+use alic_stats::features::FeatureMatrix;
 
 use super::scan::LeafRows;
 use super::tree::{MomentCtx, Split};

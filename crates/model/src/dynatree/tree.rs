@@ -61,7 +61,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use alic_data::io::{self, JsonValue};
-use alic_stats::FeatureMatrix;
+use alic_stats::features::FeatureMatrix;
 
 use super::record::{LeafRecord, LeafRecords};
 use crate::leaf::{LeafPrior, LeafStats, LnGammaTable};

@@ -50,8 +50,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use alic_stats::cholesky::Cholesky;
+use alic_stats::features::FeatureMatrix;
 use alic_stats::matrix::squared_distance;
-use alic_stats::FeatureMatrix;
 
 use alic_data::io::{self, JsonValue};
 

@@ -14,9 +14,9 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use alic_stats::features::FeatureMatrix;
 use alic_stats::matrix::squared_distance;
 use alic_stats::summary::Summary;
-use alic_stats::FeatureMatrix;
 
 use alic_data::io::{self, JsonValue};
 

@@ -58,9 +58,8 @@ pub mod snapshot;
 pub mod spec;
 pub mod traits;
 
-pub use dynatree::{DynaTree, DynaTreeConfig};
 pub use spec::SurrogateSpec;
-pub use traits::{ActiveSurrogate, Prediction, SurrogateModel};
+pub use traits::{ActiveSurrogate, SurrogateModel};
 
 /// Errors produced by the model crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -28,7 +28,7 @@
 //! inconsistent column — surfaces as [`ModelError::Snapshot`].
 
 use alic_data::io::{self, JsonValue};
-use alic_stats::FeatureMatrix;
+use alic_stats::features::FeatureMatrix;
 
 use crate::baseline::ConstantMean;
 use crate::cart::RegressionTree;

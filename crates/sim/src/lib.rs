@@ -58,9 +58,7 @@ pub mod spapt;
 pub mod surface;
 
 pub use kernel::KernelSpec;
-pub use profiler::{Measurement, Profiler, SimulatedProfiler};
-pub use space::{Configuration, ParamKind, ParamSpec, ParameterSpace};
-pub use spapt::SpaptKernel;
+pub use space::{Configuration, ParameterSpace};
 
 /// Errors produced by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

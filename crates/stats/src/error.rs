@@ -18,7 +18,7 @@ use crate::{Result, StatsError};
 ///
 /// ```
 /// # fn main() -> Result<(), alic_stats::StatsError> {
-/// let rmse = alic_stats::rmse(&[1.0, 2.0, 3.0], &[1.0, 2.0, 5.0])?;
+/// let rmse = alic_stats::error::rmse(&[1.0, 2.0, 3.0], &[1.0, 2.0, 5.0])?;
 /// assert!((rmse - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
 /// # Ok(())
 /// # }

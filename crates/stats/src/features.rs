@@ -18,7 +18,7 @@ use crate::{Result, StatsError};
 /// # Examples
 ///
 /// ```
-/// use alic_stats::FeatureMatrix;
+/// use alic_stats::features::FeatureMatrix;
 /// let mut m = FeatureMatrix::new(2);
 /// m.push_row(&[0.0, 1.0]);
 /// m.push_row(&[2.0, 3.0]);

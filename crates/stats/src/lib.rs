@@ -51,12 +51,6 @@ pub mod sampling;
 pub mod special;
 pub mod summary;
 
-pub use ci::{confidence_interval, ConfidenceInterval};
-pub use error::{geometric_mean, rmse};
-pub use features::FeatureMatrix;
-pub use normalize::Normalizer;
-pub use summary::{OnlineStats, Summary};
-
 /// Errors produced by the statistics substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
